@@ -1,17 +1,21 @@
 """Concrete rough-path lifts and grid serialization.
 
-Two constructions are provided.  ``lift_piecewise_linear`` lifts a sampled
-deterministic path (with the time coordinate adjoined as the letter-0
-component) by evaluating the defining integral recursion
+Every lift stores one increment per step, computed in closed form from the
+step's coordinate increments ΔX^i (letter 0 is time) by the recursion
 
-    X_{s,t}(z^β) = Σ_{(i,k)} Σ_{β = e(i,k)+β₁+…+β_k} ∫ₛᵗ Π_j X_{s,u}(z^{β_j}) dX^i_u
+    X(z(i,0)) = ΔX^i,   X(z^β) = w(|β|) · Σ_{(i,k)} Σ_{β = e(i,k)+β₁+…+β_k} ΔX^i · Π_j X(z^{β_j}),
 
-segment by segment with composite Gauss–Legendre quadrature; between the
-sample times the path is affine, so dX^i_u = slope·du and the quadrature is
-certified by refinement doubling.  ``lift_brownian`` builds the lattice lift
-of a seeded Brownian motion at level ≤ 3 with left-point (Itô) or trapezoid
-(Stratonovich) evaluation of the single-step iterated sums; multi-step
-increments follow by Chen composition in both cases.
+with the weight w fixing the rule:
+
+* ``lift_piecewise_linear`` (a sampled path, affine between samples):
+  w(n) = 1/n, the exact iterated integrals of an affine segment;
+* ``lift_brownian`` with ``"strat"``: w = ½, the trapezoid rule on a
+  lattice step of a seeded Brownian motion;
+* ``lift_brownian`` with ``"ito"``: the left-point rule, which leaves only
+  level 1 within a step.
+
+The Brownian lattice lift is limited to level ≤ 3.  Multi-step increments
+follow by Chen composition in every case.
 
 The JSON/CSV formats at the bottom are the package's only on-disk path
 representations.
@@ -25,7 +29,7 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -94,75 +98,64 @@ def integral_decompositions(
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear lift
+# Closed-form step values, shared by every lift
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(5)
-_QUAD_RTOL = 1e-11
-_QUAD_MAX_PANELS = 2**14
 
-
-def _gauss_refined(fn, a: float, b: float) -> float:
-    """Composite 5-point Gauss–Legendre, panels doubled until two successive
-    refinements agree to ``_QUAD_RTOL`` relative (capped at 2¹⁴ panels)."""
-    if b == a:
-        return 0.0
-    prev = None
-    panels = 1
-    while True:
-        width = (b - a) / panels
-        half = width / 2.0
-        total = 0.0
-        for p in range(panels):
-            centre = a + (p + 0.5) * width
-            for x, w in zip(_GL_NODES, _GL_WEIGHTS):
-                total += w * fn(centre + half * x)
-        total *= half
-        if prev is not None and abs(total - prev) <= _QUAD_RTOL * max(1.0, abs(total)):
-            return total
-        if panels >= _QUAD_MAX_PANELS:
-            return total
-        prev = total
-        panels *= 2
-
-
-def _affine_segment_values(
-    slopes: Sequence[float], h: float, basis: Sequence[MultiIndex]
+def _segment_values(
+    dx: Sequence[float], basis: Sequence[MultiIndex], weight: Callable[[int], float]
 ) -> dict[MultiIndex, float]:
-    """Increment values over one affine segment of length h.
+    """Values of one step with increments ``dx`` (letter 0 is time):
 
-    ``slopes[i]`` is the constant derivative of coordinate i on the segment
-    (``slopes[0] = 1`` for the time letter).  Evaluation points are measured
-    from the segment start, so X_{s,s+u} depends on u alone.
-    """
-    memo: dict[tuple[MultiIndex, float], float] = {}
+        X(z(i,0)) = dx[i],   X(z^β) = weight(|β|) · Σ dx[i] · Π_j X(z^{β_j})
 
-    def ev(beta: MultiIndex, u: float) -> float:
-        if beta.degree() == 1:
+    summed over ``integral_decompositions(β)``.  ``basis`` lists every
+    multi-index after its parts (ascending degree)."""
+    values: dict[MultiIndex, float] = {}
+    for beta in basis:
+        n = beta.degree()
+        if n == 1:
             (i, _), _ = beta.entries[0]
-            return slopes[i] * u
-        key = (beta, u)
-        got = memo.get(key)
-        if got is not None:
-            return got
+            values[beta] = dx[i]
+            continue
+        w = weight(n)
         total = 0.0
         for i, _, parts in integral_decompositions(beta):
-            if slopes[i] == 0.0:
-                continue
+            prod = 1.0
+            for bj in parts:
+                prod *= values[bj]
+            total += w * prod * dx[i]
+        values[beta] = total
+    return values
 
-            def integrand(w: float, _parts=parts) -> float:
-                prod = 1.0
-                for bj in _parts:
-                    prod *= ev(bj, w)
-                    if prod == 0.0:
-                        break
-                return prod
 
-            total += slopes[i] * _gauss_refined(integrand, 0.0, u)
-        memo[key] = total
-        return total
+def _lift_steps(
+    d: int,
+    grading: Grading,
+    times: Sequence[float],
+    dxs: Sequence[Sequence[float]],
+    depth: int,
+    weight: Callable[[int], float],
+) -> RoughPathGrid:
+    """One stored increment per row of ``dxs``, filled up to degree ``depth``."""
+    basis = sorted(enumerate_populated(d, depth), key=MultiIndex.degree)
+    increments = []
+    for m, dx in enumerate(dxs):
+        values = _segment_values(dx, basis, weight)
+        if not all(math.isfinite(v) for v in values.values()):
+            raise ValueError(
+                f"lift value overflows on segment {m} "
+                f"(t = {times[m]} .. {times[m + 1]})"
+            )
+        increments.append(GroupElement(d=d, grading=grading, values=values))
+    return RoughPathGrid(
+        d=d, grading=grading, times=tuple(times), increments=tuple(increments)
+    )
 
-    return {beta: ev(beta, h) for beta in basis}
+
+# ---------------------------------------------------------------------------
+# Piecewise-linear lift
+# ---------------------------------------------------------------------------
 
 
 def lift_piecewise_linear(
@@ -186,67 +179,18 @@ def lift_piecewise_linear(
     for a, b in zip(times, times[1:]):
         if not b > a:
             raise ValueError(f"sample times not strictly increasing at {a} .. {b}")
-    basis = enumerate_populated(d, grading.max_norm)
-    increments = []
-    for row0, row1 in zip(samples, samples[1:]):
-        h = float(row1[0]) - float(row0[0])
-        slopes = [1.0] + [
-            (float(row1[i]) - float(row0[i])) / h for i in range(1, d + 1)
-        ]
-        values = _affine_segment_values(slopes, h, basis)
-        increments.append(GroupElement(d=d, grading=grading, values=values))
-    return RoughPathGrid(
-        d=d, grading=grading, times=tuple(times), increments=tuple(increments)
-    )
+    dxs = [
+        [float(b) - float(a) for a, b in zip(row0, row1)]
+        for row0, row1 in zip(samples, samples[1:])
+    ]
+    # On an affine segment the integrand of a degree-n value grows like
+    # u^{n−1}, so integrating it against dX^i gives 1/n of its end value · ΔX^i.
+    return _lift_steps(d, grading, times, dxs, grading.max_norm, lambda n: 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
 # Lattice Brownian lift
 # ---------------------------------------------------------------------------
-
-
-def _step_values_ito(
-    dx: Sequence[float], basis: Sequence[MultiIndex]
-) -> dict[MultiIndex, float]:
-    # Left-point evaluation over a single lattice step: every integrand of a
-    # degree ≥ 2 iterated sum vanishes at the left endpoint, so only level 1
-    # survives within the step.  Higher levels are produced by composition.
-    out = {}
-    for beta in basis:
-        if beta.degree() == 1:
-            (i, _), _ = beta.entries[0]
-            out[beta] = dx[i]
-    return out
-
-
-def _step_values_strat(
-    dx: Sequence[float], basis: Sequence[MultiIndex]
-) -> dict[MultiIndex, float]:
-    """Trapezoid evaluation of the single-step iterated sums, recursively:
-    ∫ g dX ↦ ½(g(start)+g(end))ΔX with g(start) = 0 for degree ≥ 1."""
-    memo: dict[MultiIndex, float] = {}
-
-    def ev(beta: MultiIndex) -> float:
-        if beta.degree() == 1:
-            (i, _), _ = beta.entries[0]
-            return dx[i]
-        got = memo.get(beta)
-        if got is not None:
-            return got
-        total = 0.0
-        for i, k, parts in integral_decompositions(beta):
-            if k == 0:
-                continue
-            prod = 1.0
-            for bj in parts:
-                prod *= ev(bj)
-                if prod == 0.0:
-                    break
-            total += 0.5 * prod * dx[i]
-        memo[beta] = total
-        return total
-
-    return {beta: ev(beta) for beta in basis}
 
 
 def lift_brownian(
@@ -264,12 +208,6 @@ def lift_brownian(
     (letter 0) is the exact function t, not a sampled one.  Replaying the
     same seed reproduces the grid bit for bit.
     """
-    if grading.max_norm > 3:
-        raise UnsupportedLevelError(
-            f"lattice Brownian lift supports max_norm ≤ 3, got {grading.max_norm}"
-        )
-    if mode not in ("ito", "strat"):
-        raise ValueError(f"mode must be 'ito' or 'strat', got {mode!r}")
     if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
     if d < 1:
@@ -289,17 +227,17 @@ def lift_brownian_from_increments(
         raise UnsupportedLevelError(
             f"lattice Brownian lift supports max_norm ≤ 3, got {grading.max_norm}"
         )
+    if mode not in ("ito", "strat"):
+        raise ValueError(f"mode must be 'ito' or 'strat', got {mode!r}")
     n_steps, d = dw.shape
-    basis = enumerate_populated(d, grading.max_norm)
-    step_fn = _step_values_ito if mode == "ito" else _step_values_strat
-    increments = []
-    for m in range(n_steps):
-        dx = [dt] + [float(v) for v in dw[m]]
-        increments.append(
-            GroupElement(d=d, grading=grading, values=step_fn(dx, basis))
-        )
-    times = tuple(float(dt * m) for m in range(n_steps + 1))
-    return RoughPathGrid(d=d, grading=grading, times=times, increments=tuple(increments))
+    dxs = [[dt] + [float(v) for v in row] for row in dw]
+    times = [float(dt * m) for m in range(n_steps + 1)]
+    # Left point (Itô): every integrand of degree ≥ 2 vanishes at the start
+    # of the step, so only level 1 is stored; higher levels come from Chen
+    # composition.  Trapezoid (Stratonovich): ∫ g dX ↦ ½(g(start) + g(end))ΔX
+    # with g(start) = 0.
+    depth = 1 if mode == "ito" else grading.max_norm
+    return _lift_steps(d, grading, times, dxs, depth, lambda n: 0.5)
 
 
 def brownian_pair_statistics(
@@ -381,11 +319,15 @@ def grid_from_json(text: str) -> RoughPathGrid:
     d = int(payload["d"])
     grading = Grading(max_norm=int(payload["max_norm"]), gamma=Fraction(payload["gamma"]))
     times = tuple(float(t) for t in payload["times"])
+    if not all(math.isfinite(t) for t in times):
+        raise ValueError("grid times must be finite numbers")
     increments = []
-    for entry in payload["increments"]:
+    for m, entry in enumerate(payload["increments"]):
         values = {
             parse_multi_index(key, d=d): float(v) for key, v in entry.items()
         }
+        if not all(math.isfinite(v) for v in values.values()):
+            raise ValueError(f"increment {m} holds a non-finite value")
         increments.append(GroupElement(d=d, grading=grading, values=values))
     return RoughPathGrid(d=d, grading=grading, times=times, increments=tuple(increments))
 
@@ -416,7 +358,10 @@ def read_path_csv(stream) -> list[tuple[float, ...]]:
             continue
         if len(row) != width:
             raise ValueError(f"row {lineno} has {len(row)} fields, expected {width}")
-        samples.append(tuple(float(v) for v in row))
+        sample = tuple(float(v) for v in row)
+        if not all(math.isfinite(v) for v in sample):
+            raise ValueError(f"row {lineno} holds a non-finite number")
+        samples.append(sample)
     if len(samples) < 2:
         raise ValueError("path CSV needs at least two sample rows")
     return samples

@@ -5,8 +5,9 @@ The oracle for affine segments is the exact rational coefficient recursion
     c(z(i,0)) = 1,   c(β) = (1/|β|) Σ_{(i,k)} Σ_{β=e(i,k)+β₁+…+β_k} Π_j c(βⱼ),
 
 giving X_{s,s+h}(z^β) = c(β) · Π_{(i,k)} v_i^{β(i,k)} · h^{|β|} for a segment
-with slopes v (v₀ = 1).  It is evaluated here with Fractions and never calls
-the quadrature code it is checking.
+with slopes v (v₀ = 1).  The single-step Stratonovich oracle is the same
+recursion with ½ in place of 1/|β|.  Both are evaluated here with Fractions,
+independently of the float recursion in ``mirpath.lifts`` they check.
 """
 
 from __future__ import annotations
@@ -40,17 +41,28 @@ from mirpath.lifts import (
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def affine_coefficient(beta: MultiIndex) -> Fraction:
-    if beta.degree() == 1:
-        return Fraction(1)
+def _sum_over_decompositions(beta: MultiIndex, coefficient) -> Fraction:
     total = Fraction(0)
     for _, _, parts in integral_decompositions(beta):
         prod = Fraction(1)
         for part in parts:
-            prod *= affine_coefficient(part)
+            prod *= coefficient(part)
         total += prod
-    return total / beta.degree()
+    return total
+
+
+@lru_cache(maxsize=None)
+def affine_coefficient(beta: MultiIndex) -> Fraction:
+    if beta.degree() == 1:
+        return Fraction(1)
+    return _sum_over_decompositions(beta, affine_coefficient) / beta.degree()
+
+
+@lru_cache(maxsize=None)
+def trapezoid_coefficient(beta: MultiIndex) -> Fraction:
+    if beta.degree() == 1:
+        return Fraction(1)
+    return _sum_over_decompositions(beta, trapezoid_coefficient) / 2
 
 
 def affine_value(beta: MultiIndex, slopes, h: float) -> float:
@@ -70,18 +82,23 @@ def test_affine_coefficient_reproduces_classical_taylor_weights():
 
 
 @pytest.mark.parametrize(
-    "slopes", [(1.0, 2.0, -1.0), (1.0, 0.7, 0.0), (1.0, -0.3, 1.9)]
+    "slopes, max_norm",
+    [
+        ((1.0, 2.0, -1.0), 3),
+        ((1.0, 0.7, 0.0), 3),
+        ((1.0, -0.3, 1.9), 3),
+        ((1.0, 2.0, -1.0), 4),
+        ((1.0, -0.3, 1.9, 0.6), 3),
+    ],
+    ids=["slopes0", "slopes1", "slopes2", "d2-N4", "d3-N3"],
 )
-def test_single_segment_matches_closed_form(slopes):
-    g = Grading(max_norm=3, gamma=Fraction(1, 3))
+def test_single_segment_matches_closed_form(slopes, max_norm):
+    g = Grading(max_norm=max_norm, gamma=Fraction(1, max_norm))
     h = 0.8
-    samples = [
-        (0.0, 0.0, 0.0),
-        (h, slopes[1] * h, slopes[2] * h),
-    ]
+    samples = [(0.0,) * len(slopes), tuple(v * h for v in slopes)]
     grid = lift_piecewise_linear(samples, g)
     inc = grid.increments[0]
-    for beta in enumerate_populated(2, 3):
+    for beta in enumerate_populated(len(slopes) - 1, max_norm):
         want = affine_value(beta, slopes, h)
         got = inc.values.get(beta, 0.0)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12), beta
@@ -180,6 +197,8 @@ def test_brownian_rejects_bad_arguments():
         lift_brownian(1, 1.0, 8, 0, "midpoint", G2)
     with pytest.raises(ValueError):
         lift_brownian(0, 1.0, 8, 0, "ito", G2)
+    with pytest.raises(ValueError):
+        lift_brownian_from_increments(np.zeros((8, 1)), 0.125, "midpoint", G2)
 
 
 def test_time_component_is_exact_on_every_step():
@@ -208,6 +227,19 @@ def test_strat_single_step_level_two_is_half_the_product():
             0.5 * inc.values[k1] * inc.values[k2], rel=1e-14
         )
         assert inc.values[k11] == pytest.approx(0.5 * inc.values[k1] ** 2, rel=1e-14)
+
+
+def test_strat_single_step_level_three_matches_exact_oracle():
+    grid = lift_brownian(2, 1.0, 8, 31, "strat", Grading(max_norm=3, gamma=Fraction(1, 3)))
+    letters = [parse_multi_index(f"z({i},0)", d=2) for i in range(3)]
+    for inc in grid.increments:
+        dx = [Fraction(inc.values[key]) for key in letters]
+        assert dx[0] == Fraction(1, 8)
+        for beta in enumerate_populated(2, 3):
+            want = trapezoid_coefficient(beta)
+            for (i, _), m in beta.entries:
+                want *= dx[i] ** m
+            assert inc.values[beta] == pytest.approx(float(want), rel=1e-14), beta
 
 
 def test_composed_ito_level_two_is_left_point_riemann_sum():

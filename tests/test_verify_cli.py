@@ -314,6 +314,44 @@ class TestCliLiftSolve:
         assert code == 2
         assert "ito" in err
 
+    def test_non_finite_sample_is_a_usage_error(self, tmp_path):
+        csv_file = tmp_path / "nan.csv"
+        csv_file.write_text("t,x1\n0.0,0.0\n0.5,nan\n1.0,0.2\n")
+        code, out, err = run_cli("lift", "--path", str(csv_file), "--no-timestamp")
+        assert code == 2
+        assert "row 3 holds a non-finite number" in err
+        assert out == ""
+
+    def test_lift_overflow_is_a_usage_error(self, tmp_path):
+        csv_file = tmp_path / "huge.csv"
+        csv_file.write_text("t,x1\n0.0,0.0\n0.5,0.1\n1.0,1e300\n")
+        code, out, err = run_cli("lift", "--path", str(csv_file), "--no-timestamp")
+        assert code == 2
+        assert "overflows on segment 1" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("field, message", [
+        ("times", "grid times must be finite"),
+        ("increments", "increment 2 holds a non-finite value"),
+    ])
+    def test_non_finite_grid_is_a_usage_error(
+        self, sine_csv, cubic_field_json, tmp_path, field, message
+    ):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        doc = json.loads(grid_file.read_text())
+        if field == "times":
+            doc["grid"]["times"][2] = math.inf
+        else:
+            inc = doc["grid"]["increments"][2]
+            inc[next(iter(inc))] = math.nan
+        grid_file.write_text(json.dumps(doc))
+        code, _, err = run_cli("solve", "--grid", str(grid_file),
+                               "--field", str(cubic_field_json))
+        assert code == 2
+        assert message in err
+
     def test_round_trip_matches_in_process_solve_bit_exactly(
         self, sine_csv, cubic_field_json, tmp_path
     ):
