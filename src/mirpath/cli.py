@@ -516,19 +516,25 @@ def _cmd_ito_strat_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, d_default=2) -> None:
-    sub.add_argument("--d", type=int, default=d_default,
-                     help="number of driving letters (letter 0 is time)")
+def _add_shared(sub: argparse.ArgumentParser) -> None:
+    """--gamma, --out and --no-timestamp, which every subcommand takes."""
     sub.add_argument("--gamma", default="1/2", metavar="P/Q",
                      help="Hölder exponent as an exact rational in (0,1)")
-    sub.add_argument("--max-norm", type=int, default=3,
-                     help="degree truncation of the graded basis")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for every random draw in this run")
     sub.add_argument("--out", default=None, metavar="FILE",
                      help="write output here instead of stdout")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp for byte-reproducible output")
+
+
+def _add_common(sub: argparse.ArgumentParser, *, d_default=2) -> None:
+    """The shared flags plus --d, --max-norm and --seed."""
+    sub.add_argument("--d", type=int, default=d_default,
+                     help="number of driving letters (letter 0 is time)")
+    sub.add_argument("--max-norm", type=int, default=3,
+                     help="degree truncation of the graded basis")
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed for every random draw in this run")
+    _add_shared(sub)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -566,7 +572,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lift)
 
     p = subs.add_parser("solve", help="integrate the truncated log-flow")
-    _add_common(p)
+    _add_shared(p)
     p.add_argument("--grid", required=True, metavar="FILE",
                    help="rough-path grid JSON (as written by lift)")
     p.add_argument("--field", required=True, metavar="FILE",
@@ -603,7 +609,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("davie-report",
                         help="residual decay of the local expansion")
-    _add_common(p)
+    _add_shared(p)
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--field", required=True, metavar="FILE")
     p.add_argument("--y0", type=float, default=0.0)

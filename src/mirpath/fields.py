@@ -404,4 +404,13 @@ def vector_field_from_json(text: str) -> VectorField:
         if not 0 <= i <= d:
             raise ValueError(f"field letter {i} outside 0..{d}")
         rows[i] = [Fraction(str(c)) for c in entry["coeffs"]]
+        try:
+            for k in range(len(rows[i])):
+                for c in _poly_derivative(tuple(rows[i]), k):
+                    float(c)  # OverflowError beyond the float range
+        except OverflowError:
+            raise ValueError(
+                f"field letter {i}: a coefficient of f_{i} or of one of its "
+                "derivatives is not finite as a float"
+            ) from None
     return VectorField.polynomial(rows)

@@ -2,12 +2,13 @@
 
 A rough-path increment is stored as a :class:`GroupElement`: real values on
 the populated multi-indices of degree ≤ N, extended to forests by
-multiplicativity (forest values are computed on demand, never stored).  The
-group law is Chen composition, realised by embedding both factors as formal
-sums Σ X(u)/S(u)·u over the forest basis, multiplying with the exact
-Grossman–Larson structure constants, and contracting against the pairing.
-Only that final contraction is floating point; the structure constants stay
-rational and are cached across calls.
+multiplicativity.  All numeric products go through one table per (d, N),
+built on first use from the exact Grossman–Larson structure constants of
+:mod:`mirpath.algebra` and cached.  Over the indexed forest basis an element
+is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
+is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the table rows (u, v, w), where
+C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into the exact constant c.
+Chen composition reads the single-component slots of that product.
 
 :class:`LieElement` holds the logarithm: a primitive element, nonzero only on
 single multi-indices.  ``exp_element``/``log_element`` are truncated power
@@ -17,15 +18,15 @@ time grid with composition on demand.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import lru_cache, reduce
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .algebra import (
-    EMPTY_FOREST,
     Forest,
     Grading,
     MultiIndex,
@@ -64,33 +65,25 @@ class PrimitivityError(ValueError):
     meaning the input was not a character of the group."""
 
 
-def _check_keys(values: Mapping[MultiIndex, float], d: int, grading: Grading) -> None:
-    for key in values:
-        if not key.is_populated():
-            raise InvalidKeyError(f"key {key!r} is not populated")
-        if key.degree() > grading.max_norm:
-            raise InvalidKeyError(
-                f"key {key!r} has degree {key.degree()} above truncation "
-                f"{grading.max_norm}"
-            )
-        if any(i > d for (i, _), _ in key.entries):
-            raise InvalidKeyError(f"key {key!r} uses a letter above d={d}")
-
-
 @dataclass(frozen=True)
-class GroupElement:
-    """A character of the truncated group: values on populated multi-indices.
-
-    The value on the empty forest is implicitly 1; forest values follow by
-    multiplicativity via :func:`char_eval`.  Missing keys read as 0.
-    """
+class _Element:
+    """Values on populated multi-indices of degree ≤ N; missing keys read as 0."""
 
     d: int
     grading: Grading
     values: dict[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_keys(self.values, self.d, self.grading)
+        for key in self.values:
+            if not key.is_populated():
+                raise InvalidKeyError(f"key {key!r} is not populated")
+            if key.degree() > self.grading.max_norm:
+                raise InvalidKeyError(
+                    f"key {key!r} has degree {key.degree()} above truncation "
+                    f"{self.grading.max_norm}"
+                )
+            if any(i > self.d for (i, _), _ in key.entries):
+                raise InvalidKeyError(f"key {key!r} uses a letter above d={self.d}")
 
     def value(self, key: MultiIndex) -> float:
         if not key.is_populated() or key.degree() > self.grading.max_norm:
@@ -98,6 +91,15 @@ class GroupElement:
                 f"{key!r} outside the populated basis of degree ≤ {self.grading.max_norm}"
             )
         return self.values.get(key, 0.0)
+
+
+@dataclass(frozen=True)
+class GroupElement(_Element):
+    """A character of the truncated group: values on populated multi-indices.
+
+    The value on the empty forest is implicitly 1; forest values follow by
+    multiplicativity via :func:`char_eval`.
+    """
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupElement):
@@ -111,26 +113,12 @@ class GroupElement:
 
 
 @dataclass(frozen=True)
-class LieElement:
+class LieElement(_Element):
     """A primitive element: log-coordinates on populated multi-indices.
 
     Its formal-sum image carries single-component forests only, so
     evaluation against any forest of cardinality ≥ 2 is zero by definition.
     """
-
-    d: int
-    grading: Grading
-    values: dict[MultiIndex, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        _check_keys(self.values, self.d, self.grading)
-
-    def value(self, key: MultiIndex) -> float:
-        if not key.is_populated() or key.degree() > self.grading.max_norm:
-            raise InvalidKeyError(
-                f"{key!r} outside the populated basis of degree ≤ {self.grading.max_norm}"
-            )
-        return self.values.get(key, 0.0)
 
 
 def identity_character(d: int, grading: Grading) -> GroupElement:
@@ -152,122 +140,120 @@ def char_eval(x: GroupElement, f: Forest | MultiIndex) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Embedding and numeric product over the forest basis
+# The product table over the indexed forest basis
 # ---------------------------------------------------------------------------
 
 
-def _embed(x: GroupElement) -> dict[Forest, float]:
-    """Σ X(u)/S(u) · u over the forest basis of degree ≤ N."""
-    out: dict[Forest, float] = {EMPTY_FOREST: 1.0}
-    for u in forest_basis(x.d, x.grading.max_norm):
-        if u.is_empty:
-            continue
-        val = 1.0
-        for c in u.components:
-            val *= x.values.get(c, 0.0)
-            if val == 0.0:
-                break
-        if val != 0.0:
-            out[u] = val / u.symmetry_factor()
-    return out
+class _Table:
+    """``forest_basis(d, N)`` indexed by slot (∅ is slot 0), with the
+    truncated product as rows ``(i, j, k, coeff)`` in (i, j) basis order:
+    slot i times slot j adds ``coeff`` to slot k."""
+
+    def __init__(self, d: int, n: int):
+        self.basis = basis = forest_basis(d, n)
+        slot = {u: s for s, u in enumerate(basis)}
+        degree = [u.degree() for u in basis]
+        sym = [u.symmetry_factor() for u in basis]
+        single = [s for s, u in enumerate(basis) if u.cardinality() == 1]
+        # the single-component forests in basis order, and their slots
+        self.keys = tuple(basis[s].components[0] for s in single)
+        self.single = np.array(single)
+        self.multi = np.array(
+            [s for s, u in enumerate(basis) if u.cardinality() >= 2], dtype=int
+        )
+        self.symmetry = np.array(sym, dtype=float)
+        # per slot, the positions of its components in keys; len(keys) pads
+        position = {key: p for p, key in enumerate(self.keys)}
+        self.components = np.full((len(basis), n), len(self.keys))
+        for s, u in enumerate(basis):
+            self.components[s, : u.cardinality()] = [position[c] for c in u.components]
+        rows = [
+            (a, b, slot[w], float(c * sym[slot[w]] / (sym[a] * sym[b])))
+            for a, u in enumerate(basis)
+            for b, v in enumerate(basis)
+            if degree[a] + degree[b] <= n
+            for w, c in _star_basis(u, v).items()
+        ]
+        self.i, self.j, self.k, self.coeff = (np.array(col) for col in zip(*rows))
+
+    def character(self, values: Mapping[MultiIndex, float]) -> np.ndarray:
+        """φ(u) = Π X(components of u), 1 on ∅."""
+        x = np.array([values.get(key, 0.0) for key in self.keys] + [1.0])
+        return x[self.components].prod(axis=1)
+
+    def star(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        weights = a[self.i] * b[self.j] * self.coeff
+        return np.bincount(self.k, weights=weights, minlength=len(self.basis))
+
+    def read(self, phi: np.ndarray) -> dict[MultiIndex, float]:
+        """The nonzero values on single-component slots."""
+        return {key: float(v) for key, v in zip(self.keys, phi[self.single]) if v != 0.0}
 
 
-def _embed_lie(x: LieElement) -> dict[Forest, float]:
-    """Primitive embedding: single-component forests only, no unit term."""
-    out: dict[Forest, float] = {}
-    for key, v in x.values.items():
-        if v != 0.0:
-            out[Forest([key])] = v / key.symmetry_factor()
-    return out
-
-
-def _numeric_star(
-    a: dict[Forest, float], b: dict[Forest, float], trunc: int
-) -> dict[Forest, float]:
-    out: dict[Forest, float] = {}
-    for fu, cu in a.items():
-        if cu == 0.0:
-            continue
-        du = fu.degree()
-        for fv, cv in b.items():
-            if cv == 0.0 or du + fv.degree() > trunc:
-                continue
-            w = cu * cv
-            for g, c in _star_basis(fu, fv).items():
-                out[g] = out.get(g, 0.0) + w * float(c)
-    return out
-
-
-def _read_character(coeffs: dict[Forest, float], d: int, grading: Grading) -> dict[MultiIndex, float]:
-    values: dict[MultiIndex, float] = {}
-    for f, c in coeffs.items():
-        if f.cardinality() == 1 and c != 0.0:
-            mi = f.components[0]
-            values[mi] = c * mi.symmetry_factor()
-    return values
+@lru_cache(maxsize=8)
+def _table(d: int, n: int) -> _Table:
+    return _Table(d, n)
 
 
 def chen_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group law on increments: (s,u) followed by (u,t).
 
     Both factors must share grading and dimension.  The composition is read
-    off the product of the embedded formal sums, truncated at N termwise.
+    off the truncated product of the two characters' forest values.
     """
     if (a.d, a.grading) != (b.d, b.grading):
         raise GradingMismatchError(
             f"cannot compose d={a.d},{a.grading} with d={b.d},{b.grading}"
         )
-    prod = _numeric_star(_embed(a), _embed(b), a.grading.max_norm)
-    return GroupElement(d=a.d, grading=a.grading, values=_read_character(prod, a.d, a.grading))
+    t = _table(a.d, a.grading.max_norm)
+    prod = t.star(t.character(a.values), t.character(b.values))
+    return GroupElement(d=a.d, grading=a.grading, values=t.read(prod))
 
 
 def exp_element(x: LieElement) -> GroupElement:
     """Truncated exponential Σ_{n≤N} x^⋆ⁿ/n! of a primitive element."""
     n_max = x.grading.max_norm
-    base = _embed_lie(x)
-    acc: dict[Forest, float] = {EMPTY_FOREST: 1.0}
-    power: dict[Forest, float] = {EMPTY_FOREST: 1.0}
+    t = _table(x.d, n_max)
+    base = np.zeros(len(t.basis))
+    base[t.single] = [x.values.get(key, 0.0) for key in t.keys]
+    acc = power = t.character({})
     fact = 1.0
     for n in range(1, n_max + 1):
-        power = _numeric_star(power, base, n_max)
+        power = t.star(power, base)
         fact *= n
-        for f, c in power.items():
-            acc[f] = acc.get(f, 0.0) + c / fact
-    return GroupElement(d=x.d, grading=x.grading, values=_read_character(acc, x.d, x.grading))
+        acc = acc + power / fact
+    return GroupElement(d=x.d, grading=x.grading, values=t.read(acc))
 
 
 def log_element(x: GroupElement, defect_tolerance: float = 1e-9) -> LieElement:
     """Truncated logarithm Σ_{n≤N} (−1)^{n+1}(x−∅)^⋆ⁿ/n of a character.
 
-    The result must be primitive: any coefficient mass left on a forest of
-    cardinality ≥ 2 beyond ``defect_tolerance`` (relative to the largest
-    stored value) raises :class:`PrimitivityError` rather than being dropped
-    silently.
+    The result must be primitive: a formal-sum coefficient φ(u)/S(u) left on
+    a forest u of cardinality ≥ 2 beyond ``defect_tolerance`` (relative to the
+    largest coefficient) raises :class:`PrimitivityError` rather than being
+    dropped silently.
     """
     n_max = x.grading.max_norm
-    y = _embed(x)
-    y.pop(EMPTY_FOREST, None)
-    acc: dict[Forest, float] = {}
-    power = dict(y)
+    t = _table(x.d, n_max)
+    y = t.character(x.values)
+    y[0] = 0.0
+    acc = np.zeros_like(y)
+    power = y
     for n in range(1, n_max + 1):
         sign = 1.0 if n % 2 == 1 else -1.0
-        for f, c in power.items():
-            acc[f] = acc.get(f, 0.0) + sign * c / n
+        acc = acc + sign * power / n
         if n < n_max:
-            power = _numeric_star(power, y, n_max)
-    scale = max(1.0, max((abs(c) for c in acc.values()), default=0.0))
-    values: dict[MultiIndex, float] = {}
-    for f, c in acc.items():
-        if f.cardinality() == 1:
-            mi = f.components[0]
-            v = c * mi.symmetry_factor()
-            if v != 0.0:
-                values[mi] = v
-        elif abs(c) > defect_tolerance * scale:
-            raise PrimitivityError(
-                f"logarithm left coefficient {c:.3e} on {f!r}; input is not a character"
-            )
-    return LieElement(d=x.d, grading=x.grading, values=values)
+            power = t.star(power, y)
+    coeff = acc / t.symmetry
+    scale = max(1.0, float(np.abs(coeff).max()))
+    defects = t.multi[np.abs(coeff[t.multi]) > defect_tolerance * scale]
+    if defects.size:
+        s = defects[0]
+        raise PrimitivityError(
+            f"logarithm left coefficient {coeff[s]:.3e} on {t.basis[s]!r}; "
+            "input is not a character"
+        )
+    return LieElement(d=x.d, grading=x.grading, values=t.read(acc))
 
 
 def random_character(d: int, grading: Grading, rng: np.random.Generator) -> GroupElement:
@@ -286,6 +272,16 @@ def random_character(d: int, grading: Grading, rng: np.random.Generator) -> Grou
 
 class OffGridTimeError(ValueError):
     """A query time is not a grid point (no interpolation is defined)."""
+
+
+def _time_index(times: Sequence[float], t: float) -> int | None:
+    """Index of the point of the increasing ``times`` that equals ``t`` up to
+    rel 1e-12 / abs 1e-14, the lower one if two do; None if none does."""
+    j = bisect.bisect_left(times, t)
+    for k in (j - 1, j):
+        if 0 <= k < len(times) and math.isclose(times[k], t, rel_tol=1e-12, abs_tol=1e-14):
+            return k
+    return None
 
 
 @dataclass(frozen=True)
@@ -317,19 +313,18 @@ class RoughPathGrid:
                 raise GradingMismatchError("increment grading differs from grid grading")
 
     def index_of(self, t: float) -> int:
-        for j, tj in enumerate(self.times):
-            if tj == t or math.isclose(tj, t, rel_tol=1e-12, abs_tol=1e-14):
-                return j
-        raise OffGridTimeError(f"time {t} is not a grid point")
+        j = _time_index(self.times, t)
+        if j is None:
+            raise OffGridTimeError(f"time {t} is not a grid point")
+        return j
 
     def increment_by_index(self, i: int, j: int) -> GroupElement:
-        """X_{t_i,t_j} by left-to-right composition of stored increments."""
+        """X_{t_i,t_j}: the stored increments from i to j composed left to right."""
         if not 0 <= i <= j < len(self.times):
             raise ValueError(f"index pair ({i},{j}) out of range")
-        out = identity_character(self.d, self.grading)
-        for m in range(i, j):
-            out = chen_compose(out, self.increments[m])
-        return out
+        if i == j:
+            return identity_character(self.d, self.grading)
+        return reduce(chen_compose, self.increments[i:j])
 
     def increment_between(self, s: float, t: float) -> GroupElement:
         return self.increment_by_index(self.index_of(s), self.index_of(t))
@@ -338,9 +333,10 @@ class RoughPathGrid:
 def rp_norm(path: RoughPathGrid) -> float:
     """Grid Hölder norm: max over basis forests u of
     sup_{s<t} (|X_{s,t}(u)| / (t−s)^{|u|_γ})^{1/deg u}."""
-    basis = [f for f in forest_basis(path.d, path.grading.max_norm) if not f.is_empty]
-    gamma = path.grading.gamma
-    exponents = [(u, float(u.gamma_degree(gamma)), 1.0 / u.degree()) for u in basis]
+    t = _table(path.d, path.grading.max_norm)
+    forests = t.basis[1:]
+    gdeg = np.array([float(u.gamma_degree(path.grading.gamma)) for u in forests])
+    inv_deg = np.array([1.0 / u.degree() for u in forests])
     best = 0.0
     n = len(path.times)
     for i in range(n - 1):
@@ -348,9 +344,6 @@ def rp_norm(path: RoughPathGrid) -> float:
         for j in range(i + 1, n):
             running = chen_compose(running, path.increments[j - 1])
             dt = path.times[j] - path.times[i]
-            for u, gdeg, inv_deg in exponents:
-                v = abs(char_eval(running, u))
-                if v == 0.0:
-                    continue
-                best = max(best, (v / dt**gdeg) ** inv_deg)
+            v = np.abs(t.character(running.values)[1:])
+            best = max(best, float(((v / dt**gdeg) ** inv_deg).max()))
     return best

@@ -212,6 +212,8 @@ def lift_brownian(
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
     rng = np.random.Generator(np.random.PCG64(seed))
     dt = t_final / n_steps
     dw = rng.normal(0.0, math.sqrt(dt), size=(n_steps, d))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .algebra import MultiIndex, enumerate_populated, single, symmetry_factor
 from .fields import VectorField, upsilon
-from .group import LieElement, RoughPathGrid, log_element
+from .group import LieElement, RoughPathGrid, _time_index, log_element
 
 __all__ = [
     "DavieReport",
@@ -224,10 +224,10 @@ class FlowSolution:
     message: str = ""
 
     def value_at(self, t: float) -> float:
-        for tj, yj in zip(self.times, self.values):
-            if tj == t or math.isclose(tj, t, rel_tol=1e-12, abs_tol=1e-14):
-                return yj
-        raise ValueError(f"time {t} is not a mesh point of this solution")
+        j = _time_index(self.times, t)
+        if j is None:
+            raise ValueError(f"time {t} is not a mesh point of this solution")
+        return self.values[j]
 
 
 def _mesh_indices(path: RoughPathGrid, cfg: SolveConfig) -> list[int]:

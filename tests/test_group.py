@@ -7,8 +7,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirpath.algebra import EMPTY_FOREST, Forest, Grading, forest_basis
+from mirpath.algebra import (
+    EMPTY_FOREST,
+    FormalSum,
+    Grading,
+    enumerate_populated,
+    forest_basis,
+    gl_product,
+)
 from mirpath.grammar import parse_forest, parse_multi_index
 from mirpath.group import (
     GradingMismatchError,
@@ -26,7 +35,7 @@ from mirpath.group import (
     random_character,
     rp_norm,
 )
-from mirpath.group import _embed, _embed_lie, _numeric_star  # white-box checks
+from mirpath.group import _table  # white-box checks
 from mirpath.lifts import lift_piecewise_linear
 
 G3 = Grading(max_norm=3, gamma=Fraction(1, 3))
@@ -126,21 +135,21 @@ def test_log_level_one_copies_the_character():
 
 
 def test_log_output_carries_no_mass_on_larger_forests():
-    # recompute the log series on the embedded coefficients and look at the
+    # recompute the log series over the product table and look at the
     # cardinality ≥ 2 forests directly, instead of trusting log_element
     x = random_character(2, G3, _rng(21))
-    y = _embed(x)
-    y.pop(EMPTY_FOREST)
-    acc: dict = {}
-    power = dict(y)
+    t = _table(2, 3)
+    y = t.character(x.values)
+    y[0] = 0.0
+    acc = np.zeros_like(y)
+    power = y
     for n in (1, 2, 3):
         sign = 1.0 if n % 2 else -1.0
-        for f, c in power.items():
-            acc[f] = acc.get(f, 0.0) + sign * c / n
-        power = _numeric_star(power, y, 3)
-    for f, c in acc.items():
+        acc = acc + sign * power / n
+        power = t.star(power, y)
+    for s, f in enumerate(t.basis):
         if f.cardinality() >= 2:
-            assert abs(c) <= 1e-12
+            assert abs(acc[s] / f.symmetry_factor()) <= 1e-12
 
 
 def test_log_primitivity_guard_is_live():
@@ -167,15 +176,91 @@ def test_exp_of_primitive_is_grouplike():
         },
     )
     x = exp_element(lam)
-    emb = _embed(x)
-    # spot-check a cardinality-2 forest coefficient against multiplicativity
+    # the exp series over the product table, before the read-out
+    t = _table(2, 3)
+    base = np.zeros(len(t.basis))
+    base[t.single] = [lam.values.get(key, 0.0) for key in t.keys]
+    acc = power = t.character({})
+    for fact in (1.0, 2.0, 6.0):
+        power = t.star(power, base)
+        acc = acc + power / fact
     f = parse_forest("z(1,0)*z(2,0)", d=2)
     expect = (
         x.values[parse_multi_index("z(1,0)", d=2)]
         * x.values[parse_multi_index("z(2,0)", d=2)]
         / f.symmetry_factor()
     )
-    assert emb[f] == pytest.approx(expect, rel=1e-14)
+    assert acc[t.basis.index(f)] / f.symmetry_factor() == pytest.approx(expect, rel=1e-14)
+    # and on every forest: the series equals the product of its own values
+    assert np.abs(acc - t.character(x.values)).max() <= 1e-14
+
+
+# ---------------------------------------------------------------------------
+# The product table against the exact Grossman–Larson product
+# ---------------------------------------------------------------------------
+
+ORACLE_GRADINGS = [(1, 4), (2, 3), (3, 2)]
+
+
+@st.composite
+def characters(draw, count):
+    """``count`` characters sharing one (d, N), values drawn in [−1, 1]."""
+    d, n = draw(st.sampled_from(ORACLE_GRADINGS))
+    grading = Grading(max_norm=n, gamma=Fraction(1, n + 1))
+    keys = enumerate_populated(d, n)
+    values = st.lists(st.floats(-1.0, 1.0), min_size=len(keys), max_size=len(keys))
+    return [
+        GroupElement(d=d, grading=grading, values=dict(zip(keys, draw(values))))
+        for _ in range(count)
+    ]
+
+
+def _exact_sum(x: GroupElement) -> FormalSum:
+    """Σ X(u)/S(u) · u over the forest basis, in exact rationals."""
+    terms = {}
+    for u in forest_basis(x.d, x.grading.max_norm):
+        c = Fraction(1)
+        for comp in u.components:
+            c *= Fraction(x.values.get(comp, 0.0))
+        terms[u] = c / u.symmetry_factor()
+    return FormalSum(terms)
+
+
+def _assert_close(got: dict, want: dict, rel: float) -> None:
+    for key in set(got) | set(want):
+        g, w = got.get(key, 0.0), float(want.get(key, 0.0))
+        assert abs(g - w) <= rel * max(1.0, abs(w)), key
+
+
+@settings(max_examples=15, deadline=None)
+@given(characters(2))
+def test_chen_matches_exact_gl_product(pair):
+    a, b = pair
+    exact = gl_product(_exact_sum(a), _exact_sum(b), trunc=a.grading.max_norm)
+    want = {
+        f.components[0]: c * f.symmetry_factor()
+        for f, c in exact.items()
+        if f.cardinality() == 1
+    }
+    _assert_close(chen_compose(a, b).values, want, 1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(characters(3))
+def test_chen_associative_over_gradings(triple):
+    a, b, c = triple
+    _assert_close(
+        chen_compose(chen_compose(a, b), c).values,
+        chen_compose(a, chen_compose(b, c)).values,
+        1e-12,
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(characters(1))
+def test_exp_log_round_trip_over_gradings(single_character):
+    (x,) = single_character
+    _assert_close(exp_element(log_element(x)).values, x.values, 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -314,6 +314,14 @@ class TestCliLiftSolve:
         assert code == 2
         assert "ito" in err
 
+    @pytest.mark.parametrize("t_final", ["nan", "inf", "-1", "0"])
+    def test_bad_t_final_is_a_usage_error(self, t_final):
+        code, out, err = run_cli("lift", "--brownian", "strat", "--steps", "8",
+                                 "--t-final", t_final, "--no-timestamp")
+        assert code == 2
+        assert "t_final must be finite and > 0" in err
+        assert out == ""
+
     def test_non_finite_sample_is_a_usage_error(self, tmp_path):
         csv_file = tmp_path / "nan.csv"
         csv_file.write_text("t,x1\n0.0,0.0\n0.5,nan\n1.0,0.2\n")
@@ -423,6 +431,24 @@ class TestCliLiftSolve:
                                "--field", str(field_file))
         assert code == 2
         assert "letters" in err
+
+    @pytest.mark.parametrize("rows", [
+        [{"i": 1, "coeffs": ["1e400"]}],
+        [{"i": 1, "coeffs": ["0", "0", "1.5e308"]}],  # f_1'' = 3e308
+    ], ids=["coefficient", "derivative"])
+    def test_oversized_field_coefficient_is_a_usage_error(
+        self, sine_csv, tmp_path, rows
+    ):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        field_file = tmp_path / "huge.json"
+        field_file.write_text(json.dumps({"d": 1, "fields": rows}))
+        code, out, err = run_cli("solve", "--grid", str(grid_file),
+                                 "--field", str(field_file))
+        assert code == 2
+        assert "field letter 1" in err and "not finite as a float" in err
+        assert out == ""
 
     def test_missing_input_file_is_a_usage_error(self, cubic_field_json):
         code, _, err = run_cli("solve", "--grid", "no-such-grid.json",
@@ -653,3 +679,12 @@ class TestCliTopLevel:
                                "nope.json", "--gamma", "7/3")
         assert code == 2
         assert "gamma" in err
+
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    @pytest.mark.parametrize("flag", ["--d", "--max-norm", "--seed"])
+    def test_grid_readers_reject_basis_and_seed_flags(self, command, flag):
+        # the grid file fixes d and N, and nothing in these commands is random
+        code, _, err = run_cli(command, "--grid", "g.json", "--field", "f.json",
+                               flag, "1")
+        assert code == 2
+        assert "unrecognized arguments" in err
