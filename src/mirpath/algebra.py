@@ -4,8 +4,10 @@ A *multi-index* is a sparse monomial in abstract variables ``z(i,k)`` where
 the letter ``i`` tags a driving signal (``0`` is reserved for time) and the
 arity ``k`` counts how many derivatives of the corresponding vector field the
 variable stands for.  A *forest* is an unordered multiset of multi-indices.
-Everything in this module is exact: coefficients are :class:`fractions.Fraction`,
-identities hold as rational equalities, and no floating point ever enters.
+Everything in this module is exact: coefficients are ``int`` or
+:class:`fractions.Fraction` (an integer stays an ``int`` until a division
+promotes it), identities hold as rational equalities, and no floating point
+ever enters.
 
 The products implemented here are the raising derivation ``D``, the pre-Lie
 graft ``a ▷ b = a · D b``, the simultaneous graft (many components raised at
@@ -55,13 +57,14 @@ class MultiIndex:
     """Sparse monomial ``Π z(i,k)^m`` with positive frequencies only.
 
     ``letters`` is the alphabet size ``d+1`` (letters run over ``0..d``).
-    Equality and hashing look at the entry map alone, so the same monomial
-    over two alphabet sizes compares equal; combining them raises.  Arities
+    Equality and hashing look at the alphabet size and the entry map, so the
+    same monomial over two alphabet sizes compares unequal; combining them
+    raises.  Arities
     are unbounded — the sparse map needs no ceiling, raising an arity simply
     creates a new key.
     """
 
-    __slots__ = ("entries", "letters", "_hash")
+    __slots__ = ("entries", "letters", "_hash", "_degree")
 
     def __init__(self, entries: Iterable[Entry] | dict[tuple[int, int], int], letters: int):
         if isinstance(entries, dict):
@@ -83,11 +86,26 @@ class MultiIndex:
         self.entries: tuple[Entry, ...] = tuple(cleaned)
         self.letters = letters
         self._hash = hash((letters, self.entries))
+        self._degree = sum(m for _, m in self.entries)
+
+    @classmethod
+    def _trusted(
+        cls, merged: dict[tuple[int, int], int], letters: int, degree: int
+    ) -> "MultiIndex":
+        """Build from a frequency map derived from already-checked keys:
+        every frequency positive, every letter inside the alphabet, and
+        ``degree`` the sum of the frequencies."""
+        self = object.__new__(cls)
+        self.entries = tuple(sorted(merged.items()))
+        self.letters = letters
+        self._hash = hash((letters, self.entries))
+        self._degree = degree
+        return self
 
     # -- identity -----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, MultiIndex)
             and self.letters == other.letters
             and self.entries == other.entries
@@ -121,7 +139,7 @@ class MultiIndex:
         return 0
 
     def degree(self) -> int:
-        return sum(m for _, m in self.entries)
+        return self._degree
 
     def arity_weight(self) -> int:
         """Σ k·β(i,k) — the total arity carried by the monomial."""
@@ -161,7 +179,7 @@ class MultiIndex:
         merged = dict(self.entries)
         for key, m in other.entries:
             merged[key] = merged.get(key, 0) + m
-        return MultiIndex(merged, self.letters)
+        return MultiIndex._trusted(merged, self.letters, self._degree + other._degree)
 
     def with_bumped(self, i: int, k: int) -> "MultiIndex":
         """Replace one copy of z(i,k) by z(i,k+1)."""
@@ -170,7 +188,7 @@ class MultiIndex:
         if merged[(i, k)] == 0:
             del merged[(i, k)]
         merged[(i, k + 1)] = merged.get((i, k + 1), 0) + 1
-        return MultiIndex(merged, self.letters)
+        return MultiIndex._trusted(merged, self.letters, self._degree)
 
     def without(self, i: int, k: int, count: int = 1) -> "MultiIndex":
         """Remove ``count`` copies of z(i,k); raises if not present."""
@@ -182,7 +200,7 @@ class MultiIndex:
             del merged[(i, k)]
         else:
             merged[(i, k)] = have - count
-        return MultiIndex(merged, self.letters)
+        return MultiIndex._trusted(merged, self.letters, self._degree - count)
 
     def minus(self, other: "MultiIndex") -> "MultiIndex":
         """Multiset difference; raises if ``other`` is not contained in self."""
@@ -229,19 +247,22 @@ class Forest:
     Grossman–Larson product.
     """
 
-    __slots__ = ("components", "_hash")
+    __slots__ = ("components", "_hash", "_degree")
 
     def __init__(self, components: Iterable[MultiIndex] = ()):
         comps = [c for c in components]
+        degree = 0
         for c in comps:
             if c.is_empty:
                 raise ValueError("a forest component must be a nonempty multi-index")
+            degree += c._degree
         comps.sort(key=lambda c: c.entries)
         self.components: tuple[MultiIndex, ...] = tuple(comps)
         self._hash = hash(self.components)
+        self._degree = degree
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Forest) and self.components == other.components
         )
 
@@ -266,7 +287,7 @@ class Forest:
         return len(self.components)
 
     def degree(self) -> int:
-        return sum(c.degree() for c in self.components)
+        return self._degree
 
     def gamma_degree(self, gamma: Fraction) -> Fraction:
         return sum((c.gamma_degree(gamma) for c in self.components), Fraction(0))
@@ -302,12 +323,21 @@ def forest_of(*components: MultiIndex) -> Forest:
     return Forest(components)
 
 
+def _exact(c) -> int | Fraction:
+    """``c`` itself when it is an ``int`` or a ``Fraction``, else ``Fraction(c)``."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
 class FormalSum:
     """Finite linear combination of hashable basis elements over ℚ.
 
-    Zero coefficients are dropped eagerly, addition and scalar multiplication
-    are exact, and the term map is never mutated after construction.  The basis
-    may hold :class:`MultiIndex`, :class:`Forest`, or tuples of those (for
+    Coefficients are ``int`` or ``Fraction``: an integer stays an ``int``
+    until a division promotes it, and any other number is converted to a
+    ``Fraction``.  The two types compare and hash equal, so the choice never
+    shows in equality, hashing or formatting.  Zero coefficients are dropped
+    eagerly, addition and scalar multiplication are exact, and the term map
+    is never mutated after construction.  The basis may hold
+    :class:`MultiIndex`, :class:`Forest`, or tuples of those (for
     tensor-square targets).
     """
 
@@ -317,8 +347,8 @@ class FormalSum:
         clean = {}
         if terms:
             for b, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
+                c = _exact(c)
+                if c:
                     clean[b] = c
         self.terms: dict = clean
 
@@ -328,7 +358,18 @@ class FormalSum:
 
     @classmethod
     def of(cls, basis_element, coefficient=1) -> "FormalSum":
-        return cls({basis_element: Fraction(coefficient)})
+        return cls({basis_element: coefficient})
+
+    @classmethod
+    def linear(cls, pairs: Iterable[tuple["FormalSum", int | Fraction]]) -> "FormalSum":
+        """Σ c·s over ``(s, c)`` pairs, accumulated in one dict."""
+        out: dict = {}
+        get = out.get
+        for s, c in pairs:
+            c = _exact(c)
+            for b, cb in s.terms.items():
+                out[b] = get(b, 0) + cb * c
+        return cls(out)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -342,14 +383,14 @@ class FormalSum:
     def __add__(self, other: "FormalSum") -> "FormalSum":
         out = dict(self.terms)
         for b, c in other.terms.items():
-            out[b] = out.get(b, Fraction(0)) + c
+            out[b] = out.get(b, 0) + c
         return FormalSum(out)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + other.scale(-1)
 
     def scale(self, scalar) -> "FormalSum":
-        s = Fraction(scalar)
+        s = _exact(scalar)
         if s == 0:
             return FormalSum()
         return FormalSum({b: c * s for b, c in self.terms.items()})
@@ -357,18 +398,15 @@ class FormalSum:
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
 
-    def coefficient(self, basis_element) -> Fraction:
-        return self.terms.get(basis_element, Fraction(0))
+    def coefficient(self, basis_element) -> int | Fraction:
+        return self.terms.get(basis_element, 0)
 
     def items(self):
         return self.terms.items()
 
     def map_terms(self, fn: Callable) -> "FormalSum":
         """Apply ``fn: basis -> FormalSum`` linearly."""
-        out = FormalSum()
-        for b, c in self.terms.items():
-            out = out + fn(b).scale(c)
-        return out
+        return FormalSum.linear((fn(b), c) for b, c in self.terms.items())
 
     def filter_terms(self, keep: Callable) -> "FormalSum":
         return FormalSum({b: c for b, c in self.terms.items() if keep(b)})
@@ -430,9 +468,9 @@ def symmetry_factor(u: Forest | MultiIndex) -> int:
     return u.symmetry_factor()
 
 
-def pairing(u: FormalSum, v: FormalSum) -> Fraction:
+def pairing(u: FormalSum, v: FormalSum) -> int | Fraction:
     """⟨·,·⟩ with basis forests orthogonal and ⟨F,F⟩ = S(F)."""
-    total = Fraction(0)
+    total = 0
     small, large = (u, v) if len(u.terms) <= len(v.terms) else (v, u)
     for b, c in small.terms.items():
         other = large.terms.get(b)
@@ -448,10 +486,10 @@ def _sym(b) -> int:
 def _derive_mi(a: MultiIndex) -> FormalSum:
     """D on a single multi-index: raise each variable's arity once, with
     the frequency as coefficient."""
-    out: dict[MultiIndex, Fraction] = {}
+    out: dict[MultiIndex, int] = {}
     for (i, k), m in a.entries:
         term = a.with_bumped(i, k)
-        out[term] = out.get(term, Fraction(0)) + m
+        out[term] = out.get(term, 0) + m
     return FormalSum(out)
 
 
@@ -469,19 +507,21 @@ def derivation_d(u: FormalSum | Forest | MultiIndex) -> FormalSum:
     if isinstance(u, MultiIndex):
         return _derive_mi(u)
     if isinstance(u, Forest):
-        out = FormalSum()
+        out: dict[Forest, int] = {}
         comps = u.components
         for j, c in enumerate(comps):
             rest = comps[:j] + comps[j + 1 :]
             for mi, coeff in _derive_mi(c).items():
-                out = out + FormalSum.of(Forest(rest + (mi,)), coeff)
-        return out
+                key = Forest(rest + (mi,))
+                out[key] = out.get(key, 0) + coeff
+        return FormalSum(out)
     return u.map_terms(lambda f: derivation_d(f))
 
 
 def prelie_graft(a: MultiIndex, b: MultiIndex) -> FormalSum:
     """a ▷ b = a · (D b), a sum of multi-indices of degree |a|+|b|."""
-    return _derive_mi(b).map_terms(lambda m: FormalSum.of(a.mul(m)))
+    # multiplying by a fixed monomial is injective, so no terms collide
+    return FormalSum({a.mul(m): c for m, c in _derive_mi(b).items()})
 
 
 def _multi_graft(parts: tuple[MultiIndex, ...], target: MultiIndex) -> FormalSum:
@@ -492,7 +532,7 @@ def _multi_graft(parts: tuple[MultiIndex, ...], target: MultiIndex) -> FormalSum
         s = _derive_mi_sum(s)
     if parts:
         prefix = reduce(MultiIndex.mul, parts)
-        s = s.map_terms(lambda m: FormalSum.of(prefix.mul(m)))
+        s = FormalSum({prefix.mul(m): c for m, c in s.items()})
     return s
 
 
@@ -510,7 +550,7 @@ def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
         return FormalSum.of(left)
     n = left.cardinality()
     m = right.cardinality()
-    total = FormalSum()
+    total: dict[Forest, int | Fraction] = {}
     for assignment in itertools.product(range(m), repeat=n):
         buckets: list[list[MultiIndex]] = [[] for _ in range(m)]
         for part_idx, slot in enumerate(assignment):
@@ -519,22 +559,20 @@ def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
             _multi_graft(tuple(bucket), comp)
             for bucket, comp in zip(buckets, right.components)
         ]
-        total = total + _combine_slots(slot_sums)
-    return total
+        _combine_slots(slot_sums, total)
+    return FormalSum(total)
 
 
-def _combine_slots(slot_sums: list[FormalSum]) -> FormalSum:
-    """Cartesian product of per-component sums into a sum of forests."""
-    out: dict[Forest, Fraction] = {}
+def _combine_slots(slot_sums: list[FormalSum], out: dict) -> None:
+    """Add the Cartesian product of per-component sums, as forests, to ``out``."""
     for combo in itertools.product(*(list(s.items()) for s in slot_sums)):
-        coeff = Fraction(1)
+        coeff = 1
         comps = []
         for mi, c in combo:
             coeff *= c
             comps.append(mi)
         forest = Forest(comps)
-        out[forest] = out.get(forest, Fraction(0)) + coeff
-    return FormalSum(out)
+        out[forest] = out.get(forest, 0) + coeff
 
 
 def deshuffle(u: Forest) -> FormalSum:
@@ -545,7 +583,7 @@ def deshuffle(u: Forest) -> FormalSum:
     multiplicative, so a forest with r copies of a component contributes
     binomial weights C(r, j).
     """
-    out: dict[tuple[Forest, Forest], Fraction] = {}
+    out: dict[tuple[Forest, Forest], int] = {}
     mults = u.multiplicities()
     choices = [range(r + 1) for _, r in mults]
     for pick in itertools.product(*choices):
@@ -557,7 +595,7 @@ def deshuffle(u: Forest) -> FormalSum:
             left.extend([mi] * j)
             right.extend([mi] * (r - j))
         key = (Forest(left), Forest(right))
-        out[key] = out.get(key, Fraction(0)) + coeff
+        out[key] = out.get(key, 0) + coeff
     return FormalSum(out)
 
 
@@ -578,12 +616,12 @@ def _star_basis(u: Forest, v: Forest) -> FormalSum:
         return FormalSum.of(v)
     if v.is_empty:
         return FormalSum.of(u)
-    out = FormalSum()
+    out: dict[Forest, int | Fraction] = {}
     for (kept, grafted), split_coeff in deshuffle(u).items():
-        grafted_sum = graft_simultaneous(grafted, v)
-        for forest, c in grafted_sum.items():
-            out = out + FormalSum.of(kept.merge(forest), c * split_coeff)
-    return out
+        for forest, c in graft_simultaneous(grafted, v).items():
+            key = kept.merge(forest)
+            out[key] = out.get(key, 0) + c * split_coeff
+    return FormalSum(out)
 
 
 def gl_product(
@@ -598,13 +636,13 @@ def gl_product(
         u = FormalSum.of(u)
     if isinstance(v, Forest):
         v = FormalSum.of(v)
-    out: dict[Forest, Fraction] = {}
+    out: dict[Forest, int | Fraction] = {}
     for fu, cu in u.items():
         for fv, cv in v.items():
             if trunc is not None and fu.degree() + fv.degree() > trunc:
                 continue
             for w, c in _star_basis(fu, fv).items():
-                out[w] = out.get(w, Fraction(0)) + cu * cv * c
+                out[w] = out.get(w, 0) + cu * cv * c
     s = FormalSum(out)
     if trunc is not None:
         s = s.filter_terms(lambda f: f.degree() <= trunc)

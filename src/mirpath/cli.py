@@ -64,7 +64,7 @@ from .translation import (
     ito_strat_character,
     translate_roughpath,
 )
-from .verify import available_suites, inject_fault, run_all_suites
+from .verify import available_suites, run_all_suites
 from .algebra import enumerate_populated
 
 __all__ = ["main"]
@@ -273,16 +273,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "suites": list(suites) if suites else "all",
     }
-    inject_fault(args.inject_fault)
     try:
         results = run_all_suites(
             d=args.d, max_norm=args.max_norm, seed=args.seed, gamma=gamma,
-            suites=suites,
+            suites=suites, fault_suite=args.inject_fault,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    finally:
-        inject_fault(None)
     all_passed = all(r.passed for r in results)
     payload = {
         "provenance": _provenance(args, config, seed=args.seed),
@@ -516,25 +513,32 @@ def _cmd_ito_strat_demo(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_shared(sub: argparse.ArgumentParser) -> None:
-    """--gamma, --out and --no-timestamp, which every subcommand takes."""
-    sub.add_argument("--gamma", default="1/2", metavar="P/Q",
-                     help="Hölder exponent as an exact rational in (0,1)")
+def _add_output(sub: argparse.ArgumentParser) -> None:
+    """--out and --no-timestamp, which every subcommand takes."""
     sub.add_argument("--out", default=None, metavar="FILE",
                      help="write output here instead of stdout")
     sub.add_argument("--no-timestamp", action="store_true",
                      help="omit the timestamp for byte-reproducible output")
 
 
-def _add_common(sub: argparse.ArgumentParser, *, d_default=2) -> None:
-    """The shared flags plus --d, --max-norm and --seed."""
-    sub.add_argument("--d", type=int, default=d_default,
+def _add_gamma(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--gamma", default="1/2", metavar="P/Q",
+                     help="Hölder exponent as an exact rational in (0,1)")
+
+
+def _add_d(sub: argparse.ArgumentParser, default: int | None) -> None:
+    sub.add_argument("--d", type=int, default=default,
                      help="number of driving letters (letter 0 is time)")
+
+
+def _add_max_norm(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-norm", type=int, default=3,
                      help="degree truncation of the graded basis")
+
+
+def _add_seed(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=0,
                      help="seed for every random draw in this run")
-    _add_shared(sub)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -549,18 +553,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("enumerate",
                         help="list the populated graded basis with invariants")
-    _add_common(p)
+    _add_d(p, 2)
+    _add_max_norm(p)
+    _add_gamma(p)
+    _add_output(p)
     p.set_defaults(handler=_cmd_enumerate)
 
     p = subs.add_parser("verify", help="run the identity-verification suites")
-    _add_common(p)
+    _add_d(p, 2)
+    _add_max_norm(p)
+    _add_seed(p)
+    _add_gamma(p)
+    _add_output(p)
     p.add_argument("--suite", action="append", metavar="NAME",
                    help="run only this suite (repeatable); default: all")
     p.add_argument("--inject-fault", default=None, help=argparse.SUPPRESS)
     p.set_defaults(handler=_cmd_verify)
 
     p = subs.add_parser("lift", help="lift a path to a stored rough-path grid")
-    _add_common(p, d_default=None)
+    _add_d(p, None)
+    _add_max_norm(p)
+    _add_seed(p)
+    _add_gamma(p)
+    _add_output(p)
     p.add_argument("--path", default=None, metavar="CSV",
                    help="piecewise-linear samples: t,x1,…,xd with header")
     p.add_argument("--brownian", default=None, metavar="MODE",
@@ -572,7 +587,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lift)
 
     p = subs.add_parser("solve", help="integrate the truncated log-flow")
-    _add_shared(p)
+    _add_gamma(p)
+    _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE",
                    help="rough-path grid JSON (as written by lift)")
     p.add_argument("--field", required=True, metavar="FILE",
@@ -587,7 +603,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = subs.add_parser("translate", help="translate a stored rough path")
-    _add_common(p)
+    _add_gamma(p)
+    _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--chars", default=None, metavar="FILE",
                    help="character JSON (object or list of objects)")
@@ -601,7 +618,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("translate-field",
                         help="translate a polynomial vector field")
-    _add_common(p)
+    _add_max_norm(p)
+    _add_gamma(p)
+    _add_output(p)
     p.add_argument("--field", required=True, metavar="FILE")
     p.add_argument("--chars", default=None, metavar="FILE")
     p.add_argument("--ito-strat", action="store_true")
@@ -609,7 +628,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("davie-report",
                         help="residual decay of the local expansion")
-    _add_shared(p)
+    _add_gamma(p)
+    _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--field", required=True, metavar="FILE")
     p.add_argument("--y0", type=float, default=0.0)
@@ -624,7 +644,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ito-strat-demo",
                         help="Monte-Carlo second-level gap statistics")
-    _add_common(p, d_default=1)
+    _add_d(p, 1)
+    _add_seed(p)
+    _add_output(p)
     p.add_argument("--paths", type=int, default=10000,
                    help="number of Monte-Carlo paths")
     p.add_argument("--steps", type=int, default=4096,

@@ -326,9 +326,12 @@ def translated_field(
         if got is not None:
             return got
         if k == 0:
-            total = FormalSum.zero()
-            for key, coeff in ells[i].terms.items():
-                total = total + FormalSum.of(key, Fraction(coeff, key.symmetry_factor()))
+            total = FormalSum(
+                {
+                    key: Fraction(coeff, key.symmetry_factor())
+                    for key, coeff in ells[i].terms.items()
+                }
+            )
         else:
             total = derivation_d(expansion(i, k - 1))
         expansions[(i, k)] = total

@@ -163,7 +163,7 @@ def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
         if not sc.at_end():
             raise ParseError("trailing input", sc.pos)
         return FormalSum.zero()
-    out = FormalSum.zero()
+    terms: dict[Forest, Fraction] = {}
     comps_seen: list[Forest] = []
     while not sc.at_end():
         sign_pos = sc.pos
@@ -192,18 +192,17 @@ def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
                 comps.append(_scan_multi_index(sc, d))
             forest = Forest(comps)
         comps_seen.append(forest)
-        out = out + FormalSum.of(forest, Fraction(sign * num, den))
+        terms[forest] = terms.get(forest, 0) + Fraction(sign * num, den)
     if d is None and comps_seen:
         letters = max(
             (c.letters for f in comps_seen for c in f.components), default=2
         )
-        rebuilt = FormalSum.zero()
-        for f, c in out.items():
-            rebuilt = rebuilt + FormalSum.of(
-                Forest(MultiIndex(x.entries, letters) for x in f.components), c
-            )
-        out = rebuilt
-    return out
+        rebuilt: dict[Forest, Fraction] = {}
+        for f, c in terms.items():
+            key = Forest(MultiIndex(x.entries, letters) for x in f.components)
+            rebuilt[key] = rebuilt.get(key, 0) + c
+        terms = rebuilt
+    return FormalSum(terms)
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,11 @@ def lift_piecewise_linear(
 # ---------------------------------------------------------------------------
 
 
+def _check_t_final(t_final: float) -> None:
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+
+
 def lift_brownian(
     d: int,
     t_final: float,
@@ -212,8 +217,7 @@ def lift_brownian(
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    if not (math.isfinite(t_final) and t_final > 0):
-        raise ValueError(f"t_final must be finite and > 0, got {t_final}")
+    _check_t_final(t_final)
     rng = np.random.Generator(np.random.PCG64(seed))
     dt = t_final / n_steps
     dw = rng.normal(0.0, math.sqrt(dt), size=(n_steps, d))
@@ -264,6 +268,7 @@ def brownian_pair_statistics(
     to per-path sequential draws.  Returns per-pair means and standard errors
     together with the lattice expectation (t/2 on the diagonal, 0 off it).
     """
+    _check_t_final(t_final)
     rng = np.random.Generator(np.random.PCG64(seed))
     dt = t_final / n_steps
     sums = np.zeros((d, d))

@@ -33,6 +33,7 @@ from .algebra import (
     FormalSum,
     Grading,
     MultiIndex,
+    _exact,
     derivation_d,
     empty_multi_index,
     enumerate_populated,
@@ -95,9 +96,9 @@ class Character:
         if not 0 <= direction <= d:
             raise ValueError(f"direction {direction} outside letters 0..{d}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        cleaned: dict[MultiIndex, Fraction] = {}
+        cleaned: dict[MultiIndex, int | Fraction] = {}
         for key, value in items:
-            coeff = Fraction(value)
+            coeff = _exact(value)
             if coeff == 0:
                 continue
             if not key.is_populated():
@@ -127,14 +128,14 @@ class Character:
         )
         return f"Character(direction={self.direction}, {{{body}}}, d={self.d})"
 
-    def value(self, key: MultiIndex) -> Fraction:
-        return self.terms.get(key, Fraction(0))
+    def value(self, key: MultiIndex) -> int | Fraction:
+        return self.terms.get(key, 0)
 
-    def on_forest(self, forest: Forest) -> Fraction:
+    def on_forest(self, forest: Forest) -> int | Fraction:
         """Multiplicative extension; the empty forest evaluates to 1."""
-        out = Fraction(1)
+        out = 1
         for component in forest.components:
-            out *= self.terms.get(component, Fraction(0))
+            out *= self.terms.get(component, 0)
             if out == 0:
                 return out
         return out
@@ -145,7 +146,7 @@ class Character:
     @classmethod
     def identity(cls, direction: int, d: int) -> "Character":
         """The do-nothing translation in one direction: z(i,0) keeps weight 1."""
-        return cls(direction, {single(direction, 0, d): Fraction(1)}, d)
+        return cls(direction, {single(direction, 0, d): 1}, d)
 
 
 def identity_characters(d: int) -> list[Character]:
@@ -160,7 +161,7 @@ def ito_strat_character(d: int) -> Character:
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    terms: dict[MultiIndex, Fraction] = {single(0, 0, d): Fraction(1)}
+    terms: dict[MultiIndex, int | Fraction] = {single(0, 0, d): 1}
     for j in range(1, d + 1):
         key = single(j, 0, d).mul(single(j, 1, d))
         terms[key] = Fraction(1, 2)
@@ -241,14 +242,15 @@ def insert_prelie(a: MultiIndex, b: MultiIndex) -> FormalSum:
     """
     if not a.is_populated():
         raise ValueError("the inserted monomial must be populated")
-    total = FormalSum.zero()
+    total: dict[MultiIndex, int] = {}
     for (i, k), m in b.entries:
         if i != 0:
             continue
         reduced = b.without(0, k)
         for term, coeff in _derivative_terms(a, k).items():
-            total = total + FormalSum.of(term.mul(reduced), coeff * m)
-    return total
+            key = term.mul(reduced)
+            total[key] = total.get(key, 0) + coeff * m
+    return FormalSum(total)
 
 
 def _letter0_arities(a: MultiIndex) -> tuple[int, ...]:
@@ -265,13 +267,13 @@ def _strip_letter0(a: MultiIndex) -> MultiIndex:
 
 def _product_with_base(factors: Sequence[FormalSum], base: MultiIndex) -> FormalSum:
     """Distribute a product of monomial sums onto a fixed monomial."""
-    acc: dict[MultiIndex, Fraction] = {base: Fraction(1)}
+    acc: dict[MultiIndex, int] = {base: 1}
     for factor in factors:
-        nxt: dict[MultiIndex, Fraction] = {}
+        nxt: dict[MultiIndex, int] = {}
         for left, cl in acc.items():
             for right, cr in factor.items():
                 key = left.mul(right)
-                nxt[key] = nxt.get(key, Fraction(0)) + cl * cr
+                nxt[key] = nxt.get(key, 0) + cl * cr
         acc = nxt
     return FormalSum(acc)
 
@@ -289,14 +291,15 @@ def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
         partial_coeff *= math.factorial(len(tuple(count)))
     rest = _strip_letter0(a)
     components = left.components
-    total = FormalSum.zero()
+    total: dict[MultiIndex, int] = {}
     for assignment in set(itertools.permutations(arities)):
         factors = [
             _derivative_terms(components[j], assignment[j])
             for j in range(len(components))
         ]
-        total = total + _product_with_base(factors, rest).scale(partial_coeff)
-    return total
+        for key, coeff in _product_with_base(factors, rest).items():
+            total[key] = total.get(key, 0) + coeff * partial_coeff
+    return FormalSum(total)
 
 
 def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
@@ -305,7 +308,7 @@ def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
     targets = right.components
     if not targets:
         return FormalSum.of(EMPTY_FOREST) if left.is_empty else FormalSum.zero()
-    total: dict[Forest, Fraction] = {}
+    total: dict[Forest, int] = {}
     for assignment in itertools.product(range(len(targets)), repeat=left.cardinality()):
         buckets: list[list[MultiIndex]] = [[] for _ in targets]
         for component, slot in zip(left.components, assignment):
@@ -314,18 +317,18 @@ def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
             _insert_into_mi(Forest(bucket), target)
             for bucket, target in zip(buckets, targets)
         ]
-        partial: dict[Forest, Fraction] = {EMPTY_FOREST: Fraction(1)}
+        partial: dict[Forest, int] = {EMPTY_FOREST: 1}
         for slot_sum in slot_sums:
-            nxt: dict[Forest, Fraction] = {}
+            nxt: dict[Forest, int] = {}
             for forest, cf in partial.items():
                 for mi, cm in slot_sum.items():
                     key = forest.merge(Forest([mi]))
-                    nxt[key] = nxt.get(key, Fraction(0)) + cf * cm
+                    nxt[key] = nxt.get(key, 0) + cf * cm
             partial = nxt
             if not partial:
                 break
         for forest, coeff in partial.items():
-            total[forest] = total.get(forest, Fraction(0)) + coeff
+            total[forest] = total.get(forest, 0) + coeff
     return FormalSum(total)
 
 
@@ -351,12 +354,16 @@ def insert_simultaneous(left: Forest, right: MultiIndex | Forest) -> FormalSum:
 @lru_cache(maxsize=None)
 def _generator_image(ell: Character, k: int) -> FormalSum:
     """Image of z(direction, k): Σ_β ℓ(z^β)/S(z^β) · D^k z^β."""
-    total = FormalSum.zero()
-    for key, weight in ell.terms.items():
-        scaled = weight / Fraction(symmetry_factor(key))
-        for term, coeff in _derivative_terms(key, k).items():
-            total = total + FormalSum.of(term, coeff * scaled)
-    return total
+    return FormalSum.linear(
+        (_derivative_terms(key, k), _over_symmetry(weight, key))
+        for key, weight in ell.terms.items()
+    )
+
+
+def _over_symmetry(weight: int | Fraction, key: MultiIndex) -> int | Fraction:
+    """weight / S(key); an ``int`` weight stays an ``int`` when S(key) = 1."""
+    s = symmetry_factor(key)
+    return weight if s == 1 else Fraction(weight, s)
 
 
 def _check_characters(ells: Sequence[Character], letters: int) -> None:
@@ -374,11 +381,11 @@ def _check_characters(ells: Sequence[Character], letters: int) -> None:
 def _translate_mi(
     ells: Sequence[Character], mi: MultiIndex, trunc: int | None
 ) -> FormalSum:
-    acc: dict[MultiIndex, Fraction] = {empty_multi_index(mi.letters - 1): Fraction(1)}
+    acc: dict[MultiIndex, int | Fraction] = {empty_multi_index(mi.letters - 1): 1}
     for (i, k), m in mi.entries:
         image = _generator_image(ells[i], k)
         for _ in range(m):
-            nxt: dict[MultiIndex, Fraction] = {}
+            nxt: dict[MultiIndex, int | Fraction] = {}
             for left, cl in acc.items():
                 for right, cr in image.items():
                     key = left.mul(right)
@@ -386,7 +393,7 @@ def _translate_mi(
                     # over-truncation terms mid-product loses nothing
                     if trunc is not None and key.degree() > trunc:
                         continue
-                    nxt[key] = nxt.get(key, Fraction(0)) + cl * cr
+                    nxt[key] = nxt.get(key, 0) + cl * cr
             acc = nxt
             if not acc:
                 return FormalSum.zero()
@@ -396,16 +403,16 @@ def _translate_mi(
 def _translate_forest(
     ells: Sequence[Character], forest: Forest, trunc: int | None
 ) -> FormalSum:
-    acc: dict[Forest, Fraction] = {EMPTY_FOREST: Fraction(1)}
+    acc: dict[Forest, int | Fraction] = {EMPTY_FOREST: 1}
     for component in forest.components:
         image = _translate_mi(ells, component, trunc)
-        nxt: dict[Forest, Fraction] = {}
+        nxt: dict[Forest, int | Fraction] = {}
         for left, cl in acc.items():
             for mi, cm in image.items():
                 key = left.merge(Forest([mi]))
                 if trunc is not None and key.degree() > trunc:
                     continue
-                nxt[key] = nxt.get(key, Fraction(0)) + cl * cm
+                nxt[key] = nxt.get(key, 0) + cl * cm
         acc = nxt
         if not acc:
             return FormalSum.zero()
@@ -431,10 +438,9 @@ def translate(
         if not u.is_empty:
             _check_characters(ells, u.components[0].letters)
         return _translate_forest(ells, u, trunc)
-    total = FormalSum.zero()
-    for term, coeff in u.items():
-        total = total + translate(ells, term, trunc).scale(coeff)
-    return total
+    return FormalSum.linear(
+        (translate(ells, term, trunc), coeff) for term, coeff in u.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -444,37 +450,46 @@ def translate(
 def _coproduct_transpose(b: MultiIndex, trunc: int) -> FormalSum:
     """Route A: transpose the simultaneous insertion against the basis.
 
-    The coefficient of F ⊗ z^α is ⟨F ⋆₁ z^α, z^β⟩ / (S(F)·S(z^α)); degree
-    bookkeeping (insertion into n time variables removes n degrees from α)
-    prunes the double enumeration.
+    The coefficient of F ⊗ z^α is ⟨F ⋆₁ z^α, z^β⟩ / (S(F)·S(z^α)).  Letter
+    bookkeeping prunes the double enumeration: insertion and D keep the
+    letter of every variable, and F only inserts into an α with one time
+    variable per component of F, replacing all of them.  So z^β has the time
+    letters of F, and per other letter those of F and α together; each
+    forest looks up the one bucket of α with the letter counts that are
+    left, which also fixes deg α = deg β − (deg F − |F|).
     """
     d = b.letters - 1
     target_degree = b.degree()
     bound = min(trunc, target_degree) if trunc is not None else target_degree
-    s_b = Fraction(symmetry_factor(b))
-    out: dict[tuple[Forest, MultiIndex], Fraction] = {
-        (EMPTY_FOREST, b): Fraction(1)
-    }
-    candidates = enumerate_populated(d, bound)
+    s_b = symmetry_factor(b)
+    out: dict[tuple[Forest, MultiIndex], int | Fraction] = {(EMPTY_FOREST, b): 1}
+    buckets: dict[tuple[int, ...], list[MultiIndex]] = {}
+    for alpha in enumerate_populated(d, bound):
+        buckets.setdefault(_letter_counts((alpha,), b.letters), []).append(alpha)
+    time_b, *space_b = _letter_counts((b,), b.letters)
     for forest in forest_basis(d, bound):
         if forest.is_empty:
             continue
-        n = forest.cardinality()
-        excess = forest.degree() - n
-        for alpha in candidates:
-            if alpha.letter_count(0) != n:
-                continue
-            if alpha.degree() + excess != target_degree:
-                continue
+        time_f, *space_f = _letter_counts(forest.components, b.letters)
+        if time_f != time_b:
+            continue
+        key = (forest.cardinality(), *(x - y for x, y in zip(space_b, space_f)))
+        for alpha in buckets.get(key, ()):
             coeff = _insert_into_mi(forest, alpha).coefficient(b)
             if coeff:
-                weight = (
-                    coeff
-                    * s_b
-                    / (Fraction(symmetry_factor(forest)) * Fraction(symmetry_factor(alpha)))
+                out[(forest, alpha)] = Fraction(
+                    coeff * s_b, symmetry_factor(forest) * symmetry_factor(alpha)
                 )
-                out[(forest, alpha)] = weight
     return FormalSum(out)
+
+
+def _letter_counts(monomials: Iterable[MultiIndex], letters: int) -> tuple[int, ...]:
+    """Number of variables per letter 0..letters−1, over all ``monomials``."""
+    counts = [0] * letters
+    for mi in monomials:
+        for (i, _k), m in mi.entries:
+            counts[i] += m
+    return tuple(counts)
 
 
 def _mi_from_items(items: Iterable[tuple[int, int]], letters: int) -> MultiIndex:
@@ -545,11 +560,9 @@ def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
             f"degree {b.degree()} target above requested truncation {trunc}"
         )
     d = b.letters - 1
-    s_b = Fraction(symmetry_factor(b))
+    s_b = symmetry_factor(b)
     freq_b = _frequency_factor(b)
-    out: dict[tuple[Forest, MultiIndex], Fraction] = {
-        (EMPTY_FOREST, b): Fraction(1)
-    }
+    out: dict[tuple[Forest, MultiIndex], int | Fraction] = {(EMPTY_FOREST, b): 1}
     variables = tuple((i, k) for (i, k), m in b.entries for _ in range(m))
     time_slots = tuple(p for p, (i, _k) in enumerate(variables) if i == 0)
     space_slots = tuple(p for p, (i, _k) in enumerate(variables) if i != 0)
@@ -561,10 +574,9 @@ def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
             leftover = _mi_from_items(
                 (variables[p] for p in space_slots if p not in picked), b.letters
             )
-            base = (
-                s_b
-                * _frequency_factor(leftover)
-                / (Fraction(symmetry_factor(leftover)) * freq_b)
+            base = Fraction(
+                s_b * _frequency_factor(leftover),
+                symmetry_factor(leftover) * freq_b,
             )
             for blocks in _set_partitions(slots):
                 block_mis = [
@@ -600,8 +612,8 @@ def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
                         repeat = len(tuple(group))
                         coeff /= Fraction(symmetry_factor(gamma)) ** repeat
                     key = (forest, contracted)
-                    out[key] = out.get(key, Fraction(0)) + coeff
-    return FormalSum({k: v for k, v in out.items() if v})
+                    out[key] = out.get(key, 0) + coeff
+    return FormalSum(out)
 
 
 def coproduct_minus(
@@ -645,23 +657,23 @@ def m_ell(
         raise ValueError(f"dual translation target {b!r} must be populated")
     d = b.letters - 1
     bound = b.degree() if trunc is None else min(trunc, b.degree())
-    s_target = Fraction(symmetry_factor(b))
-    out: dict[MultiIndex, Fraction] = {}
+    s_target = symmetry_factor(b)
+    out: dict[MultiIndex, int | Fraction] = {}
     for beta in enumerate_populated(d, bound):
         coeff = _translate_mi(ells, beta, b.degree()).coefficient(b)
         if coeff:
-            out[beta] = coeff * s_target / Fraction(symmetry_factor(beta))
+            out[beta] = Fraction(coeff * s_target, symmetry_factor(beta))
     return FormalSum(out)
 
 
 def contract_character(ell: Character, split: FormalSum) -> FormalSum:
     """Evaluate a character on the forest leg of a coproduct expansion."""
-    out = FormalSum.zero()
+    out: dict[MultiIndex, int | Fraction] = {}
     for (forest, mi), coeff in split.items():
         weight = ell.on_forest(forest)
         if weight:
-            out = out + FormalSum.of(mi, coeff * weight)
-    return out
+            out[mi] = out.get(mi, 0) + coeff * weight
+    return FormalSum(out)
 
 
 def translate_roughpath(

@@ -7,10 +7,10 @@ recorded in the result.  A failing check names the offending basis elements
 in the grammar notation (``z(1,0)z(1,1)``, ``z(1,0)*z(2,0)``) so a report
 points at the algebra, not just at a count.
 
-The module also exposes a test-only fault hook, :func:`inject_fault`, which
-flips the verdict of the first check of a named suite.  The CLI wires it to
-a hidden flag so the failure-reporting path itself can be exercised end to
-end without shipping a broken identity.
+:func:`run_all_suites` also takes a test-only fault hook, ``fault_suite``,
+which flips the verdict of the first check of a named suite.  The CLI wires
+it to a hidden flag so the failure-reporting path itself can be exercised
+end to end without shipping a broken identity.
 """
 
 from __future__ import annotations
@@ -54,30 +54,15 @@ from .translation import (
 __all__ = [
     "SuiteResult",
     "available_suites",
-    "inject_fault",
     "run_all_suites",
 ]
 
 
 # ---------------------------------------------------------------------------
-# result records and the fault hook
+# result records
 # ---------------------------------------------------------------------------
 
 _MAX_REPORTED_FAILURES = 5
-
-_fault_suite: str | None = None
-
-
-def inject_fault(suite: str | None) -> None:
-    """Arm (or, with ``None``, disarm) the test-only fault injector.
-
-    While armed for a suite name, the first check of that suite has its
-    verdict inverted and its description tagged ``[injected fault]``.  This
-    exists purely so the failure-reporting machinery can be demonstrated
-    against a healthy build.
-    """
-    global _fault_suite
-    _fault_suite = suite
 
 
 @dataclass(frozen=True)
@@ -105,15 +90,16 @@ class SuiteResult:
 
 
 class _Recorder:
-    """Accumulates check verdicts for one suite, applying any armed fault."""
+    """Accumulates check verdicts for one suite; with ``fault`` set, the
+    first verdict is inverted and tagged ``[injected fault]``."""
 
-    def __init__(self, name: str, tolerance: float | None):
+    def __init__(self, name: str, tolerance: float | None, fault: bool):
         self.name = name
         self.tolerance = tolerance
         self.checked = 0
         self.failed = 0
         self.failures: list[str] = []
-        self._fault_pending = _fault_suite == name
+        self._fault_pending = fault
 
     def check(self, ok: bool, describe: str | Callable[[], str]) -> None:
         self.checked += 1
@@ -146,13 +132,11 @@ class _Recorder:
 
 def _graft_compose(p: FormalSum, q) -> FormalSum:
     """Bilinear extension of the grafting product."""
-    out = FormalSum.zero()
     if isinstance(q, MultiIndex):
         q = FormalSum.of(q)
-    for x, cx in p.items():
-        for y, cy in q.items():
-            out = out + prelie_graft(x, y).scale(cx * cy)
-    return out
+    return FormalSum.linear(
+        (prelie_graft(x, y), cx * cy) for x, cx in p.items() for y, cy in q.items()
+    )
 
 
 def _graft_defect(a: MultiIndex, b: MultiIndex, c: MultiIndex) -> FormalSum:
@@ -164,18 +148,12 @@ def _graft_defect(a: MultiIndex, b: MultiIndex, c: MultiIndex) -> FormalSum:
 
 def _insert_left(u: FormalSum, c: MultiIndex) -> FormalSum:
     """Extend the single insertion linearly in its first argument."""
-    total = FormalSum.zero()
-    for term, coeff in u.items():
-        total = total + insert_prelie(term, c).scale(coeff)
-    return total
+    return FormalSum.linear((insert_prelie(term, c), coeff) for term, coeff in u.items())
 
 
 def _insert_right(a: MultiIndex, u: FormalSum) -> FormalSum:
     """Extend the single insertion linearly in its second argument."""
-    total = FormalSum.zero()
-    for term, coeff in u.items():
-        total = total + insert_prelie(a, term).scale(coeff)
-    return total
+    return FormalSum.linear((insert_prelie(a, term), coeff) for term, coeff in u.items())
 
 
 def _insert_defect(a: MultiIndex, b: MultiIndex, c: MultiIndex) -> FormalSum:
@@ -183,6 +161,10 @@ def _insert_defect(a: MultiIndex, b: MultiIndex, c: MultiIndex) -> FormalSum:
     return _insert_left(insert_prelie(a, b), c) - _insert_right(
         a, insert_prelie(b, c)
     )
+
+
+def _add_term(acc: dict, key, coeff) -> None:
+    acc[key] = acc.get(key, 0) + coeff
 
 
 def _triple_text(kind: str, a, b, c) -> str:
@@ -280,21 +262,21 @@ def _suite_deshuffle(d, max_norm, seed, gamma, rec):
     """Splitting coproduct: coassociative and cocommutative."""
     for f in forest_basis(d, min(max_norm, 3)):
         delta = deshuffle(f)
-        left = FormalSum.zero()
-        right = FormalSum.zero()
-        flipped = FormalSum.zero()
+        left: dict = {}
+        right: dict = {}
+        flipped: dict = {}
         for (x, y), c in delta.items():
             for (x1, x2), c1 in deshuffle(x).items():
-                left = left + FormalSum.of((x1, x2, y), c * c1)
+                _add_term(left, (x1, x2, y), c * c1)
             for (y1, y2), c2 in deshuffle(y).items():
-                right = right + FormalSum.of((x, y1, y2), c * c2)
-            flipped = flipped + FormalSum.of((y, x), c)
+                _add_term(right, (x, y1, y2), c * c2)
+            _add_term(flipped, (y, x), c)
         rec.check(
-            left == right,
+            FormalSum(left) == FormalSum(right),
             lambda f=f: f"coassociativity defect at {format_forest(f)}",
         )
         rec.check(
-            flipped == delta,
+            FormalSum(flipped) == delta,
             lambda f=f: f"cocommutativity defect at {format_forest(f)}",
         )
 
@@ -309,14 +291,14 @@ def _suite_bialgebra(d, max_norm, seed, gamma, rec):
         if u.degree() + v.degree() > 4:
             continue
         lhs = gl_product(u, v).map_terms(deshuffle)
-        rhs = FormalSum.zero()
+        rhs: dict = {}
         for (u1, u2), cu in deshuffle(u).items():
             for (v1, v2), cv in deshuffle(v).items():
                 for a, ca in gl_product(u1, v1).items():
                     for b, cb in gl_product(u2, v2).items():
-                        rhs = rhs + FormalSum.of((a, b), cu * cv * ca * cb)
+                        _add_term(rhs, (a, b), cu * cv * ca * cb)
         rec.check(
-            lhs == rhs,
+            lhs == FormalSum(rhs),
             lambda u=u, v=v: (
                 f"bialgebra defect at ({format_forest(u)}, {format_forest(v)})"
             ),
@@ -648,12 +630,16 @@ def run_all_suites(
     seed: int = 0,
     gamma: Fraction = Fraction(1, 2),
     suites: Sequence[str] | None = None,
+    fault_suite: str | None = None,
 ) -> list[SuiteResult]:
     """Run the verification suites and return one result record per suite.
 
     ``suites`` restricts the run to the named subset (order preserved from
     the registry).  Each suite draws its own randomness from ``seed``, so a
-    subset run reproduces the same checks as the full run.
+    subset run reproduces the same checks as the full run.  ``fault_suite``
+    is a test-only hook: the first check of the suite of that name has its
+    verdict inverted and its description tagged ``[injected fault]``, so the
+    failure-reporting path can be exercised against a healthy build.
     """
     if d < 1:
         raise ValueError(f"need at least one driving letter, got d={d}")
@@ -669,7 +655,7 @@ def run_all_suites(
     for name, fn, tolerance in _SUITES:
         if name not in selected:
             continue
-        rec = _Recorder(name, tolerance)
+        rec = _Recorder(name, tolerance, name == fault_suite)
         fn(d, max_norm, seed, gamma, rec)
         results.append(rec.result())
     return results

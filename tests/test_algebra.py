@@ -39,7 +39,12 @@ from mirpath.algebra import (
     prelie_graft,
     symmetry_factor,
 )
-from mirpath.grammar import parse_forest, parse_formal_sum, parse_multi_index
+from mirpath.grammar import (
+    format_formal_sum,
+    parse_forest,
+    parse_formal_sum,
+    parse_multi_index,
+)
 
 # ---------------------------------------------------------------------------
 # Oracle 1: symbolic-differentiation model of the raising derivation
@@ -503,6 +508,15 @@ def test_mi_product_merges_frequencies():
     a = parse_multi_index("z(1,0)z(1,1)")
     b = parse_multi_index("z(1,1)^2")
     assert mi_product(a, b) == parse_multi_index("z(1,0)z(1,1)^3")
+
+
+def test_int_and_fraction_coefficients_are_interchangeable():
+    x = parse_forest("z(1,0)*z(2,0)")
+    as_int, as_fraction = FormalSum({x: 2}), FormalSum({x: Fraction(2)})
+    assert type(as_int.coefficient(x)) is int
+    assert as_int == as_fraction
+    assert hash(as_int) == hash(as_fraction)
+    assert format_formal_sum(as_int) == format_formal_sum(as_fraction) == "+(2) z(1,0)*z(2,0)"
 
 
 def test_mi_product_rejects_alphabet_mismatch():

@@ -14,6 +14,7 @@ from mirpath.algebra import (
     EMPTY_FOREST,
     FormalSum,
     Grading,
+    _star_basis,
     enumerate_populated,
     forest_basis,
     gl_product,
@@ -261,6 +262,20 @@ def test_chen_associative_over_gradings(triple):
 def test_exp_log_round_trip_over_gradings(single_character):
     (x,) = single_character
     _assert_close(exp_element(log_element(x)).values, x.values, 1e-12)
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_table_constants_round_like_their_fractions(d, n):
+    # the exact structure constants are ints, so the table divides ints;
+    # that must round exactly as the Fraction c·S(w)/(S(u)·S(v)) does
+    t = _table(d, n)
+    for i, j, k, got in zip(t.i, t.j, t.k, t.coeff):
+        u, v, w = t.basis[i], t.basis[j], t.basis[k]
+        c = _star_basis(u, v).coefficient(w)
+        want = float(
+            Fraction(c * w.symmetry_factor(), u.symmetry_factor() * v.symmetry_factor())
+        )
+        assert got == want, (u, v, w)
 
 
 # ---------------------------------------------------------------------------

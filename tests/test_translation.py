@@ -28,6 +28,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirpath.algebra import (
     EMPTY_FOREST,
@@ -36,11 +38,14 @@ from mirpath.algebra import (
     Grading,
     MultiIndex,
     derivation_d,
+    deshuffle,
     empty_multi_index,
     enumerate_populated,
     forest_basis,
     gl_product,
+    graft_simultaneous,
     pairing,
+    prelie_graft,
     single,
     symmetry_factor,
 )
@@ -695,3 +700,54 @@ class TestTranslateRoughpath:
         path = _ito_path(n_steps=4, seed=1)
         with pytest.raises(ValueError):
             translate_roughpath(identity_characters(2), path)
+
+
+# ---------------------------------------------------------------------------
+# exactness of every coefficient
+
+
+@st.composite
+def exact_inputs(draw):
+    """Two monomials and two forests of degree ≤ 2 and a target of degree
+    ≤ 4, over d ∈ {1, 2}."""
+    d = draw(st.sampled_from([1, 2]))
+    monomials = st.sampled_from(enumerate_populated(d, 2))
+    forests = st.sampled_from(forest_basis(d, 2))
+    target = st.sampled_from(enumerate_populated(d, 4))
+    return d, draw(monomials), draw(monomials), draw(forests), draw(forests), draw(target)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exact_inputs())
+def test_exact_kernels_keep_int_or_fraction_coefficients(inputs):
+    d, a, b, u, v, target = inputs
+    ab = Forest([a, b])
+    results = [
+        gl_product(u, v),
+        prelie_graft(a, b),
+        graft_simultaneous(u, v),
+        deshuffle(ab),
+        derivation_d(ab),
+        coproduct_minus(target, route="direct"),
+        coproduct_minus(target, route="transpose"),
+        insert_simultaneous(u, a),
+        insert_simultaneous(u, ab),
+    ]
+    # an int weight on a key with S = 2 makes translation divide an int
+    halved = identity_characters(d)
+    s_two = MultiIndex([((1, 0), 2), ((1, 2), 1)], d + 1)  # z(1,0)^2 z(1,2)
+    halved[0] = Character(0, {single(0, 0, d): 1, s_two: 3}, d)
+    for ells in (identity_characters(d), _is_characters(d), halved):
+        results += [translate(ells, target), translate(ells, ab), m_ell(ells, target)]
+    for result in results:
+        for key, c in result.items():
+            assert type(c) in (int, Fraction), (key, c)
+            assert c != 0, key
+
+
+def test_generator_image_divides_by_the_symmetry_factor_exactly():
+    key = MultiIndex([((1, 0), 3), ((1, 3), 1)], 2)  # z(1,0)^3 z(1,3), S = 3! = 6
+    ells = identity_characters(1)
+    ells[0] = Character(0, {single(0, 0, 1): 1, key: 1}, 1)
+    want = FormalSum({single(0, 0, 1): 1, key: Fraction(1, 6)})
+    assert translate(ells, single(0, 0, 1)) == want

@@ -24,7 +24,7 @@ from mirpath.fields import VectorField, vector_field_from_json, vector_field_to_
 from mirpath.lifts import lift_piecewise_linear, read_path_csv, write_path_csv
 from mirpath.solver import SolveConfig, solve_flow
 from mirpath.translation import Character, character_to_json, identity_characters
-from mirpath.verify import SuiteResult, available_suites, inject_fault, run_all_suites
+from mirpath.verify import SuiteResult, available_suites, run_all_suites
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -112,11 +112,9 @@ class TestSuiteEngine:
         }
 
     def test_injected_fault_flips_exactly_one_check(self):
-        inject_fault("adjointness")
-        try:
-            faulty = run_all_suites(d=1, max_norm=2, suites=["adjointness"])[0]
-        finally:
-            inject_fault(None)
+        faulty = run_all_suites(
+            d=1, max_norm=2, suites=["adjointness"], fault_suite="adjointness"
+        )[0]
         assert faulty.failed == 1
         assert len(faulty.failures) == 1
         assert "[injected fault]" in faulty.failures[0]
@@ -126,13 +124,9 @@ class TestSuiteEngine:
         assert clean.checked == faulty.checked
 
     def test_injected_fault_spares_other_suites(self):
-        inject_fault("chen")
-        try:
-            results = run_all_suites(
-                d=1, max_norm=2, suites=["exp-log", "chen"]
-            )
-        finally:
-            inject_fault(None)
+        results = run_all_suites(
+            d=1, max_norm=2, suites=["exp-log", "chen"], fault_suite="chen"
+        )
         by_name = {r.name: r for r in results}
         assert by_name["exp-log"].failed == 0
         assert by_name["chen"].failed == 1
@@ -556,7 +550,7 @@ class TestCliTranslate:
     ):
         out_file = tmp_path / "tfield.json"
         code, _, _ = run_cli("translate-field", "--field", str(cubic_field_json),
-                             "--ito-strat", "--d", "1", "--max-norm", "3",
+                             "--ito-strat", "--max-norm", "3",
                              "--no-timestamp", "--out", str(out_file))
         assert code == 0
         payload = json.loads(out_file.read_text())["field"]
@@ -578,7 +572,7 @@ class TestCliTranslate:
         run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
                 "--out", str(grid_file))
         run_cli("translate-field", "--field", str(cubic_field_json),
-                "--ito-strat", "--d", "1", "--max-norm", "3",
+                "--ito-strat", "--max-norm", "3",
                 "--no-timestamp", "--out", str(tfield_file))
         code, _, _ = run_cli("solve", "--grid", str(grid_file), "--field",
                              str(tfield_file), "--y0", "0.1", "--no-timestamp",
@@ -657,6 +651,15 @@ class TestCliReports:
                     "--out", str(target))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("t_final", ["nan", "inf", "-1", "0"])
+    def test_demo_rejects_bad_t_final(self, t_final):
+        code, out, err = run_cli("ito-strat-demo", "--d", "1", "--paths", "10",
+                                 "--steps", "8", "--t-final", t_final,
+                                 "--no-timestamp")
+        assert code == 2
+        assert "t_final must be finite and > 0" in err
+        assert out == ""
+
 
 # ---------------------------------------------------------------------------
 # top-level behaviour
@@ -686,5 +689,21 @@ class TestCliTopLevel:
         # the grid file fixes d and N, and nothing in these commands is random
         code, _, err = run_cli(command, "--grid", "g.json", "--field", "f.json",
                                flag, "1")
+        assert code == 2
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("translate", "--grid", "g.json", "--ito-strat"), "--d"),
+        (("translate", "--grid", "g.json", "--ito-strat"), "--max-norm"),
+        (("translate", "--grid", "g.json", "--ito-strat"), "--seed"),
+        (("translate-field", "--field", "f.json", "--ito-strat"), "--d"),
+        (("translate-field", "--field", "f.json", "--ito-strat"), "--seed"),
+        (("ito-strat-demo",), "--max-norm"),
+        (("ito-strat-demo",), "--gamma"),
+        (("enumerate",), "--seed"),
+    ], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+    def test_unused_flags_are_rejected(self, argv, flag):
+        # each of these flags used to be accepted and then ignored
+        code, _, err = run_cli(*argv, flag, "1")
         assert code == 2
         assert "unrecognized arguments" in err
