@@ -324,17 +324,28 @@ def forest_of(*components: MultiIndex) -> Forest:
 
 
 def _exact(c) -> int | Fraction:
-    """``c`` itself when it is an ``int`` or a ``Fraction``, else ``Fraction(c)``."""
-    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+    """``c`` itself when it is an ``int`` or a ``Fraction``, else ``Fraction(c)``.
+
+    A ``float`` (or ``bool``) raises :class:`TypeError`: its binary value
+    would silently become a rational nobody wrote (0.1 ↦ 3602879701896397/2⁵⁵).
+    """
+    if type(c) is int or type(c) is Fraction:
+        return c
+    if isinstance(c, (float, bool)):
+        name = type(c).__name__
+        raise TypeError(f"an exact coefficient cannot be a {name}, got {c!r}")
+    return Fraction(c)
 
 
 class FormalSum:
     """Finite linear combination of hashable basis elements over ℚ.
 
     Coefficients are ``int`` or ``Fraction``: an integer stays an ``int``
-    until a division promotes it, and any other number is converted to a
-    ``Fraction``.  The two types compare and hash equal, so the choice never
-    shows in equality, hashing or formatting.  Zero coefficients are dropped
+    until a division promotes it, any other exact number (a numpy integer, a
+    ``Decimal``, a ``"p/q"`` string) is converted to a ``Fraction``, and a
+    ``float`` or ``bool`` raises :class:`TypeError`.  The two types compare
+    and hash equal, so the choice never shows in equality, hashing or
+    formatting.  Zero coefficients are dropped
     eagerly, addition and scalar multiplication are exact, and the term map
     is never mutated after construction.  The basis may hold
     :class:`MultiIndex`, :class:`Forest`, or tuples of those (for

@@ -23,49 +23,21 @@ Conventions shared by every subcommand:
 from __future__ import annotations
 
 import argparse
-import datetime
 import json
-import platform
 import sys
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .algebra import Grading, gamma_degree, symmetry_factor
-from .fields import (
-    VectorField,
-    translated_field,
-    vector_field_from_json,
-    vector_field_to_json,
-)
-from .grammar import format_multi_index
-from .group import RoughPathGrid
-from .lifts import (
-    RNG_ALGORITHM,
-    grid_from_json,
-    grid_to_json,
-    lift_brownian,
-    lift_piecewise_linear,
-    brownian_pair_statistics,
-    read_path_csv,
-)
-from .solver import (
-    DivergedError,
-    SolveConfig,
-    davie_residual_report,
-    dyadic_pairs,
-    solve_flow,
-)
-from .translation import (
-    Character,
-    character_from_json,
-    identity_characters,
-    ito_strat_character,
-    translate_roughpath,
-)
-from .verify import available_suites, run_all_suites
-from .algebra import enumerate_populated
+
+if TYPE_CHECKING:
+    from .fields import VectorField
+    from .group import RoughPathGrid
+    from .solver import SolveConfig
+    from .translation import Character
+
+# Each handler imports the layers it uses, so a run loads only those (and
+# building the parser loads no numpy).
 
 __all__ = ["main"]
 
@@ -104,6 +76,13 @@ def _parse_level(text: str | None) -> Fraction | None:
 
 
 def _provenance(args: argparse.Namespace, config: dict, seed: int | None) -> dict:
+    import datetime
+    import platform
+
+    import numpy as np
+
+    from .lifts import RNG_ALGORITHM
+
     header = {
         "tool": f"mirpath {__version__}",
         "python": platform.python_version(),
@@ -166,21 +145,25 @@ def _load_json(path: str) -> dict | list:
 
 def _load_grid(path: str) -> RoughPathGrid:
     """Accept either a bare grid document or one wrapped by ``lift``."""
+    from .lifts import grid_from_json
+
     payload = _load_json(path)
     if isinstance(payload, dict) and "grid" in payload:
         payload = payload["grid"]
     try:
-        return grid_from_json(json.dumps(payload))
+        return grid_from_json(payload)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"{path!r} does not hold a rough-path grid: {exc}") from exc
 
 
 def _load_field(path: str) -> VectorField:
+    from .fields import vector_field_from_json
+
     payload = _load_json(path)
     if isinstance(payload, dict) and "field" in payload:
         payload = payload["field"]
     try:
-        return vector_field_from_json(json.dumps(payload))
+        return vector_field_from_json(payload)
     except (KeyError, ValueError, TypeError) as exc:
         raise UsageError(f"{path!r} does not hold a vector field: {exc}") from exc
 
@@ -191,6 +174,12 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
     The file may hold a single character object or a list of them; any
     direction not mentioned keeps the identity character.
     """
+    from .translation import (
+        character_from_json,
+        identity_characters,
+        ito_strat_character,
+    )
+
     if args.ito_strat and args.chars:
         raise UsageError("pass either --ito-strat or --chars, not both")
     ells = identity_characters(d)
@@ -214,10 +203,6 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
     return ells
 
 
-def _grid_payload(grid: RoughPathGrid) -> dict:
-    return json.loads(grid_to_json(grid))
-
-
 def _solution_payload(sol) -> dict:
     return {
         "times": list(sol.times),
@@ -233,6 +218,9 @@ def _solution_payload(sol) -> dict:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .algebra import Grading, enumerate_populated, gamma_degree, symmetry_factor
+    from .grammar import format_multi_index
+
     if args.d < 1:
         raise UsageError(f"need at least one driving letter, got --d {args.d}")
     if args.max_norm < 0:
@@ -255,6 +243,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import available_suites, run_all_suites
+
     gamma = _parse_gamma(args.gamma)
     suites = args.suite or None
     if suites:
@@ -301,6 +291,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_lift(args: argparse.Namespace) -> int:
+    from .algebra import Grading
+    from .lifts import grid_payload, lift_brownian, lift_piecewise_linear, read_path_csv
+
     gamma = _parse_gamma(args.gamma)
     if bool(args.path) == bool(args.brownian):
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")
@@ -343,13 +336,15 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     }
     payload = {
         "provenance": _provenance(args, config, seed=seed),
-        "grid": _grid_payload(grid),
+        "grid": grid_payload(grid),
     }
     _emit_json(payload, args)
     return EXIT_OK
 
 
 def _solve_config(args: argparse.Namespace) -> SolveConfig:
+    from .solver import SolveConfig
+
     try:
         return SolveConfig(
             rk4_substeps=args.substeps,
@@ -361,6 +356,8 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import solve_flow
+
     grid = _load_grid(args.grid)
     field = _load_field(args.field)
     if field.d != grid.d:
@@ -389,6 +386,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_translate(args: argparse.Namespace) -> int:
+    from .algebra import Grading
+    from .lifts import grid_payload
+    from .translation import translate_roughpath
+
     grid = _load_grid(args.grid)
     ells = _load_characters(args, grid.d)
     out_grading = None
@@ -408,13 +409,15 @@ def _cmd_translate(args: argparse.Namespace) -> int:
     }
     payload = {
         "provenance": _provenance(args, config, seed=None),
-        "grid": _grid_payload(translated),
+        "grid": grid_payload(translated),
     }
     _emit_json(payload, args)
     return EXIT_OK
 
 
 def _cmd_translate_field(args: argparse.Namespace) -> int:
+    from .fields import translated_field, vector_field_to_json
+
     field = _load_field(args.field)
     ells = _load_characters(args, field.d)
     try:
@@ -435,6 +438,8 @@ def _cmd_translate_field(args: argparse.Namespace) -> int:
 
 
 def _cmd_davie_report(args: argparse.Namespace) -> int:
+    from .solver import davie_residual_report, dyadic_pairs, solve_flow
+
     grid = _load_grid(args.grid)
     field = _load_field(args.field)
     if field.d != grid.d:
@@ -475,6 +480,8 @@ def _cmd_davie_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_ito_strat_demo(args: argparse.Namespace) -> int:
+    from .lifts import brownian_pair_statistics
+
     if args.d < 1:
         raise UsageError(f"need at least one driving letter, got --d {args.d}")
     if args.paths < 1 or args.steps < 1:
@@ -587,7 +594,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_lift)
 
     p = subs.add_parser("solve", help="integrate the truncated log-flow")
-    _add_gamma(p)
     _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE",
                    help="rough-path grid JSON (as written by lift)")
@@ -603,7 +609,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_solve)
 
     p = subs.add_parser("translate", help="translate a stored rough path")
-    _add_gamma(p)
     _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--chars", default=None, metavar="FILE",
@@ -619,7 +624,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("translate-field",
                         help="translate a polynomial vector field")
     _add_max_norm(p)
-    _add_gamma(p)
     _add_output(p)
     p.add_argument("--field", required=True, metavar="FILE")
     p.add_argument("--chars", default=None, metavar="FILE")
@@ -628,7 +632,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("davie-report",
                         help="residual decay of the local expansion")
-    _add_gamma(p)
     _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE")
     p.add_argument("--field", required=True, metavar="FILE")
@@ -657,23 +660,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _diverged_error() -> type:
+    """The solver's divergence error, imported only when an exception that
+    is not a usage error has to be matched against it."""
+    from .solver import DivergedError
+
+    return DivergedError
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # shared flags are validated before any work, used or not
+        # --gamma is validated before any other flag is checked or file read
         if getattr(args, "gamma", None) is not None:
             _parse_gamma(args.gamma)
         return args.handler(args)
-    except UsageError as exc:
+    except (ValueError, OSError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DivergedError as exc:
+    except _diverged_error() as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

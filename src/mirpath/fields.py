@@ -398,8 +398,9 @@ def vector_field_to_json(f: VectorField) -> str:
     return json.dumps(payload, indent=2)
 
 
-def vector_field_from_json(text: str) -> VectorField:
-    payload = json.loads(text)
+def vector_field_from_json(doc: str | Mapping) -> VectorField:
+    """Read a polynomial field from its JSON text or the already-parsed document."""
+    payload = json.loads(doc) if isinstance(doc, str) else doc
     d = int(payload["d"])
     rows: list[list[Fraction]] = [[Fraction(0)] for _ in range(d + 1)]
     for entry in payload.get("fields", []):

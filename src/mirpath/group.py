@@ -30,6 +30,7 @@ from .algebra import (
     Forest,
     Grading,
     MultiIndex,
+    _populated_tuple,
     _star_basis,
     enumerate_populated,
     forest_basis,
@@ -65,6 +66,15 @@ class PrimitivityError(ValueError):
     meaning the input was not a character of the group."""
 
 
+@lru_cache(maxsize=8)
+def _basis_keys(d: int, n: int) -> dict[MultiIndex, MultiIndex]:
+    """The populated multi-indices of degree ≤ n over letters 0..d, each
+    mapped to itself.  They are the key objects of the product table, so a
+    reader that maps its keys through this dict makes every later lookup an
+    identity hit; the key view is the one-step check of an element's keys."""
+    return {mi: mi for mi in _populated_tuple(d, n)} if d >= 1 else {}
+
+
 @dataclass(frozen=True)
 class _Element:
     """Values on populated multi-indices of degree ≤ N; missing keys read as 0."""
@@ -74,6 +84,8 @@ class _Element:
     values: dict[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.values.keys() <= _basis_keys(self.d, self.grading.max_norm).keys():
+            return
         for key in self.values:
             if not key.is_populated():
                 raise InvalidKeyError(f"key {key!r} is not populated")
@@ -86,6 +98,8 @@ class _Element:
                 raise InvalidKeyError(f"key {key!r} uses a letter above d={self.d}")
 
     def value(self, key: MultiIndex) -> float:
+        if key in _basis_keys(self.d, self.grading.max_norm):
+            return self.values.get(key, 0.0)
         if not key.is_populated() or key.degree() > self.grading.max_norm:
             raise InvalidKeyError(
                 f"{key!r} outside the populated basis of degree ≤ {self.grading.max_norm}"

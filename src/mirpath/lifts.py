@@ -29,19 +29,20 @@ import json
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Grading, MultiIndex, enumerate_populated
+from .algebra import Grading, MultiIndex, _populated_tuple
 from .grammar import format_multi_index, parse_multi_index
-from .group import GroupElement, RoughPathGrid
+from .group import GroupElement, RoughPathGrid, _basis_keys
 
 __all__ = [
     "UnsupportedLevelError",
     "lift_piecewise_linear",
     "lift_brownian",
     "brownian_pair_statistics",
+    "grid_payload",
     "grid_to_json",
     "grid_from_json",
     "read_path_csv",
@@ -138,7 +139,7 @@ def _lift_steps(
     weight: Callable[[int], float],
 ) -> RoughPathGrid:
     """One stored increment per row of ``dxs``, filled up to degree ``depth``."""
-    basis = sorted(enumerate_populated(d, depth), key=MultiIndex.degree)
+    basis = sorted(_populated_tuple(d, depth), key=MultiIndex.degree)
     increments = []
     for m, dx in enumerate(dxs):
         values = _segment_values(dx, basis, weight)
@@ -304,35 +305,48 @@ def brownian_pair_statistics(
 # ---------------------------------------------------------------------------
 
 
-def grid_to_json(path: RoughPathGrid) -> str:
-    payload = {
+def grid_payload(path: RoughPathGrid) -> dict:
+    """The JSON document of a grid, as a dict; each distinct key is
+    formatted once."""
+    name = lru_cache(maxsize=None)(format_multi_index)
+    return {
         "d": path.d,
         "gamma": f"{path.grading.gamma.numerator}/{path.grading.gamma.denominator}",
         "max_norm": path.grading.max_norm,
         "times": list(path.times),
         "increments": [
             {
-                format_multi_index(mi): v
+                name(mi): v
                 for mi, v in sorted(inc.values.items(), key=lambda kv: kv[0].entries)
             }
             for inc in path.increments
         ],
     }
-    return json.dumps(payload, indent=2)
 
 
-def grid_from_json(text: str) -> RoughPathGrid:
-    payload = json.loads(text)
+def grid_to_json(path: RoughPathGrid) -> str:
+    return json.dumps(grid_payload(path), indent=2)
+
+
+def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
+    """Read a grid from its JSON text or from the already-parsed document.
+    Each distinct key string is parsed once."""
+    payload = json.loads(doc) if isinstance(doc, str) else doc
     d = int(payload["d"])
     grading = Grading(max_norm=int(payload["max_norm"]), gamma=Fraction(payload["gamma"]))
     times = tuple(float(t) for t in payload["times"])
     if not all(math.isfinite(t) for t in times):
         raise ValueError("grid times must be finite numbers")
+    canonical = _basis_keys(d, grading.max_norm)
+
+    @lru_cache(maxsize=None)
+    def parse(key: str) -> MultiIndex:
+        mi = parse_multi_index(key, d=d)
+        return canonical.get(mi, mi)
+
     increments = []
     for m, entry in enumerate(payload["increments"]):
-        values = {
-            parse_multi_index(key, d=d): float(v) for key, v in entry.items()
-        }
+        values = {parse(key): float(v) for key, v in entry.items()}
         if not all(math.isfinite(v) for v in values.values()):
             raise ValueError(f"increment {m} holds a non-finite value")
         increments.append(GroupElement(d=d, grading=grading, values=values))

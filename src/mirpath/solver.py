@@ -29,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import MultiIndex, enumerate_populated, single, symmetry_factor
-from .fields import VectorField, upsilon
+from .algebra import MultiIndex, _populated_tuple, single, symmetry_factor
+from .fields import VectorField
 from .group import LieElement, RoughPathGrid, _time_index, log_element
 
 __all__ = [
@@ -80,10 +80,12 @@ def expansion_basis(d: int, gamma: Fraction, level: Fraction) -> tuple[MultiInde
     level = Fraction(level)
     if level < 1:
         raise ValueError(f"truncation level must be >= 1, got {level}")
-    keep = {single(0, 0, d)}
-    for beta in enumerate_populated(d, max(1, math.floor(level))):
-        if 1 <= beta.gamma_degree(gamma) <= level:
-            keep.add(beta)
+    # the shared basis objects, so lookups in table-built elements hit by identity
+    keep = {
+        beta for beta in _populated_tuple(d, max(1, math.floor(level)))
+        if 1 <= beta.gamma_degree(gamma) <= level
+    }
+    keep.add(single(0, 0, d))
     return tuple(sorted(keep))
 
 
@@ -94,6 +96,32 @@ def _resolve_level(grading, level: Fraction | int | None) -> Fraction:
             f"truncation level {out} exceeds the stored degree {grading.max_norm}"
         )
     return out
+
+
+def _nonzero_terms(element, basis) -> list[tuple[MultiIndex, float]]:
+    """(β, X(β)) for the β of ``basis`` on which ``element`` is nonzero."""
+    return [(beta, x) for beta in basis if (x := element.value(beta)) != 0.0]
+
+
+def _upsilons(betas: Sequence[MultiIndex], f: VectorField) -> Callable[[float], list[float]]:
+    """y ↦ [Υ_f[z^β](y) for β in ``betas``]: each distinct f_i^{(k)}(y) is
+    evaluated once, and every product is formed in the order of
+    :func:`mirpath.fields.upsilon`, so the values are bit-identical to it."""
+    pairs = list(dict.fromkeys(ik for beta in betas for ik, _ in beta.entries))
+    slot = {ik: p for p, ik in enumerate(pairs)}
+    rows = [[(slot[ik], m) for ik, m in beta.entries] for beta in betas]
+
+    def at(y: float) -> list[float]:
+        ders = [f.derivative(i, k, y) for i, k in pairs]
+        out = []
+        for row in rows:
+            u = 1.0
+            for p, m in row:
+                u *= ders[p] ** m
+            out.append(u)
+        return out
+
+    return at
 
 
 def davie_expansion(
@@ -116,11 +144,11 @@ def davie_expansion(
         raise ValueError(f"expansion needs s <= t, got s={s}, t={t}")
     bound = _resolve_level(path.grading, level)
     increment = path.increment_by_index(i, j)
+    terms = _nonzero_terms(increment, expansion_basis(path.d, path.grading.gamma, bound))
+    upsilons = _upsilons([beta for beta, _ in terms], f)
     total = float(y)
-    for beta in expansion_basis(path.d, path.grading.gamma, bound):
-        x = increment.value(beta)
-        if x != 0.0:
-            total += upsilon(beta, f, y) / symmetry_factor(beta) * x
+    for (beta, x), u in zip(terms, upsilons(y)):
+        total += u / symmetry_factor(beta) * x
     return total
 
 
@@ -146,16 +174,14 @@ def logode_step(
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     bound = _resolve_level(lam.grading, level)
-    terms = []
-    for beta in expansion_basis(lam.d, lam.grading.gamma, bound):
-        x = lam.value(beta)
-        if x != 0.0:
-            terms.append((beta, x / symmetry_factor(beta)))
+    terms = _nonzero_terms(lam, expansion_basis(lam.d, lam.grading.gamma, bound))
+    coeffs = [x / symmetry_factor(beta) for beta, x in terms]
+    upsilons = _upsilons([beta for beta, _ in terms], f)
 
     def rhs(z: float) -> float:
         total = 0.0
-        for beta, c in terms:
-            total += c * upsilon(beta, f, z)
+        for c, u in zip(coeffs, upsilons(z)):
+            total += c * u
         return total
 
     h = 1.0 / substeps

@@ -77,6 +77,33 @@ def test_group_element_constructor_validates_keys():
         GroupElement(d=1, grading=G3, values={parse_multi_index("z(2,0)", d=2): 1.0})
 
 
+@pytest.mark.parametrize("key, d, message", [
+    ("z(1,1)", 2, "key MultiIndex('z(1,1)', d=2) is not populated"),
+    ("z(1,0)^3z(1,3)", 2,
+     "key MultiIndex('z(1,0)^3z(1,3)', d=2) has degree 4 above truncation 3"),
+    ("z(2,0)", 1, "key MultiIndex('z(2,0)', d=2) uses a letter above d=1"),
+], ids=["unpopulated", "degree-above-N", "letter-above-d"])
+def test_bad_key_after_valid_keys_keeps_its_message(key, d, message):
+    # every valid key passes the one-step subset check; the bad one sends the
+    # element through the per-key checks, which name it as before
+    values = {mi: 0.5 for mi in enumerate_populated(d, 3)}
+    values[parse_multi_index(key, d=2)] = 1.0
+    with pytest.raises(InvalidKeyError) as info:
+        GroupElement(d=d, grading=G3, values=values)
+    assert str(info.value) == message
+
+
+def test_key_over_a_wider_alphabet_takes_the_per_key_checks():
+    # z(1,0) over letters 0..2 is not a d=1 basis key, yet its letters fit:
+    # the per-key checks accept it and value() reads it back, as they did
+    wide = parse_multi_index("z(1,0)", d=2)
+    x = GroupElement(d=1, grading=G3, values={wide: 0.5})
+    assert x.value(wide) == 0.5
+    assert x.value(parse_multi_index("z(1,0)", d=1)) == 0.0
+    with pytest.raises(InvalidKeyError, match="outside the populated basis"):
+        x.value(parse_multi_index("z(1,1)", d=2))
+
+
 def test_chen_identity_is_unit():
     a = random_character(2, G3, _rng(5))
     e = identity_character(2, G3)

@@ -20,9 +20,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mirpath.algebra import Grading, single
-from mirpath.fields import VectorField
+from mirpath.algebra import Grading, enumerate_populated, single, symmetry_factor
+from mirpath.fields import VectorField, upsilon
 from mirpath.group import (
     GroupElement,
     LieElement,
@@ -219,6 +221,119 @@ class TestLogOdeStep:
             logode_step(lam, cos_field(), 1.0, substeps=0)
         with pytest.raises(ValueError):
             logode_step(lam, cos_field(), 1.0, level=5)
+
+
+# ---------------------------------------------------------------------------
+# the shared right-hand side against a per-monomial reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_logode_step(lam, f, y, substeps, level):
+    """The log-ODE step as a plain RK4 over Σ c·Υ_f[z^β], one ``upsilon``
+    call per monomial and evaluation."""
+    terms = []
+    for beta in expansion_basis(lam.d, lam.grading.gamma, level):
+        x = lam.value(beta)
+        if x != 0.0:
+            terms.append((beta, x / symmetry_factor(beta)))
+
+    def rhs(z):
+        total = 0.0
+        for beta, c in terms:
+            total += c * upsilon(beta, f, z)
+        return total
+
+    h = 1.0 / substeps
+    z = float(y)
+    for n in range(1, substeps + 1):
+        k1 = rhs(z)
+        k2 = rhs(z + 0.5 * h * k1)
+        k3 = rhs(z + 0.5 * h * k2)
+        k4 = rhs(z + h * k3)
+        z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not math.isfinite(z) or abs(z) > 1e12:
+            raise DivergedError(
+                f"state {z} left the finite range at substep {n}/{substeps}",
+                substep=n,
+                state=z,
+            )
+    return z
+
+
+def _reference_davie(path, f, i, j, y, level):
+    increment = path.increment_by_index(i, j)
+    total = float(y)
+    for beta in expansion_basis(path.d, path.grading.gamma, level):
+        x = increment.value(beta)
+        if x != 0.0:
+            total += upsilon(beta, f, y) / symmetry_factor(beta) * x
+    return total
+
+
+def _outcome(fn, *args):
+    """The value, or the type and text of the error, so that a raised error
+    is compared as strictly as a result."""
+    try:
+        return fn(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+_SMALL = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def _fields(draw, d):
+    """A polynomial, linear or closure field over letters 0..d; closures
+    carry a drawn number of derivative orders, so too few orders occur."""
+    variant = draw(st.sampled_from(["polynomial", "linear", "closure"]))
+    if variant == "polynomial":
+        coeff = st.fractions(-2, 2, max_denominator=8)
+        return VectorField.polynomial(
+            [draw(st.lists(coeff, min_size=1, max_size=4)) for _ in range(d + 1)]
+        )
+    if variant == "linear":
+        return VectorField.linear([draw(_SMALL) for _ in range(d + 1)])
+    orders = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(d + 1):
+        a, b = draw(_SMALL), draw(_SMALL)
+        rows.append([
+            lambda y, a=a, b=b, k=k: a * math.sin(y + b + k * math.pi / 2)
+            for k in range(orders)
+        ])
+    return VectorField.from_closures(rows)
+
+
+@st.composite
+def _rhs_cases(draw):
+    d, n = draw(st.sampled_from([(1, 2), (1, 4), (2, 2), (2, 3)]))
+    grading = Grading(max_norm=n, gamma=draw(st.sampled_from([F(1, 2), F(1, 3)])))
+    keys = enumerate_populated(d, n)
+    value = st.one_of(st.just(0.0), _SMALL)
+
+    def values():
+        return {key: draw(value) for key in keys}
+
+    # the default level (None, the stored degree) keeps the longest monomials
+    level = draw(st.none() | st.sampled_from([F(m, 2) for m in range(2, 2 * n + 1)]))
+    return d, grading, values, draw(_fields(d)), draw(_SMALL), level
+
+
+@settings(max_examples=60, deadline=None)
+@given(_rhs_cases(), st.integers(1, 4))
+def test_shared_rhs_matches_per_monomial_reference_bit_for_bit(case, substeps):
+    d, grading, values, f, y, level = case
+    bound = F(grading.max_norm) if level is None else level
+    lam = LieElement(d=d, grading=grading, values=values())
+    assert _outcome(logode_step, lam, f, y, substeps, level) == _outcome(
+        _reference_logode_step, lam, f, y, substeps, bound
+    )
+    incs = tuple(GroupElement(d=d, grading=grading, values=values()) for _ in range(2))
+    path = RoughPathGrid(d=d, grading=grading, times=(0.0, 0.5, 1.0), increments=incs)
+    for i, j in [(0, 0), (0, 1), (1, 2), (0, 2)]:
+        got = _outcome(davie_expansion, path, f, path.times[i], path.times[j], y, level)
+        assert got == _outcome(_reference_davie, path, f, i, j, y, bound)
 
 
 # ---------------------------------------------------------------------------

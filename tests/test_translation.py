@@ -751,3 +751,19 @@ def test_generator_image_divides_by_the_symmetry_factor_exactly():
     ells[0] = Character(0, {single(0, 0, 1): 1, key: 1}, 1)
     want = FormalSum({single(0, 0, 1): 1, key: Fraction(1, 6)})
     assert translate(ells, single(0, 0, 1)) == want
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.0, 2.0, True, False], ids=repr)
+def test_float_and_bool_coefficients_are_rejected(bad):
+    # 0.1 used to become 3602879701896397/36028797018963968 without a word
+    z = single(1, 0, 2)
+    with pytest.raises(TypeError, match="exact coefficient cannot be a"):
+        FormalSum({z: bad})
+    with pytest.raises(TypeError, match="exact coefficient cannot be a"):
+        FormalSum.of(z).scale(bad)
+    with pytest.raises(TypeError, match="exact coefficient cannot be a"):
+        FormalSum.linear([(FormalSum.of(z), bad)])
+    with pytest.raises(TypeError, match="exact coefficient cannot be a"):
+        Character(1, {z: bad}, 2)
+    # exact inputs other than int and Fraction are still converted
+    assert FormalSum({z: "1/10"}).coefficient(z) == Fraction(1, 10)

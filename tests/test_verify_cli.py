@@ -14,10 +14,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import mirpath
 from mirpath.algebra import Grading, MultiIndex
 from mirpath.cli import main as cli_main
 from mirpath.fields import VectorField, vector_field_from_json, vector_field_to_json
@@ -354,6 +360,32 @@ class TestCliLiftSolve:
         assert code == 2
         assert message in err
 
+    @pytest.mark.parametrize("key, message", [
+        ("z(1,1)", "key MultiIndex('z(1,1)', d=2) is not populated"),
+        ("z(3,0)", "letter 3 exceeds alphabet 0..2 (at position 6)"),
+        ("z(1,0)^2z(2,2)",
+         "key MultiIndex('z(1,0)^2z(2,2)', d=2) has degree 3 above truncation 2"),
+    ], ids=["unpopulated", "letter-above-d", "degree-above-N"])
+    def test_bad_key_among_repeated_keys_is_a_usage_error(self, tmp_path, key, message):
+        # the reader parses each distinct key string once and checks an
+        # increment's keys in one step; a new bad key in the last increment,
+        # whose other key strings all repeat earlier ones, must still be named
+        grid_file = tmp_path / "grid.json"
+        field_file = tmp_path / "field.json"
+        run_cli("lift", "--brownian", "strat", "--d", "2", "--max-norm", "2",
+                "--steps", "4", "--no-timestamp", "--out", str(grid_file))
+        write_field_json(field_file, [(0,), (1,), (1,)])
+        doc = json.loads(grid_file.read_text())
+        increments = doc["grid"]["increments"]
+        assert set(increments[-1]) == set(increments[0])
+        increments[-1][key] = 0.5
+        grid_file.write_text(json.dumps(doc))
+        code, out, err = run_cli("solve", "--grid", str(grid_file),
+                                 "--field", str(field_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {str(grid_file)!r} does not hold a rough-path grid: {message}\n"
+
     def test_round_trip_matches_in_process_solve_bit_exactly(
         self, sine_csv, cubic_field_json, tmp_path
     ):
@@ -677,9 +709,8 @@ class TestCliTopLevel:
         assert code == 2
 
     def test_invalid_gamma_rejected_before_any_work(self, tmp_path):
-        # solve does not use the flag itself; it must still be validated
-        code, _, err = run_cli("solve", "--grid", "nope.json", "--field",
-                               "nope.json", "--gamma", "7/3")
+        # the exponent is rejected before lift tries to read the missing file
+        code, _, err = run_cli("lift", "--path", "nope.csv", "--gamma", "7/3")
         assert code == 2
         assert "gamma" in err
 
@@ -701,9 +732,75 @@ class TestCliTopLevel:
         (("ito-strat-demo",), "--max-norm"),
         (("ito-strat-demo",), "--gamma"),
         (("enumerate",), "--seed"),
+        (("solve", "--grid", "g.json", "--field", "f.json"), "--gamma"),
+        (("davie-report", "--grid", "g.json", "--field", "f.json"), "--gamma"),
+        (("translate", "--grid", "g.json", "--ito-strat"), "--gamma"),
+        (("translate-field", "--field", "f.json", "--ito-strat"), "--gamma"),
     ], ids=lambda v: v[0] if isinstance(v, tuple) else v)
     def test_unused_flags_are_rejected(self, argv, flag):
         # each of these flags used to be accepted and then ignored
         code, _, err = run_cli(*argv, flag, "1")
         assert code == 2
         assert "unrecognized arguments" in err
+
+
+# ---------------------------------------------------------------------------
+# what each command imports
+# ---------------------------------------------------------------------------
+
+
+def _run_python(script: str, cwd) -> dict:
+    """Run ``script`` in a fresh interpreter with the package on the path and
+    return the JSON object it prints."""
+    src = str(Path(mirpath.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], cwd=cwd,
+                          env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+UNUSED_BY_THE_FLOW = ["numpy", "mirpath.translation", "mirpath.verify"]
+
+
+def test_version_loads_no_layer_and_every_export_resolves(tmp_path):
+    got = _run_python(f"""
+        import importlib, json, sys
+        from mirpath.cli import main
+        try:
+            main(["--version"])
+        except SystemExit:
+            pass
+        loaded = [m for m in {UNUSED_BY_THE_FLOW!r} if m in sys.modules]
+        import mirpath
+        star = {{}}
+        exec("from mirpath import *", star)
+        missing = [n for n in mirpath.__all__ if n not in star]
+        wrong = [
+            n for n, module in mirpath._MODULE_OF.items()
+            if getattr(mirpath, n) is not getattr(
+                importlib.import_module("mirpath." + module), n)
+        ]
+        print(json.dumps({{"loaded": loaded, "missing": missing, "wrong": wrong,
+                          "names": sorted(mirpath.__all__)}}))
+    """, tmp_path)
+    assert got["loaded"] == []
+    assert got["missing"] == [] and got["wrong"] == []
+    assert {"__version__", "solve_flow", "translate", "run_all_suites"} <= set(got["names"])
+
+
+def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
+    write_field_json(tmp_path / "field.json", [(0,), (1,)])
+    got = _run_python("""
+        import json, sys
+        from mirpath.cli import main
+        flow = ["--grid", "grid.json", "--field", "field.json", "--no-timestamp"]
+        codes = [
+            main(["lift", "--brownian", "strat", "--d", "1", "--steps", "4",
+                  "--no-timestamp", "--out", "grid.json"]),
+            main(["solve", *flow, "--out", "solution.json"]),
+            main(["davie-report", *flow, "--out", "davie.json"]),
+        ]
+        loaded = [m for m in ("mirpath.translation", "mirpath.verify") if m in sys.modules]
+        print(json.dumps({"codes": codes, "loaded": loaded}))
+    """, tmp_path)
+    assert got == {"codes": [0, 0, 0], "loaded": []}
