@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -33,7 +34,6 @@ from . import __version__
 if TYPE_CHECKING:
     from .fields import VectorField
     from .group import RoughPathGrid
-    from .solver import SolveConfig
     from .translation import Character
 
 # Each handler imports the layers it uses, so a run loads only those (and
@@ -63,6 +63,14 @@ def _parse_gamma(text: str) -> Fraction:
         raise UsageError(f"cannot parse gamma {text!r} as a rational p/q") from exc
     if not 0 < value < 1:
         raise UsageError(f"gamma must lie strictly between 0 and 1, got {value}")
+    return value
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
 
 
@@ -107,7 +115,8 @@ def _open_out(args: argparse.Namespace):
 def _emit_json(payload: dict, args: argparse.Namespace) -> None:
     stream, close = _open_out(args)
     try:
-        json.dump(payload, stream, indent=2)
+        # a non-finite number raises ValueError instead of writing NaN
+        json.dump(payload, stream, indent=2, allow_nan=False)
         stream.write("\n")
     finally:
         if close:
@@ -342,21 +351,10 @@ def _cmd_lift(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_config(args: argparse.Namespace) -> SolveConfig:
+def _solve_inputs(args: argparse.Namespace) -> tuple:
+    """The grid, field and solver settings that ``solve`` and
+    ``davie-report`` share, and their provenance config."""
     from .solver import SolveConfig
-
-    try:
-        return SolveConfig(
-            rk4_substeps=args.substeps,
-            mesh_level=args.mesh_level,
-            level=_parse_level(args.level),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _cmd_solve(args: argparse.Namespace) -> int:
-    from .solver import solve_flow
 
     grid = _load_grid(args.grid)
     field = _load_field(args.field)
@@ -364,7 +362,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         raise UsageError(
             f"field drives {field.d} letters but the grid stores {grid.d}"
         )
-    cfg = _solve_config(args)
+    try:
+        cfg = SolveConfig(
+            rk4_substeps=args.substeps,
+            mesh_level=args.mesh_level,
+            level=_parse_level(args.level),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     config = {
         "grid": args.grid,
         "field": args.field,
@@ -373,6 +378,13 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         "mesh_level": args.mesh_level,
         "level": args.level,
     }
+    return grid, field, cfg, config
+
+
+def _cmd_solve(args: argparse.Namespace) -> int:
+    from .solver import solve_flow
+
+    grid, field, cfg, config = _solve_inputs(args)
     sol = solve_flow(grid, field, args.y0, cfg)
     payload = {
         "provenance": _provenance(args, config, seed=None),
@@ -440,13 +452,11 @@ def _cmd_translate_field(args: argparse.Namespace) -> int:
 def _cmd_davie_report(args: argparse.Namespace) -> int:
     from .solver import davie_residual_report, dyadic_pairs, solve_flow
 
-    grid = _load_grid(args.grid)
-    field = _load_field(args.field)
-    if field.d != grid.d:
+    if args.max_block is not None and args.min_block > args.max_block:
         raise UsageError(
-            f"field drives {field.d} letters but the grid stores {grid.d}"
+            f"--min-block {args.min_block} exceeds --max-block {args.max_block}"
         )
-    cfg = _solve_config(args)
+    grid, field, cfg, config = _solve_inputs(args)
     sol = solve_flow(grid, field, args.y0, cfg)
     if sol.diverged:
         print(f"numeric divergence: {sol.message}", file=sys.stderr)
@@ -455,20 +465,12 @@ def _cmd_davie_report(args: argparse.Namespace) -> int:
     report = davie_residual_report(
         grid, field, sol, pairs, level=_parse_level(args.level)
     )
-    config = {
-        "grid": args.grid,
-        "field": args.field,
-        "y0": args.y0,
-        "substeps": args.substeps,
-        "mesh_level": args.mesh_level,
-        "level": args.level,
-        "min_block": args.min_block,
-        "max_block": args.max_block,
-    }
+    config.update(min_block=args.min_block, max_block=args.max_block)
     payload = {
         "provenance": _provenance(args, config, seed=None),
         "report": {
-            "slope": report.slope,
+            # fewer than two fit points leave no slope
+            "slope": None if math.isnan(report.slope) else report.slope,
             "target_slope": report.target_slope,
             "level": report.level,
             "gamma": report.gamma,
@@ -548,6 +550,20 @@ def _add_seed(sub: argparse.ArgumentParser) -> None:
                      help="seed for every random draw in this run")
 
 
+def _add_solve_inputs(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--grid", required=True, metavar="FILE",
+                     help="rough-path grid JSON (as written by lift)")
+    sub.add_argument("--field", required=True, metavar="FILE",
+                     help="vector-field JSON")
+    sub.add_argument("--y0", type=_finite_float, default=0.0, help="initial state")
+    sub.add_argument("--mesh-level", type=int, default=None,
+                     help="use the dyadic sub-mesh 2^-L of the stored grid")
+    sub.add_argument("--substeps", type=int, default=8,
+                     help="RK4 substeps per log-flow step")
+    sub.add_argument("--level", default=None, metavar="P/Q",
+                     help="expansion level (default: the stored truncation)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mirpath",
@@ -595,17 +611,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="integrate the truncated log-flow")
     _add_output(p)
-    p.add_argument("--grid", required=True, metavar="FILE",
-                   help="rough-path grid JSON (as written by lift)")
-    p.add_argument("--field", required=True, metavar="FILE",
-                   help="vector-field JSON")
-    p.add_argument("--y0", type=float, default=0.0, help="initial state")
-    p.add_argument("--mesh-level", type=int, default=None,
-                   help="use the dyadic sub-mesh 2^-L of the stored grid")
-    p.add_argument("--substeps", type=int, default=8,
-                   help="RK4 substeps per log-flow step")
-    p.add_argument("--level", default=None, metavar="P/Q",
-                   help="expansion level (default: the stored truncation)")
+    _add_solve_inputs(p)
     p.set_defaults(handler=_cmd_solve)
 
     p = subs.add_parser("translate", help="translate a stored rough path")
@@ -633,12 +639,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("davie-report",
                         help="residual decay of the local expansion")
     _add_output(p)
-    p.add_argument("--grid", required=True, metavar="FILE")
-    p.add_argument("--field", required=True, metavar="FILE")
-    p.add_argument("--y0", type=float, default=0.0)
-    p.add_argument("--mesh-level", type=int, default=None)
-    p.add_argument("--substeps", type=int, default=8)
-    p.add_argument("--level", default=None, metavar="P/Q")
+    _add_solve_inputs(p)
     p.add_argument("--min-block", type=int, default=1,
                    help="smallest dyadic block size in the residual fit")
     p.add_argument("--max-block", type=int, default=None,

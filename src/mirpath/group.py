@@ -1,9 +1,12 @@
 """Truncated character group over the forest algebra.
 
-A rough-path increment is stored as a :class:`GroupElement`: real values on
-the populated multi-indices of degree ≤ N, extended to forests by
-multiplicativity.  All numeric products go through one table per (d, N),
-built on first use from the exact Grossman–Larson structure constants of
+A rough-path increment is stored as a :class:`GroupElement`: one read-only
+float vector ``coords`` over the populated multi-indices of degree ≤ N (in
+ascending degree), extended to forests by multiplicativity.  ``values`` is a
+read-only mapping view of it that lists the keys given to the checked
+constructor, explicit zeros included, or the nonzero keys of a computed
+element.  All numeric products go through one table per (d, N), built on
+first use from the exact Grossman–Larson structure constants of
 :mod:`mirpath.algebra` and cached.  Over the indexed forest basis an element
 is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
 is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the table rows (u, v, w), where
@@ -20,8 +23,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from dataclasses import dataclass
+from functools import cached_property, lru_cache, reduce
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,47 +71,81 @@ class PrimitivityError(ValueError):
 
 
 @lru_cache(maxsize=8)
-def _basis_keys(d: int, n: int) -> dict[MultiIndex, MultiIndex]:
+def _key_index(d: int, n: int) -> dict[MultiIndex, int]:
     """The populated multi-indices of degree ≤ n over letters 0..d, each
-    mapped to itself.  They are the key objects of the product table, so a
-    reader that maps its keys through this dict makes every later lookup an
-    identity hit; the key view is the one-step check of an element's keys."""
-    return {mi: mi for mi in _populated_tuple(d, n)} if d >= 1 else {}
+    mapped to its slot in ``coords``: ascending degree, then entries, which
+    is also the order of the single-component forests of ``forest_basis``."""
+    keys = sorted(_populated_tuple(d, n), key=lambda mi: (mi.degree(), mi.entries))
+    return {mi: p for p, mi in enumerate(keys)}
 
 
-@dataclass(frozen=True)
 class _Element:
     """Values on populated multi-indices of degree ≤ N; missing keys read as 0."""
 
-    d: int
-    grading: Grading
-    values: dict[MultiIndex, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.values.keys() <= _basis_keys(self.d, self.grading.max_norm).keys():
-            return
-        for key in self.values:
-            if not key.is_populated():
+    def __init__(self, d: int, grading: Grading, values: Mapping = MappingProxyType({})):
+        """The checked constructor; ``values`` keeps exactly the given keys.
+        A key over a wider alphabet whose letters fit passes the checks and
+        is read back by :meth:`value`, but has no slot in ``coords``."""
+        index = _key_index(d, grading.max_norm)
+        coords = np.zeros(len(index))
+        for key, v in values.items():
+            if (p := index.get(key)) is not None:
+                coords[p] = v
+            elif not key.is_populated():
                 raise InvalidKeyError(f"key {key!r} is not populated")
-            if key.degree() > self.grading.max_norm:
+            elif key.degree() > grading.max_norm:
                 raise InvalidKeyError(
                     f"key {key!r} has degree {key.degree()} above truncation "
-                    f"{self.grading.max_norm}"
+                    f"{grading.max_norm}"
                 )
-            if any(i > self.d for (i, _), _ in key.entries):
-                raise InvalidKeyError(f"key {key!r} uses a letter above d={self.d}")
+            elif any(i > d for (i, _), _ in key.entries):
+                raise InvalidKeyError(f"key {key!r} uses a letter above d={d}")
+        coords.flags.writeable = False
+        view = MappingProxyType(dict(values))
+        vars(self).update(d=d, grading=grading, coords=coords, values=view)
+
+    @classmethod
+    def _of(cls, d: int, grading: Grading, coords: np.ndarray):
+        """Unchecked: a computed element, whose ``values`` lists its nonzero keys."""
+        out = cls.__new__(cls)
+        coords.flags.writeable = False
+        vars(out).update(d=d, grading=grading, coords=coords)
+        return out
+
+    @cached_property
+    def values(self) -> Mapping[MultiIndex, float]:
+        """Read-only view: the keys the element was built from, or the
+        nonzero coordinates of a computed element."""
+        index = _key_index(self.d, self.grading.max_norm)
+        view = {key: x for key, x in zip(index, self.coords.tolist()) if x != 0.0}
+        return MappingProxyType(view)
 
     def value(self, key: MultiIndex) -> float:
-        if key in _basis_keys(self.d, self.grading.max_norm):
-            return self.values.get(key, 0.0)
+        if (p := _key_index(self.d, self.grading.max_norm).get(key)) is not None:
+            return float(self.coords[p])
         if not key.is_populated() or key.degree() > self.grading.max_norm:
             raise InvalidKeyError(
                 f"{key!r} outside the populated basis of degree ≤ {self.grading.max_norm}"
             )
         return self.values.get(key, 0.0)
 
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        same = (self.d, self.grading) == (other.d, other.grading)
+        return same and np.array_equal(self.coords, other.coords)
 
-@dataclass(frozen=True)
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):  # the view does not pickle; rebuild from its items
+        return type(self), (self.d, self.grading, dict(self.values))
+
+    def __repr__(self) -> str:
+        name = type(self).__name__
+        return f"{name}(d={self.d}, {self.grading}, values={dict(self.values)})"
+
+
 class GroupElement(_Element):
     """A character of the truncated group: values on populated multi-indices.
 
@@ -115,18 +153,7 @@ class GroupElement(_Element):
     multiplicativity via :func:`char_eval`.
     """
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GroupElement):
-            return NotImplemented
-        if (self.d, self.grading) != (other.d, other.grading):
-            return False
-        keys = set(self.values) | set(other.values)
-        return all(
-            self.values.get(k, 0.0) == other.values.get(k, 0.0) for k in keys
-        )
 
-
-@dataclass(frozen=True)
 class LieElement(_Element):
     """A primitive element: log-coordinates on populated multi-indices.
 
@@ -168,17 +195,15 @@ class _Table:
         slot = {u: s for s, u in enumerate(basis)}
         degree = [u.degree() for u in basis]
         sym = [u.symmetry_factor() for u in basis]
-        single = [s for s, u in enumerate(basis) if u.cardinality() == 1]
-        # the single-component forests in basis order, and their slots
-        self.keys = tuple(basis[s].components[0] for s in single)
-        self.single = np.array(single)
+        # the single-component slots, in the order of an element's coords
+        self.single = np.array([s for s, u in enumerate(basis) if u.cardinality() == 1])
         self.multi = np.array(
             [s for s, u in enumerate(basis) if u.cardinality() >= 2], dtype=int
         )
         self.symmetry = np.array(sym, dtype=float)
-        # per slot, the positions of its components in keys; len(keys) pads
-        position = {key: p for p, key in enumerate(self.keys)}
-        self.components = np.full((len(basis), n), len(self.keys))
+        # per slot, the coords positions of its components; len(position) pads
+        position = _key_index(d, n)
+        self.components = np.full((len(basis), n), len(position))
         for s, u in enumerate(basis):
             self.components[s, : u.cardinality()] = [position[c] for c in u.components]
         rows = [
@@ -190,18 +215,13 @@ class _Table:
         ]
         self.i, self.j, self.k, self.coeff = (np.array(col) for col in zip(*rows))
 
-    def character(self, values: Mapping[MultiIndex, float]) -> np.ndarray:
+    def character(self, coords: np.ndarray) -> np.ndarray:
         """φ(u) = Π X(components of u), 1 on ∅."""
-        x = np.array([values.get(key, 0.0) for key in self.keys] + [1.0])
-        return x[self.components].prod(axis=1)
+        return np.append(coords, 1.0)[self.components].prod(axis=1)
 
     def star(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         weights = a[self.i] * b[self.j] * self.coeff
         return np.bincount(self.k, weights=weights, minlength=len(self.basis))
-
-    def read(self, phi: np.ndarray) -> dict[MultiIndex, float]:
-        """The nonzero values on single-component slots."""
-        return {key: float(v) for key, v in zip(self.keys, phi[self.single]) if v != 0.0}
 
 
 @lru_cache(maxsize=8)
@@ -220,8 +240,8 @@ def chen_compose(a: GroupElement, b: GroupElement) -> GroupElement:
             f"cannot compose d={a.d},{a.grading} with d={b.d},{b.grading}"
         )
     t = _table(a.d, a.grading.max_norm)
-    prod = t.star(t.character(a.values), t.character(b.values))
-    return GroupElement(d=a.d, grading=a.grading, values=t.read(prod))
+    prod = t.star(t.character(a.coords), t.character(b.coords))
+    return GroupElement._of(a.d, a.grading, prod[t.single])
 
 
 def exp_element(x: LieElement) -> GroupElement:
@@ -229,14 +249,14 @@ def exp_element(x: LieElement) -> GroupElement:
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
     base = np.zeros(len(t.basis))
-    base[t.single] = [x.values.get(key, 0.0) for key in t.keys]
-    acc = power = t.character({})
+    base[t.single] = x.coords
+    acc = power = t.character(np.zeros(len(x.coords)))
     fact = 1.0
     for n in range(1, n_max + 1):
         power = t.star(power, base)
         fact *= n
         acc = acc + power / fact
-    return GroupElement(d=x.d, grading=x.grading, values=t.read(acc))
+    return GroupElement._of(x.d, x.grading, acc[t.single])
 
 
 def log_element(x: GroupElement, defect_tolerance: float = 1e-9) -> LieElement:
@@ -249,7 +269,7 @@ def log_element(x: GroupElement, defect_tolerance: float = 1e-9) -> LieElement:
     """
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
-    y = t.character(x.values)
+    y = t.character(x.coords)
     y[0] = 0.0
     acc = np.zeros_like(y)
     power = y
@@ -267,7 +287,7 @@ def log_element(x: GroupElement, defect_tolerance: float = 1e-9) -> LieElement:
             f"logarithm left coefficient {coeff[s]:.3e} on {t.basis[s]!r}; "
             "input is not a character"
         )
-    return LieElement(d=x.d, grading=x.grading, values=t.read(acc))
+    return LieElement._of(x.d, x.grading, acc[t.single])
 
 
 def random_character(d: int, grading: Grading, rng: np.random.Generator) -> GroupElement:
@@ -358,6 +378,6 @@ def rp_norm(path: RoughPathGrid) -> float:
         for j in range(i + 1, n):
             running = chen_compose(running, path.increments[j - 1])
             dt = path.times[j] - path.times[i]
-            v = np.abs(t.character(running.values)[1:])
+            v = np.abs(t.character(running.coords)[1:])
             best = max(best, float(((v / dt**gdeg) ** inv_deg).max()))
     return best

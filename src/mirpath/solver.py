@@ -29,9 +29,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import MultiIndex, _populated_tuple, single, symmetry_factor
+from .algebra import Grading, MultiIndex, _populated_tuple, single, symmetry_factor
 from .fields import VectorField
-from .group import LieElement, RoughPathGrid, _time_index, log_element
+from .group import LieElement, RoughPathGrid, _key_index, _time_index, log_element
 
 __all__ = [
     "DavieReport",
@@ -51,8 +51,9 @@ __all__ = [
 class DivergedError(RuntimeError):
     """The integrator state left the finite range.
 
-    Carries the one-based substep at which the guard tripped and the last
-    computed (non-finite or oversized) state.
+    Carries the one-based substep at which the guard tripped (1 for a
+    Davie expansion, a single step) and the last computed state: non-finite
+    or oversized, or the finite state whose right-hand side overflowed.
     """
 
     def __init__(self, message: str, substep: int, state: float):
@@ -66,7 +67,6 @@ class DivergedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def expansion_basis(d: int, gamma: Fraction, level: Fraction) -> tuple[MultiIndex, ...]:
     """Populated monomials with γ-size in [1, level], plus the bare time
     variable.
@@ -80,7 +80,6 @@ def expansion_basis(d: int, gamma: Fraction, level: Fraction) -> tuple[MultiInde
     level = Fraction(level)
     if level < 1:
         raise ValueError(f"truncation level must be >= 1, got {level}")
-    # the shared basis objects, so lookups in table-built elements hit by identity
     keep = {
         beta for beta in _populated_tuple(d, max(1, math.floor(level)))
         if 1 <= beta.gamma_degree(gamma) <= level
@@ -98,9 +97,23 @@ def _resolve_level(grading, level: Fraction | int | None) -> Fraction:
     return out
 
 
-def _nonzero_terms(element, basis) -> list[tuple[MultiIndex, float]]:
-    """(β, X(β)) for the β of ``basis`` on which ``element`` is nonzero."""
-    return [(beta, x) for beta in basis if (x := element.value(beta)) != 0.0]
+@lru_cache(maxsize=32)
+def _expansion_slots(d: int, grading: Grading, level: Fraction) -> tuple:
+    """The expansion basis at ``level``, the symmetry factors of its
+    monomials and their slots in an element's ``coords``.  A run needs one
+    key; the bound only stops a process that tries many levels from growing."""
+    basis = expansion_basis(d, grading.gamma, level)
+    index = _key_index(d, grading.max_norm)
+    slots = np.array([index[beta] for beta in basis], dtype=int)
+    return basis, tuple(symmetry_factor(beta) for beta in basis), slots
+
+
+def _nonzero_terms(element, level: Fraction) -> list[tuple]:
+    """(β, S(β), X(β)) for the β of the expansion basis at ``level`` on
+    which ``element`` is nonzero."""
+    basis, sym, slots = _expansion_slots(element.d, element.grading, level)
+    xs = element.coords[slots].tolist()
+    return [term for term in zip(basis, sym, xs) if term[2] != 0.0]
 
 
 def _upsilons(betas: Sequence[MultiIndex], f: VectorField) -> Callable[[float], list[float]]:
@@ -144,11 +157,11 @@ def davie_expansion(
         raise ValueError(f"expansion needs s <= t, got s={s}, t={t}")
     bound = _resolve_level(path.grading, level)
     increment = path.increment_by_index(i, j)
-    terms = _nonzero_terms(increment, expansion_basis(path.d, path.grading.gamma, bound))
-    upsilons = _upsilons([beta for beta, _ in terms], f)
+    terms = _nonzero_terms(increment, bound)
+    upsilons = _upsilons([beta for beta, _, _ in terms], f)
     total = float(y)
-    for (beta, x), u in zip(terms, upsilons(y)):
-        total += u / symmetry_factor(beta) * x
+    for (_, sym, x), u in zip(terms, upsilons(y)):
+        total += u / sym * x
     return total
 
 
@@ -174,9 +187,9 @@ def logode_step(
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
     bound = _resolve_level(lam.grading, level)
-    terms = _nonzero_terms(lam, expansion_basis(lam.d, lam.grading.gamma, bound))
-    coeffs = [x / symmetry_factor(beta) for beta, x in terms]
-    upsilons = _upsilons([beta for beta, _ in terms], f)
+    terms = _nonzero_terms(lam, bound)
+    coeffs = [x / sym for _, sym, x in terms]
+    upsilons = _upsilons([beta for beta, _, _ in terms], f)
 
     def rhs(z: float) -> float:
         total = 0.0
@@ -285,6 +298,7 @@ def solve_flow(
     bound = _resolve_level(path.grading, cfg.level)
     times = [path.times[indices[0]]]
     values = [float(y0)]
+    message = ""
     for a, b in zip(indices, indices[1:]):
         lam = log_element(path.increment_by_index(a, b))
         try:
@@ -297,14 +311,11 @@ def solve_flow(
                 guard=cfg.divergence_guard,
             )
         except DivergedError as err:
-            return FlowSolution(
-                times=tuple(times),
-                values=tuple(values),
-                config=cfg,
-                provenance=provenance,
-                diverged=True,
-                message=str(err),
-            )
+            message = str(err)
+        except OverflowError as err:  # a power in the right-hand side
+            message = f"right-hand side overflowed in the step to {path.times[b]}: {err}"
+        if message:
+            break
         times.append(path.times[b])
         values.append(y)
     return FlowSolution(
@@ -312,6 +323,8 @@ def solve_flow(
         values=tuple(values),
         config=cfg,
         provenance=provenance,
+        diverged=bool(message),
+        message=message,
     )
 
 
@@ -362,8 +375,12 @@ def davie_residual_report(
     for s, t in pairs:
         ys = sol.value_at(s)
         yt = sol.value_at(t)
-        residual = abs(yt - davie_expansion(path, f, s, t, ys, level=bound))
-        rows.append((s, t, residual))
+        try:
+            expansion = davie_expansion(path, f, s, t, ys, level=bound)
+        except OverflowError as exc:  # a power in the right-hand side
+            message = f"expansion over [{s}, {t}] overflowed at state {ys}: {exc}"
+            raise DivergedError(message, substep=1, state=ys) from exc
+        rows.append((s, t, abs(yt - expansion)))
     xs = []
     ys_log = []
     for s, t, residual in rows:

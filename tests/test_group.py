@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -84,8 +85,8 @@ def test_group_element_constructor_validates_keys():
     ("z(2,0)", 1, "key MultiIndex('z(2,0)', d=2) uses a letter above d=1"),
 ], ids=["unpopulated", "degree-above-N", "letter-above-d"])
 def test_bad_key_after_valid_keys_keeps_its_message(key, d, message):
-    # every valid key passes the one-step subset check; the bad one sends the
-    # element through the per-key checks, which name it as before
+    # the valid keys take their coordinate slots; the bad one has none and
+    # goes through the per-key checks, which name it as before
     values = {mi: 0.5 for mi in enumerate_populated(d, 3)}
     values[parse_multi_index(key, d=2)] = 1.0
     with pytest.raises(InvalidKeyError) as info:
@@ -167,7 +168,7 @@ def test_log_output_carries_no_mass_on_larger_forests():
     # cardinality ≥ 2 forests directly, instead of trusting log_element
     x = random_character(2, G3, _rng(21))
     t = _table(2, 3)
-    y = t.character(x.values)
+    y = t.character(x.coords)
     y[0] = 0.0
     acc = np.zeros_like(y)
     power = y
@@ -207,8 +208,8 @@ def test_exp_of_primitive_is_grouplike():
     # the exp series over the product table, before the read-out
     t = _table(2, 3)
     base = np.zeros(len(t.basis))
-    base[t.single] = [lam.values.get(key, 0.0) for key in t.keys]
-    acc = power = t.character({})
+    base[t.single] = lam.coords
+    acc = power = t.character(np.zeros(len(lam.coords)))
     for fact in (1.0, 2.0, 6.0):
         power = t.star(power, base)
         acc = acc + power / fact
@@ -220,7 +221,7 @@ def test_exp_of_primitive_is_grouplike():
     )
     assert acc[t.basis.index(f)] / f.symmetry_factor() == pytest.approx(expect, rel=1e-14)
     # and on every forest: the series equals the product of its own values
-    assert np.abs(acc - t.character(x.values)).max() <= 1e-14
+    assert np.abs(acc - t.character(x.coords)).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +290,50 @@ def test_chen_associative_over_gradings(triple):
 def test_exp_log_round_trip_over_gradings(single_character):
     (x,) = single_character
     _assert_close(exp_element(log_element(x)).values, x.values, 1e-12)
+
+
+@st.composite
+def sparse_mappings(draw):
+    """One (d, N) and two mappings over a drawn subset of its populated keys,
+    with explicit zeros among the values."""
+    d, n = draw(st.sampled_from(ORACLE_GRADINGS))
+    grading = Grading(max_norm=n, gamma=Fraction(1, n + 1))
+    keys = enumerate_populated(d, n)
+    value = st.one_of(st.just(0.0), st.floats(-1.0, 1.0))
+
+    def mapping():
+        chosen = draw(st.lists(st.sampled_from(keys), unique=True))
+        return {key: draw(value) for key in chosen}
+
+    return d, grading, mapping(), mapping()
+
+
+def _lists_its_nonzero_coordinates(x) -> bool:
+    keys = enumerate_populated(x.d, x.grading.max_norm)
+    return dict(x.values) == {k: x.value(k) for k in keys if x.value(k) != 0.0}
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_mappings())
+def test_values_view_keeps_given_keys_and_lists_computed_nonzeros(case):
+    d, grading, m1, m2 = case
+    x = GroupElement(d=d, grading=grading, values=m1)
+    lam = LieElement(d=d, grading=grading, values=m2)
+    # the checked constructor keeps exactly the given keys, zeros included
+    assert list(x.values.items()) == list(m1.items())
+    assert list(lam.values.items()) == list(m2.items())
+    assert all(x.value(k) == v for k, v in m1.items())
+    with pytest.raises(TypeError):
+        x.values[next(iter(enumerate_populated(d, grading.max_norm)))] = 1.0
+    assert not x.coords.flags.writeable
+    with pytest.raises(AttributeError):
+        x.d = d + 1
+    back = pickle.loads(pickle.dumps(lam))
+    assert back == lam and list(back.values.items()) == list(m2.items())
+    # computed elements list their nonzero coordinates and nothing else
+    y = GroupElement(d=d, grading=grading, values=m2)
+    for out in (chen_compose(x, y), exp_element(lam), log_element(x)):
+        assert _lists_its_nonzero_coordinates(out)
 
 
 @pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])

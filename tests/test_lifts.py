@@ -25,6 +25,7 @@ from mirpath.grammar import parse_multi_index
 from mirpath.group import char_eval, chen_compose
 from mirpath.lifts import (
     UnsupportedLevelError,
+    _ordered_parts,
     brownian_pair_statistics,
     grid_from_json,
     grid_to_json,
@@ -102,6 +103,20 @@ def test_single_segment_matches_closed_form(slopes, max_norm):
         want = affine_value(beta, slopes, h)
         got = inc.values.get(beta, 0.0)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12), beta
+
+
+def test_bounded_decomposition_caches_hold_one_grading_at_d3_n4():
+    # a second lift at d=3, N=4 finds every decomposition in the caches
+    samples = [(j / 2, 0.3 * j, -0.2 * j, 0.1 * j * j) for j in range(3)]
+    grading = Grading(max_norm=4, gamma=Fraction(1, 5))
+    integral_decompositions.cache_clear()
+    _ordered_parts.cache_clear()
+    lift_piecewise_linear(samples, grading)
+    first = integral_decompositions.cache_info(), _ordered_parts.cache_info()
+    lift_piecewise_linear(samples, grading)
+    second = integral_decompositions.cache_info(), _ordered_parts.cache_info()
+    assert [info.misses for info in second] == [info.misses for info in first]
+    assert all(info.currsize < info.maxsize for info in second)
 
 
 def test_first_level_is_the_plain_increment():

@@ -24,7 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirpath.algebra import Grading, enumerate_populated, single, symmetry_factor
-from mirpath.fields import VectorField, upsilon
+from mirpath.fields import VectorField, translated_field, upsilon
+from mirpath.grammar import parse_multi_index
 from mirpath.group import (
     GroupElement,
     LieElement,
@@ -46,6 +47,7 @@ from mirpath.solver import (
     reference_ode_solve,
     solve_flow,
 )
+from mirpath.translation import identity_characters, ito_strat_character
 
 F = Fraction
 HALF = F(1, 2)
@@ -58,6 +60,17 @@ COS7 = (F(1), F(0), F(-1, 2), F(0), F(1, 24), F(0), F(-1, 720), F(0))
 
 def cos_field() -> VectorField:
     return VectorField.polynomial([(0,), COS7])
+
+
+def overflowing_field() -> VectorField:
+    """f_1(y) = 1e200·y, whose derivative squared overflows a float."""
+    return VectorField.polynomial([(0,), (0, 10**200)])
+
+
+def one_step_path(key: str) -> RoughPathGrid:
+    """One stored step over [0, 0.5] whose only value is 0.1 on ``key``."""
+    inc = GroupElement(d=1, grading=GRADING3, values={parse_multi_index(key, d=1): 0.1})
+    return RoughPathGrid(d=1, grading=GRADING3, times=(0.0, 0.5), increments=(inc,))
 
 
 def drifted_cos_field() -> VectorField:
@@ -435,6 +448,23 @@ class TestSolveFlow:
         assert "substep" in sol.message
         assert all(math.isfinite(v) for v in sol.values)
 
+    @pytest.mark.parametrize("variant", ["polynomial", "translated"])
+    def test_power_overflow_truncates_locally(self, variant):
+        # f_1' = 1e200 and (1e200) ** 2 overflows: in the solver's own
+        # products for the polynomial field, inside the provider of the
+        # translated one (through f_0', which z(0,1)z(1,0) reads)
+        if variant == "polynomial":
+            f, key = overflowing_field(), "z(1,0)z(1,1)^2"
+        else:
+            ells = [ito_strat_character(1), identity_characters(1)[1]]
+            f = translated_field(VectorField.linear([0.0, 1e200]), ells, 3)
+            key = "z(0,1)z(1,0)"
+        path = one_step_path(key)
+        sol = solve_flow(path, f, 0.5, SolveConfig(rk4_substeps=4))
+        assert sol.diverged
+        assert sol.values == (0.5,)
+        assert "overflowed in the step to 0.5" in sol.message
+
     def test_explicit_mesh_equals_dyadic_level(self):
         path = sine_path(4)
         by_level = solve_flow(path, cos_field(), 0.3, SolveConfig(mesh_level=1))
@@ -492,6 +522,14 @@ class TestDavieReport:
         report = davie_residual_report(path, f, fabricated, pairs)
         assert all(r == 0.0 for _, _, r in report.rows)
         assert math.isnan(report.slope)
+
+    def test_power_overflow_is_a_divergence(self):
+        flow = FlowSolution(times=(0.0, 0.5), values=(0.5, 0.5), config=SolveConfig())
+        path = one_step_path("z(1,0)z(1,1)^2")
+        with pytest.raises(DivergedError) as info:
+            davie_residual_report(path, overflowing_field(), flow, [(0.0, 0.5)])
+        assert (info.value.substep, info.value.state) == (1, 0.5)
+        assert "overflowed at state 0.5" in str(info.value)
 
     def test_smooth_driver_rate(self):
         path = sine_path(1 << 8)

@@ -10,6 +10,7 @@ round trip from ``lift`` output through ``solve``.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -24,9 +25,11 @@ from pathlib import Path
 import pytest
 
 import mirpath
-from mirpath.algebra import Grading, MultiIndex
+from mirpath.algebra import Grading, MultiIndex, enumerate_populated
+from mirpath.cli import _emit_json
 from mirpath.cli import main as cli_main
 from mirpath.fields import VectorField, vector_field_from_json, vector_field_to_json
+from mirpath.grammar import format_multi_index
 from mirpath.lifts import lift_piecewise_linear, read_path_csv, write_path_csv
 from mirpath.solver import SolveConfig, solve_flow
 from mirpath.translation import Character, character_to_json, identity_characters
@@ -507,6 +510,55 @@ class TestCliLiftSolve:
         assert "substep" in sol["message"]
 
 
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    def test_power_overflow_in_the_field_exits_three(self, command, tmp_path):
+        # f_1' = 1e200, so (f_1')**2 overflows a float inside the right-hand side
+        field_file = tmp_path / "field.json"
+        field_file.write_text(
+            json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": ["0", "1e200"]}]})
+        )
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--brownian", "strat", "--d", "1", "--max-norm", "3",
+                "--steps", "4", "--no-timestamp", "--out", str(grid_file))
+        out_file = tmp_path / "out.json"
+        code, _, err = run_cli(command, "--grid", str(grid_file), "--field",
+                               str(field_file), "--out", str(out_file))
+        assert code == 3
+        assert "divergence" in err and "overflowed" in err
+        assert "Traceback" not in err
+        if command == "solve":
+            sol = json.loads(out_file.read_text())["solution"]
+            assert sol["diverged"] is True and sol["values"] == [0.0]
+
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
+    def test_non_finite_y0_is_a_usage_error(self, command, y0, sine_csv,
+                                            cubic_field_json, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        code, out, err = run_cli(command, "--grid", str(grid_file), "--field",
+                                 str(cubic_field_json), f"--y0={y0}")
+        assert code == 2
+        assert "--y0" in err and "finite" in err
+        assert out == ""
+
+    def test_flat_coordinate_keeps_its_explicit_zeros(self, tmp_path):
+        csv_file = tmp_path / "flat.csv"
+        buf = io.StringIO()
+        write_path_csv([(j / 4, math.sin(j), 0.25) for j in range(5)], buf)
+        csv_file.write_text(buf.getvalue())
+        grid_file = tmp_path / "grid.json"
+        code, _, _ = run_cli("lift", "--path", str(csv_file), "--max-norm", "3",
+                             "--no-timestamp", "--out", str(grid_file))
+        assert code == 0
+        every_key = {format_multi_index(mi) for mi in enumerate_populated(2, 3)}
+        for inc in json.loads(grid_file.read_text())["grid"]["increments"]:
+            assert set(inc) == every_key
+            assert inc["z(2,0)"] == 0.0
+            assert sum(v == 0.0 for v in inc.values()) > 1
+
+
 # ---------------------------------------------------------------------------
 # translation commands
 # ---------------------------------------------------------------------------
@@ -570,6 +622,24 @@ class TestCliTranslate:
         code, _, err = run_cli("translate", "--grid", str(grid_file))
         assert code == 2
         assert "--chars" in err
+
+    def test_ito_strat_translation_keeps_its_explicit_zeros(self, tmp_path):
+        ito_file = tmp_path / "ito.json"
+        run_cli("lift", "--brownian", "ito", "--d", "2", "--max-norm", "3",
+                "--steps", "8", "--no-timestamp", "--out", str(ito_file))
+        out_file = tmp_path / "translated.json"
+        code, _, _ = run_cli("translate", "--grid", str(ito_file), "--ito-strat",
+                             "--no-timestamp", "--out", str(out_file))
+        assert code == 0
+        grid = json.loads(out_file.read_text())["grid"]
+        every_key = {
+            format_multi_index(mi) for mi in enumerate_populated(2, grid["max_norm"])
+        }
+        zeros = 0
+        for inc in grid["increments"]:
+            assert set(inc) == every_key
+            zeros += sum(v == 0.0 for v in inc.values())
+        assert zeros > 0
 
     def test_truncation_shortfall_is_a_usage_error(self, grid_file):
         code, _, err = run_cli("translate", "--grid", str(grid_file),
@@ -657,6 +727,45 @@ class TestCliReports:
                                "--field", str(field_file), "--y0", "1.0")
         assert code == 3
         assert "divergence" in err
+
+    @pytest.mark.parametrize("blocks", [("--max-block", "0"),
+                                        ("--min-block", "8", "--max-block", "2")],
+                             ids=["max-block-0", "min-above-max"])
+    def test_block_bounds_out_of_order_are_a_usage_error(
+        self, blocks, sine_csv, cubic_field_json, tmp_path
+    ):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        code, out, err = run_cli("davie-report", "--grid", str(grid_file),
+                                 "--field", str(cubic_field_json), *blocks)
+        assert code == 2
+        assert "exceeds --max-block" in err
+        assert out == ""
+
+    def test_report_without_a_fit_writes_null_slope(
+        self, sine_csv, cubic_field_json, tmp_path
+    ):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        code, out, _ = run_cli("davie-report", "--grid", str(grid_file),
+                               "--field", str(cubic_field_json),
+                               "--min-block", "32", "--max-block", "32")
+        assert code == 0
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        report = json.loads(out, parse_constant=reject)["report"]
+        assert len(report["rows"]) == 1
+        assert report["slope"] is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_output_refuses_non_finite_numbers(self, bad, tmp_path):
+        args = argparse.Namespace(out=str(tmp_path / "out.json"), no_timestamp=True)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _emit_json({"slope": bad}, args)
 
     def test_gap_statistics_table(self, tmp_path):
         out_file = tmp_path / "demo.csv"
