@@ -14,6 +14,14 @@ graft ``a ▷ b = a · D b``, the simultaneous graft (many components raised at
 once), the deshuffle coproduct, and the associative Grossman–Larson product
 built from the last two.  Truncation by total degree is optional and applied
 termwise, never during expansion.
+
+Multi-indices and forests are hash-consed: every construction returns the
+one canonical object for its value, kept in a bounded intern table that is
+cleared when full, so equal keys usually meet by identity in dict lookups.
+Equality and hashing stay structural, so an object built before a clear
+still equals, hashes like and finds the entries of a new one, and pickling
+or copying rebuilds through the constructor.  Every cache in this module has
+a stated bound.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 __all__ = [
@@ -52,6 +61,15 @@ class AlphabetMismatchError(ValueError):
 
 Entry = tuple[tuple[int, int], int]
 
+# Hash-consing tables: the canonical MultiIndex per (letters, entries) and the
+# canonical Forest per components tuple.  Each is cleared when it reaches its
+# bound.  ``verify --d 2 --max-norm 3`` fills them to about 6 000 and 12 000,
+# and the exact acceptance suite (criterion 01) to about 20 000 and 2 000.
+_MULTI_INDEX_BOUND = 1 << 15
+_FOREST_BOUND = 1 << 15
+_MULTI_INDICES: dict[tuple[int, tuple[Entry, ...]], "MultiIndex"] = {}
+_FORESTS: dict[tuple["MultiIndex", ...], "Forest"] = {}
+
 
 class MultiIndex:
     """Sparse monomial ``Π z(i,k)^m`` with positive frequencies only.
@@ -62,16 +80,24 @@ class MultiIndex:
     raises.  Arities
     are unbounded — the sparse map needs no ceiling, raising an arity simply
     creates a new key.
+
+    Instances are immutable and hash-consed: every construction returns the
+    one canonical object for ``(letters, entries)`` held in a bounded intern
+    table, so equal keys meet by identity in dict and set lookups.  The table
+    is cleared when full; an object built before that stays valid, because
+    equality and hashing remain structural.  Pickling and copying rebuild
+    through the constructor and so land on the canonical object.
     """
 
     __slots__ = ("entries", "letters", "_hash", "_degree")
 
-    def __init__(self, entries: Iterable[Entry] | dict[tuple[int, int], int], letters: int):
+    def __new__(cls, entries: Iterable[Entry] | dict[tuple[int, int], int], letters: int):
         if isinstance(entries, dict):
             items = entries.items()
         else:
             items = list(entries)
         cleaned = []
+        degree = 0
         for (i, k), m in items:
             if m == 0:
                 continue
@@ -82,25 +108,32 @@ class MultiIndex:
             if i >= letters:
                 raise ValueError(f"letter {i} outside alphabet of size {letters}")
             cleaned.append(((i, k), m))
+            degree += m
         cleaned.sort()
-        self.entries: tuple[Entry, ...] = tuple(cleaned)
-        self.letters = letters
-        self._hash = hash((letters, self.entries))
-        self._degree = sum(m for _, m in self.entries)
+        return cls._trusted(tuple(cleaned), letters, degree)
 
     @classmethod
     def _trusted(
-        cls, merged: dict[tuple[int, int], int], letters: int, degree: int
+        cls, entries: tuple[Entry, ...], letters: int, degree: int
     ) -> "MultiIndex":
-        """Build from a frequency map derived from already-checked keys:
-        every frequency positive, every letter inside the alphabet, and
-        ``degree`` the sum of the frequencies."""
-        self = object.__new__(cls)
-        self.entries = tuple(sorted(merged.items()))
-        self.letters = letters
-        self._hash = hash((letters, self.entries))
-        self._degree = degree
+        """The canonical object for already-checked entries: sorted by
+        variable, every frequency positive, every letter inside the alphabet,
+        and ``degree`` the sum of the frequencies."""
+        key = (letters, entries)
+        self = _MULTI_INDICES.get(key)
+        if self is None:
+            if len(_MULTI_INDICES) >= _MULTI_INDEX_BOUND:
+                _MULTI_INDICES.clear()
+            self = object.__new__(cls)
+            self.entries = entries
+            self.letters = letters
+            self._hash = hash(key)
+            self._degree = degree
+            _MULTI_INDICES[key] = self
         return self
+
+    def __reduce__(self):
+        return MultiIndex, (self.entries, self.letters)
 
     # -- identity -----------------------------------------------------------
 
@@ -176,10 +209,29 @@ class MultiIndex:
             raise AlphabetMismatchError(
                 f"alphabet sizes differ: {self.letters} vs {other.letters}"
             )
-        merged = dict(self.entries)
-        for key, m in other.entries:
-            merged[key] = merged.get(key, 0) + m
-        return MultiIndex._trusted(merged, self.letters, self._degree + other._degree)
+        a, b = self.entries, other.entries
+        if not b:
+            return self
+        if not a:
+            return other
+        # merge the two sorted entry tuples, adding the frequencies of a
+        # variable present in both
+        merged = []
+        p = q = 0
+        while p < len(a) and q < len(b):
+            (ka, ma), (kb, mb) = a[p], b[q]
+            if ka < kb:
+                merged.append(a[p])
+                p += 1
+            elif kb < ka:
+                merged.append(b[q])
+                q += 1
+            else:
+                merged.append((ka, ma + mb))
+                p += 1
+                q += 1
+        entries = (*merged, *a[p:], *b[q:])
+        return MultiIndex._trusted(entries, self.letters, self._degree + other._degree)
 
     def with_bumped(self, i: int, k: int) -> "MultiIndex":
         """Replace one copy of z(i,k) by z(i,k+1)."""
@@ -188,7 +240,7 @@ class MultiIndex:
         if merged[(i, k)] == 0:
             del merged[(i, k)]
         merged[(i, k + 1)] = merged.get((i, k + 1), 0) + 1
-        return MultiIndex._trusted(merged, self.letters, self._degree)
+        return MultiIndex._trusted(tuple(sorted(merged.items())), self.letters, self._degree)
 
     def without(self, i: int, k: int, count: int = 1) -> "MultiIndex":
         """Remove ``count`` copies of z(i,k); raises if not present."""
@@ -200,7 +252,9 @@ class MultiIndex:
             del merged[(i, k)]
         else:
             merged[(i, k)] = have - count
-        return MultiIndex._trusted(merged, self.letters, self._degree - count)
+        return MultiIndex._trusted(
+            tuple(sorted(merged.items())), self.letters, self._degree - count
+        )
 
     def minus(self, other: "MultiIndex") -> "MultiIndex":
         """Multiset difference; raises if ``other`` is not contained in self."""
@@ -222,7 +276,7 @@ class MultiIndex:
             )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _factorial(n: int) -> int:
     out = 1
     for j in range(2, n + 1):
@@ -240,26 +294,44 @@ def single(i: int, k: int, d: int, m: int = 1) -> MultiIndex:
     return MultiIndex([((i, k), m)], d + 1)
 
 
+_by_entries = attrgetter("entries")
+
+
 class Forest:
     """Unordered multiset of multi-indices, stored sorted (canonical form).
 
     The empty forest is the unit of the forest product and of the
     Grossman–Larson product.
+
+    Like :class:`MultiIndex`, forests are immutable and hash-consed: every
+    construction returns the canonical object for its sorted components
+    tuple, kept in a bounded intern table that is cleared when full.
+    Equality and hashing stay structural, and pickling and copying rebuild
+    through the constructor.
     """
 
     __slots__ = ("components", "_hash", "_degree")
 
-    def __init__(self, components: Iterable[MultiIndex] = ()):
+    def __new__(cls, components: Iterable[MultiIndex] = ()):
         comps = [c for c in components]
-        degree = 0
         for c in comps:
-            if c.is_empty:
+            if not c.entries:
                 raise ValueError("a forest component must be a nonempty multi-index")
-            degree += c._degree
-        comps.sort(key=lambda c: c.entries)
-        self.components: tuple[MultiIndex, ...] = tuple(comps)
-        self._hash = hash(self.components)
-        self._degree = degree
+        comps.sort(key=_by_entries)
+        key = tuple(comps)
+        self = _FORESTS.get(key)
+        if self is None:
+            if len(_FORESTS) >= _FOREST_BOUND:
+                _FORESTS.clear()
+            self = object.__new__(cls)
+            self.components = key
+            self._hash = hash(key)
+            self._degree = sum(c._degree for c in key)
+            _FORESTS[key] = self
+        return self
+
+    def __reduce__(self):
+        return Forest, (self.components,)
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -310,6 +382,10 @@ class Forest:
 
     def merge(self, other: "Forest") -> "Forest":
         """Forest product: disjoint union of the multisets."""
+        if not other.components:
+            return self
+        if not self.components:
+            return other
         return Forest(self.components + other.components)
 
     def all_populated(self) -> bool:
@@ -494,9 +570,11 @@ def _sym(b) -> int:
     return b.symmetry_factor()
 
 
+@lru_cache(maxsize=1 << 13)
 def _derive_mi(a: MultiIndex) -> FormalSum:
     """D on a single multi-index: raise each variable's arity once, with
-    the frequency as coefficient."""
+    the frequency as coefficient.  Memoized; the shared result is never
+    mutated."""
     out: dict[MultiIndex, int] = {}
     for (i, k), m in a.entries:
         term = a.with_bumped(i, k)
@@ -610,12 +688,12 @@ def deshuffle(u: Forest) -> FormalSum:
     return FormalSum(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _binomial(n: int, k: int) -> int:
     return _factorial(n) // (_factorial(k) * _factorial(n - k))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _star_basis(u: Forest, v: Forest) -> FormalSum:
     """Grossman–Larson product of two basis forests, untruncated.
 
@@ -701,12 +779,12 @@ def enumerate_populated(d: int, max_degree: int) -> list[MultiIndex]:
     return found
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _populated_tuple(d: int, max_degree: int) -> tuple[MultiIndex, ...]:
     return tuple(enumerate_populated(d, max_degree))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def forest_basis(d: int, max_degree: int) -> tuple[Forest, ...]:
     """All forests of populated multi-indices of total degree ≤ max_degree,
     the empty forest first, then sorted by (degree, canonical order)."""

@@ -224,7 +224,7 @@ def character_from_json(payload: dict, d: int | None = None) -> Character:
 # insertion products
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _derivative_terms(mi: MultiIndex, order: int) -> FormalSum:
     """D^order applied to a single monomial, cached exactly."""
     if order == 0:
@@ -351,7 +351,7 @@ def insert_simultaneous(left: Forest, right: MultiIndex | Forest) -> FormalSum:
 # translation of formal sums
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _generator_image(ell: Character, k: int) -> FormalSum:
     """Image of z(direction, k): Σ_β ℓ(z^β)/S(z^β) · D^k z^β."""
     return FormalSum.linear(
@@ -378,9 +378,12 @@ def _check_characters(ells: Sequence[Character], letters: int) -> None:
             )
 
 
+@lru_cache(maxsize=4096)
 def _translate_mi(
-    ells: Sequence[Character], mi: MultiIndex, trunc: int | None
+    ells: tuple[Character, ...], mi: MultiIndex, trunc: int | None
 ) -> FormalSum:
+    """Translate one monomial.  Memoized, so callers share the result and
+    must not mutate it (no ``FormalSum`` operation does)."""
     acc: dict[MultiIndex, int | Fraction] = {empty_multi_index(mi.letters - 1): 1}
     for (i, k), m in mi.entries:
         image = _generator_image(ells[i], k)
@@ -401,7 +404,7 @@ def _translate_mi(
 
 
 def _translate_forest(
-    ells: Sequence[Character], forest: Forest, trunc: int | None
+    ells: tuple[Character, ...], forest: Forest, trunc: int | None
 ) -> FormalSum:
     acc: dict[Forest, int | Fraction] = {EMPTY_FOREST: 1}
     for component in forest.components:
@@ -431,6 +434,7 @@ def translate(
     input yields a sum of monomials, forest input a sum of forests, and formal
     sums are handled term by term.
     """
+    ells = tuple(ells)
     if isinstance(u, MultiIndex):
         _check_characters(ells, u.letters)
         return _translate_mi(ells, u, trunc)
@@ -522,7 +526,7 @@ def _frequency_factor(mi: MultiIndex) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _raise_candidates(block: MultiIndex, steps: int) -> tuple[tuple[MultiIndex, Fraction], ...]:
     """Monomials γ whose ``steps``-fold derivative contains ``block``, with
     the coefficient of ``block`` in D^steps z^γ."""
@@ -658,6 +662,7 @@ def m_ell(
     d = b.letters - 1
     bound = b.degree() if trunc is None else min(trunc, b.degree())
     s_target = symmetry_factor(b)
+    ells = tuple(ells)
     out: dict[MultiIndex, int | Fraction] = {}
     for beta in enumerate_populated(d, bound):
         coeff = _translate_mi(ells, beta, b.degree()).coefficient(b)

@@ -20,9 +20,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from mirpath import algebra
 from mirpath.algebra import Grading, MultiIndex, enumerate_populated
 from mirpath.grammar import parse_multi_index
-from mirpath.group import char_eval, chen_compose
+from mirpath.group import _key_index, char_eval, chen_compose
 from mirpath.lifts import (
     UnsupportedLevelError,
     _ordered_parts,
@@ -327,6 +328,22 @@ def test_grid_json_round_trip_bit_exact():
     assert back.grading == grid.grading
     for a, b in zip(back.increments, grid.increments):
         assert a.values == b.values
+
+
+def test_grid_reader_keys_are_the_key_index_objects():
+    # start from an empty monomial table and rebuild the cached basis from
+    # it, so that no clear made by an earlier test has left that basis
+    # holding superseded key objects
+    algebra._MULTI_INDICES.clear()
+    algebra._populated_tuple.cache_clear()
+    _key_index.cache_clear()
+    grid = lift_brownian(2, 1.0, 8, 123, "strat", G2)
+    index = _key_index(2, G2.max_norm)
+    canonical = {key: key for key in index}
+    back = grid_from_json(grid_to_json(grid))
+    for increment in back.increments:
+        assert len(increment.values) == len(index)
+        assert all(canonical[key] is key for key in increment.values)
 
 
 def test_path_csv_round_trip():
