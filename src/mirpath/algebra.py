@@ -27,6 +27,7 @@ a stated bound.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -69,6 +70,23 @@ _MULTI_INDEX_BOUND = 1 << 15
 _FOREST_BOUND = 1 << 15
 _MULTI_INDICES: dict[tuple[int, tuple[Entry, ...]], "MultiIndex"] = {}
 _FORESTS: dict[tuple["MultiIndex", ...], "Forest"] = {}
+# How many times the monomial table has been cleared; a forest made before
+# the last clear holds superseded components and is rebuilt on its next lookup.
+_EPOCH = 0
+
+
+def _clear_interned(table: dict) -> None:
+    """Empty a full intern table and every module-level cache of the
+    package, so that no cached basis keeps a superseded key."""
+    global _EPOCH
+    if table is _MULTI_INDICES:
+        _EPOCH += 1
+    table.clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith(f"{__package__}."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
 
 
 class MultiIndex:
@@ -123,7 +141,7 @@ class MultiIndex:
         self = _MULTI_INDICES.get(key)
         if self is None:
             if len(_MULTI_INDICES) >= _MULTI_INDEX_BOUND:
-                _MULTI_INDICES.clear()
+                _clear_interned(_MULTI_INDICES)
             self = object.__new__(cls)
             self.entries = entries
             self.letters = letters
@@ -310,7 +328,7 @@ class Forest:
     through the constructor.
     """
 
-    __slots__ = ("components", "_hash", "_degree")
+    __slots__ = ("components", "_hash", "_degree", "_epoch")
 
     def __new__(cls, components: Iterable[MultiIndex] = ()):
         comps = [c for c in components]
@@ -320,13 +338,16 @@ class Forest:
         comps.sort(key=_by_entries)
         key = tuple(comps)
         self = _FORESTS.get(key)
-        if self is None:
-            if len(_FORESTS) >= _FOREST_BOUND:
-                _FORESTS.clear()
+        if self is None or self._epoch != _EPOCH:
+            if self is not None:
+                del _FORESTS[key]  # so that the new entry keeps the new key
+            elif len(_FORESTS) >= _FOREST_BOUND:
+                _clear_interned(_FORESTS)
             self = object.__new__(cls)
             self.components = key
             self._hash = hash(key)
             self._degree = sum(c._degree for c in key)
+            self._epoch = _EPOCH
             _FORESTS[key] = self
         return self
 
@@ -789,7 +810,7 @@ def forest_basis(d: int, max_degree: int) -> tuple[Forest, ...]:
     """All forests of populated multi-indices of total degree ≤ max_degree,
     the empty forest first, then sorted by (degree, canonical order)."""
     mis = _populated_tuple(d, max_degree)
-    forests: list[Forest] = [EMPTY_FOREST]
+    forests: list[Forest] = [Forest()]
     # build multisets by walking the multi-index list in order, never
     # choosing an earlier index than the last one picked
     def extend(start: int, picked: list[MultiIndex], deg: int) -> None:

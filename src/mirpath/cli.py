@@ -145,36 +145,33 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _load_json(path: str) -> dict | list:
+def _read_input(path: str, reader, what: str, wrapper: str | None = None):
+    """``reader`` applied to the JSON document in ``path``, unwrapped from
+    its ``wrapper`` field if the file is a CLI output; malformed content is
+    a usage error that names the file."""
     try:
-        return json.loads(_read_text(path))
+        payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
+    if isinstance(payload, dict) and wrapper in payload:
+        payload = payload[wrapper]
+    try:
+        return reader(payload)
+    except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
+        raise UsageError(f"{path!r} does not hold {what}: {exc}") from exc
 
 
 def _load_grid(path: str) -> RoughPathGrid:
     """Accept either a bare grid document or one wrapped by ``lift``."""
     from .lifts import grid_from_json
 
-    payload = _load_json(path)
-    if isinstance(payload, dict) and "grid" in payload:
-        payload = payload["grid"]
-    try:
-        return grid_from_json(payload)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"{path!r} does not hold a rough-path grid: {exc}") from exc
+    return _read_input(path, grid_from_json, "a rough-path grid", "grid")
 
 
 def _load_field(path: str) -> VectorField:
     from .fields import vector_field_from_json
 
-    payload = _load_json(path)
-    if isinstance(payload, dict) and "field" in payload:
-        payload = payload["field"]
-    try:
-        return vector_field_from_json(payload)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise UsageError(f"{path!r} does not hold a vector field: {exc}") from exc
+    return _read_input(path, vector_field_from_json, "a vector field", "field")
 
 
 def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
@@ -197,17 +194,12 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
         return ells
     if not args.chars:
         raise UsageError("translation needs --ito-strat or --chars FILE")
-    payload = _load_json(args.chars)
-    entries = payload if isinstance(payload, list) else [payload]
-    for entry in entries:
-        try:
-            ell = character_from_json(entry, d=d)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"bad character in {args.chars!r}: {exc}") from exc
-        if not 0 <= ell.direction <= d:
-            raise UsageError(
-                f"character direction {ell.direction} outside 0..{d}"
-            )
+
+    def read(payload) -> list[Character]:
+        entries = payload if isinstance(payload, list) else [payload]
+        return [character_from_json(entry, d=d) for entry in entries]
+
+    for ell in _read_input(args.chars, read, "characters"):
         ells[ell.direction] = ell
     return ells
 

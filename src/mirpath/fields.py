@@ -49,11 +49,21 @@ def _poly_derivative(coeffs: tuple[Fraction, ...], k: int) -> tuple[Fraction, ..
     return out
 
 
-def _horner(coeffs: Sequence[float], y: float) -> float:
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * y + c
-    return acc
+def _horner_rows(exact_row: Callable) -> Callable[[int, int, float], float]:
+    """(i, k, y) ↦ the polynomial ``exact_row(i, k)`` at y by Horner's rule,
+    over a float copy of its coefficients made once per (i, k)."""
+    rows: dict[tuple[int, int], tuple[float, ...]] = {}
+
+    def at(i: int, k: int, y: float) -> float:
+        row = rows.get((i, k))
+        if row is None:
+            row = rows[i, k] = tuple(float(c) for c in exact_row(i, k))
+        acc = 0.0
+        for c in reversed(row):
+            acc = acc * y + c
+        return acc
+
+    return at
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -128,21 +138,10 @@ class VectorField:
         table = tuple(tuple(Fraction(c) for c in row) for row in coeffs)
         if len(table) < 1:
             raise ValueError("need at least the drift row f_0")
-        d = len(table) - 1
-        float_cache: dict[tuple[int, int], tuple[float, ...]] = {}
-
-        def provider(i: int, k: int, y: float) -> float:
-            key = (i, k)
-            cached = float_cache.get(key)
-            if cached is None:
-                cached = tuple(float(c) for c in _poly_derivative(table[i], k))
-                float_cache[key] = cached
-            return _horner(cached, y)
-
         return cls(
-            d=d,
+            d=len(table) - 1,
             variant="polynomial",
-            provider=provider,
+            provider=_horner_rows(lambda i, k: _poly_derivative(table[i], k)),
             max_order=None,
             bounded=bounded,
             poly_coeffs=table,
@@ -216,16 +215,8 @@ class SmoothTest:
     @classmethod
     def polynomial(cls, coeffs) -> "SmoothTest":
         table = tuple(Fraction(c) for c in coeffs)
-        cache: dict[int, tuple[float, ...]] = {}
-
-        def provider(k: int, y: float) -> float:
-            row = cache.get(k)
-            if row is None:
-                row = tuple(float(c) for c in _poly_derivative(table, k))
-                cache[k] = row
-            return _horner(row, y)
-
-        return cls(provider=provider)
+        at = _horner_rows(lambda _, k: _poly_derivative(table, k))
+        return cls(provider=lambda k, y: at(0, k, y))
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +398,8 @@ def vector_field_from_json(doc: str | Mapping) -> VectorField:
         i = int(entry["i"])
         if not 0 <= i <= d:
             raise ValueError(f"field letter {i} outside 0..{d}")
+        if not isinstance(entry["coeffs"], list):
+            raise ValueError(f"field letter {i}: coeffs must be a JSON list")
         rows[i] = [Fraction(str(c)) for c in entry["coeffs"]]
         try:
             for k in range(len(rows[i])):

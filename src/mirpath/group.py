@@ -4,10 +4,11 @@ A rough-path increment is stored as a :class:`GroupElement`: one read-only
 float vector ``coords`` over the populated multi-indices of degree ≤ N (in
 ascending degree), extended to forests by multiplicativity.  ``values`` is a
 read-only mapping view of it that lists the keys given to the checked
-constructor, explicit zeros included, or the nonzero keys of a computed
-element.  All numeric products go through one table per (d, N), built on
-first use from the exact Grossman–Larson structure constants of
-:mod:`mirpath.algebra` and cached.  Over the indexed forest basis an element
+constructor, explicit zeros included, the nonzero keys of a computed
+element, or, for a row of a grid, every key up to the grid's stored degree.
+All numeric products go through one table per (d, N), built on first use
+from the exact Grossman–Larson structure constants of :mod:`mirpath.algebra`
+and cached.  Over the indexed forest basis an element
 is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
 is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the table rows (u, v, w), where
 C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into the exact constant c.
@@ -15,15 +16,17 @@ Chen composition reads the single-component slots of that product.
 
 :class:`LieElement` holds the logarithm: a primitive element, nonzero only on
 single multi-indices.  ``exp_element``/``log_element`` are truncated power
-series in the same product; :class:`RoughPathGrid` strings increments along a
-time grid with composition on demand.
+series in the same product.  :class:`RoughPathGrid` stores the increments
+along a time grid as one read-only ``(n, K)`` array over the same slots, with
+``depth``, the highest degree its rows store values for; wider increments
+follow by composition on demand.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -74,9 +77,28 @@ class PrimitivityError(ValueError):
 def _key_index(d: int, n: int) -> dict[MultiIndex, int]:
     """The populated multi-indices of degree ≤ n over letters 0..d, each
     mapped to its slot in ``coords``: ascending degree, then entries, which
-    is also the order of the single-component forests of ``forest_basis``."""
+    is also the order of the single-component forests of ``forest_basis``.
+    So the keys of degree ≤ m come first, in ``len(_populated_tuple(d, m))``
+    slots."""
     keys = sorted(_populated_tuple(d, n), key=lambda mi: (mi.degree(), mi.entries))
     return {mi: p for p, mi in enumerate(keys)}
+
+
+def _slot(key: MultiIndex, d: int, grading: Grading) -> int | None:
+    """The slot of ``key`` in ``coords``.  A key outside the populated basis
+    of degree ≤ N over letters 0..d raises :class:`InvalidKeyError`; a key
+    over a wider alphabet whose letters fit passes and has no slot (None)."""
+    if (p := _key_index(d, grading.max_norm).get(key)) is not None:
+        return p
+    if not key.is_populated():
+        raise InvalidKeyError(f"key {key!r} is not populated")
+    if key.degree() > grading.max_norm:
+        raise InvalidKeyError(
+            f"key {key!r} has degree {key.degree()} above truncation {grading.max_norm}"
+        )
+    if any(i > d for (i, _), _ in key.entries):
+        raise InvalidKeyError(f"key {key!r} uses a letter above d={d}")
+    return None
 
 
 class _Element:
@@ -86,39 +108,31 @@ class _Element:
         """The checked constructor; ``values`` keeps exactly the given keys.
         A key over a wider alphabet whose letters fit passes the checks and
         is read back by :meth:`value`, but has no slot in ``coords``."""
-        index = _key_index(d, grading.max_norm)
-        coords = np.zeros(len(index))
+        coords = np.zeros(len(_key_index(d, grading.max_norm)))
         for key, v in values.items():
-            if (p := index.get(key)) is not None:
+            if (p := _slot(key, d, grading)) is not None:
                 coords[p] = v
-            elif not key.is_populated():
-                raise InvalidKeyError(f"key {key!r} is not populated")
-            elif key.degree() > grading.max_norm:
-                raise InvalidKeyError(
-                    f"key {key!r} has degree {key.degree()} above truncation "
-                    f"{grading.max_norm}"
-                )
-            elif any(i > d for (i, _), _ in key.entries):
-                raise InvalidKeyError(f"key {key!r} uses a letter above d={d}")
         coords.flags.writeable = False
         view = MappingProxyType(dict(values))
         vars(self).update(d=d, grading=grading, coords=coords, values=view)
 
     @classmethod
-    def _of(cls, d: int, grading: Grading, coords: np.ndarray):
-        """Unchecked: a computed element, whose ``values`` lists its nonzero keys."""
+    def _of(cls, d: int, grading: Grading, coords: np.ndarray, listed: int | None = None):
+        """Unchecked: a computed element, whose ``values`` lists its nonzero
+        keys, or its first ``listed`` keys, zeros included."""
         out = cls.__new__(cls)
         coords.flags.writeable = False
-        vars(out).update(d=d, grading=grading, coords=coords)
+        vars(out).update(d=d, grading=grading, coords=coords, _listed=listed)
         return out
 
     @cached_property
     def values(self) -> Mapping[MultiIndex, float]:
-        """Read-only view: the keys the element was built from, or the
-        nonzero coordinates of a computed element."""
-        index = _key_index(self.d, self.grading.max_norm)
-        view = {key: x for key, x in zip(index, self.coords.tolist()) if x != 0.0}
-        return MappingProxyType(view)
+        """Read-only view: the keys the element was built from, the nonzero
+        coordinates of a computed element, or the listed ones of a grid row."""
+        pairs = zip(_key_index(self.d, self.grading.max_norm), self.coords.tolist())
+        if self._listed is not None:
+            return MappingProxyType(dict(itertools.islice(pairs, self._listed)))
+        return MappingProxyType({key: x for key, x in pairs if x != 0.0})
 
     def value(self, key: MultiIndex) -> float:
         if (p := _key_index(self.d, self.grading.max_norm).get(key)) is not None:
@@ -318,33 +332,57 @@ def _time_index(times: Sequence[float], t: float) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
 class RoughPathGrid:
     """Consecutive increments X_{t_j,t_{j+1}} over a strictly increasing grid.
 
-    Increments over non-adjacent grid pairs are produced by Chen composition
-    on demand; off-grid times are rejected, never interpolated.
+    Row m of the read-only ``(n, K)`` array ``coords`` holds X_{t_m,t_{m+1}}
+    over the slots of ``_key_index(d, N)``; ``depth`` is the highest degree
+    the rows store values for, and every slot above it is 0.  Increments
+    over non-adjacent grid pairs are produced by Chen composition on demand;
+    off-grid times are rejected, never interpolated.
     """
 
-    d: int
-    grading: Grading
-    times: tuple[float, ...]
-    increments: tuple[GroupElement, ...]
+    def __init__(
+        self, d: int, grading: Grading, times: Sequence[float], increments: Sequence[GroupElement]
+    ):
+        """The checked constructor: one increment per consecutive pair of
+        ``times``, each over ``d`` and ``grading``; every degree is stored."""
+        if any((inc.d, inc.grading) != (d, grading) for inc in increments):
+            raise GradingMismatchError("increment grading differs from grid grading")
+        width = len(_key_index(d, grading.max_norm))
+        coords = np.array([inc.coords for inc in increments]).reshape(-1, width)
+        self._fill(d, grading, tuple(times), coords, grading.max_norm)
 
-    def __post_init__(self):
-        if len(self.times) < 2:
+    @classmethod
+    def _of(cls, d: int, grading: Grading, times, coords: np.ndarray, depth: int):
+        """A grid over rows filled by slot, which store degrees ≤ ``depth``."""
+        out = cls.__new__(cls)
+        out._fill(d, grading, tuple(times), coords, depth)
+        return out
+
+    def _fill(self, d, grading, times, coords, depth) -> None:
+        if len(times) < 2:
             raise ValueError("a grid needs at least two time points")
-        if len(self.increments) != len(self.times) - 1:
+        if len(coords) != len(times) - 1:
             raise ValueError(
-                f"{len(self.times)} times require {len(self.times) - 1} increments, "
-                f"got {len(self.increments)}"
+                f"{len(times)} times require {len(times) - 1} increments, "
+                f"got {len(coords)}"
             )
-        for a, b in zip(self.times, self.times[1:]):
+        for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError(f"times not strictly increasing at {a} .. {b}")
-        for inc in self.increments:
-            if (inc.d, inc.grading) != (self.d, self.grading):
-                raise GradingMismatchError("increment grading differs from grid grading")
+        coords.flags.writeable = False
+        vars(self).update(d=d, grading=grading, times=times, coords=coords, depth=depth)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @cached_property
+    def increments(self) -> tuple[GroupElement, ...]:
+        """The rows of ``coords`` as elements, each listing in ``values``
+        its keys of degree ≤ ``depth``."""
+        listed = len(_populated_tuple(self.d, self.depth))
+        return tuple(GroupElement._of(self.d, self.grading, row, listed) for row in self.coords)
 
     def index_of(self, t: float) -> int:
         j = _time_index(self.times, t)

@@ -14,11 +14,13 @@ with the weight w fixing the rule:
 * ``lift_brownian`` with ``"ito"``: the left-point rule, which leaves only
   level 1 within a step.
 
-The Brownian lattice lift is limited to level ≤ 3.  Multi-step increments
-follow by Chen composition in every case.
+The Brownian lattice lift is limited to level ≤ 3.  Each lift writes its
+step values by slot into the rows of one grid array, whose ``depth`` is the
+highest degree it stores (1 for the Itô rule); multi-step increments follow
+by Chen composition in every case.
 
 The JSON/CSV formats at the bottom are the package's only on-disk path
-representations.
+representations; a grid file lists every key up to the grid's depth.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .algebra import Grading, MultiIndex, _populated_tuple
 from .grammar import format_multi_index, parse_multi_index
-from .group import GroupElement, RoughPathGrid
+from .group import RoughPathGrid, _key_index, _slot
 
 __all__ = [
     "UnsupportedLevelError",
@@ -104,33 +106,6 @@ def integral_decompositions(
 # ---------------------------------------------------------------------------
 
 
-def _segment_values(
-    dx: Sequence[float], basis: Sequence[MultiIndex], weight: Callable[[int], float]
-) -> dict[MultiIndex, float]:
-    """Values of one step with increments ``dx`` (letter 0 is time):
-
-        X(z(i,0)) = dx[i],   X(z^β) = weight(|β|) · Σ dx[i] · Π_j X(z^{β_j})
-
-    summed over ``integral_decompositions(β)``.  ``basis`` lists every
-    multi-index after its parts (ascending degree)."""
-    values: dict[MultiIndex, float] = {}
-    for beta in basis:
-        n = beta.degree()
-        if n == 1:
-            (i, _), _ = beta.entries[0]
-            values[beta] = dx[i]
-            continue
-        w = weight(n)
-        total = 0.0
-        for i, _, parts in integral_decompositions(beta):
-            prod = 1.0
-            for bj in parts:
-                prod *= values[bj]
-            total += w * prod * dx[i]
-        values[beta] = total
-    return values
-
-
 def _lift_steps(
     d: int,
     grading: Grading,
@@ -139,20 +114,43 @@ def _lift_steps(
     depth: int,
     weight: Callable[[int], float],
 ) -> RoughPathGrid:
-    """One stored increment per row of ``dxs``, filled up to degree ``depth``."""
-    basis = sorted(_populated_tuple(d, depth), key=MultiIndex.degree)
-    increments = []
+    """One stored increment per row of ``dxs`` (letter 0 is time), its values
+    of degree ≤ ``depth`` written by slot:
+
+        X(z(i,0)) = dx[i],   X(z^β) = weight(|β|) · Σ dx[i] · Π_j X(z^{β_j})
+
+    summed over ``integral_decompositions(β)``.  The slots of degree 1 are
+    those of z(0,0) … z(d,0), in order, and every β comes after its parts."""
+    index = _key_index(d, grading.max_norm)
+    rules = [
+        (weight(beta.degree()), [(i, [index[bj] for bj in parts])
+                                 for i, _, parts in integral_decompositions(beta)])
+        for beta in tuple(index)[d + 1 : len(_populated_tuple(d, depth))]
+    ]
+    padding = [0.0] * (len(index) - d - 1)
+    coords = np.empty((len(dxs), len(index)))
     for m, dx in enumerate(dxs):
-        values = _segment_values(dx, basis, weight)
-        if not all(math.isfinite(v) for v in values.values()):
-            raise ValueError(
-                f"lift value overflows on segment {m} "
-                f"(t = {times[m]} .. {times[m + 1]})"
-            )
-        increments.append(GroupElement(d=d, grading=grading, values=values))
-    return RoughPathGrid(
-        d=d, grading=grading, times=tuple(times), increments=tuple(increments)
-    )
+        row = [*dx, *padding]
+        for p, (w, terms) in enumerate(rules, start=d + 1):
+            total = 0.0
+            for i, slots in terms:
+                prod = 1.0
+                for q in slots:
+                    prod *= row[q]
+                total += w * prod * dx[i]
+            row[p] = total
+        coords[m] = row
+    if (m := _first_non_finite(coords)) is not None:
+        raise ValueError(
+            f"lift value overflows on segment {m} (t = {times[m]} .. {times[m + 1]})"
+        )
+    return RoughPathGrid._of(d, grading, times, coords, depth)
+
+
+def _first_non_finite(coords: np.ndarray) -> int | None:
+    """The first row of ``coords`` that holds a non-finite value, if any."""
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +176,6 @@ def lift_piecewise_linear(
     if d < 1:
         raise ValueError("samples must contain at least one state coordinate")
     times = [float(row[0]) for row in samples]
-    for a, b in zip(times, times[1:]):
-        if not b > a:
-            raise ValueError(f"sample times not strictly increasing at {a} .. {b}")
     dxs = [
         [float(b) - float(a) for a, b in zip(row0, row1)]
         for row0, row1 in zip(samples, samples[1:])
@@ -307,21 +302,18 @@ def brownian_pair_statistics(
 
 
 def grid_payload(path: RoughPathGrid) -> dict:
-    """The JSON document of a grid, as a dict; each distinct key is
-    formatted once."""
-    name = lru_cache(maxsize=None)(format_multi_index)
+    """The JSON document of a grid, as a dict: each increment lists every
+    key of degree ≤ ``path.depth``, sorted by entries, zeros included."""
+    index = _key_index(path.d, path.grading.max_norm)
+    keys = tuple(index)[: len(_populated_tuple(path.d, path.depth))]
+    order = sorted(range(len(keys)), key=lambda p: keys[p].entries)
+    names = [format_multi_index(keys[p]) for p in order]
     return {
         "d": path.d,
         "gamma": f"{path.grading.gamma.numerator}/{path.grading.gamma.denominator}",
         "max_norm": path.grading.max_norm,
         "times": list(path.times),
-        "increments": [
-            {
-                name(mi): v
-                for mi, v in sorted(inc.values.items(), key=lambda kv: kv[0].entries)
-            }
-            for inc in path.increments
-        ],
+        "increments": [dict(zip(names, row)) for row in path.coords[:, order].tolist()],
     }
 
 
@@ -331,22 +323,33 @@ def grid_to_json(path: RoughPathGrid) -> str:
 
 def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     """Read a grid from its JSON text or from the already-parsed document.
-    Each distinct key string is parsed once."""
+    Each distinct key string is parsed and checked once; the grid stores
+    the degrees up to the highest key degree in the document."""
     payload = json.loads(doc) if isinstance(doc, str) else doc
     d = int(payload["d"])
     grading = Grading(max_norm=int(payload["max_norm"]), gamma=Fraction(payload["gamma"]))
     times = tuple(float(t) for t in payload["times"])
     if not all(math.isfinite(t) for t in times):
         raise ValueError("grid times must be finite numbers")
-    parse = lru_cache(maxsize=None)(lambda key: parse_multi_index(key, d=d))
-
-    increments = []
-    for m, entry in enumerate(payload["increments"]):
-        values = {parse(key): float(v) for key, v in entry.items()}
-        if not all(math.isfinite(v) for v in values.values()):
-            raise ValueError(f"increment {m} holds a non-finite value")
-        increments.append(GroupElement(d=d, grading=grading, values=values))
-    return RoughPathGrid(d=d, grading=grading, times=times, increments=tuple(increments))
+    index = tuple(_key_index(d, grading.max_norm))
+    increments = payload["increments"]
+    slots: dict[str, int] = {}
+    coords = np.empty((len(increments), len(index)))
+    for m, entry in enumerate(increments):
+        if not isinstance(entry, Mapping):
+            raise ValueError(f"increment {m} is not a JSON object")
+        row = [0.0] * len(index)
+        for key, v in entry.items():
+            if (p := slots.get(key)) is None:
+                p = slots[key] = _slot(parse_multi_index(key, d=d), d, grading)
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"increment {m} holds {v!r} under {key!r}, not a number")
+            row[p] = float(v)
+        coords[m] = row
+    if (m := _first_non_finite(coords)) is not None:
+        raise ValueError(f"increment {m} holds a non-finite value")
+    depth = max((index[p].degree() for p in slots.values()), default=0)
+    return RoughPathGrid._of(d, grading, times, coords, depth)
 
 
 def write_path_csv(samples: Iterable[tuple[float, ...]], stream) -> None:

@@ -27,6 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .algebra import (
     EMPTY_FOREST,
     Forest,
@@ -42,7 +44,7 @@ from .algebra import (
     symmetry_factor,
 )
 from .grammar import format_multi_index, parse_multi_index
-from .group import GroupElement, RoughPathGrid
+from .group import RoughPathGrid, _key_index
 
 __all__ = [
     "Character",
@@ -209,6 +211,8 @@ def character_from_json(payload: dict, d: int | None = None) -> Character:
     if not isinstance(direction, int):
         raise ValueError(f"direction must be an integer, got {direction!r}")
     raw = payload.get("terms", {})
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"terms must be a JSON object, got {raw!r}")
     parsed: list[tuple[MultiIndex, Fraction]] = []
     widest = max(direction, 1)
     for text, value in raw.items():
@@ -707,34 +711,25 @@ def translate_roughpath(
             out_grading = Grading(
                 max_norm=math.floor(order / gamma), gamma=gamma / order
             )
-    duals: dict[MultiIndex, FormalSum] = {}
-    needed = 0
-    for beta in enumerate_populated(path.d, out_grading.max_norm):
-        image = duals[beta] = m_ell(ells, beta)
-        for gamma_mi, _c in image.items():
-            needed = max(needed, gamma_mi.degree())
+    out_index = _key_index(path.d, out_grading.max_norm)
+    duals = {beta: m_ell(ells, beta) for beta in out_index}
+    needed = max(
+        (gamma_mi.degree() for image in duals.values() for gamma_mi, _ in image.items()),
+        default=0,
+    )
     if needed > path.grading.max_norm:
         raise TruncationShortfallError(
             f"translation needs stored values up to degree {needed}, "
             f"but the grid is truncated at {path.grading.max_norm}",
             missing_degree=needed,
         )
-    increments = []
-    for increment in path.increments:
-        values: dict[MultiIndex, float] = {}
+    index = _key_index(path.d, path.grading.max_norm)
+    coords = np.zeros((len(path.coords), len(out_index)))
+    with np.errstate(all="ignore"):  # overflow gives inf, as in float arithmetic
         for beta, image in duals.items():
-            total = 0.0
+            column = coords[:, out_index[beta]]
             for gamma_mi, coeff in image.items():
-                x = increment.values.get(gamma_mi, 0.0)
-                if x:
-                    total += float(coeff) * x
-            values[beta] = total
-        increments.append(
-            GroupElement(d=path.d, grading=out_grading, values=values)
-        )
-    return RoughPathGrid(
-        d=path.d,
-        grading=out_grading,
-        times=path.times,
-        increments=tuple(increments),
+                column += float(coeff) * path.coords[:, index[gamma_mi]]
+    return RoughPathGrid._of(
+        path.d, out_grading, path.times, coords, out_grading.max_norm
     )

@@ -197,22 +197,23 @@ _SAMPLE_POINTS = (-0.6, 0.3, 1.1)
 # ---------------------------------------------------------------------------
 
 
-def _suite_graft_prelie(d, max_norm, seed, gamma, rec):
-    """Associator of ▷ symmetric in its first two slots."""
+def _check_symmetric_triples(defect, label, d, max_norm, seed, rec):
+    """defect(a, b, c) == defect(b, a, c) on every triple of degree ≤ 2,
+    then on 40 seeded random triples of degree ≤ 3."""
     low = enumerate_populated(d, min(max_norm, 2))
-    for a, b, c in itertools.product(low, repeat=3):
-        rec.check(
-            _graft_defect(a, b, c) == _graft_defect(b, a, c),
-            lambda a=a, b=b, c=c: _triple_text("graft pre-Lie", a, b, c),
-        )
     rng = random.Random(seed)
     deep = enumerate_populated(d, min(max_norm, 3))
-    for _ in range(40):
-        a, b, c = (rng.choice(deep) for _ in range(3))
+    drawn = [tuple(rng.choice(deep) for _ in range(3)) for _ in range(40)]
+    for a, b, c in [*itertools.product(low, repeat=3), *drawn]:
         rec.check(
-            _graft_defect(a, b, c) == _graft_defect(b, a, c),
-            lambda a=a, b=b, c=c: _triple_text("graft pre-Lie", a, b, c),
+            defect(a, b, c) == defect(b, a, c),
+            lambda a=a, b=b, c=c: _triple_text(label, a, b, c),
         )
+
+
+def _suite_graft_prelie(d, max_norm, seed, gamma, rec):
+    """Associator of ▷ symmetric in its first two slots."""
+    _check_symmetric_triples(_graft_defect, "graft pre-Lie", d, max_norm, seed, rec)
 
 
 def _suite_graft_nap(d, max_norm, seed, gamma, rec):
@@ -223,20 +224,7 @@ def _suite_graft_nap(d, max_norm, seed, gamma, rec):
             FormalSum.of(b), prelie_graft(a, c)
         )
 
-    low = enumerate_populated(d, min(max_norm, 2))
-    for a, b, c in itertools.product(low, repeat=3):
-        rec.check(
-            nap_side(a, b, c) == nap_side(b, a, c),
-            lambda a=a, b=b, c=c: _triple_text("graft NAP", a, b, c),
-        )
-    rng = random.Random(seed)
-    deep = enumerate_populated(d, min(max_norm, 3))
-    for _ in range(40):
-        a, b, c = (rng.choice(deep) for _ in range(3))
-        rec.check(
-            nap_side(a, b, c) == nap_side(b, a, c),
-            lambda a=a, b=b, c=c: _triple_text("graft NAP", a, b, c),
-        )
+    _check_symmetric_triples(nap_side, "graft NAP", d, max_norm, seed, rec)
 
 
 def _suite_star_associative(d, max_norm, seed, gamma, rec):
@@ -312,20 +300,7 @@ def _suite_bialgebra(d, max_norm, seed, gamma, rec):
 
 def _suite_insertion_prelie(d, max_norm, seed, gamma, rec):
     """Associator of ▶ symmetric in its first two slots."""
-    low = enumerate_populated(d, min(max_norm, 2))
-    for a, b, c in itertools.product(low, repeat=3):
-        rec.check(
-            _insert_defect(a, b, c) == _insert_defect(b, a, c),
-            lambda a=a, b=b, c=c: _triple_text("insertion pre-Lie", a, b, c),
-        )
-    rng = random.Random(seed)
-    deep = enumerate_populated(d, min(max_norm, 3))
-    for _ in range(40):
-        a, b, c = (rng.choice(deep) for _ in range(3))
-        rec.check(
-            _insert_defect(a, b, c) == _insert_defect(b, a, c),
-            lambda a=a, b=b, c=c: _triple_text("insertion pre-Lie", a, b, c),
-        )
+    _check_symmetric_triples(_insert_defect, "insertion pre-Lie", d, max_norm, seed, rec)
 
 
 def _suite_coproduct_routes(d, max_norm, seed, gamma, rec):

@@ -33,10 +33,11 @@ from mirpath.algebra import (
     Forest,
     Grading,
     MultiIndex,
+    forest_basis,
     single,
 )
 from mirpath.grammar import format_multi_index, parse_multi_index
-from mirpath.group import GroupElement
+from mirpath.group import GroupElement, _key_index, _table
 from mirpath.translation import (
     Character,
     identity_characters,
@@ -250,6 +251,21 @@ def test_intern_tables_never_grow_past_their_bounds(fresh_tables):
     assert len(table) == bound
     Forest([z])
     assert len(table) == 1
+
+
+def test_a_clear_leaves_no_superseded_key_in_the_cached_bases(monkeypatch):
+    # cache the bases and the product table, then let one new monomial meet
+    # a full table
+    _table(2, 3)
+    monkeypatch.setattr(algebra, "_MULTI_INDEX_BOUND", len(algebra._MULTI_INDICES))
+    single(3, 7, 3)
+    monkeypatch.undo()
+    assert len(algebra._MULTI_INDICES) == 1
+    assert all(MultiIndex(key.entries, key.letters) is key for key in _key_index(2, 3))
+    for forest in forest_basis(2, 3):
+        assert Forest(forest.components) is forest
+        assert all(MultiIndex(c.entries, c.letters) is c for c in forest.components)
+    assert _table(2, 3).basis is forest_basis(2, 3)
 
 
 def _module_caches():

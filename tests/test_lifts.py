@@ -19,16 +19,19 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirpath import algebra
 from mirpath.algebra import Grading, MultiIndex, enumerate_populated
-from mirpath.grammar import parse_multi_index
-from mirpath.group import _key_index, char_eval, chen_compose
+from mirpath.grammar import format_multi_index, parse_multi_index
+from mirpath.group import GroupElement, RoughPathGrid, _key_index, char_eval, chen_compose
 from mirpath.lifts import (
     UnsupportedLevelError,
     _ordered_parts,
     brownian_pair_statistics,
     grid_from_json,
+    grid_payload,
     grid_to_json,
     integral_decompositions,
     lift_brownian,
@@ -36,6 +39,12 @@ from mirpath.lifts import (
     lift_piecewise_linear,
     read_path_csv,
     write_path_csv,
+)
+from mirpath.translation import (
+    identity_characters,
+    ito_strat_character,
+    m_ell,
+    translate_roughpath,
 )
 
 # ---------------------------------------------------------------------------
@@ -344,6 +353,83 @@ def test_grid_reader_keys_are_the_key_index_objects():
     for increment in back.increments:
         assert len(increment.values) == len(index)
         assert all(canonical[key] is key for key in increment.values)
+
+
+# Every lift at every (d, N) of the property below; the lattice Brownian lift
+# stops at level 3.
+LIFT_CASES = [
+    (kind, d, n)
+    for kind in ("piecewise-linear", "strat", "ito")
+    for d, n in ((1, 4), (2, 3), (3, 2))
+    if kind == "piecewise-linear" or n <= 3
+]
+
+
+@st.composite
+def _lifted_grids(draw):
+    kind, d, n = draw(st.sampled_from(LIFT_CASES))
+    grading = Grading(max_norm=n, gamma=Fraction(1, n + 1))
+    if kind == "piecewise-linear":
+        steps = draw(st.integers(1, 5))
+        coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+        samples = [
+            (j / steps, *(draw(coordinate) for _ in range(d))) for j in range(steps + 1)
+        ]
+        return lift_piecewise_linear(samples, grading)
+    steps = draw(st.sampled_from([1, 2, 4, 8]))
+    return lift_brownian(d, 1.0, steps, draw(st.integers(0, 2**16)), kind, grading)
+
+
+def _reference_translation(ells, path):
+    """One row per stored increment, each filled key by key from the
+    increment's ``values`` mapping (the per-increment loop the column-wise
+    ``translate_roughpath`` replaces)."""
+    index = _key_index(path.d, path.grading.max_norm)
+    basis = enumerate_populated(path.d, path.grading.max_norm)
+    duals = {beta: m_ell(ells, beta) for beta in basis}
+    rows = np.zeros((len(path.increments), len(index)))
+    for m, increment in enumerate(path.increments):
+        for beta, image in duals.items():
+            total = 0.0
+            for gamma_mi, coeff in image.items():
+                x = increment.values.get(gamma_mi, 0.0)
+                if x:
+                    total += float(coeff) * x
+            rows[m, index[beta]] = total
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(grid=_lifted_grids())
+def test_grid_rows_round_trip_translate_and_list_their_stored_degrees(grid):
+    back = grid_from_json(grid_to_json(grid))
+    assert back.coords.tobytes() == grid.coords.tobytes()
+    assert back.depth == grid.depth
+    stored = {format_multi_index(mi) for mi in enumerate_populated(grid.d, grid.depth)}
+    assert all(set(inc) == stored for inc in grid_payload(grid)["increments"])
+    ells = [ito_strat_character(grid.d), *identity_characters(grid.d)[1:]]
+    out = translate_roughpath(ells, grid)
+    assert out.grading == grid.grading
+    assert out.coords.tobytes() == _reference_translation(ells, grid).tobytes()
+
+
+def test_reader_depth_of_an_ito_file_is_its_highest_key_degree():
+    grading = Grading(max_norm=3, gamma=Fraction(1, 3))
+    ito = grid_from_json(grid_to_json(lift_brownian(2, 1.0, 8, 11, "ito", grading)))
+    assert (ito.grading, ito.depth) == (grading, 1)
+    assert all(set(inc.values) == set(enumerate_populated(2, 1)) for inc in ito.increments)
+    ells = [ito_strat_character(2), *identity_characters(2)[1:]]
+    assert translate_roughpath(ells, ito).depth == 3
+
+
+def test_constructed_grid_writes_every_key_up_to_its_truncation():
+    grading = Grading(max_norm=3, gamma=Fraction(1, 3))
+    inc = GroupElement(d=2, grading=grading, values={parse_multi_index("z(1,0)", d=2): 0.5})
+    grid = RoughPathGrid(d=2, grading=grading, times=(0.0, 1.0), increments=(inc,))
+    assert grid.depth == 3
+    (written,) = grid_payload(grid)["increments"]
+    assert set(written) == {format_multi_index(mi) for mi in enumerate_populated(2, 3)}
+    assert written["z(1,0)"] == 0.5 and sum(v == 0.0 for v in written.values()) > 1
 
 
 def test_path_csv_round_trip():

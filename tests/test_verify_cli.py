@@ -688,6 +688,72 @@ class TestCliTranslate:
 # ---------------------------------------------------------------------------
 
 
+class TestCliMalformedInputs:
+    """Malformed input files exit 2 with a message that names the file."""
+
+    @pytest.fixture()
+    def grid_doc(self, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--brownian", "strat", "--d", "1", "--steps", "4",
+                "--no-timestamp", "--out", str(grid_file))
+        return json.loads(grid_file.read_text())
+
+    @staticmethod
+    def assert_usage_error(path, *argv):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {str(path)!r} does not hold ")
+
+    def solve_grid(self, tmp_path, doc, field_file):
+        grid_file = tmp_path / "bad_grid.json"
+        grid_file.write_text(json.dumps(doc))
+        self.assert_usage_error(grid_file, "solve", "--grid", str(grid_file),
+                                "--field", str(field_file))
+
+    def test_grid_gamma_with_zero_denominator(self, grid_doc, cubic_field_json, tmp_path):
+        grid_doc["grid"]["gamma"] = "1/0"
+        self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def test_grid_increment_given_as_a_list(self, grid_doc, cubic_field_json, tmp_path):
+        grid_doc["grid"]["increments"][1] = list(grid_doc["grid"]["increments"][1].values())
+        self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def test_grid_value_true(self, grid_doc, cubic_field_json, tmp_path):
+        grid_doc["grid"]["increments"][2]["z(1,0)"] = True
+        self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def test_field_coefficient_with_zero_denominator(self, grid_doc, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        field_file = tmp_path / "bad_field.json"
+        field_file.write_text(json.dumps(
+            {"d": 1, "fields": [{"i": 0, "coeffs": ["1/0"]}, {"i": 1, "coeffs": ["1"]}]}
+        ))
+        self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
+                                "--field", str(field_file))
+
+    def test_field_coeffs_given_as_a_string(self, grid_doc, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        field_file = tmp_path / "bad_field.json"
+        field_file.write_text(json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": "12"}]}))
+        self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
+                                "--field", str(field_file))
+
+    def test_character_term_with_zero_denominator(self, grid_doc, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        chars = tmp_path / "chars.json"
+        chars.write_text(json.dumps({"direction": 1, "terms": {"z(1,0)": "1/0"}}))
+        self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
+                                "--chars", str(chars))
+
+    def test_character_terms_given_as_a_list(self, grid_doc, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        chars = tmp_path / "chars.json"
+        chars.write_text(json.dumps([{"direction": 1, "terms": [["z(1,0)", "2"]]}]))
+        self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
+                                "--chars", str(chars))
+
+
 class TestCliReports:
     def test_residual_report_carries_slope_and_target(
         self, sine_csv, cubic_field_json, tmp_path
