@@ -21,7 +21,10 @@ cleared when full, so equal keys usually meet by identity in dict lookups.
 Equality and hashing stay structural, so an object built before a clear
 still equals, hashes like and finds the entries of a new one, and pickling
 or copying rebuilds through the constructor.  Every cache in this module has
-a stated bound.
+a stated bound: Dⁿ of a monomial and ``prelie_graft`` keep 8 192 results,
+``deshuffle`` 2 048 and the Grossman–Larson product of two basis forests
+16 384; :func:`clear_caches` empties them all, as ``verify`` does after
+each suite.
 """
 
 from __future__ import annotations
@@ -76,12 +79,18 @@ _EPOCH = 0
 
 
 def _clear_interned(table: dict) -> None:
-    """Empty a full intern table and every module-level cache of the
-    package, so that no cached basis keeps a superseded key."""
+    """Empty a full intern table and every package cache, so that no cached
+    basis keeps a superseded key."""
     global _EPOCH
     if table is _MULTI_INDICES:
         _EPOCH += 1
     table.clear()
+    clear_caches()
+
+
+def clear_caches() -> None:
+    """Empty every module-level ``functools`` cache of the loaded
+    ``mirpath`` modules (the intern tables stay)."""
     for name, module in list(sys.modules.items()):
         if name.startswith(f"{__package__}."):
             for value in vars(module).values():
@@ -416,10 +425,6 @@ class Forest:
 EMPTY_FOREST = Forest()
 
 
-def forest_of(*components: MultiIndex) -> Forest:
-    return Forest(components)
-
-
 def _exact(c) -> int | Fraction:
     """``c`` itself when it is an ``int`` or a ``Fraction``, else ``Fraction(c)``.
 
@@ -461,6 +466,14 @@ class FormalSum:
         self.terms: dict = clean
 
     @classmethod
+    def _of(cls, terms: dict) -> "FormalSum":
+        """Trusted constructor for a dict whose coefficients are already
+        ``int`` or ``Fraction``: drops the zeros and checks nothing else."""
+        self = object.__new__(cls)
+        self.terms = {b: c for b, c in terms.items() if c}
+        return self
+
+    @classmethod
     def zero(cls) -> "FormalSum":
         return cls()
 
@@ -477,7 +490,7 @@ class FormalSum:
             c = _exact(c)
             for b, cb in s.terms.items():
                 out[b] = get(b, 0) + cb * c
-        return cls(out)
+        return cls._of(out)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -492,7 +505,7 @@ class FormalSum:
         out = dict(self.terms)
         for b, c in other.terms.items():
             out[b] = out.get(b, 0) + c
-        return FormalSum(out)
+        return FormalSum._of(out)
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
         return self + other.scale(-1)
@@ -501,7 +514,7 @@ class FormalSum:
         s = _exact(scalar)
         if s == 0:
             return FormalSum()
-        return FormalSum({b: c * s for b, c in self.terms.items()})
+        return FormalSum._of({b: c * s for b, c in self.terms.items()})
 
     def __neg__(self) -> "FormalSum":
         return self.scale(-1)
@@ -517,7 +530,7 @@ class FormalSum:
         return FormalSum.linear((fn(b), c) for b, c in self.terms.items())
 
     def filter_terms(self, keep: Callable) -> "FormalSum":
-        return FormalSum({b: c for b, c in self.terms.items() if keep(b)})
+        return FormalSum._of({b: c for b, c in self.terms.items() if keep(b)})
 
     def __repr__(self) -> str:
         from .grammar import format_formal_sum
@@ -583,28 +596,23 @@ def pairing(u: FormalSum, v: FormalSum) -> int | Fraction:
     for b, c in small.terms.items():
         other = large.terms.get(b)
         if other is not None:
-            total += c * other * _sym(b)
+            total += c * other * b.symmetry_factor()
     return total
 
 
-def _sym(b) -> int:
-    return b.symmetry_factor()
-
-
 @lru_cache(maxsize=1 << 13)
-def _derive_mi(a: MultiIndex) -> FormalSum:
-    """D on a single multi-index: raise each variable's arity once, with
-    the frequency as coefficient.  Memoized; the shared result is never
-    mutated."""
+def _derivative_terms(a: MultiIndex, order: int) -> FormalSum:
+    """Dⁿ on a single multi-index, n = ``order``: each D raises each
+    variable's arity once, with the frequency as coefficient.  Memoized;
+    the shared result is never mutated."""
+    if order == 0:
+        return FormalSum._of({a: 1})
     out: dict[MultiIndex, int] = {}
-    for (i, k), m in a.entries:
-        term = a.with_bumped(i, k)
-        out[term] = out.get(term, 0) + m
-    return FormalSum(out)
-
-
-def _derive_mi_sum(s: FormalSum) -> FormalSum:
-    return s.map_terms(_derive_mi)
+    for mi, c in _derivative_terms(a, order - 1).items():
+        for (i, k), m in mi.entries:
+            term = mi.with_bumped(i, k)
+            out[term] = out.get(term, 0) + c * m
+    return FormalSum._of(out)
 
 
 def derivation_d(u: FormalSum | Forest | MultiIndex) -> FormalSum:
@@ -615,35 +623,24 @@ def derivation_d(u: FormalSum | Forest | MultiIndex) -> FormalSum:
     sums of forests.  ``D ∅ = 0``.
     """
     if isinstance(u, MultiIndex):
-        return _derive_mi(u)
+        return _derivative_terms(u, 1)
     if isinstance(u, Forest):
         out: dict[Forest, int] = {}
         comps = u.components
         for j, c in enumerate(comps):
             rest = comps[:j] + comps[j + 1 :]
-            for mi, coeff in _derive_mi(c).items():
+            for mi, coeff in _derivative_terms(c, 1).items():
                 key = Forest(rest + (mi,))
                 out[key] = out.get(key, 0) + coeff
-        return FormalSum(out)
+        return FormalSum._of(out)
     return u.map_terms(lambda f: derivation_d(f))
 
 
+@lru_cache(maxsize=1 << 13)
 def prelie_graft(a: MultiIndex, b: MultiIndex) -> FormalSum:
     """a ▷ b = a · (D b), a sum of multi-indices of degree |a|+|b|."""
     # multiplying by a fixed monomial is injective, so no terms collide
-    return FormalSum({a.mul(m): c for m, c in _derive_mi(b).items()})
-
-
-def _multi_graft(parts: tuple[MultiIndex, ...], target: MultiIndex) -> FormalSum:
-    """Graft every one of ``parts`` onto the single multi-index ``target``:
-    (Π parts) · D^n target, a sum of multi-indices."""
-    s = FormalSum.of(target)
-    for _ in parts:
-        s = _derive_mi_sum(s)
-    if parts:
-        prefix = reduce(MultiIndex.mul, parts)
-        s = FormalSum({prefix.mul(m): c for m, c in s.items()})
-    return s
+    return FormalSum._of({a.mul(m): c for m, c in _derivative_terms(b, 1).items()})
 
 
 def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
@@ -661,30 +658,33 @@ def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
     n = left.cardinality()
     m = right.cardinality()
     total: dict[Forest, int | Fraction] = {}
+    slots: dict[tuple[tuple[MultiIndex, ...], MultiIndex], list] = {}
     for assignment in itertools.product(range(m), repeat=n):
         buckets: list[list[MultiIndex]] = [[] for _ in range(m)]
         for part_idx, slot in enumerate(assignment):
             buckets[slot].append(left.components[part_idx])
-        slot_sums = [
-            _multi_graft(tuple(bucket), comp)
-            for bucket, comp in zip(buckets, right.components)
-        ]
-        _combine_slots(slot_sums, total)
-    return FormalSum(total)
+        slot_sums = []
+        for bucket, comp in zip(buckets, right.components):
+            # (Π bucket)·Dⁿ comp recurs across assignments: build it once
+            key = (tuple(bucket), comp)
+            if (s := slots.get(key)) is None:
+                prefix = reduce(MultiIndex.mul, bucket, MultiIndex((), comp.letters))
+                s = slots[key] = [
+                    (prefix.mul(mi), c)
+                    for mi, c in _derivative_terms(comp, len(bucket)).items()
+                ]
+            slot_sums.append(s)
+        # the Cartesian product of the slot sums, as forests
+        for combo in itertools.product(*slot_sums):
+            coeff = 1
+            for _mi, c in combo:
+                coeff *= c
+            forest = Forest([mi for mi, _c in combo])
+            total[forest] = total.get(forest, 0) + coeff
+    return FormalSum._of(total)
 
 
-def _combine_slots(slot_sums: list[FormalSum], out: dict) -> None:
-    """Add the Cartesian product of per-component sums, as forests, to ``out``."""
-    for combo in itertools.product(*(list(s.items()) for s in slot_sums)):
-        coeff = 1
-        comps = []
-        for mi, c in combo:
-            coeff *= c
-            comps.append(mi)
-        forest = Forest(comps)
-        out[forest] = out.get(forest, 0) + coeff
-
-
+@lru_cache(maxsize=1 << 11)
 def deshuffle(u: Forest) -> FormalSum:
     """Δ on a forest: all splits of the multiset of components into an
     ordered pair (left, right), as a sum over ``(Forest, Forest)`` keys.
@@ -706,7 +706,7 @@ def deshuffle(u: Forest) -> FormalSum:
             right.extend([mi] * (r - j))
         key = (Forest(left), Forest(right))
         out[key] = out.get(key, 0) + coeff
-    return FormalSum(out)
+    return FormalSum._of(out)
 
 
 @lru_cache(maxsize=1024)
@@ -731,7 +731,7 @@ def _star_basis(u: Forest, v: Forest) -> FormalSum:
         for forest, c in graft_simultaneous(grafted, v).items():
             key = kept.merge(forest)
             out[key] = out.get(key, 0) + c * split_coeff
-    return FormalSum(out)
+    return FormalSum._of(out)
 
 
 def gl_product(
@@ -751,9 +751,10 @@ def gl_product(
         for fv, cv in v.items():
             if trunc is not None and fu.degree() + fv.degree() > trunc:
                 continue
+            cuv = cu * cv
             for w, c in _star_basis(fu, fv).items():
-                out[w] = out.get(w, 0) + cu * cv * c
-    s = FormalSum(out)
+                out[w] = out.get(w, 0) + cuv * c
+    s = FormalSum._of(out)
     if trunc is not None:
         s = s.filter_terms(lambda f: f.degree() <= trunc)
     return s

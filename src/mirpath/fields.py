@@ -18,12 +18,12 @@ its derivatives come from the raising derivation — (Υ_f[z^α])′ = Υ_f[D z^
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import Forest, FormalSum, MultiIndex, derivation_d
-from .grammar import format_multi_index
+from .grammar import _json_int
 
 __all__ = [
     "DerivativeOrderError",
@@ -392,10 +392,10 @@ def vector_field_to_json(f: VectorField) -> str:
 def vector_field_from_json(doc: str | Mapping) -> VectorField:
     """Read a polynomial field from its JSON text or the already-parsed document."""
     payload = json.loads(doc) if isinstance(doc, str) else doc
-    d = int(payload["d"])
+    d = _json_int(payload, "d")
     rows: list[list[Fraction]] = [[Fraction(0)] for _ in range(d + 1)]
     for entry in payload.get("fields", []):
-        i = int(entry["i"])
+        i = _json_int(entry, "i")
         if not 0 <= i <= d:
             raise ValueError(f"field letter {i} outside 0..{d}")
         if not isinstance(entry["coeffs"], list):

@@ -210,6 +210,15 @@ def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
+def _json_int(payload: dict, key: str) -> int:
+    """``payload[key]``, which must be a JSON integer: ``true``, ``2.7`` and
+    ``"3"`` raise instead of being read as 1, 2 and 3."""
+    value = payload[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
 def format_multi_index(mi: MultiIndex) -> str:
     if mi.is_empty:
         return "1"

@@ -39,7 +39,6 @@ from .algebra import (
     MultiIndex,
     _populated_tuple,
     _star_basis,
-    enumerate_populated,
     forest_basis,
 )
 
@@ -308,7 +307,7 @@ def random_character(d: int, grading: Grading, rng: np.random.Generator) -> Grou
     """Uniform(−1,1) values on every populated multi-index of degree ≤ N."""
     values = {
         mi: float(rng.uniform(-1.0, 1.0))
-        for mi in enumerate_populated(d, grading.max_norm)
+        for mi in _populated_tuple(d, grading.max_norm)
     }
     return GroupElement(d=d, grading=grading, values=values)
 

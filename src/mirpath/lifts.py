@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import Grading, MultiIndex, _populated_tuple
-from .grammar import format_multi_index, parse_multi_index
+from .grammar import _json_int, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _key_index, _slot
 
 __all__ = [
@@ -326,8 +326,8 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     Each distinct key string is parsed and checked once; the grid stores
     the degrees up to the highest key degree in the document."""
     payload = json.loads(doc) if isinstance(doc, str) else doc
-    d = int(payload["d"])
-    grading = Grading(max_norm=int(payload["max_norm"]), gamma=Fraction(payload["gamma"]))
+    d = _json_int(payload, "d")
+    grading = Grading(max_norm=_json_int(payload, "max_norm"), gamma=Fraction(payload["gamma"]))
     times = tuple(float(t) for t in payload["times"])
     if not all(math.isfinite(t) for t in times):
         raise ValueError("grid times must be finite numbers")

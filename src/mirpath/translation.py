@@ -35,15 +35,15 @@ from .algebra import (
     FormalSum,
     Grading,
     MultiIndex,
+    _derivative_terms,
     _exact,
-    derivation_d,
+    _populated_tuple,
     empty_multi_index,
-    enumerate_populated,
     forest_basis,
     single,
     symmetry_factor,
 )
-from .grammar import format_multi_index, parse_multi_index
+from .grammar import _json_int, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _key_index
 
 __all__ = [
@@ -207,9 +207,7 @@ def character_to_json(ell: Character) -> dict:
 
 
 def character_from_json(payload: dict, d: int | None = None) -> Character:
-    direction = payload["direction"]
-    if not isinstance(direction, int):
-        raise ValueError(f"direction must be an integer, got {direction!r}")
+    direction = _json_int(payload, "direction")
     raw = payload.get("terms", {})
     if not isinstance(raw, Mapping):
         raise ValueError(f"terms must be a JSON object, got {raw!r}")
@@ -228,14 +226,7 @@ def character_from_json(payload: dict, d: int | None = None) -> Character:
 # insertion products
 
 
-@lru_cache(maxsize=4096)
-def _derivative_terms(mi: MultiIndex, order: int) -> FormalSum:
-    """D^order applied to a single monomial, cached exactly."""
-    if order == 0:
-        return FormalSum.of(mi)
-    return derivation_d(_derivative_terms(mi, order - 1))
-
-
+@lru_cache(maxsize=1 << 12)
 def insert_prelie(a: MultiIndex, b: MultiIndex) -> FormalSum:
     """Insert ``a`` into ``b``: Σ_k (D^k a) · ∂b/∂z(0,k).
 
@@ -254,7 +245,7 @@ def insert_prelie(a: MultiIndex, b: MultiIndex) -> FormalSum:
         for term, coeff in _derivative_terms(a, k).items():
             key = term.mul(reduced)
             total[key] = total.get(key, 0) + coeff * m
-    return FormalSum(total)
+    return FormalSum._of(total)
 
 
 def _letter0_arities(a: MultiIndex) -> tuple[int, ...]:
@@ -279,9 +270,10 @@ def _product_with_base(factors: Sequence[FormalSum], base: MultiIndex) -> Formal
                 key = left.mul(right)
                 nxt[key] = nxt.get(key, 0) + cl * cr
         acc = nxt
-    return FormalSum(acc)
+    return FormalSum._of(acc)
 
 
+@lru_cache(maxsize=1 << 11)
 def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
     if left.is_empty:
         return FormalSum.of(a)
@@ -303,7 +295,7 @@ def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
         ]
         for key, coeff in _product_with_base(factors, rest).items():
             total[key] = total.get(key, 0) + coeff * partial_coeff
-    return FormalSum(total)
+    return FormalSum._of(total)
 
 
 def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
@@ -333,7 +325,7 @@ def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
                 break
         for forest, coeff in partial.items():
             total[forest] = total.get(forest, 0) + coeff
-    return FormalSum(total)
+    return FormalSum._of(total)
 
 
 def insert_simultaneous(left: Forest, right: MultiIndex | Forest) -> FormalSum:
@@ -404,9 +396,10 @@ def _translate_mi(
             acc = nxt
             if not acc:
                 return FormalSum.zero()
-    return FormalSum(acc)
+    return FormalSum._of(acc)
 
 
+@lru_cache(maxsize=1 << 11)
 def _translate_forest(
     ells: tuple[Character, ...], forest: Forest, trunc: int | None
 ) -> FormalSum:
@@ -423,7 +416,7 @@ def _translate_forest(
         acc = nxt
         if not acc:
             return FormalSum.zero()
-    return FormalSum(acc)
+    return FormalSum._of(acc)
 
 
 def translate(
@@ -472,7 +465,7 @@ def _coproduct_transpose(b: MultiIndex, trunc: int) -> FormalSum:
     s_b = symmetry_factor(b)
     out: dict[tuple[Forest, MultiIndex], int | Fraction] = {(EMPTY_FOREST, b): 1}
     buckets: dict[tuple[int, ...], list[MultiIndex]] = {}
-    for alpha in enumerate_populated(d, bound):
+    for alpha in _populated_tuple(d, bound):
         buckets.setdefault(_letter_counts((alpha,), b.letters), []).append(alpha)
     time_b, *space_b = _letter_counts((b,), b.letters)
     for forest in forest_basis(d, bound):
@@ -488,7 +481,7 @@ def _coproduct_transpose(b: MultiIndex, trunc: int) -> FormalSum:
                 out[(forest, alpha)] = Fraction(
                     coeff * s_b, symmetry_factor(forest) * symmetry_factor(alpha)
                 )
-    return FormalSum(out)
+    return FormalSum._of(out)
 
 
 def _letter_counts(monomials: Iterable[MultiIndex], letters: int) -> tuple[int, ...]:
@@ -621,7 +614,7 @@ def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
                         coeff /= Fraction(symmetry_factor(gamma)) ** repeat
                     key = (forest, contracted)
                     out[key] = out.get(key, 0) + coeff
-    return FormalSum(out)
+    return FormalSum._of(out)
 
 
 def coproduct_minus(
@@ -668,11 +661,11 @@ def m_ell(
     s_target = symmetry_factor(b)
     ells = tuple(ells)
     out: dict[MultiIndex, int | Fraction] = {}
-    for beta in enumerate_populated(d, bound):
+    for beta in _populated_tuple(d, bound):
         coeff = _translate_mi(ells, beta, b.degree()).coefficient(b)
         if coeff:
             out[beta] = Fraction(coeff * s_target, symmetry_factor(beta))
-    return FormalSum(out)
+    return FormalSum._of(out)
 
 
 def contract_character(ell: Character, split: FormalSum) -> FormalSum:
@@ -682,7 +675,7 @@ def contract_character(ell: Character, split: FormalSum) -> FormalSum:
         weight = ell.on_forest(forest)
         if weight:
             out[mi] = out.get(mi, 0) + coeff * weight
-    return FormalSum(out)
+    return FormalSum._of(out)
 
 
 def translate_roughpath(

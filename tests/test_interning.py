@@ -10,7 +10,8 @@ full.  The tests below pin the contract that makes this safe:
 * equality stays structural (the alphabet size is part of the value) and the
   constructors keep their error messages;
 * neither intern table, and no ``functools`` cache at module level under
-  ``mirpath``, can grow without bound.
+  ``mirpath``, can grow without bound;
+* a memoized kernel returns what it computes from empty caches.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ from mirpath.algebra import (
     Forest,
     Grading,
     MultiIndex,
+    deshuffle,
+    enumerate_populated,
     forest_basis,
+    gl_product,
+    prelie_graft,
     single,
 )
 from mirpath.grammar import format_multi_index, parse_multi_index
@@ -41,6 +46,8 @@ from mirpath.group import GroupElement, _key_index, _table
 from mirpath.translation import (
     Character,
     identity_characters,
+    insert_prelie,
+    insert_simultaneous,
     ito_strat_character,
     translate,
 )
@@ -278,9 +285,58 @@ def _module_caches():
 
 def test_every_module_level_cache_is_bounded():
     caches = dict(_module_caches())
-    assert "mirpath.algebra._star_basis" in caches
-    assert "mirpath.translation._translate_mi" in caches
+    for name in (
+        "algebra._star_basis",
+        "algebra._derivative_terms",
+        "algebra.prelie_graft",
+        "algebra.deshuffle",
+        "translation._translate_mi",
+        "translation._translate_forest",
+        "translation.insert_prelie",
+        "translation._insert_into_mi",
+    ):
+        assert f"mirpath.{name}" in caches
     unbounded = [
         name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None
     ]
     assert unbounded == []
+
+
+# ---------------------------------------------------------------------------
+# memoized kernels
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _kernel_calls(draw):
+    """Calls of the memoized kernels on basis elements of degree ≤ 3, d ≤ 2."""
+    d = draw(st.integers(1, 2))
+    monomial = st.sampled_from(enumerate_populated(d, 3))
+    forest = st.sampled_from(forest_basis(d, 3))
+    a, b = draw(monomial), draw(monomial)
+    u, v = draw(forest), draw(forest)
+    ells = (ito_strat_character(d), *identity_characters(d)[1:])
+    trunc = draw(st.sampled_from([None, 3]))
+    return [
+        (prelie_graft, (a, b)),
+        (deshuffle, (u,)),
+        (insert_prelie, (a, b)),
+        (insert_simultaneous, (u, b)),
+        (insert_simultaneous, (u, v)),
+        (gl_product, (u, v)),
+        (translate, (ells, a, trunc)),
+        (translate, (ells, u, trunc)),
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(calls=_kernel_calls())
+def test_memoized_kernels_match_a_recomputation_from_empty_caches(calls):
+    for fn, args in calls:
+        fn(*args)
+    cached = [fn(*args) for fn, args in calls]
+    algebra.clear_caches()
+    for (fn, args), got in zip(calls, cached):
+        assert fn(*args) == got, (fn.__name__, args)
+        for key, c in got.items():
+            assert type(c) in (int, Fraction) and c != 0, (fn.__name__, key, c)

@@ -76,6 +76,21 @@ class TestSuiteEngine:
             assert r.failed == 0, (r.name, r.failures)
             assert r.passed
 
+    def test_default_budget_check_counts_are_pinned_and_every_cache_is_freed(self):
+        results = run_all_suites(2, 3, 0)
+        caches = [
+            (f"{name}.{attr}", value.cache_info().currsize)
+            for name, module in list(sys.modules.items())
+            if name.startswith("mirpath.")
+            for attr, value in vars(module).items()
+            if hasattr(value, "cache_info")
+        ]
+        assert caches and all(size == 0 for _name, size in caches), caches
+        assert [(r.checked, r.failed) for r in results] == [
+            (n, 0) for n in (1768, 1768, 152, 184, 39, 1768, 48, 3117,
+                             67, 625, 324, 100, 286, 90, 276)
+        ]
+
     def test_exact_suites_carry_no_tolerance(self):
         by_name = {r.name: r for r in run_all_suites(d=1, max_norm=1)}
         assert by_name["graft-prelie"].tolerance is None
@@ -723,35 +738,50 @@ class TestCliMalformedInputs:
         grid_doc["grid"]["increments"][2]["z(1,0)"] = True
         self.solve_grid(tmp_path, grid_doc, cubic_field_json)
 
-    def test_field_coefficient_with_zero_denominator(self, grid_doc, tmp_path):
+    def test_grid_d_true(self, grid_doc, cubic_field_json, tmp_path):
+        grid_doc["grid"]["d"] = True
+        self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def test_grid_max_norm_given_as_a_string(self, grid_doc, cubic_field_json, tmp_path):
+        grid_doc["grid"]["max_norm"] = str(grid_doc["grid"]["max_norm"])
+        self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def solve_field(self, tmp_path, doc):
         grid_file = tmp_path / "grid.json"
         field_file = tmp_path / "bad_field.json"
-        field_file.write_text(json.dumps(
-            {"d": 1, "fields": [{"i": 0, "coeffs": ["1/0"]}, {"i": 1, "coeffs": ["1"]}]}
-        ))
+        field_file.write_text(json.dumps(doc))
         self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
                                 "--field", str(field_file))
+
+    def test_field_coefficient_with_zero_denominator(self, grid_doc, tmp_path):
+        self.solve_field(tmp_path, {
+            "d": 1, "fields": [{"i": 0, "coeffs": ["1/0"]}, {"i": 1, "coeffs": ["1"]}]
+        })
 
     def test_field_coeffs_given_as_a_string(self, grid_doc, tmp_path):
+        self.solve_field(tmp_path, {"d": 1, "fields": [{"i": 1, "coeffs": "12"}]})
+
+    def test_field_d_given_as_a_float(self, grid_doc, tmp_path):
+        self.solve_field(tmp_path, {"d": 1.9, "fields": [{"i": 1, "coeffs": ["1"]}]})
+
+    def test_field_letter_true(self, grid_doc, tmp_path):
+        self.solve_field(tmp_path, {"d": 1, "fields": [{"i": True, "coeffs": ["1"]}]})
+
+    def translate_chars(self, tmp_path, doc):
         grid_file = tmp_path / "grid.json"
-        field_file = tmp_path / "bad_field.json"
-        field_file.write_text(json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": "12"}]}))
-        self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
-                                "--field", str(field_file))
+        chars = tmp_path / "chars.json"
+        chars.write_text(json.dumps(doc))
+        self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
+                                "--chars", str(chars))
 
     def test_character_term_with_zero_denominator(self, grid_doc, tmp_path):
-        grid_file = tmp_path / "grid.json"
-        chars = tmp_path / "chars.json"
-        chars.write_text(json.dumps({"direction": 1, "terms": {"z(1,0)": "1/0"}}))
-        self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
-                                "--chars", str(chars))
+        self.translate_chars(tmp_path, {"direction": 1, "terms": {"z(1,0)": "1/0"}})
 
     def test_character_terms_given_as_a_list(self, grid_doc, tmp_path):
-        grid_file = tmp_path / "grid.json"
-        chars = tmp_path / "chars.json"
-        chars.write_text(json.dumps([{"direction": 1, "terms": [["z(1,0)", "2"]]}]))
-        self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
-                                "--chars", str(chars))
+        self.translate_chars(tmp_path, [{"direction": 1, "terms": [["z(1,0)", "2"]]}])
+
+    def test_character_direction_true(self, grid_doc, tmp_path):
+        self.translate_chars(tmp_path, {"direction": True, "terms": {"z(1,0)": "2"}})
 
 
 class TestCliReports:
