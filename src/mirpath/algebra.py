@@ -15,6 +15,14 @@ once), the deshuffle coproduct, and the associative Grossman–Larson product
 built from the last two.  Truncation by total degree is optional and applied
 termwise, never during expansion.
 
+Two private kernels carry the expansions of the exact layer.
+``_distribute`` sums over every assignment of the components of one forest
+to the components of another; the simultaneous graft uses it here and the
+forest insertion in :mod:`mirpath.translation`.  ``_multiply_out``
+multiplies an ordered list of sums out onto a starting key and drops a term
+above a truncation as soon as it appears; the insertion into a monomial and
+the translation of monomials and forests use it.
+
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
 cleared when full, so equal keys usually meet by identity in dict lookups.
@@ -90,10 +98,13 @@ def _clear_interned(table: dict) -> None:
 
 def clear_caches() -> None:
     """Empty every module-level ``functools`` cache of the loaded
-    ``mirpath`` modules (the intern tables stay)."""
+    ``mirpath`` modules (the intern tables stay), also one behind a
+    ``functools.wraps`` wrapper such as a profiler's."""
     for name, module in list(sys.modules.items()):
         if name.startswith(f"{__package__}."):
             for value in vars(module).values():
+                while hasattr(value, "__wrapped__") and not hasattr(value, "cache_clear"):
+                    value = value.__wrapped__
                 if hasattr(value, "cache_clear"):
                     value.cache_clear()
 
@@ -643,6 +654,67 @@ def prelie_graft(a: MultiIndex, b: MultiIndex) -> FormalSum:
     return FormalSum._of({a.mul(m): c for m, c in _derivative_terms(b, 1).items()})
 
 
+def _distribute(left: Forest, right: Forest, slot_sum: Callable) -> FormalSum:
+    """Σ over every assignment of each component of ``left`` to one
+    component of ``right``: a component receiving the parts ``bucket`` is
+    replaced by the (monomial, coefficient) pairs of ``slot_sum(bucket,
+    component)``, and the assignment contributes the forests of their
+    Cartesian product.  Returns a sum of forests; the callers handle the
+    empty forests."""
+    parts = left.components
+    targets = right.components
+    total: dict[Forest, int | Fraction] = {}
+    # a (bucket, component) pair recurs across assignments: expand it once
+    slots: dict[tuple[tuple[MultiIndex, ...], MultiIndex], list] = {}
+    for assignment in itertools.product(range(len(targets)), repeat=len(parts)):
+        buckets: list[list[MultiIndex]] = [[] for _ in targets]
+        for part, slot in zip(parts, assignment):
+            buckets[slot].append(part)
+        slot_sums = []
+        for bucket, comp in zip(buckets, targets):
+            key = (tuple(bucket), comp)
+            if (s := slots.get(key)) is None:
+                s = slots[key] = slot_sum(*key)
+            slot_sums.append(s)
+        for combo in itertools.product(*slot_sums):
+            coeff = 1
+            for _mi, c in combo:
+                coeff *= c
+            forest = Forest([mi for mi, _c in combo])
+            total[forest] = total.get(forest, 0) + coeff
+    return FormalSum._of(total)
+
+
+def _multiply_out(
+    start, factors: Iterable[FormalSum], join: Callable, trunc: int | None = None
+) -> FormalSum:
+    """``start`` times each sum of ``factors`` in turn, a product of two keys
+    being ``join(left, right)``.  A term of degree above ``trunc`` is dropped
+    as soon as it appears: degrees only grow under further factors, so this
+    loses nothing."""
+    acc: dict = {start: 1}
+    for factor in factors:
+        nxt: dict = {}
+        for left, cl in acc.items():
+            for right, cr in factor.items():
+                key = join(left, right)
+                if trunc is not None and key.degree() > trunc:
+                    continue
+                nxt[key] = nxt.get(key, 0) + cl * cr
+        acc = nxt
+        if not acc:
+            break
+    return FormalSum._of(acc)
+
+
+def _graft_slot(bucket: tuple[MultiIndex, ...], comp: MultiIndex):
+    """(Π bucket)·Dⁿ comp, n = len(bucket), as (monomial, coefficient) pairs."""
+    prefix = reduce(MultiIndex.mul, bucket, MultiIndex((), comp.letters))
+    return [
+        (prefix.mul(mi), c) for mi, c in _derivative_terms(comp, len(bucket)).items()
+    ]
+
+
 def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
     """Simultaneous grafting of each component of ``left`` onto ``right``.
 
@@ -655,33 +727,7 @@ def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
         return FormalSum.of(right)
     if right.is_empty:
         return FormalSum.of(left)
-    n = left.cardinality()
-    m = right.cardinality()
-    total: dict[Forest, int | Fraction] = {}
-    slots: dict[tuple[tuple[MultiIndex, ...], MultiIndex], list] = {}
-    for assignment in itertools.product(range(m), repeat=n):
-        buckets: list[list[MultiIndex]] = [[] for _ in range(m)]
-        for part_idx, slot in enumerate(assignment):
-            buckets[slot].append(left.components[part_idx])
-        slot_sums = []
-        for bucket, comp in zip(buckets, right.components):
-            # (Π bucket)·Dⁿ comp recurs across assignments: build it once
-            key = (tuple(bucket), comp)
-            if (s := slots.get(key)) is None:
-                prefix = reduce(MultiIndex.mul, bucket, MultiIndex((), comp.letters))
-                s = slots[key] = [
-                    (prefix.mul(mi), c)
-                    for mi, c in _derivative_terms(comp, len(bucket)).items()
-                ]
-            slot_sums.append(s)
-        # the Cartesian product of the slot sums, as forests
-        for combo in itertools.product(*slot_sums):
-            coeff = 1
-            for _mi, c in combo:
-                coeff *= c
-            forest = Forest([mi for mi, _c in combo])
-            total[forest] = total.get(forest, 0) + coeff
-    return FormalSum._of(total)
+    return _distribute(left, right, _graft_slot)
 
 
 @lru_cache(maxsize=1 << 11)

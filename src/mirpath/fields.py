@@ -102,15 +102,13 @@ class VectorField:
     """Scalar coefficient functions f_0..f_d with a derivative provider.
 
     ``max_order`` is the largest usable derivative order (None = unlimited);
-    requests beyond it raise :class:`DerivativeOrderError`.  ``bounded``
-    is a declaration consumed by solution reports, not enforced here.
+    requests beyond it raise :class:`DerivativeOrderError`.
     """
 
     d: int
     variant: str
     provider: Callable[[int, int, float], float]
     max_order: int | None = None
-    bounded: bool = False
     poly_coeffs: tuple[tuple[Fraction, ...], ...] | None = None
 
     def derivative(self, i: int, k: int, y: float) -> float:
@@ -131,7 +129,7 @@ class VectorField:
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def polynomial(cls, coeffs, *, bounded: bool = False) -> "VectorField":
+    def polynomial(cls, coeffs) -> "VectorField":
         """Exact polynomial fields: ``coeffs[i][j]`` is the yʲ coefficient of
         f_i (anything Fraction() accepts).  Derivatives of order beyond the
         degree are exactly 0.0."""
@@ -143,12 +141,11 @@ class VectorField:
             variant="polynomial",
             provider=_horner_rows(lambda i, k: _poly_derivative(table[i], k)),
             max_order=None,
-            bounded=bounded,
             poly_coeffs=table,
         )
 
     @classmethod
-    def linear(cls, slopes, *, bounded: bool = False) -> "VectorField":
+    def linear(cls, slopes) -> "VectorField":
         """f_i(y) = a_i · y with every derivative order in closed form."""
         a = tuple(float(s) for s in slopes)
         if len(a) < 1:
@@ -161,12 +158,11 @@ class VectorField:
                 return a[i]
             return 0.0
 
-        return cls(d=len(a) - 1, variant="linear", provider=provider, bounded=bounded)
+        return cls(d=len(a) - 1, variant="linear", provider=provider)
 
     @classmethod
     def from_closures(
-        cls, derivative_lists: Sequence[Sequence[Callable[[float], float]]],
-        *, bounded: bool = False,
+        cls, derivative_lists: Sequence[Sequence[Callable[[float], float]]]
     ) -> "VectorField":
         """``derivative_lists[i] = [f_i, f_i′, f_i″, …]``; the usable order is
         the shortest list minus one."""
@@ -183,7 +179,6 @@ class VectorField:
             variant="closure",
             provider=provider,
             max_order=max_order,
-            bounded=bounded,
         )
 
 
@@ -307,7 +302,7 @@ def translated_field(
                 )
                 total = _poly_add(total, scaled)
             rows.append(total)
-        return VectorField.polynomial(rows, bounded=f.bounded)
+        return VectorField.polynomial(rows)
 
     # exact expansion of ∂^k f_i^ℓ as a formal sum of monomials, built once
     expansions: dict[tuple[int, int], FormalSum] = {}
@@ -344,7 +339,6 @@ def translated_field(
         variant="translated",
         provider=provider,
         max_order=max_order,
-        bounded=f.bounded,
     )
 
 

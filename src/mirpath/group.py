@@ -83,10 +83,10 @@ def _key_index(d: int, n: int) -> dict[MultiIndex, int]:
     return {mi: p for p, mi in enumerate(keys)}
 
 
-def _slot(key: MultiIndex, d: int, grading: Grading) -> int | None:
+def _slot(key: MultiIndex, d: int, grading: Grading) -> int:
     """The slot of ``key`` in ``coords``.  A key outside the populated basis
-    of degree ≤ N over letters 0..d raises :class:`InvalidKeyError`; a key
-    over a wider alphabet whose letters fit passes and has no slot (None)."""
+    of degree ≤ N over letters 0..d raises :class:`InvalidKeyError`, also
+    one over another alphabet whose letters fit."""
     if (p := _key_index(d, grading.max_norm).get(key)) is not None:
         return p
     if not key.is_populated():
@@ -97,20 +97,19 @@ def _slot(key: MultiIndex, d: int, grading: Grading) -> int | None:
         )
     if any(i > d for (i, _), _ in key.entries):
         raise InvalidKeyError(f"key {key!r} uses a letter above d={d}")
-    return None
+    raise InvalidKeyError(
+        f"key {key!r} is over letters 0..{key.letters - 1}, not over 0..{d}"
+    )
 
 
 class _Element:
     """Values on populated multi-indices of degree ≤ N; missing keys read as 0."""
 
     def __init__(self, d: int, grading: Grading, values: Mapping = MappingProxyType({})):
-        """The checked constructor; ``values`` keeps exactly the given keys.
-        A key over a wider alphabet whose letters fit passes the checks and
-        is read back by :meth:`value`, but has no slot in ``coords``."""
+        """The checked constructor; ``values`` keeps exactly the given keys."""
         coords = np.zeros(len(_key_index(d, grading.max_norm)))
         for key, v in values.items():
-            if (p := _slot(key, d, grading)) is not None:
-                coords[p] = v
+            coords[_slot(key, d, grading)] = v
         coords.flags.writeable = False
         view = MappingProxyType(dict(values))
         vars(self).update(d=d, grading=grading, coords=coords, values=view)
@@ -134,13 +133,7 @@ class _Element:
         return MappingProxyType({key: x for key, x in pairs if x != 0.0})
 
     def value(self, key: MultiIndex) -> float:
-        if (p := _key_index(self.d, self.grading.max_norm).get(key)) is not None:
-            return float(self.coords[p])
-        if not key.is_populated() or key.degree() > self.grading.max_norm:
-            raise InvalidKeyError(
-                f"{key!r} outside the populated basis of degree ≤ {self.grading.max_norm}"
-            )
-        return self.values.get(key, 0.0)
+        return float(self.coords[_slot(key, self.d, self.grading)])
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):

@@ -243,13 +243,17 @@ def lift_brownian_from_increments(
     return _lift_steps(d, grading, times, dxs, depth, lambda n: 0.5)
 
 
+# Paths drawn per batch by brownian_pair_statistics: bounds the draw array at
+# 500 × n_steps × d normals; the draw stream does not depend on it.
+_PATH_CHUNK = 500
+
+
 def brownian_pair_statistics(
     d: int,
     t_final: float,
     n_steps: int,
     n_paths: int,
     seed: int,
-    chunk: int = 500,
 ) -> dict:
     """Monte-Carlo summary of the composed level-2 Stratonovich−Itô gap.
 
@@ -272,7 +276,7 @@ def brownian_pair_statistics(
     sq_sums = np.zeros((d, d))
     done = 0
     while done < n_paths:
-        take = min(chunk, n_paths - done)
+        take = min(_PATH_CHUNK, n_paths - done)
         dw = rng.normal(0.0, math.sqrt(dt), size=(take, n_steps, d))
         # gap[p,i,j] = ½ Σ_m ΔB^i ΔB^j for path p
         gap = 0.5 * np.einsum("pmi,pmj->pij", dw, dw)

@@ -227,8 +227,7 @@ class SolveConfig:
     ``mesh_level`` (2^level intervals spanning the grid), or an explicit
     tuple of times; every mesh point must be a grid point, since increments
     are never interpolated.  ``level`` caps the γ-size of the expansion
-    monomials (default: the stored degree bound).  ``target_tolerance`` is
-    carried into reports that compare against a reference solution.
+    monomials (default: the stored degree bound).
     """
 
     rk4_substeps: int = 8
@@ -236,7 +235,6 @@ class SolveConfig:
     mesh: tuple[float, ...] | None = None
     level: Fraction | int | None = None
     divergence_guard: float = 1e12
-    target_tolerance: float | None = None
 
     def __post_init__(self):
         if self.rk4_substeps < 1:

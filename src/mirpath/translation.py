@@ -11,12 +11,21 @@ coefficients in, rational coefficients out.  The only floating-point code is
 :func:`translate_roughpath`, which contracts the exact dual coefficients
 against stored binary64 increments.
 
-The dual of the translation is computed twice, on purpose, by two routes that
-share no code: once by transposing the insertion product against the graded
-basis with the symmetrised pairing, and once by a direct extraction procedure
-(pull a sub-monomial out, differentiate, leave a time variable behind).  The
-test-suite demands the two agree coefficient-by-coefficient; they are kept
-separate so that neither can silently drift.
+The insertion products and the translation are expansions built on the two
+kernels of :mod:`mirpath.algebra`: ``_distribute`` spreads the components
+of an inserted forest over the components of the target forest, and
+``_multiply_out`` multiplies out the factors of one monomial's insertion or
+translation, and the component images of a forest's translation.
+
+The dual of the translation is computed twice, on purpose, by two routes:
+once by transposing the insertion product against the graded basis with the
+symmetrised pairing, and once by a direct extraction procedure (pull a
+sub-monomial out, differentiate, leave a time variable behind).  The two
+share only ``_derivative_terms`` (Dⁿ of one monomial) and the basic types
+with their symmetry factors; the direct route calls neither kernel nor the
+insertion products.  The test-suite demands the two agree
+coefficient-by-coefficient; they are kept separate so that neither can
+silently drift.
 """
 
 from __future__ import annotations
@@ -36,7 +45,9 @@ from .algebra import (
     Grading,
     MultiIndex,
     _derivative_terms,
+    _distribute,
     _exact,
+    _multiply_out,
     _populated_tuple,
     empty_multi_index,
     forest_basis,
@@ -260,19 +271,6 @@ def _strip_letter0(a: MultiIndex) -> MultiIndex:
     )
 
 
-def _product_with_base(factors: Sequence[FormalSum], base: MultiIndex) -> FormalSum:
-    """Distribute a product of monomial sums onto a fixed monomial."""
-    acc: dict[MultiIndex, int] = {base: 1}
-    for factor in factors:
-        nxt: dict[MultiIndex, int] = {}
-        for left, cl in acc.items():
-            for right, cr in factor.items():
-                key = left.mul(right)
-                nxt[key] = nxt.get(key, 0) + cl * cr
-        acc = nxt
-    return FormalSum._of(acc)
-
-
 @lru_cache(maxsize=1 << 11)
 def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
     if left.is_empty:
@@ -286,14 +284,10 @@ def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
     for _k, count in itertools.groupby(sorted(arities)):
         partial_coeff *= math.factorial(len(tuple(count)))
     rest = _strip_letter0(a)
-    components = left.components
     total: dict[MultiIndex, int] = {}
     for assignment in set(itertools.permutations(arities)):
-        factors = [
-            _derivative_terms(components[j], assignment[j])
-            for j in range(len(components))
-        ]
-        for key, coeff in _product_with_base(factors, rest).items():
+        factors = map(_derivative_terms, left.components, assignment)
+        for key, coeff in _multiply_out(rest, factors, MultiIndex.mul).items():
             total[key] = total.get(key, 0) + coeff * partial_coeff
     return FormalSum._of(total)
 
@@ -301,31 +295,13 @@ def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
 def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
     """Leibniz extension: distribute the inserted components over the
     right-hand factors in every possible way."""
-    targets = right.components
-    if not targets:
+    if right.is_empty:
         return FormalSum.of(EMPTY_FOREST) if left.is_empty else FormalSum.zero()
-    total: dict[Forest, int] = {}
-    for assignment in itertools.product(range(len(targets)), repeat=left.cardinality()):
-        buckets: list[list[MultiIndex]] = [[] for _ in targets]
-        for component, slot in zip(left.components, assignment):
-            buckets[slot].append(component)
-        slot_sums = [
-            _insert_into_mi(Forest(bucket), target)
-            for bucket, target in zip(buckets, targets)
-        ]
-        partial: dict[Forest, int] = {EMPTY_FOREST: 1}
-        for slot_sum in slot_sums:
-            nxt: dict[Forest, int] = {}
-            for forest, cf in partial.items():
-                for mi, cm in slot_sum.items():
-                    key = forest.merge(Forest([mi]))
-                    nxt[key] = nxt.get(key, 0) + cf * cm
-            partial = nxt
-            if not partial:
-                break
-        for forest, coeff in partial.items():
-            total[forest] = total.get(forest, 0) + coeff
-    return FormalSum._of(total)
+    return _distribute(
+        left,
+        right,
+        lambda bucket, target: _insert_into_mi(Forest(bucket), target).items(),
+    )
 
 
 def insert_simultaneous(left: Forest, right: MultiIndex | Forest) -> FormalSum:
@@ -380,43 +356,22 @@ def _translate_mi(
 ) -> FormalSum:
     """Translate one monomial.  Memoized, so callers share the result and
     must not mutate it (no ``FormalSum`` operation does)."""
-    acc: dict[MultiIndex, int | Fraction] = {empty_multi_index(mi.letters - 1): 1}
-    for (i, k), m in mi.entries:
-        image = _generator_image(ells[i], k)
-        for _ in range(m):
-            nxt: dict[MultiIndex, int | Fraction] = {}
-            for left, cl in acc.items():
-                for right, cr in image.items():
-                    key = left.mul(right)
-                    # degrees only grow under further factors, so pruning
-                    # over-truncation terms mid-product loses nothing
-                    if trunc is not None and key.degree() > trunc:
-                        continue
-                    nxt[key] = nxt.get(key, 0) + cl * cr
-            acc = nxt
-            if not acc:
-                return FormalSum.zero()
-    return FormalSum._of(acc)
+    factors = (
+        _generator_image(ells[i], k) for (i, k), m in mi.entries for _ in range(m)
+    )
+    return _multiply_out(
+        empty_multi_index(mi.letters - 1), factors, MultiIndex.mul, trunc
+    )
 
 
 @lru_cache(maxsize=1 << 11)
 def _translate_forest(
     ells: tuple[Character, ...], forest: Forest, trunc: int | None
 ) -> FormalSum:
-    acc: dict[Forest, int | Fraction] = {EMPTY_FOREST: 1}
-    for component in forest.components:
-        image = _translate_mi(ells, component, trunc)
-        nxt: dict[Forest, int | Fraction] = {}
-        for left, cl in acc.items():
-            for mi, cm in image.items():
-                key = left.merge(Forest([mi]))
-                if trunc is not None and key.degree() > trunc:
-                    continue
-                nxt[key] = nxt.get(key, 0) + cl * cm
-        acc = nxt
-        if not acc:
-            return FormalSum.zero()
-    return FormalSum._of(acc)
+    factors = (_translate_mi(ells, c, trunc) for c in forest.components)
+    return _multiply_out(
+        EMPTY_FOREST, factors, lambda f, mi: f.merge(Forest([mi])), trunc
+    )
 
 
 def translate(

@@ -131,37 +131,25 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 
 
-def _graft_compose(p: FormalSum, q) -> FormalSum:
-    """Bilinear extension of the grafting product."""
-    if isinstance(q, MultiIndex):
+def _bilinear(op: Callable, p, q) -> FormalSum:
+    """Bilinear extension of the basis product ``op`` to formal sums; a bare
+    basis element stands for itself."""
+    if not isinstance(p, FormalSum):
+        p = FormalSum.of(p)
+    if not isinstance(q, FormalSum):
         q = FormalSum.of(q)
     return FormalSum.linear(
-        (prelie_graft(x, y), cx * cy) for x, cx in p.items() for y, cy in q.items()
+        (op(x, y), cx * cy) for x, cx in p.items() for y, cy in q.items()
     )
 
 
-def _graft_defect(a: MultiIndex, b: MultiIndex, c: MultiIndex) -> FormalSum:
-    # associator (a▷b)▷c − a▷(b▷c)
-    return _graft_compose(prelie_graft(a, b), c) - _graft_compose(
-        FormalSum.of(a), prelie_graft(b, c)
-    )
+def _associator(op: Callable) -> Callable:
+    """(a, b, c) ↦ (a·b)·c − a·(b·c) for the basis product ``op``."""
 
+    def defect(a, b, c):
+        return _bilinear(op, op(a, b), c) - _bilinear(op, a, op(b, c))
 
-def _insert_left(u: FormalSum, c: MultiIndex) -> FormalSum:
-    """Extend the single insertion linearly in its first argument."""
-    return FormalSum.linear((insert_prelie(term, c), coeff) for term, coeff in u.items())
-
-
-def _insert_right(a: MultiIndex, u: FormalSum) -> FormalSum:
-    """Extend the single insertion linearly in its second argument."""
-    return FormalSum.linear((insert_prelie(a, term), coeff) for term, coeff in u.items())
-
-
-def _insert_defect(a: MultiIndex, b: MultiIndex, c: MultiIndex) -> FormalSum:
-    # associator (a▶b)▶c − a▶(b▶c)
-    return _insert_left(insert_prelie(a, b), c) - _insert_right(
-        a, insert_prelie(b, c)
-    )
+    return defect
 
 
 def _add_term(acc: dict, key, coeff) -> None:
@@ -222,15 +210,17 @@ def _check_symmetric_triples(defect, label, d, max_norm, seed, rec):
 
 def _suite_graft_prelie(d, max_norm, seed, gamma, rec):
     """Associator of ▷ symmetric in its first two slots."""
-    _check_symmetric_triples(_graft_defect, "graft pre-Lie", d, max_norm, seed, rec)
+    _check_symmetric_triples(
+        _associator(prelie_graft), "graft pre-Lie", d, max_norm, seed, rec
+    )
 
 
 def _suite_graft_nap(d, max_norm, seed, gamma, rec):
     """Grafting twice into the same target commutes in the grafted pair."""
 
     def nap_side(a, b, c):
-        return _graft_compose(prelie_graft(b, c), a) - _graft_compose(
-            FormalSum.of(b), prelie_graft(a, c)
+        return _bilinear(prelie_graft, prelie_graft(b, c), a) - _bilinear(
+            prelie_graft, b, prelie_graft(a, c)
         )
 
     _check_symmetric_triples(nap_side, "graft NAP", d, max_norm, seed, rec)
@@ -309,7 +299,9 @@ def _suite_bialgebra(d, max_norm, seed, gamma, rec):
 
 def _suite_insertion_prelie(d, max_norm, seed, gamma, rec):
     """Associator of ▶ symmetric in its first two slots."""
-    _check_symmetric_triples(_insert_defect, "insertion pre-Lie", d, max_norm, seed, rec)
+    _check_symmetric_triples(
+        _associator(insert_prelie), "insertion pre-Lie", d, max_norm, seed, rec
+    )
 
 
 def _suite_coproduct_routes(d, max_norm, seed, gamma, rec):
@@ -492,21 +484,14 @@ def _suite_chen(d, max_norm, seed, gamma, rec):
         )
 
 
-def _replace_component(forest: Forest, index: int, replacement: MultiIndex) -> Forest:
-    comps = list(forest.components)
-    comps[index] = replacement
-    return Forest(comps)
-
-
 def _differentiate_rep(rep):
     """One derivative of Σ c·Υ[F]·ψ^(s): product rule over the components of
     F through the raising derivation, plus the chain-rule shift of ψ."""
     out: dict[tuple[Forest, int], Fraction] = {}
     for (forest, shift), coeff in rep.items():
-        for idx, comp in enumerate(forest.components):
-            for term, c in derivation_d(FormalSum.of(comp)).items():
-                key = (_replace_component(forest, idx, term), shift)
-                out[key] = out.get(key, Fraction(0)) + coeff * c
+        for term, c in derivation_d(forest).items():
+            key = (term, shift)
+            out[key] = out.get(key, Fraction(0)) + coeff * c
         key = (forest, shift + 1)
         out[key] = out.get(key, Fraction(0)) + coeff
     return out

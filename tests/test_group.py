@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -94,15 +95,16 @@ def test_bad_key_after_valid_keys_keeps_its_message(key, d, message):
     assert str(info.value) == message
 
 
-def test_key_over_a_wider_alphabet_takes_the_per_key_checks():
-    # z(1,0) over letters 0..2 is not a d=1 basis key, yet its letters fit:
-    # the per-key checks accept it and value() reads it back, as they did
-    wide = parse_multi_index("z(1,0)", d=2)
-    x = GroupElement(d=1, grading=G3, values={wide: 0.5})
-    assert x.value(wide) == 0.5
-    assert x.value(parse_multi_index("z(1,0)", d=1)) == 0.0
-    with pytest.raises(InvalidKeyError, match="outside the populated basis"):
-        x.value(parse_multi_index("z(1,1)", d=2))
+@pytest.mark.parametrize("key_d, d", [(2, 1), (1, 2)], ids=["wider", "narrower"])
+def test_key_over_another_alphabet_is_refused(key_d, d):
+    # z(1,0) fits both alphabets, yet it is a basis key of only one of them:
+    # it used to pass the checks, take no slot and leave the element zero
+    key = parse_multi_index("z(1,0)", d=key_d)
+    message = f"key {key!r} is over letters 0..{key_d}, not over 0..{d}"
+    with pytest.raises(InvalidKeyError, match=f"^{re.escape(message)}$"):
+        GroupElement(d=d, grading=G3, values={key: 0.5})
+    with pytest.raises(InvalidKeyError, match=f"^{re.escape(message)}$"):
+        identity_character(d, G3).value(key)
 
 
 def test_chen_identity_is_unit():

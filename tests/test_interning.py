@@ -17,6 +17,7 @@ full.  The tests below pin the contract that makes this safe:
 from __future__ import annotations
 
 import copy
+import functools
 import importlib
 import pickle
 import pkgutil
@@ -300,6 +301,22 @@ def test_every_module_level_cache_is_bounded():
         name for name, fn in caches.items() if fn.cache_parameters()["maxsize"] is None
     ]
     assert unbounded == []
+
+
+def test_clear_caches_reaches_a_cache_behind_a_wraps_wrapper(monkeypatch):
+    # a profiler replaces a memoized kernel by a wrapper without cache_clear
+    cached = algebra.prelie_graft
+
+    @functools.wraps(cached)
+    def traced(*args):
+        return cached(*args)
+
+    monkeypatch.setattr(algebra, "prelie_graft", traced)
+    assert not hasattr(algebra.prelie_graft, "cache_clear")
+    algebra.prelie_graft(single(1, 0, 1), single(1, 0, 1))
+    assert algebra.prelie_graft.__wrapped__.cache_info().currsize > 0
+    algebra.clear_caches()
+    assert algebra.prelie_graft.__wrapped__.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------

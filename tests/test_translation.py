@@ -25,7 +25,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import types
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,7 @@ from mirpath.algebra import (
     FormalSum,
     Grading,
     MultiIndex,
+    _derivative_terms,
     derivation_d,
     deshuffle,
     empty_multi_index,
@@ -66,6 +69,11 @@ from mirpath.translation import (
     translate,
     translate_roughpath,
     translation_order,
+)
+from mirpath.translation import (  # white-box: the kernels and their references
+    _coproduct_direct,
+    _generator_image,
+    _raise_candidates,
 )
 
 HALF = Fraction(1, 2)
@@ -349,7 +357,7 @@ class TestTranslate:
 
     def test_truncation_equals_restriction(self):
         ells = _second_order_space_characters()
-        for b in enumerate_populated(1, 3):
+        for b in [*enumerate_populated(1, 3), *forest_basis(1, 3)]:
             full = translate(ells, b)
             for bound in (1, 2, 3):
                 restricted = FormalSum(
@@ -700,6 +708,169 @@ class TestTranslateRoughpath:
         path = _ito_path(n_steps=4, seed=1)
         with pytest.raises(ValueError):
             translate_roughpath(identity_characters(2), path)
+
+
+# ---------------------------------------------------------------------------
+# the shared expansion kernels against the loops they replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
+    if left.is_empty:
+        return FormalSum.of(right)
+    if right.is_empty:
+        return FormalSum.of(left)
+    n = left.cardinality()
+    m = right.cardinality()
+    total: dict = {}
+    for assignment in itertools.product(range(m), repeat=n):
+        buckets: list[list[MultiIndex]] = [[] for _ in range(m)]
+        for part_idx, slot in enumerate(assignment):
+            buckets[slot].append(left.components[part_idx])
+        slot_sums = []
+        for bucket, comp in zip(buckets, right.components):
+            prefix = reduce(MultiIndex.mul, bucket, empty_multi_index(comp.letters - 1))
+            raised = _derivative_terms(comp, len(bucket))
+            slot_sums.append([(prefix.mul(t), c) for t, c in raised.items()])
+        for combo in itertools.product(*slot_sums):
+            coeff = 1
+            for _t, c in combo:
+                coeff *= c
+            forest = Forest([t for t, _c in combo])
+            total[forest] = total.get(forest, 0) + coeff
+    return FormalSum._of(total)
+
+
+def _ref_insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
+    if left.is_empty:
+        return FormalSum.of(a)
+    arities = tuple(k for (i, k), m in a.entries if i == 0 for _ in range(m))
+    if len(arities) != left.cardinality():
+        return FormalSum.zero()
+    partial_coeff = 1
+    for _k, count in itertools.groupby(sorted(arities)):
+        partial_coeff *= math.factorial(len(tuple(count)))
+    rest = MultiIndex([((i, k), m) for (i, k), m in a.entries if i != 0], a.letters)
+    total: dict = {}
+    for assignment in set(itertools.permutations(arities)):
+        acc: dict = {rest: 1}
+        for comp, k in zip(left.components, assignment):
+            nxt: dict = {}
+            for t, ct in acc.items():
+                for r, cr in _derivative_terms(comp, k).items():
+                    key = t.mul(r)
+                    nxt[key] = nxt.get(key, 0) + ct * cr
+            acc = nxt
+        for key, coeff in acc.items():
+            total[key] = total.get(key, 0) + coeff * partial_coeff
+    return FormalSum._of(total)
+
+
+def _ref_insert_into_forest(left: Forest, right: Forest) -> FormalSum:
+    targets = right.components
+    if not targets:
+        return FormalSum.of(EMPTY_FOREST) if left.is_empty else FormalSum.zero()
+    total: dict = {}
+    for assignment in itertools.product(range(len(targets)), repeat=left.cardinality()):
+        buckets: list[list[MultiIndex]] = [[] for _ in targets]
+        for component, slot in zip(left.components, assignment):
+            buckets[slot].append(component)
+        partial: dict = {EMPTY_FOREST: 1}
+        for bucket, target in zip(buckets, targets):
+            nxt: dict = {}
+            for forest, cf in partial.items():
+                for t, cm in _ref_insert_into_mi(Forest(bucket), target).items():
+                    key = forest.merge(Forest([t]))
+                    nxt[key] = nxt.get(key, 0) + cf * cm
+            partial = nxt
+            if not partial:
+                break
+        for forest, coeff in partial.items():
+            total[forest] = total.get(forest, 0) + coeff
+    return FormalSum._of(total)
+
+
+def _ref_translate_mi(ells, a: MultiIndex, trunc) -> FormalSum:
+    acc: dict = {empty_multi_index(a.letters - 1): 1}
+    for (i, k), m in a.entries:
+        image = _generator_image(ells[i], k)
+        for _ in range(m):
+            nxt: dict = {}
+            for left, cl in acc.items():
+                for right, cr in image.items():
+                    key = left.mul(right)
+                    if trunc is not None and key.degree() > trunc:
+                        continue
+                    nxt[key] = nxt.get(key, 0) + cl * cr
+            acc = nxt
+            if not acc:
+                return FormalSum.zero()
+    return FormalSum._of(acc)
+
+
+def _ref_translate_forest(ells, forest: Forest, trunc) -> FormalSum:
+    acc: dict = {EMPTY_FOREST: 1}
+    for component in forest.components:
+        image = _ref_translate_mi(ells, component, trunc)
+        nxt: dict = {}
+        for left, cl in acc.items():
+            for t, cm in image.items():
+                key = left.merge(Forest([t]))
+                if trunc is not None and key.degree() > trunc:
+                    continue
+                nxt[key] = nxt.get(key, 0) + cl * cm
+        acc = nxt
+        if not acc:
+            return FormalSum.zero()
+    return FormalSum._of(acc)
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Two forests of at most three components and degree ≤ 4 over d ≤ 2,
+    a character list and a truncation."""
+    d = draw(st.sampled_from([1, 2]))
+    forests = st.sampled_from([f for f in forest_basis(d, 4) if f.cardinality() <= 3])
+    ells = draw(st.sampled_from([identity_characters(d), _is_characters(d)]))
+    trunc = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    return draw(forests), draw(forests), tuple(ells), trunc
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_inputs())
+def test_shared_kernels_keep_the_terms_and_their_order(inputs):
+    u, v, ells, trunc = inputs
+    pairs = [
+        (graft_simultaneous(u, v), _ref_graft_simultaneous(u, v)),
+        (insert_simultaneous(u, v), _ref_insert_into_forest(u, v)),
+        (translate(ells, u, trunc), _ref_translate_forest(ells, u, trunc)),
+    ]
+    for target in v.components:
+        pairs.append((insert_simultaneous(u, target), _ref_insert_into_mi(u, target)))
+        pairs.append(
+            (translate(ells, target, trunc), _ref_translate_mi(ells, target, trunc))
+        )
+    for got, want in pairs:
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+
+
+def _global_names(code: types.CodeType):
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _global_names(const)
+
+
+def test_direct_coproduct_route_shares_no_expansion_kernel():
+    # route B must stay independent of the insertion product it is checked by
+    used = {
+        *_global_names(_coproduct_direct.__code__),
+        *_global_names(_raise_candidates.__wrapped__.__code__),
+    }
+    assert "_derivative_terms" in used  # the scan sees the globals it calls
+    shared = {"_multiply_out", "_distribute", "_insert_into_mi", "insert_prelie"}
+    assert used.isdisjoint(shared)
 
 
 # ---------------------------------------------------------------------------
