@@ -34,18 +34,20 @@ _EXPORTS = {
         "parse_forest", "parse_formal_sum", "parse_multi_index",
     ),
     "group": (
-        "GroupElement", "LieElement", "OffGridTimeError", "RoughPathGrid",
-        "char_eval", "chen_compose", "exp_element", "identity_character",
-        "log_element", "random_character",
+        "GradingMismatchError", "GroupElement", "InvalidKeyError", "LieElement",
+        "OffGridTimeError", "PrimitivityError", "RoughPathGrid", "char_eval",
+        "chen_compose", "exp_element", "identity_character", "log_element",
+        "random_character",
     ),
     "lifts": (
-        "brownian_pair_statistics", "grid_from_json", "grid_to_json",
-        "lift_brownian", "lift_piecewise_linear", "read_path_csv", "write_path_csv",
+        "UnsupportedLevelError", "brownian_pair_statistics", "grid_from_json",
+        "grid_payload", "grid_to_json", "lift_brownian", "lift_piecewise_linear",
+        "read_path_csv", "write_path_csv",
     ),
     "fields": (
         "DerivativeOrderError", "SmoothTest", "VectorField", "translated_field",
         "upsilon", "upsilon_sum", "upsilon_vf", "vector_field_from_json",
-        "vector_field_to_json",
+        "vector_field_payload", "vector_field_to_json",
     ),
     "translation": (
         "Character", "TruncationShortfallError", "character_from_json",

@@ -7,27 +7,34 @@ translation by characters), ``translate-field`` (vector-field translation),
 ``davie-report`` (local-expansion residual slopes), ``ito-strat-demo``
 (Monte-Carlo second-level gap statistics).
 
-Conventions shared by every subcommand:
+Each handler computes and returns an :class:`_Output`: its provenance
+config and seed, its body (a JSON mapping, text lines, or no document), its
+exit code and an optional note for stderr.  :func:`main` alone turns that
+into output, so these conventions hold for every subcommand:
 
-* every run emits a provenance header — package and library versions, the
-  RNG algorithm and seed, and the resolved configuration; a timestamp is
-  included unless ``--no-timestamp`` is passed, so byte-identical reruns
-  are available on demand;
+* every document opens with a provenance header — package and library
+  versions, the RNG algorithm and seed, and the resolved configuration; a
+  timestamp is included unless ``--no-timestamp`` is passed, so
+  byte-identical reruns are available on demand;
+* the document is streamed to ``--out`` or stdout only after the handler
+  returns, so an error raised while computing leaves no output;
 * JSON output carries floats as JSON numbers and exact rationals as
-  ``"p/q"`` strings; CSV output uses the ``.`` decimal point regardless of
-  locale;
+  ``"p/q"`` strings, and never ``NaN`` or ``Infinity``; CSV output uses the
+  ``.`` decimal point regardless of locale;
 * exit codes: 0 success, 1 verification failure, 2 usage or input error,
-  3 numeric divergence.
+  3 numeric divergence (``solve`` still writes its partial solution,
+  ``davie-report`` writes nothing).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 
@@ -49,6 +56,18 @@ EXIT_DIVERGED = 3
 
 class UsageError(ValueError):
     """Invalid flags or malformed input files; maps to exit code 2."""
+
+
+class _Output(NamedTuple):
+    """What a handler computed.  ``body`` is a JSON mapping (written after
+    the provenance header), text lines (written after one ``#`` line per
+    header field), or None for no document."""
+
+    config: dict
+    seed: int | None
+    body: dict | list[str] | None
+    code: int = EXIT_OK
+    note: str | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +102,7 @@ def _parse_level(text: str | None) -> Fraction | None:
         raise UsageError(f"cannot parse level {text!r} as a rational p/q") from exc
 
 
-def _provenance(args: argparse.Namespace, config: dict, seed: int | None) -> dict:
+def _provenance(args: argparse.Namespace, out: _Output) -> dict:
     import datetime
     import platform
 
@@ -95,46 +114,34 @@ def _provenance(args: argparse.Namespace, config: dict, seed: int | None) -> dic
         "tool": f"mirpath {__version__}",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "rng": {"algorithm": RNG_ALGORITHM, "seed": seed},
-        "config": config,
+        "rng": {"algorithm": RNG_ALGORITHM, "seed": out.seed},
+        "config": out.config,
     }
     if not args.no_timestamp:
         header["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return header
 
 
-def _open_out(args: argparse.Namespace):
-    if args.out is None:
-        return sys.stdout, False
-    try:
-        return open(args.out, "w", encoding="utf-8"), True
-    except OSError as exc:
-        raise UsageError(f"cannot open output file {args.out!r}: {exc}") from exc
-
-
-def _emit_json(payload: dict, args: argparse.Namespace) -> None:
-    stream, close = _open_out(args)
-    try:
-        # a non-finite number raises ValueError instead of writing NaN
-        json.dump(payload, stream, indent=2, allow_nan=False)
-        stream.write("\n")
-    finally:
-        if close:
-            stream.close()
-
-
-def _emit_text(header: dict, lines: list[str], args: argparse.Namespace) -> None:
-    stream, close = _open_out(args)
-    try:
-        for key, value in header.items():
-            if isinstance(value, dict):
-                value = json.dumps(value, sort_keys=True)
-            stream.write(f"# {key}: {value}\n")
-        for line in lines:
-            stream.write(line + "\n")
-    finally:
-        if close:
-            stream.close()
+def _write(path: str | None, header: dict, body: dict | list[str]) -> None:
+    """Stream one document to the file ``path``, or to stdout if None."""
+    sink = contextlib.nullcontext(sys.stdout)
+    if path is not None:
+        try:
+            sink = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise UsageError(f"cannot open output file {path!r}: {exc}") from exc
+    with sink as stream:
+        if isinstance(body, dict):
+            # a non-finite number raises ValueError instead of writing NaN
+            json.dump({"provenance": header, **body}, stream, indent=2, allow_nan=False)
+            stream.write("\n")
+        else:
+            for key, value in header.items():
+                if isinstance(value, dict):
+                    value = json.dumps(value, sort_keys=True)
+                stream.write(f"# {key}: {value}\n")
+            for line in body:
+                stream.write(line + "\n")
 
 
 def _read_text(path: str) -> str:
@@ -204,21 +211,12 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
     return ells
 
 
-def _solution_payload(sol) -> dict:
-    return {
-        "times": list(sol.times),
-        "values": list(sol.values),
-        "diverged": sol.diverged,
-        "message": sol.message,
-    }
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     from .algebra import Grading, enumerate_populated, gamma_degree, symmetry_factor
     from .grammar import format_multi_index
 
@@ -228,7 +226,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         raise UsageError(f"--max-norm must be >= 0, got {args.max_norm}")
     gamma = _parse_gamma(args.gamma)
     config = {"d": args.d, "max_norm": args.max_norm, "gamma": str(gamma)}
-    header = _provenance(args, config, seed=None)
     lines: list[str] = []
     if args.max_norm >= 1:
         grading = Grading(max_norm=args.max_norm, gamma=gamma)
@@ -239,59 +236,37 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 f"symmetry={symmetry_factor(m)}  "
                 f"populated={'yes' if m.is_populated() else 'no'}"
             )
-    _emit_text(header, lines, args)
-    return EXIT_OK
+    return _Output(config, None, lines)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import available_suites, run_all_suites
+def _cmd_verify(args: argparse.Namespace) -> _Output:
+    from .verify import run_all_suites
 
     gamma = _parse_gamma(args.gamma)
-    suites = args.suite or None
-    if suites:
-        unknown = set(suites) - set(available_suites())
-        if unknown:
-            raise UsageError(
-                f"unknown suites {sorted(unknown)}; "
-                f"available: {', '.join(available_suites())}"
-            )
-    if args.inject_fault and args.inject_fault not in available_suites():
-        raise UsageError(f"cannot inject fault into unknown suite {args.inject_fault!r}")
     config = {
         "d": args.d,
         "max_norm": args.max_norm,
         "gamma": str(gamma),
         "seed": args.seed,
-        "suites": list(suites) if suites else "all",
+        "suites": args.suite or "all",
     }
-    try:
-        results = run_all_suites(
-            d=args.d, max_norm=args.max_norm, seed=args.seed, gamma=gamma,
-            suites=suites, fault_suite=args.inject_fault,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    all_passed = all(r.passed for r in results)
-    payload = {
-        "provenance": _provenance(args, config, seed=args.seed),
-        "suites": [r.to_json() for r in results],
-        "all_passed": all_passed,
-    }
-    _emit_json(payload, args)
-    if not all_passed:
-        for r in results:
-            if not r.passed:
-                shown = "; ".join(r.failures) or "(no element recorded)"
-                print(
-                    f"verification failure in suite {r.name}: "
-                    f"{r.failed}/{r.checked} checks failed: {shown}",
-                    file=sys.stderr,
-                )
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    results = run_all_suites(
+        d=args.d, max_norm=args.max_norm, seed=args.seed, gamma=gamma,
+        suites=args.suite, fault_suite=args.inject_fault,
+    )
+    failures = [
+        f"verification failure in suite {r.name}: {r.failed}/{r.checked} checks "
+        f"failed: {'; '.join(r.failures) or '(no element recorded)'}"
+        for r in results
+        if not r.passed
+    ]
+    body = {"suites": [r.to_json() for r in results], "all_passed": not failures}
+    if failures:
+        return _Output(config, args.seed, body, EXIT_VERIFICATION, "\n".join(failures))
+    return _Output(config, args.seed, body)
 
 
-def _cmd_lift(args: argparse.Namespace) -> int:
+def _cmd_lift(args: argparse.Namespace) -> _Output:
     from .algebra import Grading
     from .lifts import grid_payload, lift_brownian, lift_piecewise_linear, read_path_csv
 
@@ -335,12 +310,7 @@ def _cmd_lift(args: argparse.Namespace) -> int:
         "max_norm": args.max_norm,
         "source": source,
     }
-    payload = {
-        "provenance": _provenance(args, config, seed=seed),
-        "grid": grid_payload(grid),
-    }
-    _emit_json(payload, args)
-    return EXIT_OK
+    return _Output(config, seed, {"grid": grid_payload(grid)})
 
 
 def _solve_inputs(args: argparse.Namespace) -> tuple:
@@ -354,14 +324,11 @@ def _solve_inputs(args: argparse.Namespace) -> tuple:
         raise UsageError(
             f"field drives {field.d} letters but the grid stores {grid.d}"
         )
-    try:
-        cfg = SolveConfig(
-            rk4_substeps=args.substeps,
-            mesh_level=args.mesh_level,
-            level=_parse_level(args.level),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    cfg = SolveConfig(
+        rk4_substeps=args.substeps,
+        mesh_level=args.mesh_level,
+        level=_parse_level(args.level),
+    )
     config = {
         "grid": args.grid,
         "field": args.field,
@@ -373,23 +340,25 @@ def _solve_inputs(args: argparse.Namespace) -> tuple:
     return grid, field, cfg, config
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> _Output:
     from .solver import solve_flow
 
     grid, field, cfg, config = _solve_inputs(args)
     sol = solve_flow(grid, field, args.y0, cfg)
-    payload = {
-        "provenance": _provenance(args, config, seed=None),
-        "solution": _solution_payload(sol),
+    body = {
+        "solution": {
+            "times": list(sol.times),
+            "values": list(sol.values),
+            "diverged": sol.diverged,
+            "message": sol.message,
+        }
     }
-    _emit_json(payload, args)
     if sol.diverged:
-        print(f"numeric divergence: {sol.message}", file=sys.stderr)
-        return EXIT_DIVERGED
-    return EXIT_OK
+        return _Output(config, None, body, EXIT_DIVERGED, f"numeric divergence: {sol.message}")
+    return _Output(config, None, body)
 
 
-def _cmd_translate(args: argparse.Namespace) -> int:
+def _cmd_translate(args: argparse.Namespace) -> _Output:
     from .algebra import Grading
     from .lifts import grid_payload
     from .translation import translate_roughpath
@@ -411,37 +380,24 @@ def _cmd_translate(args: argparse.Namespace) -> int:
         "out_max_norm": args.out_max_norm,
         "out_gamma": args.out_gamma,
     }
-    payload = {
-        "provenance": _provenance(args, config, seed=None),
-        "grid": grid_payload(translated),
-    }
-    _emit_json(payload, args)
-    return EXIT_OK
+    return _Output(config, None, {"grid": grid_payload(translated)})
 
 
-def _cmd_translate_field(args: argparse.Namespace) -> int:
-    from .fields import translated_field, vector_field_to_json
+def _cmd_translate_field(args: argparse.Namespace) -> _Output:
+    from .fields import translated_field, vector_field_payload
 
     field = _load_field(args.field)
     ells = _load_characters(args, field.d)
-    try:
-        out = translated_field(field, ells, args.max_norm)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    out = translated_field(field, ells, args.max_norm)
     config = {
         "field": args.field,
         "characters": "ito-strat" if args.ito_strat else args.chars,
         "max_norm": args.max_norm,
     }
-    payload = {
-        "provenance": _provenance(args, config, seed=None),
-        "field": json.loads(vector_field_to_json(out)),
-    }
-    _emit_json(payload, args)
-    return EXIT_OK
+    return _Output(config, None, {"field": vector_field_payload(out)})
 
 
-def _cmd_davie_report(args: argparse.Namespace) -> int:
+def _cmd_davie_report(args: argparse.Namespace) -> _Output:
     from .solver import davie_residual_report, dyadic_pairs, solve_flow
 
     if args.max_block is not None and args.min_block > args.max_block:
@@ -451,15 +407,13 @@ def _cmd_davie_report(args: argparse.Namespace) -> int:
     grid, field, cfg, config = _solve_inputs(args)
     sol = solve_flow(grid, field, args.y0, cfg)
     if sol.diverged:
-        print(f"numeric divergence: {sol.message}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _Output(config, None, None, EXIT_DIVERGED, f"numeric divergence: {sol.message}")
     pairs = dyadic_pairs(sol.times, min_block=args.min_block, max_block=args.max_block)
     report = davie_residual_report(
         grid, field, sol, pairs, level=_parse_level(args.level)
     )
     config.update(min_block=args.min_block, max_block=args.max_block)
-    payload = {
-        "provenance": _provenance(args, config, seed=None),
+    body = {
         "report": {
             # fewer than two fit points leave no slope
             "slope": None if math.isnan(report.slope) else report.slope,
@@ -469,11 +423,10 @@ def _cmd_davie_report(args: argparse.Namespace) -> int:
             "rows": [list(row) for row in report.rows],
         },
     }
-    _emit_json(payload, args)
-    return EXIT_OK
+    return _Output(config, None, body)
 
 
-def _cmd_ito_strat_demo(args: argparse.Namespace) -> int:
+def _cmd_ito_strat_demo(args: argparse.Namespace) -> _Output:
     from .lifts import brownian_pair_statistics
 
     if args.d < 1:
@@ -493,7 +446,6 @@ def _cmd_ito_strat_demo(args: argparse.Namespace) -> int:
         "steps": args.steps,
         "t_final": args.t_final,
     }
-    header = _provenance(args, config, seed=args.seed)
     lines = ["i,j,mean_gap,standard_error,expected,abs_z"]
     mean = stats["mean_gap"]
     se = stats["standard_error"]
@@ -505,8 +457,7 @@ def _cmd_ito_strat_demo(args: argparse.Namespace) -> int:
             want = float(target[i, j])
             z = abs(gap - want) / err if err > 0 else float("inf")
             lines.append(f"{i + 1},{j + 1},{gap!r},{err!r},{want!r},{z:.3f}")
-    _emit_text(header, lines, args)
-    return EXIT_OK
+    return _Output(config, args.seed, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -662,19 +613,26 @@ def _diverged_error() -> type:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: the handler computes, then its document, stderr
+    note and exit code are written and returned here."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         # --gamma is validated before any other flag is checked or file read
         if getattr(args, "gamma", None) is not None:
             _parse_gamma(args.gamma)
-        return args.handler(args)
+        out = args.handler(args)
+        if out.body is not None:
+            _write(args.out, _provenance(args, out), out.body)
     except (ValueError, OSError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _diverged_error() as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    if out.note is not None:
+        print(out.note, file=sys.stderr)
+    return out.code
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ __all__ = [
     "upsilon_sum",
     "upsilon_vf",
     "translated_field",
+    "vector_field_payload",
     "vector_field_to_json",
     "vector_field_from_json",
 ]
@@ -369,10 +370,12 @@ def _fraction_string(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def vector_field_to_json(f: VectorField) -> str:
+def vector_field_payload(f: VectorField) -> dict:
+    """The JSON document of a polynomial field, as a dict: one exact
+    coefficient row per letter whose polynomial is not zero."""
     if f.variant != "polynomial" or f.poly_coeffs is None:
         raise ValueError(f"only polynomial fields serialize to JSON, got {f.variant!r}")
-    payload = {
+    return {
         "d": f.d,
         "fields": [
             {"i": i, "coeffs": [_fraction_string(c) for c in row]}
@@ -380,7 +383,10 @@ def vector_field_to_json(f: VectorField) -> str:
             if any(c != 0 for c in row)
         ],
     }
-    return json.dumps(payload, indent=2)
+
+
+def vector_field_to_json(f: VectorField) -> str:
+    return json.dumps(vector_field_payload(f), indent=2)
 
 
 def vector_field_from_json(doc: str | Mapping) -> VectorField:

@@ -45,6 +45,7 @@ from .algebra import (
 __all__ = [
     "GroupElement",
     "LieElement",
+    "OffGridTimeError",
     "RoughPathGrid",
     "GradingMismatchError",
     "InvalidKeyError",
@@ -55,7 +56,6 @@ __all__ = [
     "log_element",
     "identity_character",
     "random_character",
-    "rp_norm",
 ]
 
 
@@ -324,6 +324,12 @@ def _time_index(times: Sequence[float], t: float) -> int | None:
     return None
 
 
+def _first_non_finite(coords: np.ndarray) -> int | None:
+    """The first row of ``coords`` that holds a non-finite value, if any."""
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
 class RoughPathGrid:
     """Consecutive increments X_{t_j,t_{j+1}} over a strictly increasing grid.
 
@@ -389,25 +395,3 @@ class RoughPathGrid:
         if i == j:
             return identity_character(self.d, self.grading)
         return reduce(chen_compose, self.increments[i:j])
-
-    def increment_between(self, s: float, t: float) -> GroupElement:
-        return self.increment_by_index(self.index_of(s), self.index_of(t))
-
-
-def rp_norm(path: RoughPathGrid) -> float:
-    """Grid Hölder norm: max over basis forests u of
-    sup_{s<t} (|X_{s,t}(u)| / (t−s)^{|u|_γ})^{1/deg u}."""
-    t = _table(path.d, path.grading.max_norm)
-    forests = t.basis[1:]
-    gdeg = np.array([float(u.gamma_degree(path.grading.gamma)) for u in forests])
-    inv_deg = np.array([1.0 / u.degree() for u in forests])
-    best = 0.0
-    n = len(path.times)
-    for i in range(n - 1):
-        running = identity_character(path.d, path.grading)
-        for j in range(i + 1, n):
-            running = chen_compose(running, path.increments[j - 1])
-            dt = path.times[j] - path.times[i]
-            v = np.abs(t.character(running.coords)[1:])
-            best = max(best, float(((v / dt**gdeg) ** inv_deg).max()))
-    return best

@@ -37,7 +37,7 @@ import numpy as np
 
 from .algebra import Grading, MultiIndex, _populated_tuple
 from .grammar import _json_int, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _key_index, _slot
+from .group import RoughPathGrid, _first_non_finite, _key_index, _slot
 
 __all__ = [
     "UnsupportedLevelError",
@@ -145,12 +145,6 @@ def _lift_steps(
             f"lift value overflows on segment {m} (t = {times[m]} .. {times[m + 1]})"
         )
     return RoughPathGrid._of(d, grading, times, coords, depth)
-
-
-def _first_non_finite(coords: np.ndarray) -> int | None:
-    """The first row of ``coords`` that holds a non-finite value, if any."""
-    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-    return int(bad[0]) if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +269,20 @@ def brownian_pair_statistics(
     sums = np.zeros((d, d))
     sq_sums = np.zeros((d, d))
     done = 0
-    while done < n_paths:
-        take = min(_PATH_CHUNK, n_paths - done)
-        dw = rng.normal(0.0, math.sqrt(dt), size=(take, n_steps, d))
-        # gap[p,i,j] = ½ Σ_m ΔB^i ΔB^j for path p
-        gap = 0.5 * np.einsum("pmi,pmj->pij", dw, dw)
-        sums += gap.sum(axis=0)
-        sq_sums += (gap**2).sum(axis=0)
-        done += take
-    mean = sums / n_paths
-    var = sq_sums / n_paths - mean**2
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, refused below
+        while done < n_paths:
+            take = min(_PATH_CHUNK, n_paths - done)
+            dw = rng.normal(0.0, math.sqrt(dt), size=(take, n_steps, d))
+            # gap[p,i,j] = ½ Σ_m ΔB^i ΔB^j for path p
+            gap = 0.5 * np.einsum("pmi,pmj->pij", dw, dw)
+            sums += gap.sum(axis=0)
+            sq_sums += (gap**2).sum(axis=0)
+            done += take
+        mean = sums / n_paths
+        var = sq_sums / n_paths - mean**2
     se = np.sqrt(np.maximum(var, 0.0) / n_paths)
+    if not (np.isfinite(mean).all() and np.isfinite(se).all()):
+        raise ValueError(f"gap statistics overflow the float range at t_final = {t_final}")
     target = np.full((d, d), 0.0)
     np.fill_diagonal(target, t_final / 2.0)
     return {

@@ -276,6 +276,12 @@ def _mesh_indices(path: RoughPathGrid, cfg: SolveConfig) -> list[int]:
             raise ValueError("mesh times must be strictly increasing")
         return idx
     if cfg.mesh_level is not None:
+        n = len(path.times) - 1
+        if n.bit_length() <= cfg.mesh_level:  # 2^level > n
+            raise ValueError(
+                f"mesh level {cfg.mesh_level} asks for 2^{cfg.mesh_level} intervals, "
+                f"more than the {n} the grid stores"
+            )
         pieces = 1 << cfg.mesh_level
         t0, t1 = path.times[0], path.times[-1]
         return [path.index_of(t0 + (t1 - t0) * k / pieces) for k in range(pieces + 1)]
@@ -298,7 +304,8 @@ def solve_flow(
     values = [float(y0)]
     message = ""
     for a, b in zip(indices, indices[1:]):
-        lam = log_element(path.increment_by_index(a, b))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan trip the guard
+            lam = log_element(path.increment_by_index(a, b))
         try:
             y = logode_step(
                 lam,
@@ -374,11 +381,16 @@ def davie_residual_report(
         ys = sol.value_at(s)
         yt = sol.value_at(t)
         try:
-            expansion = davie_expansion(path, f, s, t, ys, level=bound)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan refused below
+                expansion = davie_expansion(path, f, s, t, ys, level=bound)
         except OverflowError as exc:  # a power in the right-hand side
             message = f"expansion over [{s}, {t}] overflowed at state {ys}: {exc}"
             raise DivergedError(message, substep=1, state=ys) from exc
-        rows.append((s, t, abs(yt - expansion)))
+        residual = abs(yt - expansion)
+        if not math.isfinite(residual):
+            message = f"expansion over [{s}, {t}] is {expansion} at state {ys}"
+            raise DivergedError(message, substep=1, state=ys)
+        rows.append((s, t, residual))
     xs = []
     ys_log = []
     for s, t, residual in rows:

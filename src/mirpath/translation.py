@@ -55,7 +55,7 @@ from .algebra import (
     symmetry_factor,
 )
 from .grammar import _json_int, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _key_index
+from .group import RoughPathGrid, _first_non_finite, _key_index
 
 __all__ = [
     "Character",
@@ -647,7 +647,8 @@ def translate_roughpath(
     level), while order N > 1 moves to Hölder exponent γ/N with truncation
     ⌊N/γ⌋, N being :func:`translation_order`.  The input truncation must
     cover every monomial the dual images touch; if not, the missing degree is
-    reported rather than silently truncated.
+    reported rather than silently truncated.  An output value that overflows
+    the float range is refused with a ``ValueError`` naming its segment.
     """
     _check_characters(ells, path.d + 1)
     gamma = path.grading.gamma
@@ -673,11 +674,16 @@ def translate_roughpath(
         )
     index = _key_index(path.d, path.grading.max_norm)
     coords = np.zeros((len(path.coords), len(out_index)))
-    with np.errstate(all="ignore"):  # overflow gives inf, as in float arithmetic
+    with np.errstate(all="ignore"):  # overflow gives inf, refused below
         for beta, image in duals.items():
             column = coords[:, out_index[beta]]
             for gamma_mi, coeff in image.items():
                 column += float(coeff) * path.coords[:, index[gamma_mi]]
+    if (m := _first_non_finite(coords)) is not None:
+        raise ValueError(
+            f"translated value overflows on segment {m} "
+            f"(t = {path.times[m]} .. {path.times[m + 1]})"
+        )
     return RoughPathGrid._of(
         path.d, out_grading, path.times, coords, out_grading.max_norm
     )

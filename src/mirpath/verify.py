@@ -191,7 +191,7 @@ def _check_symmetric_triples(defect, label, d, max_norm, seed, rec):
     then on 40 seeded random triples of degree ≤ 3."""
     low = enumerate_populated(d, min(max_norm, 2))
     rng = random.Random(seed)
-    deep = enumerate_populated(d, min(max_norm, 3))
+    deep = enumerate_populated(d, max_norm)
     drawn = [tuple(rng.choice(deep) for _ in range(3)) for _ in range(40)]
     # a triple is also its swap's partner: evaluate each defect once
     seen: dict[tuple[MultiIndex, ...], FormalSum] = {}
@@ -228,7 +228,7 @@ def _suite_graft_nap(d, max_norm, seed, gamma, rec):
 
 def _suite_star_associative(d, max_norm, seed, gamma, rec):
     """Forest product: two-sided unit and associativity."""
-    basis = forest_basis(d, min(max_norm, 3))
+    basis = forest_basis(d, max_norm)
     for f in basis:
         rec.check(
             gl_product(EMPTY_FOREST, f) == FormalSum.of(f)
@@ -247,7 +247,7 @@ def _suite_star_associative(d, max_norm, seed, gamma, rec):
 
 def _suite_deshuffle(d, max_norm, seed, gamma, rec):
     """Splitting coproduct: coassociative and cocommutative."""
-    for f in forest_basis(d, min(max_norm, 3)):
+    for f in forest_basis(d, max_norm):
         delta = deshuffle(f)
         left: dict = {}
         right: dict = {}
@@ -270,7 +270,7 @@ def _suite_deshuffle(d, max_norm, seed, gamma, rec):
 
 def _suite_bialgebra(d, max_norm, seed, gamma, rec):
     """Deshuffle intertwines the forest product leg by leg."""
-    pool = [f for f in forest_basis(d, min(max_norm, 3)) if not f.is_empty]
+    pool = [f for f in forest_basis(d, max_norm) if not f.is_empty]
     rng = random.Random(seed)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(40)]
     pairs += [(u, v) for u in pool[:6] for v in pool[:6]]
@@ -306,7 +306,7 @@ def _suite_insertion_prelie(d, max_norm, seed, gamma, rec):
 
 def _suite_coproduct_routes(d, max_norm, seed, gamma, rec):
     """Direct extraction–contraction equals the transpose construction."""
-    for b in enumerate_populated(d, min(max_norm, 3)):
+    for b in enumerate_populated(d, max_norm):
         rec.check(
             coproduct_minus(b, route="direct")
             == coproduct_minus(b, route="transpose"),
@@ -343,7 +343,7 @@ def _suite_adjointness(d, max_norm, seed, gamma, rec):
                     lambda forest=forest, a=a, b=b: tensor_text(forest, a, b),
                 )
     # every extracted term of the deeper targets pairs back correctly
-    for b in enumerate_populated(d, min(max_norm, 3)):
+    for b in enumerate_populated(d, max_norm):
         s_b = symmetry_factor(b)
         for (forest, a), coeff in coproduct_minus(b, route="direct").items():
             lhs = insert_simultaneous(forest, a).coefficient(b) * s_b
@@ -356,7 +356,7 @@ def _suite_adjointness(d, max_norm, seed, gamma, rec):
 def _suite_translate_identity(d, max_norm, seed, gamma, rec):
     """The identity character list fixes every basis element."""
     ells = identity_characters(d)
-    for b in enumerate_populated(d, min(max_norm, 3)):
+    for b in enumerate_populated(d, max_norm):
         rec.check(
             translate(ells, b) == FormalSum.of(b),
             lambda b=b: f"identity translation moved {format_multi_index(b)}",
@@ -392,7 +392,7 @@ def _suite_translate_morphism(d, max_norm, seed, gamma, rec):
                     f"({format_forest(u)}, {format_forest(v)})"
                 ),
             )
-    for b in enumerate_populated(d, min(max_norm, 3)):
+    for b in enumerate_populated(d, max_norm):
         rec.check(
             translate(ells, derivation_d(b)) == derivation_d(translate(ells, b)),
             lambda b=b: f"derivation defect at {format_multi_index(b)}",
@@ -402,7 +402,7 @@ def _suite_translate_morphism(d, max_norm, seed, gamma, rec):
 def _suite_translate_population(d, max_norm, seed, gamma, rec):
     """Images of translation, its dual, and insertion stay populated."""
     ells = _is_characters(d)
-    for b in enumerate_populated(d, min(max_norm, 3)):
+    for b in enumerate_populated(d, max_norm):
         rec.check(
             all(t.is_populated() for t, _ in translate(ells, b).items()),
             lambda b=b: f"unpopulated translation term from {format_multi_index(b)}",
@@ -433,7 +433,7 @@ def _suite_translate_population(d, max_norm, seed, gamma, rec):
 
 def _suite_exp_log(d, max_norm, seed, gamma, rec):
     """exp after log returns every random character to itself."""
-    grading = Grading(max_norm=min(max_norm, 3), gamma=gamma)
+    grading = Grading(max_norm=max_norm, gamma=gamma)
     rng = np.random.default_rng(seed)
     for idx in range(100):
         x = random_character(d, grading, rng)
@@ -458,7 +458,7 @@ def _suite_chen(d, max_norm, seed, gamma, rec):
     rng = np.random.default_rng(seed)
     walk = np.cumsum(rng.standard_normal((n + 1, d)) * 0.7, axis=0)
     samples = [(j / n, *map(float, walk[j])) for j in range(n + 1)]
-    grading = Grading(max_norm=min(max_norm, 3), gamma=gamma)
+    grading = Grading(max_norm=max_norm, gamma=gamma)
     grid = lift_piecewise_linear(samples, grading)
     spans = {}
     for i in range(n):
@@ -546,7 +546,7 @@ def _suite_upsilon_leibniz(d, max_norm, seed, gamma, rec):
     phi = SmoothTest.polynomial(phi_coeffs)
     psi = SmoothTest.polynomial(psi_coeffs)
     product_test = SmoothTest.polynomial(tuple(conv))
-    for u in forest_basis(d, min(max_norm, 3)):
+    for u in forest_basis(d, max_norm):
         for y in _SAMPLE_POINTS:
             lhs = 0.0
             for (u1, u2), coeff in deshuffle(u).items():
@@ -589,6 +589,11 @@ _SUITES: tuple[tuple[str, Callable, float | None], ...] = (
 )
 
 
+#: The highest degree any suite checks; ``run_all_suites`` refuses a larger
+#: ``max_norm`` rather than run the checks of this one under its name.
+_DEGREE_CAP = 3
+
+
 def available_suites() -> tuple[str, ...]:
     return tuple(name for name, _, _ in _SUITES)
 
@@ -603,6 +608,7 @@ def run_all_suites(
 ) -> list[SuiteResult]:
     """Run the verification suites and return one result record per suite.
 
+    ``max_norm`` must lie in 1..3, the highest degree the suites check.
     ``suites`` restricts the run to the named subset (order preserved from
     the registry).  Each suite draws its own randomness from ``seed``, so a
     subset run reproduces the same checks as the full run.  ``fault_suite``
@@ -614,14 +620,21 @@ def run_all_suites(
     """
     if d < 1:
         raise ValueError(f"need at least one driving letter, got d={d}")
-    if max_norm < 1:
-        raise ValueError(f"truncation must be at least 1, got {max_norm}")
+    if not 1 <= max_norm <= _DEGREE_CAP:
+        raise ValueError(
+            f"truncation must lie in 1..{_DEGREE_CAP}, the highest degree the "
+            f"suites check, got {max_norm}"
+        )
     if not 0 < gamma < 1:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     selected = set(available_suites() if suites is None else suites)
     unknown = selected - set(available_suites())
     if unknown:
-        raise ValueError(f"unknown suites: {sorted(unknown)}")
+        raise ValueError(
+            f"unknown suites {sorted(unknown)}; available: {', '.join(available_suites())}"
+        )
+    if fault_suite is not None and fault_suite not in available_suites():
+        raise ValueError(f"cannot inject fault into unknown suite {fault_suite!r}")
     results = []
     for name, fn, tolerance in _SUITES:
         if name not in selected:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import pickle
 import re
 from fractions import Fraction
@@ -36,10 +35,8 @@ from mirpath.group import (
     identity_character,
     log_element,
     random_character,
-    rp_norm,
 )
 from mirpath.group import _table  # white-box checks
-from mirpath.lifts import lift_piecewise_linear
 
 G3 = Grading(max_norm=3, gamma=Fraction(1, 3))
 
@@ -376,7 +373,7 @@ def test_grid_validation():
 def test_grid_off_grid_time_rejected():
     grid = _constant_grid([{}, {}, {}, {}])
     with pytest.raises(OffGridTimeError):
-        grid.increment_between(0.0, 0.3)
+        grid.index_of(0.3)
 
 
 def test_grid_composition_bracketing_independent():
@@ -389,50 +386,3 @@ def test_grid_composition_bracketing_independent():
     )
     for key, v in full.values.items():
         assert abs(v - left.values.get(key, 0.0)) <= 1e-12 * max(1.0, abs(v))
-
-
-def test_rp_norm_zero_rough_path():
-    grid = _constant_grid([{}, {}, {}, {}])
-    assert rp_norm(grid) == 0.0
-
-
-def test_rp_norm_linear_path_reaches_level_one_slope():
-    g = Grading(max_norm=2, gamma=Fraction(1, 2))
-    samples = [(j / 4.0, j / 4.0) for j in range(5)]
-    grid = lift_piecewise_linear(samples, g)
-    assert rp_norm(grid) >= 1.0
-
-
-def test_rp_norm_level_one_homogeneity():
-    g = Grading(max_norm=1, gamma=Fraction(1, 2))
-    base = rp_norm(lift_piecewise_linear([(j / 4.0, 5.0 * j / 4.0) for j in range(5)], g))
-    for lam in (2.0, 4.0):
-        scaled = rp_norm(
-            lift_piecewise_linear([(j / 4.0, lam * 5.0 * j / 4.0) for j in range(5)], g)
-        )
-        assert scaled == pytest.approx(lam * base, rel=1e-12)
-
-
-def test_log_norm_comparable_with_path_norm():
-    """Finite two-sided ratio between the increment norm and the norm of the
-    log-coordinates over a fixed family of lifted paths."""
-    g = Grading(max_norm=2, gamma=Fraction(1, 2))
-    ratios = []
-    for slope in (0.5, 1.0, 3.0):
-        samples = [(j / 4.0, slope * j / 4.0, math.sin(slope * j) / 3.0) for j in range(5)]
-        grid = lift_piecewise_linear(samples, g)
-        x_norm = rp_norm(grid)
-        lam_norm = 0.0
-        n = len(grid.times)
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                lam = log_element(grid.increment_by_index(i, j))
-                dt = grid.times[j] - grid.times[i]
-                for key, v in lam.values.items():
-                    if v == 0.0:
-                        continue
-                    gdeg = float(key.gamma_degree(g.gamma))
-                    lam_norm = max(lam_norm, (abs(v) / dt**gdeg) ** (1.0 / key.degree()))
-        assert x_norm > 0.0 and lam_norm > 0.0
-        ratios.append(lam_norm / x_norm)
-    assert all(1e-3 <= r <= 1e3 for r in ratios)

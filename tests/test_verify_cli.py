@@ -10,8 +10,8 @@ round trip from ``lift`` output through ``solve``.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
+import copy
 import io
 import json
 import math
@@ -19,18 +19,27 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mirpath
 from mirpath.algebra import Grading, MultiIndex, enumerate_populated
-from mirpath.cli import _emit_json
+from mirpath.cli import _write
 from mirpath.cli import main as cli_main
 from mirpath.fields import VectorField, vector_field_from_json, vector_field_to_json
 from mirpath.grammar import format_multi_index
-from mirpath.lifts import lift_piecewise_linear, read_path_csv, write_path_csv
+from mirpath.lifts import (
+    grid_payload,
+    lift_brownian,
+    lift_piecewise_linear,
+    read_path_csv,
+    write_path_csv,
+)
 from mirpath.solver import SolveConfig, solve_flow
 from mirpath.translation import Character, character_to_json, identity_characters
 from mirpath.verify import SuiteResult, available_suites, run_all_suites
@@ -45,6 +54,11 @@ def run_cli(*argv: str) -> tuple[int, str, str]:
         except SystemExit as exc:  # argparse-level usage failures
             code = exc.code if isinstance(exc.code, int) else 2
     return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(token):
+    """``parse_constant`` for ``json.loads``: NaN and Infinity are errors."""
+    raise AssertionError(f"non-standard JSON token {token}")
 
 
 def content_lines(text: str) -> list[str]:
@@ -265,6 +279,15 @@ class TestCliVerify:
                              "--suite", "exp-log")
         assert code == 2
 
+    def test_max_norm_above_the_checked_degree_is_a_usage_error(self):
+        # every suite checks degrees up to 3; a higher --max-norm would run
+        # the degree-3 checks while the provenance records the higher value
+        code, out, err = run_cli("verify", "--suite", "exp-log", "--d", "1",
+                                 "--max-norm", "4", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert "1..3" in err and "got 4" in err
+
     def test_byte_determinism_without_timestamp(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for target in (a, b):
@@ -462,6 +485,20 @@ class TestCliLiftSolve:
         assert code == 0
         assert len(json.loads(sol_file.read_text())["solution"]["times"]) == 9
 
+    def test_mesh_level_above_the_grid_is_a_usage_error(
+        self, sine_csv, cubic_field_json, tmp_path
+    ):
+        # 2^99 dyadic points all lie within the time tolerance of the first
+        # grid point, so listing them used to run without end
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        code, out, err = run_cli("solve", "--grid", str(grid_file), "--field",
+                                 str(cubic_field_json), "--mesh-level", "99")
+        assert code == 2
+        assert out == ""
+        assert "mesh level 99 asks for 2^99 intervals, more than the 32" in err
+
     def test_dimension_mismatch_is_a_usage_error(self, sine_csv, tmp_path):
         grid_file = tmp_path / "grid.json"
         run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
@@ -656,6 +693,26 @@ class TestCliTranslate:
             zeros += sum(v == 0.0 for v in inc.values())
         assert zeros > 0
 
+    def test_overflowing_translation_writes_nothing(self, tmp_path):
+        # every value 1.5e308: the drift correction overflows to inf, which
+        # used to stream a truncated JSON document before the refusal
+        grid_file = tmp_path / "huge.json"
+        run_cli("lift", "--brownian", "strat", "--d", "1", "--steps", "4",
+                "--no-timestamp", "--out", str(grid_file))
+        doc = json.loads(grid_file.read_text())
+        for inc in doc["grid"]["increments"]:
+            for key in inc:
+                inc[key] = 1.5e308
+        grid_file.write_text(json.dumps(doc))
+        out_file = tmp_path / "translated.json"
+        for out_flags in ((), ("--out", str(out_file))):
+            code, out, err = run_cli("translate", "--grid", str(grid_file),
+                                     "--ito-strat", "--no-timestamp", *out_flags)
+            assert code == 2
+            assert out == ""
+            assert err == "error: translated value overflows on segment 0 (t = 0.0 .. 0.25)\n"
+        assert not out_file.exists()
+
     def test_truncation_shortfall_is_a_usage_error(self, grid_file):
         code, _, err = run_cli("translate", "--grid", str(grid_file),
                                "--ito-strat", "--out-max-norm", "4")
@@ -824,6 +881,47 @@ class TestCliReports:
         assert code == 3
         assert "divergence" in err
 
+    @staticmethod
+    def huge_grid(tmp_path, max_norm, value):
+        grid_file = tmp_path / "huge.json"
+        run_cli("lift", "--brownian", "strat", "--d", "1", "--max-norm", str(max_norm),
+                "--steps", "4", "--no-timestamp", "--out", str(grid_file))
+        doc = json.loads(grid_file.read_text())
+        for inc in doc["grid"]["increments"]:
+            for key in inc:
+                inc[key] = value
+        grid_file.write_text(json.dumps(doc))
+        return grid_file
+
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    def test_overflowing_logarithm_diverges_without_a_warning(self, command, tmp_path):
+        # products of 1.5e308 overflow in log_element; numpy's RuntimeWarning
+        # used to escape main under -W error, and reach stderr otherwise
+        grid_file = self.huge_grid(tmp_path, 3, 1.5e308)
+        field_file = tmp_path / "field.json"
+        write_field_json(field_file, [(0,), (1,)])
+        code, out, err = run_cli(command, "--grid", str(grid_file), "--field",
+                                 str(field_file), "--no-timestamp")
+        assert code == 3
+        assert err == "numeric divergence: state nan left the finite range at substep 1/8\n"
+        if command == "solve":
+            assert json.loads(out)["solution"]["values"] == [0.0]
+        else:
+            assert out == ""
+
+    def test_non_finite_expansion_exits_three_and_writes_nothing(self, tmp_path):
+        # at N = 1 each step's logarithm is finite and the zero field keeps
+        # the solution at 0, but a composed block is inf and its expansion
+        # inf·0 = nan: the report used to stream its JSON up to that residual
+        grid_file = self.huge_grid(tmp_path, 1, 1e308)
+        field_file = tmp_path / "zero.json"
+        field_file.write_text(json.dumps({"d": 1, "fields": []}))
+        code, out, err = run_cli("davie-report", "--grid", str(grid_file), "--field",
+                                 str(field_file), "--no-timestamp")
+        assert code == 3
+        assert out == ""
+        assert err == "numeric divergence: expansion over [0.0, 0.5] is nan at state 0.0\n"
+
     @pytest.mark.parametrize("blocks", [("--max-block", "0"),
                                         ("--min-block", "8", "--max-block", "2")],
                              ids=["max-block-0", "min-above-max"])
@@ -849,19 +947,14 @@ class TestCliReports:
                                "--field", str(cubic_field_json),
                                "--min-block", "32", "--max-block", "32")
         assert code == 0
-
-        def reject(token):
-            raise AssertionError(f"non-standard JSON token {token}")
-
-        report = json.loads(out, parse_constant=reject)["report"]
+        report = json.loads(out, parse_constant=reject_constant)["report"]
         assert len(report["rows"]) == 1
         assert report["slope"] is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_json_output_refuses_non_finite_numbers(self, bad, tmp_path):
-        args = argparse.Namespace(out=str(tmp_path / "out.json"), no_timestamp=True)
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _emit_json({"slope": bad}, args)
+            _write(str(tmp_path / "out.json"), {}, {"slope": bad})
 
     def test_gap_statistics_table(self, tmp_path):
         out_file = tmp_path / "demo.csv"
@@ -887,6 +980,16 @@ class TestCliReports:
                     "--steps", "32", "--seed", "3", "--no-timestamp",
                     "--out", str(target))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_demo_overflow_is_a_usage_error(self):
+        # squared gaps of order 1e307 used to print inf and nan statistics,
+        # with numpy's overflow warnings on stderr, and exit 0
+        code, out, err = run_cli("ito-strat-demo", "--d", "1", "--paths", "2",
+                                 "--steps", "4", "--t-final", "1e308",
+                                 "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert err == "error: gap statistics overflow the float range at t_final = 1e+308\n"
 
     @pytest.mark.parametrize("t_final", ["nan", "inf", "-1", "0"])
     def test_demo_rejects_bad_t_final(self, t_final):
@@ -950,6 +1053,242 @@ class TestCliTopLevel:
 
 
 # ---------------------------------------------------------------------------
+# the exit-code contract of main, over every subcommand
+# ---------------------------------------------------------------------------
+
+#: Wall-clock budget of the whole property run below (it takes about 1.5 s).
+CONTRACT_BUDGET_S = 10.0
+
+# (valid, invalid) values of each flag: nan, inf, zero, negative, huge and
+# wrong-type values, where each applies
+GAMMAS = (["1/2", "1/3"], ["0", "1", "-1/2", "nan", "inf", "x", "1/0"])
+FLOATS = (["1", "0.5"], ["0", "-1", "1e308", "nan", "inf", "-inf", "x"])
+SEEDS = (["0", "7", str(2**70)], ["-1", "x"])
+DIMS = (["1", "2"], ["0", "-1", "x"])
+NORMS = (["1", "2", "3"], ["0", "-1", "x"])
+STEPS = (["4", "8"], ["3", "0", "-4", "x"])
+BLOCKS = (["1", "2", "99"], ["0", "-1", "x"])
+# verify's suites that take well under 0.1 s at d = 2, N = 3
+SUITES = (["bialgebra", "chen", "coproduct-routes", "deshuffle-coalgebra", "exp-log",
+           "translate-identity", "translate-population", "upsilon-leibniz"], ["nonesuch"])
+SOLVE_FLAGS = {
+    "--y0": (["0", "0.1", "1e308"], ["nan", "inf", "-inf", "x"]),
+    "--substeps": (["1", "2"], ["0", "-1", "x"]),
+    "--mesh-level": (["0", "1", "2"], ["-1", "99", "x"]),
+    "--level": (["1", "2", "3/2"], ["0", "-1", "99", "1/0", "x"]),
+}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """Input files by kind: valid ones, and copies broken by nan, inf, zero,
+    negative, huge and wrong-type values, or by not being JSON at all."""
+    root = tmp_path_factory.mktemp("contract")
+
+    def put(name, text):
+        (root / name).write_text(text)
+        return str(root / name)
+
+    def grid_doc(d, max_norm):
+        grading = Grading(max_norm=max_norm, gamma=Fraction(1, 2))
+        return grid_payload(lift_brownian(d, 1.0, 4, 0, "strat", grading))
+
+    def broken(doc, edit):
+        doc = copy.deepcopy(doc)
+        edit(doc)
+        return json.dumps(doc)
+
+    def every_value(doc, value):
+        for inc in doc["increments"]:
+            for key in inc:
+                inc[key] = value
+
+    g1, g1_n1 = grid_doc(1, 3), grid_doc(1, 1)
+    grids = (
+        [put("g1.json", json.dumps(g1)), put("g2.json", json.dumps(grid_doc(2, 2)))],
+        [
+            put("g-nan.json",
+                broken(g1, lambda g: g["increments"][1].update({"z(1,0)": math.nan}))),
+            put("g-inf.json", broken(g1, lambda g: g["times"].__setitem__(2, math.inf))),
+            put("g-huge.json", broken(g1, lambda g: every_value(g, 1.5e308))),
+            put("g-huge-n1.json", broken(g1_n1, lambda g: every_value(g, 1e308))),
+            put("g-zero.json", broken(g1, lambda g: every_value(g, 0.0))),
+            put("g-negative.json", broken(g1, lambda g: g["times"].__setitem__(1, -1.0))),
+            put("g-type.json", broken(g1, lambda g: g.update(d="1"))),
+            put("g-gamma.json", broken(g1, lambda g: g.update(gamma="0"))),
+            put("g-text.json", "{"),
+            str(root / "missing.json"),
+        ],
+    )
+
+    def field(d, *rows):
+        return json.dumps({"d": d, "fields": [{"i": i, "coeffs": c} for i, c in rows]})
+
+    fields = (
+        [
+            put("f1.json", field(1, (1, ["1", "1/3"]))),
+            put("f2.json", field(2, (0, ["1/10"]), (1, ["1", "0", "-1/4"]), (2, ["1/2"]))),
+            put("f-zero.json", field(1)),
+        ],
+        [
+            put("f-power.json", field(1, (1, ["0", "1e200"]))),
+            put("f-nan.json", field(1, (1, ["nan"]))),
+            put("f-inf.json", field(1, (1, ["inf"]))),
+            put("f-huge.json", field(1, (1, ["1e400"]))),
+            put("f-negative.json", field(-1, (0, ["1"]))),
+            put("f-type.json", json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": "12"}]})),
+            put("f-text.json", "not json"),
+        ],
+    )
+
+    def csv(*rows):
+        return "\n".join(rows) + "\n"
+
+    csvs = (
+        [
+            put("p1.csv", csv("t,x1", *(f"{j / 8},{math.sin(j) / 3}" for j in range(9)))),
+            put("p2.csv", csv("t,x1,x2", "0,0,0", "0.5,0.1,-0.2", "1,0.3,0.1")),
+        ],
+        [
+            put("p-nan.csv", csv("t,x1", "0,0", "0.5,nan", "1,0.2")),
+            put("p-inf.csv", csv("t,x1", "0,0", "0.5,inf", "1,0.2")),
+            put("p-huge.csv", csv("t,x1", "0,0", "0.5,0.1", "1,1e300")),
+            put("p-zero.csv", csv("t,x1", "0,0", "0,0")),
+            put("p-negative.csv", csv("t,x1", "0,0", "-1,0.1")),
+            put("p-type.csv", csv("t,x1", "0,0", "0.5,abc")),
+            put("p-header.csv", csv("t,x1")),
+        ],
+    )
+    chars = (
+        [put("c-identity.json", json.dumps([character_to_json(identity_characters(1)[1])]))],
+        [
+            put("c-direction.json", json.dumps({"direction": 5, "terms": {"z(1,0)": "2"}})),
+            put("c-type.json", json.dumps({"direction": 1, "terms": [["z(1,0)", "2"]]})),
+        ],
+    )
+    return {"root": root, "grid": grids, "field": fields, "csv": csvs, "chars": chars}
+
+
+def _pick(data, pool) -> str:
+    """A value of the (valid, invalid) ``pool``, invalid one time in four."""
+    valid, invalid = pool
+    return data.draw(st.sampled_from(invalid if data.draw(st.integers(0, 3)) == 0 else valid))
+
+
+def _flags(data, pools: dict) -> list[str]:
+    """Each flag of ``pools`` absent or set to a value of its pool."""
+    return [f"{flag}={_pick(data, pool)}" for flag, pool in pools.items()
+            if data.draw(st.booleans())]
+
+
+def _character_flags(data, files) -> list[str]:
+    choice = data.draw(st.sampled_from(["ito-strat", "chars", "both", "neither"]))
+    argv = []
+    if choice in ("ito-strat", "both"):
+        argv.append("--ito-strat")
+    if choice in ("chars", "both"):
+        argv += ["--chars", _pick(data, files["chars"])]
+    return argv
+
+
+def _draw_argv(data, command: str, files) -> list[str]:
+    """A command line for ``command``.  Huge integers go only to flags whose
+    work does not grow with them; --steps and --paths are always bounded,
+    and verify always runs one or two cheap suites."""
+    if command == "enumerate":
+        return _flags(data, {"--d": DIMS, "--max-norm": NORMS, "--gamma": GAMMAS})
+    if command == "verify":
+        argv = [f"--suite={_pick(data, SUITES)}" for _ in range(data.draw(st.integers(1, 2)))]
+        return argv + _flags(data, {
+            "--inject-fault": SUITES, "--d": DIMS,
+            "--max-norm": (NORMS[0], [*NORMS[1], "4", str(2**70)]),
+            "--seed": SEEDS, "--gamma": GAMMAS,
+        })
+    if command == "lift":
+        source = data.draw(st.sampled_from(["path", "brownian", "both", "neither"]))
+        argv = [f"--steps={_pick(data, STEPS)}"]
+        if source in ("path", "both"):
+            argv += ["--path", _pick(data, files["csv"])]
+        if source in ("brownian", "both"):
+            argv += ["--brownian", _pick(data, (["ito", "strat"], ["midpoint"]))]
+        return argv + _flags(data, {
+            "--d": DIMS, "--max-norm": NORMS, "--t-final": FLOATS,
+            "--seed": SEEDS, "--gamma": GAMMAS,
+        })
+    if command in ("solve", "davie-report"):
+        argv = ["--grid", _pick(data, files["grid"]), "--field", _pick(data, files["field"]),
+                *_flags(data, SOLVE_FLAGS)]
+        if command == "davie-report":
+            argv += _flags(data, {"--min-block": BLOCKS, "--max-block": BLOCKS})
+        return argv
+    if command == "translate":
+        return ["--grid", _pick(data, files["grid"]), *_character_flags(data, files),
+                *_flags(data, {"--out-max-norm": (["1", "2", "3", "4"], NORMS[1]),
+                               "--out-gamma": GAMMAS})]
+    if command == "translate-field":
+        return ["--field", _pick(data, files["field"]), *_character_flags(data, files),
+                *_flags(data, {"--max-norm": NORMS})]
+    assert command == "ito-strat-demo"
+    return [f"--paths={_pick(data, (['1', '8'], ['0', '-1', 'x']))}",
+            f"--steps={_pick(data, STEPS)}",
+            *_flags(data, {"--d": DIMS, "--t-final": FLOATS, "--seed": SEEDS})]
+
+
+COMMANDS = ["enumerate", "verify", "lift", "solve", "translate",
+            "translate-field", "davie-report", "ito-strat-demo"]
+TEXT_COMMANDS = {"enumerate", "ito-strat-demo"}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def _exit_code_contract(files, data):
+    command = data.draw(st.sampled_from(COMMANDS))
+    argv = [command, *_draw_argv(data, command, files)]
+    target = files["root"] / "out"
+    output = data.draw(st.sampled_from(["stdout", "file", "unwritable"]))
+    if output == "file":
+        argv += ["--out", str(target)]
+    elif output == "unwritable":
+        argv += ["--out", str(files["root"] / "no-such-dir" / "out")]
+    if data.draw(st.booleans()):
+        argv.append("--no-timestamp")
+
+    target.unlink(missing_ok=True)
+    # argparse's own exit 2 aside, any exception that escapes main fails here
+    code, out, err = run_cli(*argv)
+    written = target.read_text() if target.exists() else ""
+    target.unlink(missing_ok=True)
+
+    assert code in ({0, 1, 2, 3} if command == "verify" else {0, 2, 3}), (argv, code, err)
+    assert "Traceback" not in err
+    assert (code == 0) == (err == ""), (argv, code, err)
+    if output == "file":
+        assert out == ""
+    else:
+        written = out
+    if code == 2 or (code == 3 and command != "solve"):
+        assert written == "", (argv, code, err)
+        return
+    assert written, (argv, code)
+    if command in TEXT_COMMANDS:
+        assert written.startswith("# tool: mirpath ")
+        return
+    doc = json.loads(written, parse_constant=reject_constant)
+    assert "provenance" in doc
+    if code == 3:
+        assert doc["solution"]["diverged"] is True
+
+
+def test_every_subcommand_keeps_the_exit_code_contract(contract_inputs):
+    # exit 0, 2 or 3 (1 only from verify), no exception, and every document
+    # written is strict JSON; a refusal (exit 2) and davie-report's
+    # divergence leave no output, solve's divergence writes its partial result
+    start = time.perf_counter()
+    _exit_code_contract(contract_inputs)
+    assert time.perf_counter() - start < CONTRACT_BUDGET_S
+
+
+# ---------------------------------------------------------------------------
 # what each command imports
 # ---------------------------------------------------------------------------
 
@@ -985,11 +1324,16 @@ def test_version_loads_no_layer_and_every_export_resolves(tmp_path):
             if getattr(mirpath, n) is not getattr(
                 importlib.import_module("mirpath." + module), n)
         ]
+        disagree = [
+            m for m, names in mirpath._EXPORTS.items()
+            if set(names) != set(importlib.import_module("mirpath." + m).__all__)
+        ]
         print(json.dumps({{"loaded": loaded, "missing": missing, "wrong": wrong,
-                          "names": sorted(mirpath.__all__)}}))
+                          "disagree": disagree, "names": sorted(mirpath.__all__)}}))
     """, tmp_path)
     assert got["loaded"] == []
     assert got["missing"] == [] and got["wrong"] == []
+    assert got["disagree"] == []
     assert {"__version__", "solve_flow", "translate", "run_all_suites"} <= set(got["names"])
 
 
