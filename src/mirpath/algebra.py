@@ -38,6 +38,7 @@ each suite.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,12 +204,6 @@ class MultiIndex:
     def is_empty(self) -> bool:
         return not self.entries
 
-    def frequency(self, i: int, k: int) -> int:
-        for (a, b), m in self.entries:
-            if (a, b) == (i, k):
-                return m
-        return 0
-
     def degree(self) -> int:
         return self._degree
 
@@ -237,7 +232,7 @@ class MultiIndex:
     def symmetry_factor(self) -> int:
         s = 1
         for (_, k), m in self.entries:
-            s *= _factorial(k) ** m
+            s *= math.factorial(k) ** m
         return s
 
     # -- arithmetic on the monomial ----------------------------------------
@@ -301,9 +296,6 @@ class MultiIndex:
             out = out.without(i, k, m)
         return out
 
-    def contains(self, other: "MultiIndex") -> bool:
-        return all(self.frequency(i, k) >= m for (i, k), m in other.entries)
-
     def sub_multi_indices(self) -> Iterator["MultiIndex"]:
         """All divisors of the monomial (including the empty one and itself)."""
         keys = [key for key, _ in self.entries]
@@ -312,14 +304,6 @@ class MultiIndex:
             yield MultiIndex(
                 [(key, c) for key, c in zip(keys, choice) if c > 0], self.letters
             )
-
-
-@lru_cache(maxsize=256)
-def _factorial(n: int) -> int:
-    out = 1
-    for j in range(2, n + 1):
-        out *= j
-    return out
 
 
 def empty_multi_index(d: int) -> MultiIndex:
@@ -408,7 +392,7 @@ class Forest:
     def symmetry_factor(self) -> int:
         s = 1
         for mi, r in self.multiplicities():
-            s *= _factorial(r) * mi.symmetry_factor() ** r
+            s *= math.factorial(r) * mi.symmetry_factor() ** r
         return s
 
     def multiplicities(self) -> list[tuple[MultiIndex, int]]:
@@ -747,17 +731,12 @@ def deshuffle(u: Forest) -> FormalSum:
         left: list[MultiIndex] = []
         right: list[MultiIndex] = []
         for (mi, r), j in zip(mults, pick):
-            coeff *= _binomial(r, j)
+            coeff *= math.comb(r, j)
             left.extend([mi] * j)
             right.extend([mi] * (r - j))
         key = (Forest(left), Forest(right))
         out[key] = out.get(key, 0) + coeff
     return FormalSum._of(out)
-
-
-@lru_cache(maxsize=1024)
-def _binomial(n: int, k: int) -> int:
-    return _factorial(n) // (_factorial(k) * _factorial(n - k))
 
 
 @lru_cache(maxsize=1 << 14)

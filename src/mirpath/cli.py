@@ -93,6 +93,17 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """argparse type: a non-negative integer of any size."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1  # refused below with the same message as a negative seed
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_level(text: str | None) -> Fraction | None:
     if text is None:
         return None
@@ -154,16 +165,21 @@ def _read_text(path: str) -> str:
 
 def _read_input(path: str, reader, what: str, wrapper: str | None = None):
     """``reader`` applied to the JSON document in ``path``, unwrapped from
-    its ``wrapper`` field if the file is a CLI output; malformed content is
-    a usage error that names the file."""
+    its ``wrapper`` field if the file is a CLI output."""
     try:
         payload = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
     if isinstance(payload, dict) and wrapper in payload:
         payload = payload[wrapper]
+    return _parse_input(path, reader, payload, what)
+
+
+def _parse_input(path: str, reader, content, what: str):
+    """``reader(content)``, where ``content`` was read from ``path``;
+    malformed content is a usage error that names the file."""
     try:
-        return reader(payload)
+        return reader(content)
     except (KeyError, ValueError, TypeError, ArithmeticError) as exc:
         raise UsageError(f"{path!r} does not hold {what}: {exc}") from exc
 
@@ -275,7 +291,7 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")
     grading = Grading(max_norm=args.max_norm, gamma=gamma)
     if args.path:
-        samples = read_path_csv(_read_text(args.path))
+        samples = _parse_input(args.path, read_path_csv, _read_text(args.path), "a path CSV")
         d = len(samples[0]) - 1
         if args.d is not None and args.d != d:
             raise UsageError(
@@ -489,7 +505,7 @@ def _add_max_norm(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=0,
+    sub.add_argument("--seed", type=_seed, default=0,
                      help="seed for every random draw in this run")
 
 

@@ -3,10 +3,10 @@
 The state space is scalar throughout.  A :class:`VectorField` bundles one
 scalar coefficient function per letter — f₀ for the time letter, f₁…f_d for
 the driving signals — together with a derivative provider ``(i, k, y) ↦
-f_i^{(k)}(y)``.  Three variants cover the use cases: exact polynomials
-(differentiated symbolically over ℚ, evaluated in binary64), closures with
-caller-supplied derivatives up to a declared order, and linear fields with
-all orders in closed form.
+f_i^{(k)}(y)``.  Two constructions cover the use cases: exact polynomials
+(differentiated symbolically over ℚ, evaluated in binary64; a linear field
+is the polynomial with rows (0, a_i)) and closures with caller-supplied
+derivatives up to a declared order.
 
 ``upsilon`` evaluates the elementary differential of a monomial or forest:
 the product Π f_i^{(k)}(y)^{β(i,k)} over the variables, multiplied across
@@ -147,19 +147,8 @@ class VectorField:
 
     @classmethod
     def linear(cls, slopes) -> "VectorField":
-        """f_i(y) = a_i · y with every derivative order in closed form."""
-        a = tuple(float(s) for s in slopes)
-        if len(a) < 1:
-            raise ValueError("need at least the drift slope a_0")
-
-        def provider(i: int, k: int, y: float) -> float:
-            if k == 0:
-                return a[i] * y
-            if k == 1:
-                return a[i]
-            return 0.0
-
-        return cls(d=len(a) - 1, variant="linear", provider=provider)
+        """f_i(y) = a_i · y: the polynomial field with rows (0, a_i)."""
+        return cls.polynomial([(0, a) for a in slopes])
 
     @classmethod
     def from_closures(

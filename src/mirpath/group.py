@@ -2,13 +2,11 @@
 
 A rough-path increment is stored as a :class:`GroupElement`: one read-only
 float vector ``coords`` over the populated multi-indices of degree ≤ N (in
-ascending degree), extended to forests by multiplicativity.  ``values`` is a
-read-only mapping view of it that lists the keys given to the checked
-constructor, explicit zeros included, the nonzero keys of a computed
-element, or, for a row of a grid, every key up to the grid's stored degree.
-All numeric products go through one table per (d, N), built on first use
-from the exact Grossman–Larson structure constants of :mod:`mirpath.algebra`
-and cached.  Over the indexed forest basis an element
+ascending degree), extended to forests by multiplicativity.  ``values`` is
+the read-only map of its nonzero coordinates by key, however the element
+was built.  All numeric products go through one table per (d, N), built on
+first use from the exact Grossman–Larson structure constants of
+:mod:`mirpath.algebra` and cached.  Over the indexed forest basis an element
 is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
 is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the table rows (u, v, w), where
 C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into the exact constant c.
@@ -25,7 +23,6 @@ follow by composition on demand.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
@@ -106,30 +103,26 @@ class _Element:
     """Values on populated multi-indices of degree ≤ N; missing keys read as 0."""
 
     def __init__(self, d: int, grading: Grading, values: Mapping = MappingProxyType({})):
-        """The checked constructor; ``values`` keeps exactly the given keys."""
+        """The checked constructor: every key of ``values`` must lie in the
+        populated basis of degree ≤ N over letters 0..d."""
         coords = np.zeros(len(_key_index(d, grading.max_norm)))
         for key, v in values.items():
             coords[_slot(key, d, grading)] = v
         coords.flags.writeable = False
-        view = MappingProxyType(dict(values))
-        vars(self).update(d=d, grading=grading, coords=coords, values=view)
+        vars(self).update(d=d, grading=grading, coords=coords)
 
     @classmethod
-    def _of(cls, d: int, grading: Grading, coords: np.ndarray, listed: int | None = None):
-        """Unchecked: a computed element, whose ``values`` lists its nonzero
-        keys, or its first ``listed`` keys, zeros included."""
+    def _of(cls, d: int, grading: Grading, coords: np.ndarray):
+        """Unchecked: the element over the computed vector ``coords``."""
         out = cls.__new__(cls)
         coords.flags.writeable = False
-        vars(out).update(d=d, grading=grading, coords=coords, _listed=listed)
+        vars(out).update(d=d, grading=grading, coords=coords)
         return out
 
     @cached_property
     def values(self) -> Mapping[MultiIndex, float]:
-        """Read-only view: the keys the element was built from, the nonzero
-        coordinates of a computed element, or the listed ones of a grid row."""
+        """Read-only map of the nonzero coordinates by key, in slot order."""
         pairs = zip(_key_index(self.d, self.grading.max_norm), self.coords.tolist())
-        if self._listed is not None:
-            return MappingProxyType(dict(itertools.islice(pairs, self._listed)))
         return MappingProxyType({key: x for key, x in pairs if x != 0.0})
 
     def value(self, key: MultiIndex) -> float:
@@ -377,10 +370,8 @@ class RoughPathGrid:
 
     @cached_property
     def increments(self) -> tuple[GroupElement, ...]:
-        """The rows of ``coords`` as elements, each listing in ``values``
-        its keys of degree ≤ ``depth``."""
-        listed = len(_populated_tuple(self.d, self.depth))
-        return tuple(GroupElement._of(self.d, self.grading, row, listed) for row in self.coords)
+        """The rows of ``coords`` as elements, each a read-only view of its row."""
+        return tuple(GroupElement._of(self.d, self.grading, row) for row in self.coords)
 
     def index_of(self, t: float) -> int:
         j = _time_index(self.times, t)

@@ -48,6 +48,10 @@ __all__ = [
 ]
 
 
+#: The largest |state| a log-ODE step accepts before it reports divergence.
+_DIVERGENCE_BOUND = 1e12
+
+
 class DivergedError(RuntimeError):
     """The integrator state left the finite range.
 
@@ -176,13 +180,12 @@ def logode_step(
     y: float,
     substeps: int = 8,
     level: Fraction | int | None = None,
-    guard: float = 1e12,
 ) -> float:
     """Classical RK4 over unit time for the autonomous log-ODE right-hand
     side built from the primitive element ``lam``.
 
     Raises :class:`DivergedError` as soon as the state stops being finite or
-    exceeds ``guard`` in absolute value.
+    exceeds 1e12 (``_DIVERGENCE_BOUND``) in absolute value.
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
@@ -205,7 +208,7 @@ def logode_step(
         k3 = rhs(z + 0.5 * h * k2)
         k4 = rhs(z + h * k3)
         z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(z) or abs(z) > guard:
+        if not math.isfinite(z) or abs(z) > _DIVERGENCE_BOUND:
             raise DivergedError(
                 f"state {z} left the finite range at substep {n}/{substeps}",
                 substep=n,
@@ -223,28 +226,22 @@ def logode_step(
 class SolveConfig:
     """Mesh selection and integrator settings for :func:`solve_flow`.
 
-    The mesh is either the full grid (default), every dyadic point at
-    ``mesh_level`` (2^level intervals spanning the grid), or an explicit
-    tuple of times; every mesh point must be a grid point, since increments
-    are never interpolated.  ``level`` caps the γ-size of the expansion
-    monomials (default: the stored degree bound).
+    The mesh is the full grid (default) or every dyadic point at
+    ``mesh_level`` (2^level intervals spanning the grid); each mesh point is
+    a grid point, since increments are never interpolated.  ``level`` caps
+    the γ-size of the expansion monomials (default: the stored degree
+    bound).
     """
 
     rk4_substeps: int = 8
     mesh_level: int | None = None
-    mesh: tuple[float, ...] | None = None
     level: Fraction | int | None = None
-    divergence_guard: float = 1e12
 
     def __post_init__(self):
         if self.rk4_substeps < 1:
             raise ValueError(f"rk4_substeps must be >= 1, got {self.rk4_substeps}")
-        if self.mesh is not None and self.mesh_level is not None:
-            raise ValueError("give an explicit mesh or a dyadic level, not both")
         if self.mesh_level is not None and self.mesh_level < 0:
             raise ValueError(f"mesh_level must be >= 0, got {self.mesh_level}")
-        if self.divergence_guard <= 0:
-            raise ValueError("divergence_guard must be positive")
 
 
 @dataclass(frozen=True)
@@ -255,8 +252,6 @@ class FlowSolution:
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    config: SolveConfig
-    provenance: tuple[tuple[str, str], ...] = ()
     diverged: bool = False
     message: str = ""
 
@@ -268,24 +263,17 @@ class FlowSolution:
 
 
 def _mesh_indices(path: RoughPathGrid, cfg: SolveConfig) -> list[int]:
-    if cfg.mesh is not None:
-        idx = [path.index_of(t) for t in cfg.mesh]
-        if not idx or idx[0] != 0:
-            raise ValueError("an explicit mesh must start at the first grid time")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("mesh times must be strictly increasing")
-        return idx
-    if cfg.mesh_level is not None:
-        n = len(path.times) - 1
-        if n.bit_length() <= cfg.mesh_level:  # 2^level > n
-            raise ValueError(
-                f"mesh level {cfg.mesh_level} asks for 2^{cfg.mesh_level} intervals, "
-                f"more than the {n} the grid stores"
-            )
-        pieces = 1 << cfg.mesh_level
-        t0, t1 = path.times[0], path.times[-1]
-        return [path.index_of(t0 + (t1 - t0) * k / pieces) for k in range(pieces + 1)]
-    return list(range(len(path.times)))
+    if cfg.mesh_level is None:
+        return list(range(len(path.times)))
+    n = len(path.times) - 1
+    if n.bit_length() <= cfg.mesh_level:  # 2^level > n
+        raise ValueError(
+            f"mesh level {cfg.mesh_level} asks for 2^{cfg.mesh_level} intervals, "
+            f"more than the {n} the grid stores"
+        )
+    pieces = 1 << cfg.mesh_level
+    t0, t1 = path.times[0], path.times[-1]
+    return [path.index_of(t0 + (t1 - t0) * k / pieces) for k in range(pieces + 1)]
 
 
 def solve_flow(
@@ -293,28 +281,20 @@ def solve_flow(
     f: VectorField,
     y0: float,
     cfg: SolveConfig = SolveConfig(),
-    provenance: tuple[tuple[str, str], ...] = (),
 ) -> FlowSolution:
     """Compose log-ODE steps along the mesh: each interval's increment is
     Chen-composed from the stored grid, sent through its log-coordinates, and
     integrated by :func:`logode_step` starting from the previous state."""
     indices = _mesh_indices(path, cfg)
     bound = _resolve_level(path.grading, cfg.level)
-    times = [path.times[indices[0]]]
+    times = [path.times[0]]
     values = [float(y0)]
     message = ""
     for a, b in zip(indices, indices[1:]):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan trip the guard
             lam = log_element(path.increment_by_index(a, b))
         try:
-            y = logode_step(
-                lam,
-                f,
-                values[-1],
-                substeps=cfg.rk4_substeps,
-                level=bound,
-                guard=cfg.divergence_guard,
-            )
+            y = logode_step(lam, f, values[-1], cfg.rk4_substeps, bound)
         except DivergedError as err:
             message = str(err)
         except OverflowError as err:  # a power in the right-hand side
@@ -323,14 +303,7 @@ def solve_flow(
             break
         times.append(path.times[b])
         values.append(y)
-    return FlowSolution(
-        times=tuple(times),
-        values=tuple(values),
-        config=cfg,
-        provenance=provenance,
-        diverged=bool(message),
-        message=message,
-    )
+    return FlowSolution(tuple(times), tuple(values), bool(message), message)
 
 
 # ---------------------------------------------------------------------------

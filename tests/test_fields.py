@@ -7,6 +7,7 @@ chain rule on (forest, test-derivative-order) pairs — so it shares no code
 path with the Grossman–Larson product used on the left.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -440,8 +441,21 @@ class TestVectorFieldJson:
         assert vector_field_from_json(text).poly_coeffs == f.poly_coeffs
 
     def test_non_polynomial_rejected(self):
+        f = VectorField.from_closures([[lambda y: 1.0], [lambda y: y]])
         with pytest.raises(ValueError):
-            vector_field_to_json(VectorField.linear([1.0, 2.0]))
+            vector_field_to_json(f)
+
+    def test_linear_field_round_trips(self):
+        f = VectorField.linear([0.5, -2.0])
+        assert f.variant == "polynomial"
+        doc = json.loads(vector_field_to_json(f))
+        assert doc == {
+            "d": 1,
+            "fields": [{"i": 0, "coeffs": ["0", "0.5"]}, {"i": 1, "coeffs": ["0", "-2"]}],
+        }
+        back = vector_field_from_json(doc)
+        assert back.poly_coeffs == f.poly_coeffs
+        assert back.derivative(1, 0, 3.0) == f.derivative(1, 0, 3.0) == -6.0
 
     def test_bad_letter_rejected(self):
         with pytest.raises(ValueError):

@@ -221,12 +221,14 @@ class TestLogOdeStep:
         )
 
     def test_divergence_guard(self):
+        # y' = 50·y² blows up at t = 1/50: the first substep lands past 1e12
         f = VectorField.polynomial([(0,), (0, 0, 1)])  # f₁(y) = y²
         lam = LieElement(d=1, grading=GRADING2, values={single(1, 0, 1): 50.0})
         with pytest.raises(DivergedError) as info:
-            logode_step(lam, f, 1.0, substeps=4, guard=1e6)
+            logode_step(lam, f, 1.0, substeps=4)
         assert info.value.substep == 1
-        assert abs(info.value.state) > 1e6
+        assert math.isfinite(info.value.state)
+        assert abs(info.value.state) > 1e12
 
     def test_validation(self):
         lam = LieElement(d=1, grading=GRADING2, values={})
@@ -442,10 +444,10 @@ class TestSolveFlow:
         path = lift_piecewise_linear(
             [(0.0, 0.0), (0.5, 40.0), (1.0, 80.0)], GRADING2
         )
-        sol = solve_flow(path, f, 1.0, SolveConfig(divergence_guard=1e6))
+        sol = solve_flow(path, f, 1.0)
         assert sol.diverged
         assert sol.values == (1.0,)  # the start state is the last finite one
-        assert "substep" in sol.message
+        assert "substep 2/8" in sol.message
         assert all(math.isfinite(v) for v in sol.values)
 
     @pytest.mark.parametrize("variant", ["polynomial", "translated"])
@@ -457,7 +459,12 @@ class TestSolveFlow:
             f, key = overflowing_field(), "z(1,0)z(1,1)^2"
         else:
             ells = [ito_strat_character(1), identity_characters(1)[1]]
-            f = translated_field(VectorField.linear([0.0, 1e200]), ells, 3)
+            # f_0 = 0 and f_1(y) = 1e200·y as closures with four derivative
+            # orders, so that the generic translated provider runs
+            zero = [lambda y: 0.0] * 5
+            slope = [lambda y: 1e200 * y, lambda y: 1e200, *zero[2:]]
+            base = VectorField.from_closures([zero, slope])
+            f = translated_field(base, ells, 3)
             key = "z(0,1)z(1,0)"
         path = one_step_path(key)
         sol = solve_flow(path, f, 0.5, SolveConfig(rk4_substeps=4))
@@ -465,33 +472,14 @@ class TestSolveFlow:
         assert sol.values == (0.5,)
         assert "overflowed in the step to 0.5" in sol.message
 
-    def test_explicit_mesh_equals_dyadic_level(self):
-        path = sine_path(4)
-        by_level = solve_flow(path, cos_field(), 0.3, SolveConfig(mesh_level=1))
-        explicit = solve_flow(
-            path, cos_field(), 0.3, SolveConfig(mesh=(0.0, 0.5, 1.0))
-        )
-        assert by_level.times == explicit.times
-        assert by_level.values == explicit.values
-
     def test_mesh_validation(self):
         path = sine_path(8)
         with pytest.raises(ValueError):
-            solve_flow(path, cos_field(), 0.3, SolveConfig(mesh=(0.125, 1.0)))
-        with pytest.raises(OffGridTimeError):
-            solve_flow(path, cos_field(), 0.3, SolveConfig(mesh=(0.0, 0.3, 1.0)))
-        with pytest.raises(ValueError):
-            SolveConfig(mesh=(0.0, 1.0), mesh_level=2)
-        with pytest.raises(ValueError):
             SolveConfig(rk4_substeps=0)
         with pytest.raises(ValueError):
-            SolveConfig(divergence_guard=0.0)
-
-    def test_provenance_carried(self):
-        path = sine_path(4)
-        tags = (("driver", "sine"), ("field", "cos7"))
-        sol = solve_flow(path, cos_field(), 0.3, provenance=tags)
-        assert sol.provenance == tags
+            SolveConfig(mesh_level=-1)
+        with pytest.raises(ValueError):
+            solve_flow(path, cos_field(), 0.3, SolveConfig(mesh_level=4))
 
     def test_value_at_unknown_time(self):
         path = sine_path(4)
@@ -515,16 +503,14 @@ class TestDavieReport:
             y = davie_expansion(path, f, i / 64, (i + 1) / 64, y)
             times.append((i + 1) / 64)
             values.append(y)
-        fabricated = FlowSolution(
-            times=tuple(times), values=tuple(values), config=SolveConfig()
-        )
+        fabricated = FlowSolution(times=tuple(times), values=tuple(values))
         pairs = [(times[i], times[i + 1]) for i in range(64)]
         report = davie_residual_report(path, f, fabricated, pairs)
         assert all(r == 0.0 for _, _, r in report.rows)
         assert math.isnan(report.slope)
 
     def test_power_overflow_is_a_divergence(self):
-        flow = FlowSolution(times=(0.0, 0.5), values=(0.5, 0.5), config=SolveConfig())
+        flow = FlowSolution(times=(0.0, 0.5), values=(0.5, 0.5))
         path = one_step_path("z(1,0)z(1,1)^2")
         with pytest.raises(DivergedError) as info:
             davie_residual_report(path, overflowing_field(), flow, [(0.0, 0.5)])

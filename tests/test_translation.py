@@ -701,8 +701,8 @@ class TestTranslateRoughpath:
         target = Grading(max_norm=2, gamma=Fraction(1, 2))
         out = translate_roughpath(_is_characters(1), path, out_grading=target)
         assert out.grading == target
-        keys = set(out.increments[0].values)
-        assert keys == set(enumerate_populated(1, 2))
+        assert out.depth == 2
+        assert out.coords.shape == (8, len(enumerate_populated(1, 2)))
 
     def test_wrong_character_count(self):
         path = _ito_path(n_steps=4, seed=1)

@@ -840,6 +840,14 @@ class TestCliMalformedInputs:
     def test_character_direction_true(self, grid_doc, tmp_path):
         self.translate_chars(tmp_path, {"direction": True, "terms": {"z(1,0)": "2"}})
 
+    def test_path_csv_with_a_word_for_a_number(self, tmp_path):
+        csv_file = tmp_path / "word.csv"
+        csv_file.write_text("t,x1\n0,0\n0.5,abc\n1,0.2\n")
+        code, out, err = run_cli("lift", "--path", str(csv_file))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {str(csv_file)!r} does not hold a path CSV: "
+                       "could not convert string to float: 'abc'\n")
+
 
 class TestCliReports:
     def test_residual_report_carries_slope_and_target(
@@ -1021,6 +1029,24 @@ class TestCliTopLevel:
         code, _, err = run_cli("lift", "--path", "nope.csv", "--gamma", "7/3")
         assert code == 2
         assert "gamma" in err
+
+    @staticmethod
+    def assert_seed_refused(*argv):
+        code, out, err = run_cli(*argv, "--seed=-1", "--no-timestamp")
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: expected a non-negative integer, got '-1'" in err
+
+    def test_lift_refuses_a_negative_seed(self):
+        self.assert_seed_refused("lift", "--brownian", "strat", "--steps", "4")
+
+    def test_verify_refuses_a_negative_seed(self):
+        # the exact suites used to run with seed -1 and exit 0
+        self.assert_seed_refused("verify", "--d", "1", "--max-norm", "1",
+                                 "--suite", "graft-prelie")
+
+    def test_ito_strat_demo_refuses_a_negative_seed(self):
+        self.assert_seed_refused("ito-strat-demo", "--paths", "2", "--steps", "4")
 
     @pytest.mark.parametrize("command", ["solve", "davie-report"])
     @pytest.mark.parametrize("flag", ["--d", "--max-norm", "--seed"])
