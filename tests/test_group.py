@@ -133,9 +133,9 @@ def test_chen_associative_on_random_characters():
         a, b, c = (random_character(2, G3, rng) for _ in range(3))
         lhs = chen_compose(chen_compose(a, b), c)
         rhs = chen_compose(a, chen_compose(b, c))
-        for key in lhs.values:
-            denom = max(1.0, abs(lhs.values[key]))
-            assert abs(lhs.values[key] - rhs.values.get(key, 0.0)) / denom <= 1e-12
+        for key in enumerate_populated(2, G3.max_norm):
+            denom = max(1.0, abs(lhs.value(key)))
+            assert abs(lhs.value(key) - rhs.value(key)) / denom <= 1e-12
 
 
 def test_exp_log_round_trip_small_batch():
@@ -144,8 +144,9 @@ def test_exp_log_round_trip_small_batch():
     for _ in range(10):
         x = random_character(2, G3, rng)
         back = exp_element(log_element(x))
-        for key, v in x.values.items():
-            worst = max(worst, abs(v - back.values.get(key, 0.0)) / max(1.0, abs(v)))
+        for key in enumerate_populated(2, G3.max_norm):
+            v = x.value(key)
+            worst = max(worst, abs(v - back.value(key)) / max(1.0, abs(v)))
     assert worst <= 1e-12
 
 
@@ -387,5 +388,6 @@ def test_grid_composition_bracketing_independent():
         chen_compose(grid.increment_by_index(0, 2), grid.increments[2]),
         grid.increments[3],
     )
-    for key, v in full.values.items():
-        assert abs(v - left.values.get(key, 0.0)) <= 1e-12 * max(1.0, abs(v))
+    for key in enumerate_populated(2, G3.max_norm):
+        v = full.value(key)
+        assert abs(v - left.value(key)) <= 1e-12 * max(1.0, abs(v))
