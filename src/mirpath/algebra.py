@@ -764,8 +764,10 @@ def gl_product(
 ) -> FormalSum:
     """Associative product on formal sums of forests, unit ∅.
 
-    With ``trunc=N`` every output term of degree > N is dropped (termwise,
-    after expansion — the graded quotient, not a different product).
+    With ``trunc=N`` every output term of degree > N is dropped (the graded
+    quotient, not a different product).  A basis product has the degree of
+    its two factors together, so skipping the pairs above ``N`` drops
+    exactly those terms.
     """
     if isinstance(u, Forest):
         u = FormalSum.of(u)
@@ -779,10 +781,7 @@ def gl_product(
             cuv = cu * cv
             for w, c in _star_basis(fu, fv).items():
                 out[w] = out.get(w, 0) + cuv * c
-    s = FormalSum._of(out)
-    if trunc is not None:
-        s = s.filter_terms(lambda f: f.degree() <= trunc)
-    return s
+    return FormalSum._of(out)
 
 
 # ---------------------------------------------------------------------------

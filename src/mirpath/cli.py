@@ -87,7 +87,10 @@ def _parse_gamma(text: str) -> Fraction:
 
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below with the same message as a NaN
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -258,16 +261,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
 def _cmd_verify(args: argparse.Namespace) -> _Output:
     from .verify import run_all_suites
 
-    gamma = _parse_gamma(args.gamma)
     config = {
         "d": args.d,
         "max_norm": args.max_norm,
-        "gamma": str(gamma),
         "seed": args.seed,
         "suites": args.suite or "all",
     }
     results = run_all_suites(
-        d=args.d, max_norm=args.max_norm, seed=args.seed, gamma=gamma,
+        d=args.d, max_norm=args.max_norm, seed=args.seed,
         suites=args.suite, fault_suite=args.inject_fault,
     )
     failures = [
@@ -375,26 +376,15 @@ def _cmd_solve(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_translate(args: argparse.Namespace) -> _Output:
-    from .algebra import Grading
     from .lifts import grid_payload
     from .translation import translate_roughpath
 
     grid = _load_grid(args.grid)
     ells = _load_characters(args, grid.d)
-    out_grading = None
-    if args.out_max_norm is not None:
-        out_gamma = (
-            _parse_gamma(args.out_gamma)
-            if args.out_gamma is not None
-            else grid.grading.gamma
-        )
-        out_grading = Grading(max_norm=args.out_max_norm, gamma=out_gamma)
-    translated = translate_roughpath(ells, grid, out_grading)
+    translated = translate_roughpath(ells, grid)
     config = {
         "grid": args.grid,
         "characters": "ito-strat" if args.ito_strat else args.chars,
-        "out_max_norm": args.out_max_norm,
-        "out_gamma": args.out_gamma,
     }
     return _Output(config, None, {"grid": grid_payload(translated)})
 
@@ -404,11 +394,10 @@ def _cmd_translate_field(args: argparse.Namespace) -> _Output:
 
     field = _load_field(args.field)
     ells = _load_characters(args, field.d)
-    out = translated_field(field, ells, args.max_norm)
+    out = translated_field(field, ells)
     config = {
         "field": args.field,
         "characters": "ito-strat" if args.ito_strat else args.chars,
-        "max_norm": args.max_norm,
     }
     return _Output(config, None, {"field": vector_field_payload(out)})
 
@@ -545,7 +534,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_d(p, 2)
     _add_max_norm(p)
     _add_seed(p)
-    _add_gamma(p)
     _add_output(p)
     p.add_argument("--suite", action="append", metavar="NAME",
                    help="run only this suite (repeatable); default: all")
@@ -580,15 +568,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="character JSON (object or list of objects)")
     p.add_argument("--ito-strat", action="store_true",
                    help="use the built-in Itô→Stratonovich drift character")
-    p.add_argument("--out-max-norm", type=int, default=None,
-                   help="force the output truncation instead of deriving it")
-    p.add_argument("--out-gamma", default=None, metavar="P/Q",
-                   help="force the output Hölder exponent")
     p.set_defaults(handler=_cmd_translate)
 
     p = subs.add_parser("translate-field",
                         help="translate a polynomial vector field")
-    _add_max_norm(p)
     _add_output(p)
     p.add_argument("--field", required=True, metavar="FILE")
     p.add_argument("--chars", default=None, metavar="FILE")

@@ -248,9 +248,7 @@ def upsilon_vf(u: Forest | MultiIndex, f: VectorField, psi: SmoothTest, y: float
 # ---------------------------------------------------------------------------
 
 
-def translated_field(
-    f: VectorField, ells: Sequence, max_norm: int
-) -> VectorField:
+def translated_field(f: VectorField, ells: Sequence) -> VectorField:
     """Replace each coefficient function by its character-weighted expansion
 
         f_i^ℓ(y) = Σ_{z^β ∈ supp ℓ_i} ℓ_i(z^β)/S(z^β) · Υ_f[z^β](y),
@@ -259,7 +257,7 @@ def translated_field(
 
     ``ells`` supplies one character per letter 0..d (objects with a
     ``direction`` and a ``terms`` mapping of populated multi-indices to exact
-    rationals).  Support outside degree ``max_norm`` is rejected.
+    rationals).  Any support degree is accepted: the expansion is exact.
 
     A polynomial input yields a polynomial output with exact coefficient
     rows (the expansion is a ℚ-linear combination of products of exact
@@ -269,17 +267,9 @@ def translated_field(
     """
     if len(ells) != f.d + 1:
         raise ValueError(f"need {f.d + 1} characters (letters 0..{f.d}), got {len(ells)}")
-    support_degree = 1
     for i, ell in enumerate(ells):
         if getattr(ell, "direction", i) != i:
             raise ValueError(f"character at slot {i} has direction {ell.direction}")
-        for key in ell.terms:
-            if key.degree() > max_norm:
-                raise ValueError(
-                    f"character for letter {i} supported on {key!r} of degree "
-                    f"{key.degree()}, beyond truncation {max_norm}"
-                )
-            support_degree = max(support_degree, key.degree())
 
     if f.variant == "polynomial" and f.poly_coeffs is not None:
         rows = []
@@ -318,6 +308,7 @@ def translated_field(
 
     max_order = None
     if f.max_order is not None:
+        support_degree = max((key.degree() for ell in ells for key in ell.terms), default=1)
         max_order = f.max_order - (support_degree - 1)
         if max_order < 0:
             raise DerivativeOrderError(

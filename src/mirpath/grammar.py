@@ -135,24 +135,28 @@ def parse_multi_index(text: str, d: int | None = None) -> MultiIndex:
     return out
 
 
-def parse_forest(text: str, d: int | None = None) -> Forest:
-    """Parse ``mi * mi * …`` into a forest; ``1`` is the empty forest."""
-    sc = _Scanner(text)
+def _scan_forest(sc: _Scanner, d: int | None) -> Forest:
+    """``1`` for the empty forest, or ``mi * mi * …``."""
     if sc.peek() == "1":
         sc.take("1")
-        if not sc.at_end():
-            raise ParseError("trailing input", sc.pos)
         return EMPTY_FOREST
     comps = [_scan_multi_index(sc, d)]
     while sc.peek() == "*":
         sc.take("*")
         comps.append(_scan_multi_index(sc, d))
+    return Forest(comps)
+
+
+def parse_forest(text: str, d: int | None = None) -> Forest:
+    """Parse ``mi * mi * …`` into a forest; ``1`` is the empty forest."""
+    sc = _Scanner(text)
+    forest = _scan_forest(sc, d)
     if not sc.at_end():
         raise ParseError("trailing input", sc.pos)
-    if d is None:
-        letters = max(c.letters for c in comps)
-        comps = [MultiIndex(c.entries, letters) for c in comps]
-    return Forest(comps)
+    if d is None and not forest.is_empty:
+        letters = max(c.letters for c in forest.components)
+        forest = Forest(MultiIndex(c.entries, letters) for c in forest.components)
+    return forest
 
 
 def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
@@ -182,15 +186,7 @@ def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
             if den == 0:
                 raise ParseError("zero denominator", dstart)
         sc.take(")")
-        if sc.peek() == "1":
-            sc.take("1")
-            forest = EMPTY_FOREST
-        else:
-            comps = [_scan_multi_index(sc, d)]
-            while sc.peek() == "*":
-                sc.take("*")
-                comps.append(_scan_multi_index(sc, d))
-            forest = Forest(comps)
+        forest = _scan_forest(sc, d)
         comps_seen.append(forest)
         terms[forest] = terms.get(forest, 0) + Fraction(sign * num, den)
     if d is None and comps_seen:

@@ -258,13 +258,18 @@ def exp_element(x: LieElement) -> GroupElement:
     return GroupElement._of(x.d, x.grading, acc[t.single])
 
 
-def log_element(x: GroupElement, defect_tolerance: float = 1e-9) -> LieElement:
+#: Relative size of a coefficient that :func:`log_element` may leave on a
+#: forest of two or more components before it refuses its input.
+_DEFECT_TOLERANCE = 1e-9
+
+
+def log_element(x: GroupElement) -> LieElement:
     """Truncated logarithm Σ_{n≤N} (−1)^{n+1}(x−∅)^⋆ⁿ/n of a character.
 
     The result must be primitive: a formal-sum coefficient φ(u)/S(u) left on
-    a forest u of cardinality ≥ 2 beyond ``defect_tolerance`` (relative to the
-    largest coefficient) raises :class:`PrimitivityError` rather than being
-    dropped silently.
+    a forest u of cardinality ≥ 2 beyond ``_DEFECT_TOLERANCE`` (relative to
+    the largest coefficient) raises :class:`PrimitivityError` rather than
+    being dropped silently.
     """
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
@@ -279,7 +284,7 @@ def log_element(x: GroupElement, defect_tolerance: float = 1e-9) -> LieElement:
             power = t.star(power, y)
     coeff = acc / t.symmetry
     scale = max(1.0, float(np.abs(coeff).max()))
-    defects = t.multi[np.abs(coeff[t.multi]) > defect_tolerance * scale]
+    defects = t.multi[np.abs(coeff[t.multi]) > _DEFECT_TOLERANCE * scale]
     if defects.size:
         s = defects[0]
         raise PrimitivityError(

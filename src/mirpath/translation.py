@@ -403,7 +403,7 @@ def translate(
 # extraction–contraction coproduct, two independent routes
 
 
-def _coproduct_transpose(b: MultiIndex, trunc: int) -> FormalSum:
+def _coproduct_transpose(b: MultiIndex) -> FormalSum:
     """Route A: transpose the simultaneous insertion against the basis.
 
     The coefficient of F ⊗ z^α is ⟨F ⋆₁ z^α, z^β⟩ / (S(F)·S(z^α)).  Letter
@@ -415,8 +415,7 @@ def _coproduct_transpose(b: MultiIndex, trunc: int) -> FormalSum:
     left, which also fixes deg α = deg β − (deg F − |F|).
     """
     d = b.letters - 1
-    target_degree = b.degree()
-    bound = min(trunc, target_degree) if trunc is not None else target_degree
+    bound = b.degree()
     s_b = symmetry_factor(b)
     out: dict[tuple[Forest, MultiIndex], int | Fraction] = {(EMPTY_FOREST, b): 1}
     buckets: dict[tuple[int, ...], list[MultiIndex]] = {}
@@ -498,7 +497,7 @@ def _raise_candidates(block: MultiIndex, steps: int) -> tuple[tuple[MultiIndex, 
     return tuple(out)
 
 
-def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
+def _coproduct_direct(b: MultiIndex) -> FormalSum:
     """Route B: the extraction–contraction procedure itself.
 
     Working over the individual variable slots of the target, split off a
@@ -511,10 +510,6 @@ def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
     leftover and extracted components.  The transpose route serves as the
     independent check of this bookkeeping.
     """
-    if trunc is not None and b.degree() > trunc:
-        raise ValueError(
-            f"degree {b.degree()} target above requested truncation {trunc}"
-        )
     d = b.letters - 1
     s_b = symmetry_factor(b)
     freq_b = _frequency_factor(b)
@@ -572,23 +567,22 @@ def _coproduct_direct(b: MultiIndex, trunc: int | None) -> FormalSum:
     return FormalSum._of(out)
 
 
-def coproduct_minus(
-    b: MultiIndex, trunc: int | None = None, route: str = "direct"
-) -> FormalSum:
+def coproduct_minus(b: MultiIndex, *, route: str = "direct") -> FormalSum:
     """Extraction–contraction coproduct of a populated monomial.
 
     Keys of the result are (extracted forest, contracted monomial) pairs; the
-    term ∅ ⊗ z^β is always present.  ``route`` selects between the direct
-    procedure (``"direct"``) and the transpose of the insertion product
+    term ∅ ⊗ z^β is always present.  The expansion is never truncated.
+    ``route``, passed by keyword, selects between the direct procedure
+    (``"direct"``) and the transpose of the insertion product
     (``"transpose"``); the two must agree exactly and are both exercised by
     the test-suite.
     """
     if not b.is_populated():
         raise ValueError(f"coproduct target {b!r} must be populated")
     if route == "direct":
-        return _coproduct_direct(b, trunc)
+        return _coproduct_direct(b)
     if route == "transpose":
-        return _coproduct_transpose(b, trunc if trunc is not None else b.degree())
+        return _coproduct_transpose(b)
     raise ValueError(f"unknown route {route!r}; expected 'direct' or 'transpose'")
 
 
@@ -596,9 +590,7 @@ def coproduct_minus(
 # dual translation and rough-path translation
 
 
-def m_ell(
-    ells: Sequence[Character], b: MultiIndex, trunc: int | None = None
-) -> FormalSum:
+def m_ell(ells: Sequence[Character], b: MultiIndex) -> FormalSum:
     """Dual of :func:`translate` on one basis monomial.
 
     Obtained by transposition: the coefficient of z^β is
@@ -612,11 +604,10 @@ def m_ell(
     if not b.is_populated():
         raise ValueError(f"dual translation target {b!r} must be populated")
     d = b.letters - 1
-    bound = b.degree() if trunc is None else min(trunc, b.degree())
     s_target = symmetry_factor(b)
     ells = tuple(ells)
     out: dict[MultiIndex, int | Fraction] = {}
-    for beta in _populated_tuple(d, bound):
+    for beta in _populated_tuple(d, b.degree()):
         coeff = _translate_mi(ells, beta, b.degree()).coefficient(b)
         if coeff:
             out[beta] = Fraction(coeff * s_target, symmetry_factor(beta))
@@ -633,15 +624,11 @@ def contract_character(ell: Character, split: FormalSum) -> FormalSum:
     return FormalSum._of(out)
 
 
-def translate_roughpath(
-    ells: Sequence[Character],
-    path: RoughPathGrid,
-    out_grading: Grading | None = None,
-) -> RoughPathGrid:
+def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> RoughPathGrid:
     """Push a stored rough path through a translation.
 
     Each output value is the stored increment evaluated on the exact dual
-    image of the requested monomial.  The default output grading follows the
+    image of the requested monomial.  The output grading is fixed by the
     regularity cost of the translation: an order-1 translation keeps the
     input grading unchanged (so the identity is bit-identical at any stored
     level), while order N > 1 moves to Hölder exponent γ/N with truncation
@@ -652,14 +639,11 @@ def translate_roughpath(
     """
     _check_characters(ells, path.d + 1)
     gamma = path.grading.gamma
-    if out_grading is None:
-        order = translation_order(ells, gamma)
-        if order == 1:
-            out_grading = path.grading
-        else:
-            out_grading = Grading(
-                max_norm=math.floor(order / gamma), gamma=gamma / order
-            )
+    order = translation_order(ells, gamma)
+    if order == 1:
+        out_grading = path.grading
+    else:
+        out_grading = Grading(max_norm=math.floor(order / gamma), gamma=gamma / order)
     out_index = _key_index(path.d, out_grading.max_norm)
     duals = {beta: m_ell(ells, beta) for beta in out_index}
     needed = max(

@@ -5,7 +5,9 @@ over a reproducible budget: the exact suites compare rational formal sums
 for equality, the floating-point suites carry an explicit tolerance that is
 recorded in the result.  A failing check names the offending basis elements
 in the grammar notation (``z(1,0)z(1,1)``, ``z(1,0)*z(2,0)``) so a report
-points at the algebra, not just at a count.
+points at the algebra, not just at a count.  A run is fixed by the number
+of letters, the degree truncation and the seed; no checked value depends on
+a Hölder exponent, so the suites take none.
 
 :func:`run_all_suites` also takes a test-only fault hook, ``fault_suite``,
 which flips the verdict of the first check of a named suite.  The CLI wires
@@ -180,6 +182,9 @@ def _poly_rows(d: int) -> tuple[tuple[Fraction, ...], ...]:
 
 _SAMPLE_POINTS = (-0.6, 0.3, 1.1)
 
+#: The Hölder exponent of the gradings the group suites build.
+_GAMMA = Fraction(1, 2)
+
 
 # ---------------------------------------------------------------------------
 # exact suites: grafting, forest product, deshuffle, bialgebra
@@ -208,14 +213,14 @@ def _check_symmetric_triples(defect, label, d, max_norm, seed, rec):
         )
 
 
-def _suite_graft_prelie(d, max_norm, seed, gamma, rec):
+def _suite_graft_prelie(d, max_norm, seed, rec):
     """Associator of ▷ symmetric in its first two slots."""
     _check_symmetric_triples(
         _associator(prelie_graft), "graft pre-Lie", d, max_norm, seed, rec
     )
 
 
-def _suite_graft_nap(d, max_norm, seed, gamma, rec):
+def _suite_graft_nap(d, max_norm, seed, rec):
     """Grafting twice into the same target commutes in the grafted pair."""
 
     def nap_side(a, b, c):
@@ -226,7 +231,7 @@ def _suite_graft_nap(d, max_norm, seed, gamma, rec):
     _check_symmetric_triples(nap_side, "graft NAP", d, max_norm, seed, rec)
 
 
-def _suite_star_associative(d, max_norm, seed, gamma, rec):
+def _suite_star_associative(d, max_norm, seed, rec):
     """Forest product: two-sided unit and associativity."""
     basis = forest_basis(d, max_norm)
     for f in basis:
@@ -245,7 +250,7 @@ def _suite_star_associative(d, max_norm, seed, gamma, rec):
         )
 
 
-def _suite_deshuffle(d, max_norm, seed, gamma, rec):
+def _suite_deshuffle(d, max_norm, seed, rec):
     """Splitting coproduct: coassociative and cocommutative."""
     for f in forest_basis(d, max_norm):
         delta = deshuffle(f)
@@ -268,7 +273,7 @@ def _suite_deshuffle(d, max_norm, seed, gamma, rec):
         )
 
 
-def _suite_bialgebra(d, max_norm, seed, gamma, rec):
+def _suite_bialgebra(d, max_norm, seed, rec):
     """Deshuffle intertwines the forest product leg by leg."""
     pool = [f for f in forest_basis(d, max_norm) if not f.is_empty]
     rng = random.Random(seed)
@@ -297,14 +302,14 @@ def _suite_bialgebra(d, max_norm, seed, gamma, rec):
 # ---------------------------------------------------------------------------
 
 
-def _suite_insertion_prelie(d, max_norm, seed, gamma, rec):
+def _suite_insertion_prelie(d, max_norm, seed, rec):
     """Associator of ▶ symmetric in its first two slots."""
     _check_symmetric_triples(
         _associator(insert_prelie), "insertion pre-Lie", d, max_norm, seed, rec
     )
 
 
-def _suite_coproduct_routes(d, max_norm, seed, gamma, rec):
+def _suite_coproduct_routes(d, max_norm, seed, rec):
     """Direct extraction–contraction equals the transpose construction."""
     for b in enumerate_populated(d, max_norm):
         rec.check(
@@ -314,7 +319,7 @@ def _suite_coproduct_routes(d, max_norm, seed, gamma, rec):
         )
 
 
-def _suite_adjointness(d, max_norm, seed, gamma, rec):
+def _suite_adjointness(d, max_norm, seed, rec):
     """<F *₁ a, b> = <F ⊗ a, Δ⁻b> under the symmetry-factor pairing."""
     low_bound = min(max_norm, 2)
     forests = forest_basis(d, low_bound)
@@ -353,7 +358,7 @@ def _suite_adjointness(d, max_norm, seed, gamma, rec):
             )
 
 
-def _suite_translate_identity(d, max_norm, seed, gamma, rec):
+def _suite_translate_identity(d, max_norm, seed, rec):
     """The identity character list fixes every basis element."""
     ells = identity_characters(d)
     for b in enumerate_populated(d, max_norm):
@@ -368,7 +373,7 @@ def _suite_translate_identity(d, max_norm, seed, gamma, rec):
         )
 
 
-def _suite_translate_morphism(d, max_norm, seed, gamma, rec):
+def _suite_translate_morphism(d, max_norm, seed, rec):
     """Translation respects the forest product and the raising derivation."""
     ells = _is_characters(d)
     mis = enumerate_populated(d, 2)
@@ -399,7 +404,7 @@ def _suite_translate_morphism(d, max_norm, seed, gamma, rec):
         )
 
 
-def _suite_translate_population(d, max_norm, seed, gamma, rec):
+def _suite_translate_population(d, max_norm, seed, rec):
     """Images of translation, its dual, and insertion stay populated."""
     ells = _is_characters(d)
     for b in enumerate_populated(d, max_norm):
@@ -441,9 +446,9 @@ def _worst_defect(want, got):
     return float(err[p]), list(_key_index(want.d, want.grading.max_norm))[p]
 
 
-def _suite_exp_log(d, max_norm, seed, gamma, rec):
+def _suite_exp_log(d, max_norm, seed, rec):
     """exp after log returns every random character to itself."""
-    grading = Grading(max_norm=max_norm, gamma=gamma)
+    grading = Grading(max_norm=max_norm, gamma=_GAMMA)
     rng = np.random.default_rng(seed)
     for idx in range(100):
         x = random_character(d, grading, rng)
@@ -457,14 +462,13 @@ def _suite_exp_log(d, max_norm, seed, gamma, rec):
         )
 
 
-def _suite_chen(d, max_norm, seed, gamma, rec):
+def _suite_chen(d, max_norm, seed, rec):
     """Stored increments compose consistently across every split point."""
     n = 12
     rng = np.random.default_rng(seed)
     walk = np.cumsum(rng.standard_normal((n + 1, d)) * 0.7, axis=0)
     samples = [(j / n, *map(float, walk[j])) for j in range(n + 1)]
-    grading = Grading(max_norm=max_norm, gamma=gamma)
-    grid = lift_piecewise_linear(samples, grading)
+    grid = lift_piecewise_linear(samples, Grading(max_norm=max_norm, gamma=_GAMMA))
     spans = {}
     for i in range(n):
         spans[(i, i + 1)] = grid.increments[i]
@@ -495,7 +499,7 @@ def _differentiate_rep(rep):
     return out
 
 
-def _suite_upsilon_morphism(d, max_norm, seed, gamma, rec):
+def _suite_upsilon_morphism(d, max_norm, seed, rec):
     """The forest-product image acts as the composition of the two operators."""
     f = VectorField.polynomial(_poly_rows(d))
     psi = SmoothTest.polynomial((0, 3, 1))
@@ -532,7 +536,7 @@ def _suite_upsilon_morphism(d, max_norm, seed, gamma, rec):
             )
 
 
-def _suite_upsilon_leibniz(d, max_norm, seed, gamma, rec):
+def _suite_upsilon_leibniz(d, max_norm, seed, rec):
     """Splitting a forest against a product of test functions."""
     f = VectorField.polynomial(_poly_rows(d))
     phi_coeffs = (Fraction(1), Fraction(-2), Fraction(0), Fraction(0), Fraction(1))
@@ -596,13 +600,14 @@ def run_all_suites(
     d: int = 2,
     max_norm: int = 3,
     seed: int = 0,
-    gamma: Fraction = Fraction(1, 2),
     suites: Sequence[str] | None = None,
     fault_suite: str | None = None,
 ) -> list[SuiteResult]:
     """Run the verification suites and return one result record per suite.
 
     ``max_norm`` must lie in 1..3, the highest degree the suites check.
+    The group suites grade their elements at γ = 1/2, which no checked
+    value depends on.
     ``suites`` restricts the run to the named subset (order preserved from
     the registry).  Each suite draws its own randomness from ``seed``, so a
     subset run reproduces the same checks as the full run.  ``fault_suite``
@@ -619,8 +624,6 @@ def run_all_suites(
             f"truncation must lie in 1..{_DEGREE_CAP}, the highest degree the "
             f"suites check, got {max_norm}"
         )
-    if not 0 < gamma < 1:
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     selected = set(available_suites() if suites is None else suites)
     unknown = selected - set(available_suites())
     if unknown:
@@ -634,7 +637,7 @@ def run_all_suites(
         if name not in selected:
             continue
         rec = _Recorder(name, tolerance, name == fault_suite)
-        fn(d, max_norm, seed, gamma, rec)
+        fn(d, max_norm, seed, rec)
         clear_caches()
         results.append(rec.result())
     return results

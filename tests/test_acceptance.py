@@ -572,7 +572,7 @@ def test_criterion_09_translation_two_routes():
         ),
     ):
         via_path = solve_flow(translate_roughpath(ells, path), f, y0, cfg)
-        via_field = solve_flow(path, translated_field(f, ells, 3), y0, cfg)
+        via_field = solve_flow(path, translated_field(f, ells), y0, cfg)
         sup = max(abs(a - b) for a, b in zip(via_path.values, via_field.values))
         sups.append((label, sup))
         assert sup <= 1e-5, (label, sup)
@@ -606,7 +606,7 @@ def test_criterion_10_ito_stratonovich():
     mu, sigma = F(1, 10), F(2, 5)
     f = VectorField.polynomial(((F(0), mu), (F(0), sigma)))
     ells = [ito_strat_character(1), identity_characters(1)[1]]
-    f_ell = translated_field(f, ells, 2)
+    f_ell = translated_field(f, ells)
     assert f_ell.poly_coeffs[0] == (F(0), mu + sigma * sigma / 2)
 
     n_steps = 4096

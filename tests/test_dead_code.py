@@ -9,6 +9,9 @@ package is called by the interpreter, not by name, and is exempt.  Every
 ``def`` and ``class`` at any depth, methods included, must be referenced by
 name in ``src``, ``tests`` or ``bench`` outside its own body, or be listed in
 an ``__all__``; dunders are called by the interpreter and are exempt.
+Every parameter with a default, of a function or method at any depth, must
+be passed, by keyword or by position, by some call in ``src``, ``tests`` or
+``bench``: a default nothing overrides is a setting nobody uses.
 """
 
 from __future__ import annotations
@@ -110,13 +113,18 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_definition_is_referenced():
-    trees = {
+def _repo_trees() -> dict[Path, ast.Module]:
+    """Every Python file under ``src``, ``tests`` and ``bench``, parsed."""
+    return {
         path: ast.parse(path.read_text(encoding="utf-8"))
         for top in ("src", "tests", "bench")
         for path in sorted((REPO / top).rglob("*.py"))
         if not any(part.startswith(".") for part in path.relative_to(REPO).parts)
     }
+
+
+def test_every_definition_is_referenced():
+    trees = _repo_trees()
     reads = sum((_reads(tree) for tree in trees.values()), Counter())
     listed = set().union(*(_all_strings(tree) for tree in trees.values()))
     unused = []
@@ -133,3 +141,73 @@ def test_every_definition_is_referenced():
                 unused.append(f"{path.stem}: {name} (line {node.lineno})")
     assert unused == []
 
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each parameter of ``fn`` with a default -> its position in a call
+    (``self`` or ``cls`` not counted), or None if it is keyword-only."""
+    positional = [*fn.args.posonlyargs, *fn.args.args]
+    first = len(positional) - len(fn.args.defaults)
+    skip = 1 if method else 0
+    out = {p.arg: n - skip for n, p in enumerate(positional) if n >= first}
+    for p, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            out[p.arg] = None
+    return out
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` sets the parameter ``name`` at ``position``; a
+    ``*args`` or ``**kwargs`` argument may set any of them."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(
+        isinstance(a, ast.Starred) or n == position for n, a in enumerate(call.args)
+    )
+
+
+def test_every_defaulted_parameter_is_passed():
+    trees = _repo_trees()
+    calls: dict[str, list[ast.Call]] = {}
+    bases: dict[str, set[str]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+
+    def with_subclasses(cls: str) -> set[str]:
+        out = {cls}
+        while grown := {c for c, b in bases.items() if b & out} - out:
+            out |= grown
+        return out
+
+    unpassed = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, owner)
+                continue
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            # a constructor is called through its class or a subclass
+            names = {child.name}
+            if owner is not None and child.name in ("__init__", "__new__"):
+                names = with_subclasses(owner)
+            found = [call for n in names for call in calls.get(n, ())]
+            for param, position in _defaulted(child, owner is not None and not static).items():
+                if not any(_passes(call, param, position) for call in found):
+                    unpassed.append(f"{child.name}: {param}")
+            visit(child, None)
+
+    for path, tree in trees.items():
+        if path.parent == REPO / "src" / "mirpath":
+            visit(tree, None)
+    assert unpassed == []

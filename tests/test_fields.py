@@ -337,7 +337,7 @@ class TestOperatorIdentities:
 
 class TestTranslatedField:
     def test_identity_translation_is_f(self, poly_field):
-        out = translated_field(poly_field, identity_characters(2), max_norm=2)
+        out = translated_field(poly_field, identity_characters(2))
         for i in range(3):
             for k in range(4):
                 for y in SAMPLE_POINTS:
@@ -346,7 +346,7 @@ class TestTranslatedField:
     def test_ito_strat_drift_correction(self, poly_field):
         ells = identity_characters(2)
         ells[0] = ito_strat_character(2)
-        out = translated_field(poly_field, ells, max_norm=2)
+        out = translated_field(poly_field, ells)
         expr = _SYMPY_F[0] + sympy.Rational(1, 2) * sum(
             _SYMPY_F[j] * sympy.diff(_SYMPY_F[j], _Y) for j in (1, 2)
         )
@@ -366,7 +366,7 @@ class TestTranslatedField:
 
         ells = identity_characters(2)
         ells[0] = ito_strat_character(2)
-        out = translated_field(poly_field, ells, max_norm=2)
+        out = translated_field(poly_field, ells)
         rng = np.random.default_rng(2718281828)
         points = rng.uniform(-2.0, 2.0, size=20)
         h = 1e-5
@@ -382,21 +382,15 @@ class TestTranslatedField:
         ells = identity_characters(2)
         key = mi((1, 0), (1, 1))
         ells[1] = Character(1, {mi((1, 0)): Fraction(1), key: Fraction(1, 3)}, 2)
-        out = translated_field(poly_field, ells, max_norm=2)
+        out = translated_field(poly_field, ells)
         expr = _SYMPY_F[1] + sympy.Rational(1, 3) * _SYMPY_F[1] * sympy.diff(_SYMPY_F[1], _Y)
         for y in SAMPLE_POINTS:
             ref = float(expr.subs(_Y, sympy.Float(y, 30)))
             assert out.derivative(1, 0, y) == pytest.approx(ref, rel=1e-12)
 
-    def test_support_beyond_truncation_rejected(self, poly_field):
-        ells = identity_characters(2)
-        ells[0] = ito_strat_character(2)
-        with pytest.raises(ValueError):
-            translated_field(poly_field, ells, max_norm=1)
-
     def test_wrong_character_count(self, poly_field):
         with pytest.raises(ValueError):
-            translated_field(poly_field, identity_characters(1), max_norm=2)
+            translated_field(poly_field, identity_characters(1))
 
     def test_smoothness_budget_consumed(self):
         f = VectorField.from_closures(
@@ -407,7 +401,7 @@ class TestTranslatedField:
         )
         ells = identity_characters(1)
         ells[0] = ito_strat_character(1)
-        out = translated_field(f, ells, max_norm=2)
+        out = translated_field(f, ells)
         # a degree-2 character consumes one derivative order
         assert out.max_order == f.max_order - 1
         out.derivative(0, 1, 0.0)
@@ -419,7 +413,7 @@ class TestTranslatedField:
         ells = identity_characters(1)
         ells[0] = ito_strat_character(1)
         with pytest.raises(DerivativeOrderError):
-            translated_field(f, ells, max_norm=2)
+            translated_field(f, ells)
 
 
 # ---------------------------------------------------------------------------

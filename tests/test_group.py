@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirpath import group
 from mirpath.algebra import (
     EMPTY_FOREST,
     FormalSum,
@@ -181,10 +182,11 @@ def test_log_output_carries_no_mass_on_larger_forests():
             assert abs(acc[s] / f.symmetry_factor()) <= 1e-12
 
 
-def test_log_primitivity_guard_is_live():
+def test_log_primitivity_guard_is_live(monkeypatch):
+    monkeypatch.setattr(group, "_DEFECT_TOLERANCE", 0.0)
     x = random_character(2, G3, _rng(2))
     with pytest.raises(PrimitivityError):
-        log_element(x, defect_tolerance=0.0)
+        log_element(x)
 
 
 def test_exp_of_primitive_is_grouplike():

@@ -464,7 +464,7 @@ class TestSolveFlow:
             zero = [lambda y: 0.0] * 5
             slope = [lambda y: 1e200 * y, lambda y: 1e200, *zero[2:]]
             base = VectorField.from_closures([zero, slope])
-            f = translated_field(base, ells, 3)
+            f = translated_field(base, ells)
             key = "z(0,1)z(1,0)"
         path = one_step_path(key)
         sol = solve_flow(path, f, 0.5, SolveConfig(rk4_substeps=4))

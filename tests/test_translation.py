@@ -697,14 +697,6 @@ class TestTranslateRoughpath:
             translate_roughpath(ells, path)
         assert info.value.missing_degree == 4
 
-    def test_explicit_output_grading(self):
-        path = _ito_path(n_steps=8, seed=5)
-        target = Grading(max_norm=2, gamma=Fraction(1, 2))
-        out = translate_roughpath(_is_characters(1), path, out_grading=target)
-        assert out.grading == target
-        assert out.depth == 2
-        assert out.coords.shape == (8, len(enumerate_populated(1, 2)))
-
     def test_wrong_character_count(self):
         path = _ito_path(n_steps=4, seed=1)
         with pytest.raises(ValueError):

@@ -135,8 +135,6 @@ class TestSuiteEngine:
             run_all_suites(d=0)
         with pytest.raises(ValueError):
             run_all_suites(max_norm=0)
-        with pytest.raises(ValueError):
-            run_all_suites(gamma=Fraction(1))
 
     def test_result_json_shape(self):
         r = run_all_suites(d=1, max_norm=1, suites=["coproduct-routes"])[0]
@@ -583,7 +581,7 @@ class TestCliLiftSolve:
             assert sol["diverged"] is True and sol["values"] == [0.0]
 
     @pytest.mark.parametrize("command", ["solve", "davie-report"])
-    @pytest.mark.parametrize("y0", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("y0", ["nan", "inf", "-inf", "x"])
     def test_non_finite_y0_is_a_usage_error(self, command, y0, sine_csv,
                                             cubic_field_json, tmp_path):
         grid_file = tmp_path / "grid.json"
@@ -713,19 +711,30 @@ class TestCliTranslate:
             assert err == "error: translated value overflows on segment 0 (t = 0.0 .. 0.25)\n"
         assert not out_file.exists()
 
-    def test_truncation_shortfall_is_a_usage_error(self, grid_file):
-        code, _, err = run_cli("translate", "--grid", str(grid_file),
-                               "--ito-strat", "--out-max-norm", "4")
+    def test_truncation_shortfall_is_a_usage_error(self, grid_file, tmp_path):
+        # a second-order space character needs degree-4 values of the
+        # degree-3 grid
+        key = MultiIndex({(1, 0): 1, (1, 1): 1}, 2)
+        ell = Character(1, {MultiIndex({(1, 0): 1}, 2): 1, key: Fraction(1, 3)}, 1)
+        chars = tmp_path / "chars.json"
+        chars.write_text(json.dumps(character_to_json(ell)))
+        out_file = tmp_path / "translated.json"
+        code, out, err = run_cli("translate", "--grid", str(grid_file), "--chars",
+                                 str(chars), "--out", str(out_file))
         assert code == 2
-        assert "4" in err
+        assert out == ""
+        assert err == (
+            "error: translation needs stored values up to degree 4, "
+            "but the grid is truncated at 3\n"
+        )
+        assert not out_file.exists()
 
     def test_field_translation_emits_exact_coefficients(
         self, cubic_field_json, tmp_path
     ):
         out_file = tmp_path / "tfield.json"
         code, _, _ = run_cli("translate-field", "--field", str(cubic_field_json),
-                             "--ito-strat", "--max-norm", "3",
-                             "--no-timestamp", "--out", str(out_file))
+                             "--ito-strat", "--no-timestamp", "--out", str(out_file))
         assert code == 0
         payload = json.loads(out_file.read_text())["field"]
         rows = {entry["i"]: [Fraction(c) for c in entry["coeffs"]]
@@ -746,8 +755,7 @@ class TestCliTranslate:
         run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
                 "--out", str(grid_file))
         run_cli("translate-field", "--field", str(cubic_field_json),
-                "--ito-strat", "--max-norm", "3",
-                "--no-timestamp", "--out", str(tfield_file))
+                "--ito-strat", "--no-timestamp", "--out", str(tfield_file))
         code, _, _ = run_cli("solve", "--grid", str(grid_file), "--field",
                              str(tfield_file), "--y0", "0.1", "--no-timestamp",
                              "--out", str(sol_file))
@@ -1070,6 +1078,10 @@ class TestCliTopLevel:
         (("davie-report", "--grid", "g.json", "--field", "f.json"), "--gamma"),
         (("translate", "--grid", "g.json", "--ito-strat"), "--gamma"),
         (("translate-field", "--field", "f.json", "--ito-strat"), "--gamma"),
+        (("verify",), "--gamma"),
+        (("translate", "--grid", "g.json", "--ito-strat"), "--out-max-norm"),
+        (("translate", "--grid", "g.json", "--ito-strat"), "--out-gamma"),
+        (("translate-field", "--field", "f.json", "--ito-strat"), "--max-norm"),
     ], ids=lambda v: v[0] if isinstance(v, tuple) else v)
     def test_unused_flags_are_rejected(self, argv, flag):
         # each of these flags used to be accepted and then ignored
@@ -1228,7 +1240,7 @@ def _draw_argv(data, command: str, files) -> list[str]:
         return argv + _flags(data, {
             "--inject-fault": SUITES, "--d": DIMS,
             "--max-norm": (NORMS[0], [*NORMS[1], "4", str(2**70)]),
-            "--seed": SEEDS, "--gamma": GAMMAS,
+            "--seed": SEEDS,
         })
     if command == "lift":
         source = data.draw(st.sampled_from(["path", "brownian", "both", "neither"]))
@@ -1248,12 +1260,9 @@ def _draw_argv(data, command: str, files) -> list[str]:
             argv += _flags(data, {"--min-block": BLOCKS, "--max-block": BLOCKS})
         return argv
     if command == "translate":
-        return ["--grid", _pick(data, files["grid"]), *_character_flags(data, files),
-                *_flags(data, {"--out-max-norm": (["1", "2", "3", "4"], NORMS[1]),
-                               "--out-gamma": GAMMAS})]
+        return ["--grid", _pick(data, files["grid"]), *_character_flags(data, files)]
     if command == "translate-field":
-        return ["--field", _pick(data, files["field"]), *_character_flags(data, files),
-                *_flags(data, {"--max-norm": NORMS})]
+        return ["--field", _pick(data, files["field"]), *_character_flags(data, files)]
     assert command == "ito-strat-demo"
     return [f"--paths={_pick(data, (['1', '8'], ['0', '-1', 'x']))}",
             f"--steps={_pick(data, STEPS)}",
