@@ -17,11 +17,13 @@ termwise, never during expansion.
 
 Two private kernels carry the expansions of the exact layer.
 ``_distribute`` sums over every assignment of the components of one forest
-to the components of another; the simultaneous graft uses it here and the
-forest insertion in :mod:`mirpath.translation`.  ``_multiply_out``
-multiplies an ordered list of sums out onto a starting key and drops a term
-above a truncation as soon as it appears; the insertion into a monomial and
-the translation of monomials and forests use it.
+to the components of another, or to a kept slot; the simultaneous graft, the
+Grossman–Larson product (in one pass) and the forest insertion in
+:mod:`mirpath.translation` use it.  ``_multiply_out`` multiplies an ordered
+list of sums out onto a starting key and drops a term above a truncation as
+soon as it appears; the insertion into a monomial and the translation of
+monomials and forests use it.  It, ``gl_product`` and ``FormalSum.linear``
+add ``int`` numerators over one common denominator and divide once per term.
 
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
@@ -30,9 +32,9 @@ Equality and hashing stay structural, so an object built before a clear
 still equals, hashes like and finds the entries of a new one, and pickling
 or copying rebuilds through the constructor.  Every cache in this module has
 a stated bound: Dⁿ of a monomial and ``prelie_graft`` keep 8 192 results,
-``deshuffle`` 2 048 and the Grossman–Larson product of two basis forests
-16 384; :func:`clear_caches` empties them all, as ``verify`` does after
-each suite.
+``deshuffle`` 2 048, the Grossman–Larson product of two basis forests
+16 384 and its slot expansions (Π bucket)·Dⁿ comp 1 024; :func:`clear_caches`
+empties them all, as ``verify`` does after each suite.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -131,11 +134,9 @@ class MultiIndex:
     __slots__ = ("entries", "letters", "_hash", "_degree")
 
     def __new__(cls, entries: Iterable[Entry] | dict[tuple[int, int], int], letters: int):
-        if isinstance(entries, dict):
-            items = entries.items()
-        else:
-            items = list(entries)
-        cleaned = []
+        items = entries.items() if isinstance(entries, dict) else entries
+        # a variable listed twice carries the sum of its frequencies
+        merged: dict[tuple[int, int], int] = {}
         degree = 0
         for (i, k), m in items:
             if m == 0:
@@ -146,10 +147,9 @@ class MultiIndex:
                 raise ValueError(f"negative letter or arity in z({i},{k})")
             if i >= letters:
                 raise ValueError(f"letter {i} outside alphabet of size {letters}")
-            cleaned.append(((i, k), m))
+            merged[(i, k)] = merged.get((i, k), 0) + m
             degree += m
-        cleaned.sort()
-        return cls._trusted(tuple(cleaned), letters, degree)
+        return cls._trusted(tuple(sorted(merged.items())), letters, degree)
 
     @classmethod
     def _trusted(
@@ -317,6 +317,7 @@ def single(i: int, k: int, d: int, m: int = 1) -> MultiIndex:
 
 
 _by_entries = attrgetter("entries")
+_denominator = attrgetter("denominator")
 
 
 class Forest:
@@ -434,6 +435,15 @@ def _exact(c) -> int | Fraction:
     return Fraction(c)
 
 
+def _numerators(s: "FormalSum") -> tuple[Iterable, int]:
+    """The terms of ``s`` as ``(basis, int numerator)`` pairs over the least
+    common denominator of its coefficients, and that denominator."""
+    den = math.lcm(*map(_denominator, s.terms.values()))
+    if den == 1:
+        return s.terms.items(), 1
+    return [(b, c.numerator * (den // c.denominator)) for b, c in s.terms.items()], den
+
+
 class FormalSum:
     """Finite linear combination of hashable basis elements over ℚ.
 
@@ -461,11 +471,15 @@ class FormalSum:
         self.terms: dict = clean
 
     @classmethod
-    def _of(cls, terms: dict) -> "FormalSum":
-        """Trusted constructor for a dict whose coefficients are already
-        ``int`` or ``Fraction``: drops the zeros and checks nothing else."""
+    def _of(cls, terms: dict, den: int = 1) -> "FormalSum":
+        """Trusted constructor for ``int`` or ``Fraction`` coefficients, or
+        ``int`` numerators over the common denominator ``den``: drops the
+        zeros, divides the others by ``den`` once, and checks nothing else."""
         self = object.__new__(cls)
-        self.terms = {b: c for b, c in terms.items() if c}
+        if den == 1:
+            self.terms = {b: c for b, c in terms.items() if c}
+        else:
+            self.terms = {b: Fraction(n, den) for b, n in terms.items() if n}
         return self
 
     @classmethod
@@ -478,14 +492,26 @@ class FormalSum:
 
     @classmethod
     def linear(cls, pairs: Iterable[tuple["FormalSum", int | Fraction]]) -> "FormalSum":
-        """Σ c·s over ``(s, c)`` pairs, accumulated in one dict."""
+        """Σ c·s over ``(s, c)`` pairs, accumulated as ``int`` numerators
+        over a common denominator that grows only when a term needs it."""
         out: dict = {}
         get = out.get
+        den = 1
         for s, c in pairs:
             c = _exact(c)
+            cn, cd = c.numerator, c.denominator
             for b, cb in s.terms.items():
-                out[b] = get(b, 0) + cb * c
-        return cls._of(out)
+                if type(cb) is int and cd == 1 == den:  # nothing to scale
+                    out[b] = get(b, 0) + cb * cn
+                    continue
+                d = cb.denominator * cd
+                if den % d:  # grow the common denominator to a multiple of d
+                    grown = math.lcm(den, d)
+                    out = {k: n * (grown // den) for k, n in out.items()}
+                    get = out.get
+                    den = grown
+                out[b] = get(b, 0) + cb.numerator * cn * (den // d)
+        return cls._of(out, den)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -638,33 +664,41 @@ def prelie_graft(a: MultiIndex, b: MultiIndex) -> FormalSum:
     return FormalSum._of({a.mul(m): c for m, c in _derivative_terms(b, 1).items()})
 
 
-def _distribute(left: Forest, right: Forest, slot_sum: Callable) -> FormalSum:
-    """Σ over every assignment of each component of ``left`` to one
-    component of ``right``: a component receiving the parts ``bucket`` is
-    replaced by the (monomial, coefficient) pairs of ``slot_sum(bucket,
-    component)``, and the assignment contributes the forests of their
-    Cartesian product.  Returns a sum of forests; the callers handle the
-    empty forests."""
-    parts = left.components
+def _distribute(left: Forest, right: Forest, slot_sum: Callable, keep=False) -> FormalSum:
+    """The sum of forests over every assignment of each component of ``left``
+    to one component of ``right`` or, with ``keep``, to a kept slot: a
+    component receiving the parts ``bucket`` is replaced by the (monomial,
+    coefficient) pairs of ``slot_sum(bucket, component)``, one receiving
+    none and the kept parts stay, and each assignment adds the forests of
+    their Cartesian product."""
+    groups = left.multiplicities()
     targets = right.components
-    total: dict[Forest, int | Fraction] = {}
-    # a (bucket, component) pair recurs across assignments: expand it once
-    slots: dict[tuple[tuple[MultiIndex, ...], MultiIndex], list] = {}
-    for assignment in itertools.product(range(len(targets)), repeat=len(parts)):
-        buckets: list[list[MultiIndex]] = [[] for _ in targets]
-        for part, slot in zip(parts, assignment):
-            buckets[slot].append(part)
-        slot_sums = []
-        for bucket, comp in zip(buckets, targets):
-            key = (tuple(bucket), comp)
-            if (s := slots.get(key)) is None:
-                s = slots[key] = slot_sum(*key)
-            slot_sums.append(s)
+    slots = len(targets) + keep
+    # equal parts are interchangeable: pick how many copies of each go to
+    # each slot, weighted by the number of assignments that make that pick
+    spreads = [
+        [
+            (pick, math.factorial(r) // math.prod(map(math.factorial, Counter(pick).values())))
+            for pick in itertools.combinations_with_replacement(range(slots), r)
+        ]
+        for _, r in groups
+    ]
+    total: dict[Forest, int] = {}
+    for choice in itertools.product(*spreads):
+        buckets: list[list[MultiIndex]] = [[] for _ in range(slots)]
+        count = 1
+        for (part, _r), (pick, ways) in zip(groups, choice):
+            for slot in pick:
+                buckets[slot].append(part)
+            count *= ways
+        fixed = [*buckets[-1]] if keep else []
+        fixed += [c for b, c in zip(buckets, targets) if not b]
+        slot_sums = [slot_sum(tuple(b), c) for b, c in zip(buckets, targets) if b]
         for combo in itertools.product(*slot_sums):
-            coeff = 1
+            coeff = count
             for _mi, c in combo:
                 coeff *= c
-            forest = Forest([mi for mi, _c in combo])
+            forest = Forest([*fixed, *(mi for mi, _c in combo)])
             total[forest] = total.get(forest, 0) + coeff
     return FormalSum._of(total)
 
@@ -677,10 +711,13 @@ def _multiply_out(
     as soon as it appears: degrees only grow under further factors, so this
     loses nothing."""
     acc: dict = {start: 1}
+    den = 1
     for factor in factors:
+        terms, d = _numerators(factor)
+        den *= d
         nxt: dict = {}
         for left, cl in acc.items():
-            for right, cr in factor.items():
+            for right, cr in terms:
                 key = join(left, right)
                 if trunc is not None and key.degree() > trunc:
                     continue
@@ -688,15 +725,17 @@ def _multiply_out(
         acc = nxt
         if not acc:
             break
-    return FormalSum._of(acc)
+    return FormalSum._of(acc, den)
 
 
-def _graft_slot(bucket: tuple[MultiIndex, ...], comp: MultiIndex):
-    """(Π bucket)·Dⁿ comp, n = len(bucket), as (monomial, coefficient) pairs."""
+@lru_cache(maxsize=1 << 10)
+def _graft_slot(bucket: tuple[MultiIndex, ...], comp: MultiIndex) -> tuple:
+    """(Π bucket)·Dⁿ comp, n = len(bucket), as (monomial, coefficient) pairs;
+    memoized, since one (bucket, component) pair recurs across products."""
     prefix = reduce(MultiIndex.mul, bucket, MultiIndex((), comp.letters))
-    return [
+    return tuple(
         (prefix.mul(mi), c) for mi, c in _derivative_terms(comp, len(bucket)).items()
-    ]
+    )
 
 
 def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
@@ -707,8 +746,6 @@ def graft_simultaneous(left: Forest, right: Forest) -> FormalSum:
     (Π parts)·Dⁿ of itself.  The empty forest is a two-sided identity.
     Returns a sum of forests.
     """
-    if left.is_empty:
-        return FormalSum.of(right)
     if right.is_empty:
         return FormalSum.of(left)
     return _distribute(left, right, _graft_slot)
@@ -743,20 +780,12 @@ def deshuffle(u: Forest) -> FormalSum:
 def _star_basis(u: Forest, v: Forest) -> FormalSum:
     """Grossman–Larson product of two basis forests, untruncated.
 
-    μ(id ⊗ (· ⋆₂ v)) Δ u: one part of the deshuffle of u stays aside as a
-    forest factor, the other is grafted simultaneously onto v.  Every output
-    term has degree exactly deg(u)+deg(v).
+    μ(id ⊗ (· ⋆₂ v)) Δ u in one pass: each component of u either stays
+    aside as a forest factor or is grafted onto one component of v, summed
+    over every such assignment (the binomials of Δ u count the ways to keep
+    equal components).  Every output term has degree exactly deg(u)+deg(v).
     """
-    if u.is_empty:
-        return FormalSum.of(v)
-    if v.is_empty:
-        return FormalSum.of(u)
-    out: dict[Forest, int | Fraction] = {}
-    for (kept, grafted), split_coeff in deshuffle(u).items():
-        for forest, c in graft_simultaneous(grafted, v).items():
-            key = kept.merge(forest)
-            out[key] = out.get(key, 0) + c * split_coeff
-    return FormalSum._of(out)
+    return _distribute(u, v, _graft_slot, keep=True)
 
 
 def gl_product(
@@ -773,15 +802,16 @@ def gl_product(
         u = FormalSum.of(u)
     if isinstance(v, Forest):
         v = FormalSum.of(v)
-    out: dict[Forest, int | Fraction] = {}
-    for fu, cu in u.items():
-        for fv, cv in v.items():
+    (u_terms, du), (v_terms, dv) = _numerators(u), _numerators(v)
+    out: dict[Forest, int] = {}
+    for fu, nu in u_terms:
+        for fv, nv in v_terms:
             if trunc is not None and fu.degree() + fv.degree() > trunc:
                 continue
-            cuv = cu * cv
-            for w, c in _star_basis(fu, fv).items():
-                out[w] = out.get(w, 0) + cuv * c
-    return FormalSum._of(out)
+            nuv = nu * nv
+            for w, c in _star_basis(fu, fv).terms.items():
+                out[w] = out.get(w, 0) + nuv * c
+    return FormalSum._of(out, du * dv)
 
 
 # ---------------------------------------------------------------------------

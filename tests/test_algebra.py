@@ -417,6 +417,88 @@ def test_product_degree_homogeneous_and_populated(u, v):
         assert f.all_populated()
 
 
+def _star_by_deshuffle(u: Forest, v: Forest) -> FormalSum:
+    """The Grossman–Larson product of two basis forests by its definition:
+    Σ over the splits (kept, grafted) of Δu of kept times the simultaneous
+    graft of grafted onto v, with ∅ as the right unit."""
+    if v.is_empty:
+        return FormalSum.of(u)
+    out: dict = {}
+    for (kept, grafted), split in deshuffle(u).items():
+        for forest, c in graft_simultaneous(grafted, v).items():
+            key = kept.merge(forest)
+            out[key] = out.get(key, 0) + split * c
+    return FormalSum(out)
+
+
+def test_product_matches_its_deshuffle_definition_on_every_basis_pair():
+    basis = forest_basis(2, 3)
+    for u, v in itertools.product(basis, repeat=2):
+        assert gl_product(u, v) == _star_by_deshuffle(u, v), (u, v)
+
+
+# 80 drawn pairs per grid, each product of degree at most 10 (d=1) or 8 (d=2)
+FOREST15 = forest_basis(1, 5)
+FOREST24 = forest_basis(2, 4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FOREST15), st.sampled_from(FOREST15))
+def test_product_matches_its_deshuffle_definition_sampled_d1_degree5(u, v):
+    assert gl_product(u, v) == _star_by_deshuffle(u, v)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FOREST24), st.sampled_from(FOREST24))
+def test_product_matches_its_deshuffle_definition_sampled_d2_degree4(u, v):
+    assert gl_product(u, v) == _star_by_deshuffle(u, v)
+
+
+# coefficients over the mixed denominators 2, 3, 5 and 6
+MIXED = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(-1, 6))
+
+
+def test_product_accumulates_mixed_denominators_exactly():
+    a, b, c = (parse_forest(t, d=1) for t in ("z(1,0)", "z(0,0)", "z(1,0)z(1,1)"))
+    u = FormalSum({EMPTY_FOREST: MIXED[0], a: MIXED[3], c: MIXED[2]})
+    v = FormalSum({a: MIXED[1], EMPTY_FOREST: 1, b: MIXED[2]})
+    got = gl_product(u, v)
+    plain: dict = {}
+    for fu, cu in u.items():
+        for fv, cv in v.items():
+            for w, cw in gl_product(fu, fv).items():
+                plain[w] = plain.get(w, Fraction(0)) + Fraction(cu) * Fraction(cv) * cw
+    assert got == FormalSum(plain)
+    # a: 1/2 · 1/3 from ∅ ⋆ a, and −1/6 · 1 from a ⋆ ∅
+    assert plain[a] == 0 and a not in got.terms
+    ints = gl_product(FormalSum({EMPTY_FOREST: 3, a: -1, c: 12}), FormalSum({a: 5, b: -6}))
+    assert ints and all(type(coeff) is int for coeff in ints.terms.values())
+
+
+def test_linear_accumulates_mixed_denominators_exactly():
+    x, y, z = (parse_forest(t, d=1) for t in ("z(1,0)", "z(0,0)", "z(1,0)*z(0,0)"))
+    sums = [
+        FormalSum({x: MIXED[0], y: 3}),
+        FormalSum({x: MIXED[1], z: MIXED[2]}),
+        FormalSum({y: MIXED[3], z: 1}),
+    ]
+    weights = [MIXED[2], Fraction(-3, 5), 1]
+    got = FormalSum.linear(zip(sums, weights))
+    plain: dict = {}
+    for s, w in zip(sums, weights):
+        for f, c in s.items():
+            plain[f] = plain.get(f, Fraction(0)) + Fraction(c) * Fraction(w)
+    assert got == FormalSum(plain)
+    # x: 2/5 · 1/2 − 3/5 · 1/3 + 0 = 0
+    assert plain[x] == 0 and x not in got.terms
+    # 1/2 + 1/3 − 1/6 − 2/5 = 4/15
+    again = FormalSum.linear((sums[0], w) for w in (*MIXED[:2], MIXED[3], -MIXED[2]))
+    assert again == FormalSum({x: Fraction(2, 15), y: Fraction(4, 5)})
+    ints = FormalSum.linear([(FormalSum({x: 2, y: -3}), 5), (FormalSum({y: 3, z: 1}), -7)])
+    assert ints == FormalSum({x: 10, y: -36, z: -7})
+    assert all(type(c) is int for c in ints.terms.values())
+
+
 def test_product_truncation_is_termwise():
     a = parse_forest("z(1,0)")
     full = gl_product(gl_product(a, a), a)
@@ -508,6 +590,20 @@ def test_mi_product_merges_frequencies():
     a = parse_multi_index("z(1,0)z(1,1)")
     b = parse_multi_index("z(1,1)^2")
     assert mi_product(a, b) == parse_multi_index("z(1,0)z(1,1)^3")
+
+
+def test_a_variable_listed_twice_carries_the_sum_of_its_frequencies():
+    twice = MultiIndex([((1, 0), 1), ((1, 0), 1)], 2)
+    once = MultiIndex([((1, 0), 2)], 2)
+    assert twice.entries == (((1, 0), 2),)
+    assert twice.degree() == 2
+    assert twice == once and hash(twice) == hash(once)
+    # the product merges sorted entries, so it must never see a repeat
+    z10 = MultiIndex([((1, 0), 1)], 2)
+    assert twice.mul(z10).entries == (((1, 0), 3),)
+    assert twice.mul(z10) == MultiIndex([((1, 0), 3)], 2)
+    mixed = MultiIndex([((1, 1), 1), ((1, 0), 1), ((1, 1), 2)], 2)
+    assert mixed.entries == (((1, 0), 1), ((1, 1), 3))
 
 
 def test_int_and_fraction_coefficients_are_interchangeable():

@@ -291,6 +291,7 @@ def test_every_module_level_cache_is_bounded():
         "algebra._derivative_terms",
         "algebra.prelie_graft",
         "algebra.deshuffle",
+        "algebra._graft_slot",
         "translation._translate_mi",
         "translation._translate_forest",
         "translation.insert_prelie",

@@ -312,6 +312,45 @@ def _second_order_space_characters() -> list[Character]:
     return ells
 
 
+def _plain_translate(ells: list[Character], u: FormalSum) -> FormalSum:
+    """The translation of a sum of forests in plain ``Fraction`` arithmetic:
+    each generator z(i,k) becomes Σ ℓ_i(β)/S(β) · Dᵏ β, with D applied by
+    hand, the images are multiplied out one factor at a time, and the
+    forests' translations are added with their coefficients."""
+
+    def image(i: int, k: int) -> dict:
+        terms = {key: Fraction(w) / key.symmetry_factor() for key, w in ells[i].terms.items()}
+        for _ in range(k):
+            raised: dict = {}
+            for key, c in terms.items():
+                for (j, kk), m in key.entries:
+                    bumped = key.with_bumped(j, kk)
+                    raised[bumped] = raised.get(bumped, Fraction(0)) + c * m
+            terms = raised
+        return terms
+
+    def times(acc: dict, factor: dict, join) -> dict:
+        out: dict = {}
+        for left, cl in acc.items():
+            for right, cr in factor.items():
+                key = join(left, right)
+                out[key] = out.get(key, Fraction(0)) + cl * cr
+        return out
+
+    total: dict = {}
+    for forest, coeff in u.items():
+        acc = {EMPTY_FOREST: Fraction(coeff)}
+        for comp in forest.components:
+            mono = {empty_multi_index(comp.letters - 1): Fraction(1)}
+            for (i, k), m in comp.entries:
+                for _ in range(m):
+                    mono = times(mono, image(i, k), MultiIndex.mul)
+            acc = times(acc, mono, lambda f, a: f.merge(Forest([a])))
+        for g, c in acc.items():
+            total[g] = total.get(g, Fraction(0)) + c
+    return FormalSum(total)
+
+
 class TestTranslate:
     def test_identity_translation_is_the_identity(self):
         ells = identity_characters(2)
@@ -405,6 +444,42 @@ class TestTranslate:
         for b in enumerate_populated(2, 3):
             for term, _ in translate(_is_characters(2), b).items():
                 assert term.is_populated()
+
+    def test_mixed_denominators_accumulate_exactly(self):
+        z00, z10 = single(0, 0, 1), single(1, 0, 1)
+        ells = [
+            Character(0, {z00: Fraction(1, 2), mi(1, (1, 0), (1, 1)): Fraction(-1, 6)}, 1),
+            Character(1, {z10: Fraction(1, 3), mi(1, (1, 0), (1, 0), (1, 2)): Fraction(2, 5)}, 1),
+        ]
+        for f in forest_basis(1, 3):
+            assert translate(ells, f) == _plain_translate(ells, FormalSum.of(f)), f
+        u = FormalSum(dict(zip(forest_basis(1, 2)[1:], (Fraction(1, 2), Fraction(-1, 6), 3))))
+        assert translate(ells, u) == _plain_translate(ells, u)
+
+    def test_cancelled_coefficients_are_dropped(self):
+        z00, z10 = single(0, 0, 1), single(1, 0, 1)
+        ells = [
+            Character(0, {z00: Fraction(1, 2), z10: Fraction(-1, 6)}, 1),
+            Character(1, {z00: Fraction(1, 3), z10: Fraction(1, 9)}, 1),
+        ]
+        # inside one product: z00·z10 gets 1/2 · 1/9 − 1/6 · 1/3 = 0
+        product = translate(ells, z00.mul(z10))
+        assert product == FormalSum({z00.mul(z00): Fraction(1, 6), z10.mul(z10): Fraction(-1, 54)})
+        assert z00.mul(z10) not in product.terms
+        # across terms: z00 gets 1/3 · 1/2 − 1/2 · 1/3 = 0
+        u = FormalSum({Forest([z00]): Fraction(1, 3), Forest([z10]): Fraction(-1, 2)})
+        assert translate(ells, u) == FormalSum({Forest([z10]): Fraction(-1, 9)})
+
+    def test_integer_characters_keep_integer_coefficients(self):
+        z00, z10 = single(0, 0, 1), single(1, 0, 1)
+        ells = [
+            Character(0, {z00: 2, mi(1, (1, 0), (1, 1)): -1}, 1),
+            Character(1, {z10: 3, z00: 1}, 1),
+        ]
+        u = FormalSum(dict(zip(forest_basis(1, 3)[1:], itertools.cycle((1, -2, 5)))))
+        got = translate(ells, u)
+        assert got and all(type(c) is int for c in got.terms.values())
+        assert got == _plain_translate(ells, u)
 
     def test_wrong_character_count(self):
         with pytest.raises(ValueError):
