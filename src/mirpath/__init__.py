@@ -45,15 +45,16 @@ _EXPORTS = {
         "read_path_csv", "write_path_csv",
     ),
     "fields": (
-        "DerivativeOrderError", "SmoothTest", "VectorField", "translated_field",
-        "upsilon", "upsilon_sum", "upsilon_vf", "vector_field_from_json",
-        "vector_field_payload", "vector_field_to_json",
+        "DerivativeOrderError", "VectorField", "upsilon", "upsilon_sum",
+        "upsilon_vf", "vector_field_from_json", "vector_field_payload",
+        "vector_field_to_json",
     ),
     "translation": (
         "Character", "TruncationShortfallError", "character_from_json",
         "character_to_json", "coproduct_minus", "identity_characters",
         "insert_prelie", "insert_simultaneous", "ito_strat_character", "m_ell",
-        "translate", "translate_roughpath", "translation_order",
+        "translate", "translate_roughpath", "translated_field",
+        "translation_order",
     ),
     "solver": (
         "DavieReport", "DivergedError", "FlowSolution", "SolveConfig",

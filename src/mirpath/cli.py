@@ -223,7 +223,13 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
 
     def read(payload) -> list[Character]:
         entries = payload if isinstance(payload, list) else [payload]
-        return [character_from_json(entry, d=d) for entry in entries]
+        out = [character_from_json(entry, d=d) for entry in entries]
+        seen: set[int] = set()
+        for ell in out:
+            if ell.direction in seen:
+                raise ValueError(f"direction {ell.direction} has two characters")
+            seen.add(ell.direction)
+        return out
 
     for ell in _read_input(args.chars, read, "characters"):
         ells[ell.direction] = ell
@@ -390,7 +396,8 @@ def _cmd_translate(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_translate_field(args: argparse.Namespace) -> _Output:
-    from .fields import translated_field, vector_field_payload
+    from .fields import vector_field_payload
+    from .translation import translated_field
 
     field = _load_field(args.field)
     ells = _load_characters(args, field.d)
@@ -405,6 +412,8 @@ def _cmd_translate_field(args: argparse.Namespace) -> _Output:
 def _cmd_davie_report(args: argparse.Namespace) -> _Output:
     from .solver import davie_residual_report, dyadic_pairs, solve_flow
 
+    if args.min_block < 1:
+        raise UsageError(f"--min-block must be >= 1, got {args.min_block}")
     if args.max_block is not None and args.min_block > args.max_block:
         raise UsageError(
             f"--min-block {args.min_block} exceeds --max-block {args.max_block}"

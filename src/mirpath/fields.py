@@ -1,18 +1,18 @@
-"""Vector fields, their elementary differentials, and translated fields.
+"""Vector fields and their elementary differentials.
 
 The state space is scalar throughout.  A :class:`VectorField` bundles one
 scalar coefficient function per letter — f₀ for the time letter, f₁…f_d for
 the driving signals — together with a derivative provider ``(i, k, y) ↦
-f_i^{(k)}(y)``.  Two constructions cover the use cases: exact polynomials
-(differentiated symbolically over ℚ, evaluated in binary64; a linear field
-is the polynomial with rows (0, a_i)) and closures with caller-supplied
-derivatives up to a declared order.
+f_i^{(k)}(y)``.  A field is polynomial exactly when it carries exact rows
+``poly_coeffs`` (differentiated symbolically over ℚ, evaluated in binary64;
+a linear field is the polynomial with rows (0, a_i)); any other field reads
+caller-supplied derivatives up to a declared order.  A scalar test function
+ψ is a one-row field, read as ``psi.derivative(0, k, y)``.
 
 ``upsilon`` evaluates the elementary differential of a monomial or forest:
 the product Π f_i^{(k)}(y)^{β(i,k)} over the variables, multiplied across
-components.  ``translated_field`` builds f^ℓ from per-direction characters;
-its derivatives come from the raising derivation — (Υ_f[z^α])′ = Υ_f[D z^α]
-— never from numerical differentiation.
+components.  The translated field f^ℓ is built in
+:mod:`mirpath.translation`, from the translated generators.
 """
 
 from __future__ import annotations
@@ -22,17 +22,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import Forest, FormalSum, MultiIndex, derivation_d
+from .algebra import Forest, FormalSum, MultiIndex
 from .grammar import _json_int
 
 __all__ = [
     "DerivativeOrderError",
     "VectorField",
-    "SmoothTest",
     "upsilon",
     "upsilon_sum",
     "upsilon_vf",
-    "translated_field",
     "vector_field_payload",
     "vector_field_to_json",
     "vector_field_from_json",
@@ -50,15 +48,17 @@ def _poly_derivative(coeffs: tuple[Fraction, ...], k: int) -> tuple[Fraction, ..
     return out
 
 
-def _horner_rows(exact_row: Callable) -> Callable[[int, int, float], float]:
-    """(i, k, y) ↦ the polynomial ``exact_row(i, k)`` at y by Horner's rule,
-    over a float copy of its coefficients made once per (i, k)."""
+def _horner_rows(
+    table: tuple[tuple[Fraction, ...], ...]
+) -> Callable[[int, int, float], float]:
+    """(i, k, y) ↦ the k-th derivative of the exact row ``table[i]`` at y by
+    Horner's rule, over a float copy of its coefficients made once per (i, k)."""
     rows: dict[tuple[int, int], tuple[float, ...]] = {}
 
     def at(i: int, k: int, y: float) -> float:
         row = rows.get((i, k))
         if row is None:
-            row = rows[i, k] = tuple(float(c) for c in exact_row(i, k))
+            row = rows[i, k] = tuple(float(c) for c in _poly_derivative(table[i], k))
         acc = 0.0
         for c in reversed(row):
             acc = acc * y + c
@@ -103,11 +103,11 @@ class VectorField:
     """Scalar coefficient functions f_0..f_d with a derivative provider.
 
     ``max_order`` is the largest usable derivative order (None = unlimited);
-    requests beyond it raise :class:`DerivativeOrderError`.
+    requests beyond it raise :class:`DerivativeOrderError`.  ``poly_coeffs``
+    holds the exact rows of a polynomial field and is None for any other.
     """
 
     d: int
-    variant: str
     provider: Callable[[int, int, float], float]
     max_order: int | None = None
     poly_coeffs: tuple[tuple[Fraction, ...], ...] | None = None
@@ -124,9 +124,6 @@ class VectorField:
             )
         return self.provider(i, k, y)
 
-    def __call__(self, i: int, y: float) -> float:
-        return self.derivative(i, 0, y)
-
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -137,13 +134,7 @@ class VectorField:
         table = tuple(tuple(Fraction(c) for c in row) for row in coeffs)
         if len(table) < 1:
             raise ValueError("need at least the drift row f_0")
-        return cls(
-            d=len(table) - 1,
-            variant="polynomial",
-            provider=_horner_rows(lambda i, k: _poly_derivative(table[i], k)),
-            max_order=None,
-            poly_coeffs=table,
-        )
+        return cls(d=len(table) - 1, provider=_horner_rows(table), poly_coeffs=table)
 
     @classmethod
     def linear(cls, slopes) -> "VectorField":
@@ -164,44 +155,7 @@ class VectorField:
         def provider(i: int, k: int, y: float) -> float:
             return rows[i][k](y)
 
-        return cls(
-            d=len(rows) - 1,
-            variant="closure",
-            provider=provider,
-            max_order=max_order,
-        )
-
-
-@dataclass(frozen=True)
-class SmoothTest:
-    """A scalar test function with derivatives up to ``max_order``."""
-
-    provider: Callable[[int, float], float]
-    max_order: int | None = None
-
-    def derivative(self, k: int, y: float) -> float:
-        if self.max_order is not None and k > self.max_order:
-            raise DerivativeOrderError(
-                f"test function provides {self.max_order} orders, order {k} requested"
-            )
-        return self.provider(k, y)
-
-    @classmethod
-    def identity(cls) -> "SmoothTest":
-        def provider(k: int, y: float) -> float:
-            if k == 0:
-                return y
-            if k == 1:
-                return 1.0
-            return 0.0
-
-        return cls(provider=provider)
-
-    @classmethod
-    def polynomial(cls, coeffs) -> "SmoothTest":
-        table = tuple(Fraction(c) for c in coeffs)
-        at = _horner_rows(lambda _, k: _poly_derivative(table, k))
-        return cls(provider=lambda k, y: at(0, k, y))
+        return cls(d=len(rows) - 1, provider=provider, max_order=max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -235,96 +189,16 @@ def upsilon_sum(s: FormalSum, f: VectorField, y: float) -> float:
     return total
 
 
-def upsilon_vf(u: Forest | MultiIndex, f: VectorField, psi: SmoothTest, y: float) -> float:
-    """Elementary vector field applied to a test function:
-    Υ[Π z^{β_j}](ψ)(y) = Π Υ[z^{β_j}](y) · ψ^{(card)}(y)."""
+def upsilon_vf(u: Forest | MultiIndex, f: VectorField, psi: VectorField, y: float) -> float:
+    """Elementary vector field applied to the test function ψ, the one-row
+    field ``psi``: Υ[Π z^{β_j}](ψ)(y) = Π Υ[z^{β_j}](y) · ψ^{(card)}(y)."""
     if isinstance(u, MultiIndex):
         u = Forest([u]) if not u.is_empty else Forest()
-    return upsilon(u, f, y) * psi.derivative(u.cardinality(), y)
+    return upsilon(u, f, y) * psi.derivative(0, u.cardinality(), y)
 
 
 # ---------------------------------------------------------------------------
-# Translated fields
-# ---------------------------------------------------------------------------
-
-
-def translated_field(f: VectorField, ells: Sequence) -> VectorField:
-    """Replace each coefficient function by its character-weighted expansion
-
-        f_i^ℓ(y) = Σ_{z^β ∈ supp ℓ_i} ℓ_i(z^β)/S(z^β) · Υ_f[z^β](y),
-
-    with derivatives produced algebraically: ∂^k Υ_f[z^β] = Υ_f[D^k z^β].
-
-    ``ells`` supplies one character per letter 0..d (objects with a
-    ``direction`` and a ``terms`` mapping of populated multi-indices to exact
-    rationals).  Any support degree is accepted: the expansion is exact.
-
-    A polynomial input yields a polynomial output with exact coefficient
-    rows (the expansion is a ℚ-linear combination of products of exact
-    polynomial derivatives), so translated polynomial fields serialize and
-    differentiate to any order.  Other variants keep their providers and
-    pay one derivative order per extra character degree.
-    """
-    if len(ells) != f.d + 1:
-        raise ValueError(f"need {f.d + 1} characters (letters 0..{f.d}), got {len(ells)}")
-    for i, ell in enumerate(ells):
-        if getattr(ell, "direction", i) != i:
-            raise ValueError(f"character at slot {i} has direction {ell.direction}")
-
-    if f.variant == "polynomial" and f.poly_coeffs is not None:
-        rows = []
-        for i in range(f.d + 1):
-            total: tuple[Fraction, ...] = (Fraction(0),)
-            for key, coeff in ells[i].terms.items():
-                weight = Fraction(coeff) / key.symmetry_factor()
-                scaled = tuple(
-                    weight * c for c in _poly_monomial_upsilon(key, f.poly_coeffs)
-                )
-                total = _poly_add(total, scaled)
-            rows.append(total)
-        return VectorField.polynomial(rows)
-
-    # exact expansion of ∂^k f_i^ℓ as a formal sum of monomials, built once
-    expansions: dict[tuple[int, int], FormalSum] = {}
-
-    def expansion(i: int, k: int) -> FormalSum:
-        got = expansions.get((i, k))
-        if got is not None:
-            return got
-        if k == 0:
-            total = FormalSum(
-                {
-                    key: Fraction(coeff, key.symmetry_factor())
-                    for key, coeff in ells[i].terms.items()
-                }
-            )
-        else:
-            total = derivation_d(expansion(i, k - 1))
-        expansions[(i, k)] = total
-        return total
-
-    def provider(i: int, k: int, y: float) -> float:
-        return upsilon_sum(expansion(i, k), f, y)
-
-    max_order = None
-    if f.max_order is not None:
-        support_degree = max((key.degree() for ell in ells for key in ell.terms), default=1)
-        max_order = f.max_order - (support_degree - 1)
-        if max_order < 0:
-            raise DerivativeOrderError(
-                f"translating a field with {f.max_order} derivative orders by "
-                f"characters of degree {support_degree} leaves no usable orders"
-            )
-    return VectorField(
-        d=f.d,
-        variant="translated",
-        provider=provider,
-        max_order=max_order,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Serialization (polynomial variant)
+# Serialization (polynomial fields)
 # ---------------------------------------------------------------------------
 
 
@@ -353,8 +227,8 @@ def _fraction_string(x: Fraction) -> str:
 def vector_field_payload(f: VectorField) -> dict:
     """The JSON document of a polynomial field, as a dict: one exact
     coefficient row per letter whose polynomial is not zero."""
-    if f.variant != "polynomial" or f.poly_coeffs is None:
-        raise ValueError(f"only polynomial fields serialize to JSON, got {f.variant!r}")
+    if f.poly_coeffs is None:
+        raise ValueError("only polynomial fields serialize to JSON")
     return {
         "d": f.d,
         "fields": [
@@ -374,10 +248,14 @@ def vector_field_from_json(doc: str | Mapping) -> VectorField:
     payload = json.loads(doc) if isinstance(doc, str) else doc
     d = _json_int(payload, "d")
     rows: list[list[Fraction]] = [[Fraction(0)] for _ in range(d + 1)]
+    listed: set[int] = set()
     for entry in payload.get("fields", []):
         i = _json_int(entry, "i")
         if not 0 <= i <= d:
             raise ValueError(f"field letter {i} outside 0..{d}")
+        if i in listed:
+            raise ValueError(f"field letter {i} is listed twice")
+        listed.add(i)
         if not isinstance(entry["coeffs"], list):
             raise ValueError(f"field letter {i}: coeffs must be a JSON list")
         rows[i] = [Fraction(str(c)) for c in entry["coeffs"]]

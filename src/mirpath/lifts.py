@@ -324,8 +324,9 @@ def grid_to_json(path: RoughPathGrid) -> str:
 
 def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     """Read a grid from its JSON text or from the already-parsed document.
-    Each distinct key string is parsed and checked once; the grid stores
-    the degrees up to the highest key degree in the document."""
+    Each distinct key string is parsed and checked once, and a document that
+    spells one key two ways is refused; the grid stores the degrees up to
+    the highest key degree in the document."""
     payload = json.loads(doc) if isinstance(doc, str) else doc
     d = _json_int(payload, "d")
     grading = Grading(max_norm=_json_int(payload, "max_norm"), gamma=Fraction(payload["gamma"]))
@@ -342,7 +343,10 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
         row = [0.0] * len(index)
         for key, v in entry.items():
             if (p := slots.get(key)) is None:
-                p = slots[key] = _slot(parse_multi_index(key, d=d), d, grading)
+                p = _slot(parse_multi_index(key, d=d), d, grading)
+                if p in slots.values():
+                    raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
+                slots[key] = p
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"increment {m} holds {v!r} under {key!r}, not a number")
             row[p] = float(v)

@@ -328,12 +328,14 @@ def dyadic_pairs(
     times: Sequence[float], min_block: int = 1, max_block: int | None = None
 ) -> list[tuple[float, float]]:
     """Non-overlapping index pairs at block sizes 1, 2, 4, … — the dyadic
-    scales a residual slope is fitted over."""
+    scales a residual slope is fitted over.  ``min_block`` must be >= 1."""
+    if min_block < 1:
+        raise ValueError(f"min_block must be >= 1, got {min_block}")
     n = len(times) - 1
     if max_block is None:
         max_block = n
     out: list[tuple[float, float]] = []
-    block = max(1, min_block)
+    block = min_block
     while block <= max_block:
         for i in range(0, n - block + 1, block):
             out.append((times[i], times[i + block]))

@@ -6,10 +6,10 @@ such characters, one per letter, acting on generators by
 
     z(i,k)  ↦  Σ_β  ℓ_i(z^β)/S(z^β) · D^k z^β
 
-and extended multiplicatively.  Everything in this module is exact: rational
-coefficients in, rational coefficients out.  The only floating-point code is
-:func:`translate_roughpath`, which contracts the exact dual coefficients
-against stored binary64 increments.
+and extended multiplicatively.  The translation is exact over ℚ; two
+functions apply it to floating-point data: :func:`translate_roughpath`
+(exact dual coefficients against stored binary64 increments) and
+:func:`translated_field` (∂^k f_i^ℓ = Υ_f[T_ℓ z(i,k)] on a vector field).
 
 The insertion products and the translation are expansions built on the two
 kernels of :mod:`mirpath.algebra`: ``_distribute`` spreads the components
@@ -54,6 +54,13 @@ from .algebra import (
     single,
     symmetry_factor,
 )
+from .fields import (
+    DerivativeOrderError,
+    VectorField,
+    _poly_add,
+    _poly_monomial_upsilon,
+    upsilon_sum,
+)
 from .grammar import _json_int, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _first_non_finite, _key_index
 
@@ -70,6 +77,7 @@ __all__ = [
     "m_ell",
     "translate",
     "translate_roughpath",
+    "translated_field",
     "translation_order",
 ]
 
@@ -223,9 +231,12 @@ def character_from_json(payload: dict, d: int | None = None) -> Character:
     if not isinstance(raw, Mapping):
         raise ValueError(f"terms must be a JSON object, got {raw!r}")
     parsed: list[tuple[MultiIndex, Fraction]] = []
+    spelled: dict[tuple, str] = {}
     widest = max(direction, 1)
     for text, value in raw.items():
         key = parse_multi_index(text)
+        if (first := spelled.setdefault(key.entries, text)) != text:
+            raise ValueError(f"{text!r} repeats the term {first!r}")
         parsed.append((key, Fraction(str(value))))
         widest = max(widest, *(i for (i, _k), _m in key.entries), 0)
     if d is None:
@@ -671,3 +682,41 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
     return RoughPathGrid._of(
         path.d, out_grading, path.times, coords, out_grading.max_norm
     )
+
+
+def translated_field(f: VectorField, ells: Sequence[Character]) -> VectorField:
+    """The field f^ℓ whose derivatives are ∂^k f_i^ℓ = Υ_f[T_ℓ z(i,k)].
+
+    T_ℓ z(i,k) = Σ_β ℓ_i(z^β)/S(z^β) · D^k z^β is :func:`translate` of the
+    generator, so no derivative is taken numerically, and characters of any
+    support degree are accepted.  A polynomial field gives a polynomial
+    field with exact rows, which serializes and differentiates to any order.
+    Any other field keeps its providers and pays one derivative order per
+    character degree above 1.
+    """
+    ells = tuple(ells)
+    _check_characters(ells, f.d + 1)
+    if f.poly_coeffs is not None:
+        rows = []
+        for i in range(f.d + 1):
+            row: tuple[Fraction, ...] = (Fraction(0),)
+            for beta, c in translate(ells, single(i, 0, f.d)).items():
+                term = _poly_monomial_upsilon(beta, f.poly_coeffs)
+                row = _poly_add(row, tuple(c * x for x in term))
+            rows.append(row)
+        return VectorField.polynomial(rows)
+
+    max_order = None
+    if f.max_order is not None:
+        support_degree = max(1, max(ell.support_degree() for ell in ells))
+        max_order = f.max_order - (support_degree - 1)
+        if max_order < 0:
+            raise DerivativeOrderError(
+                f"translating a field with {f.max_order} derivative orders by "
+                f"characters of degree {support_degree} leaves no usable orders"
+            )
+
+    def provider(i: int, k: int, y: float) -> float:
+        return upsilon_sum(translate(ells, single(i, k, f.d)), f, y)
+
+    return VectorField(d=f.d, provider=provider, max_order=max_order)

@@ -40,7 +40,7 @@ from .algebra import (
     prelie_graft,
     symmetry_factor,
 )
-from .fields import SmoothTest, VectorField, _poly_mul, upsilon
+from .fields import VectorField, _poly_mul, upsilon, upsilon_vf
 from .grammar import format_forest, format_multi_index
 from .group import _key_index, chen_compose, exp_element, log_element, random_character
 from .lifts import lift_piecewise_linear
@@ -502,7 +502,7 @@ def _differentiate_rep(rep):
 def _suite_upsilon_morphism(d, max_norm, seed, rec):
     """The forest-product image acts as the composition of the two operators."""
     f = VectorField.polynomial(_poly_rows(d))
-    psi = SmoothTest.polynomial((0, 3, 1))
+    psi = VectorField.polynomial([(0, 3, 1)])
     pool = [u for u in forest_basis(d, 2) if not u.is_empty]
     rng = random.Random(seed)
     pairs = []
@@ -519,12 +519,9 @@ def _suite_upsilon_morphism(d, max_norm, seed, rec):
         }
         product = gl_product(u, v)
         for y in _SAMPLE_POINTS:
-            lhs = sum(
-                float(c) * upsilon(t, f, y) * psi.derivative(t.cardinality(), y)
-                for t, c in product.items()
-            )
+            lhs = sum(float(c) * upsilon_vf(t, f, psi, y) for t, c in product.items())
             rhs = sum(
-                float(c) * upsilon(t, f, y) * psi.derivative(shift, y)
+                float(c) * upsilon(t, f, y) * psi.derivative(0, shift, y)
                 for (t, shift), c in composed.items()
             )
             rec.check(
@@ -541,21 +538,15 @@ def _suite_upsilon_leibniz(d, max_norm, seed, rec):
     f = VectorField.polynomial(_poly_rows(d))
     phi_coeffs = (Fraction(1), Fraction(-2), Fraction(0), Fraction(0), Fraction(1))
     psi_coeffs = (Fraction(0), Fraction(3), Fraction(1))
-    phi = SmoothTest.polynomial(phi_coeffs)
-    psi = SmoothTest.polynomial(psi_coeffs)
-    product_test = SmoothTest.polynomial(_poly_mul(phi_coeffs, psi_coeffs))
+    phi = VectorField.polynomial([phi_coeffs])
+    psi = VectorField.polynomial([psi_coeffs])
+    product_test = VectorField.polynomial([_poly_mul(phi_coeffs, psi_coeffs)])
     for u in forest_basis(d, max_norm):
         for y in _SAMPLE_POINTS:
             lhs = 0.0
             for (u1, u2), coeff in deshuffle(u).items():
-                lhs += (
-                    float(coeff)
-                    * upsilon(u1, f, y)
-                    * phi.derivative(u1.cardinality(), y)
-                    * upsilon(u2, f, y)
-                    * psi.derivative(u2.cardinality(), y)
-                )
-            rhs = upsilon(u, f, y) * product_test.derivative(u.cardinality(), y)
+                lhs += float(coeff) * upsilon_vf(u1, f, phi, y) * upsilon_vf(u2, f, psi, y)
+            rhs = upsilon_vf(u, f, product_test, y)
             rec.check(
                 abs(lhs - rhs) <= rec.tolerance * (1.0 + abs(rhs)),
                 lambda u=u, y=y: (

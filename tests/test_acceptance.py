@@ -36,7 +36,7 @@ from mirpath.algebra import (
     single,
     symmetry_factor,
 )
-from mirpath.fields import SmoothTest, VectorField, translated_field, upsilon
+from mirpath.fields import VectorField, upsilon
 from mirpath.group import chen_compose, exp_element, log_element, random_character
 from mirpath.lifts import (
     brownian_pair_statistics,
@@ -58,6 +58,7 @@ from mirpath.translation import (
     ito_strat_character,
     m_ell,
     translate_roughpath,
+    translated_field,
 )
 
 F = Fraction
@@ -404,23 +405,23 @@ def test_criterion_06_elementary_differential_laws():
     operator composition) and satisfies the deshuffle Leibniz rule, within
     1e-9 relative on dense sampling."""
     field = VectorField.polynomial(POLY_ROWS)
-    psi = SmoothTest.polynomial((F(0), F(3), F(1)))
-    phi = SmoothTest.polynomial((F(1), F(-2), F(0), F(0), F(1)))
+    psi = VectorField.polynomial([(F(0), F(3), F(1))])
+    phi = VectorField.polynomial([(F(1), F(-2), F(0), F(0), F(1))])
 
-    def forest_op_value(s: FormalSum, test: SmoothTest, y: float) -> float:
+    def forest_op_value(s: FormalSum, test: VectorField, y: float) -> float:
         total = 0.0
         for forest, coeff in s.items():
             total += (
                 float(coeff)
                 * upsilon(forest, field, y)
-                * test.derivative(forest.cardinality(), y)
+                * test.derivative(0, forest.cardinality(), y)
             )
         return total
 
-    def eval_rep(rep: dict, test: SmoothTest, y: float) -> float:
+    def eval_rep(rep: dict, test: VectorField, y: float) -> float:
         total = 0.0
         for (forest, shift), coeff in rep.items():
-            total += float(coeff) * upsilon(forest, field, y) * test.derivative(shift, y)
+            total += float(coeff) * upsilon(forest, field, y) * test.derivative(0, shift, y)
         return total
 
     basis = forest_basis(2, 4)
@@ -445,7 +446,7 @@ def test_criterion_06_elementary_differential_laws():
     for a, ca in enumerate((F(1), F(-2), F(0), F(0), F(1))):
         for b, cb in enumerate((F(0), F(3), F(1))):
             conv[a + b] += ca * cb
-    product_test = SmoothTest.polynomial(tuple(conv))
+    product_test = VectorField.polynomial([conv])
     leibniz_forests = 0
     worst_leibniz = 0.0
     for u in basis:
@@ -455,11 +456,11 @@ def test_criterion_06_elementary_differential_laws():
                 lhs += (
                     float(coeff)
                     * upsilon(u1, field, y)
-                    * phi.derivative(u1.cardinality(), y)
+                    * phi.derivative(0, u1.cardinality(), y)
                     * upsilon(u2, field, y)
-                    * psi.derivative(u2.cardinality(), y)
+                    * psi.derivative(0, u2.cardinality(), y)
                 )
-            rhs = upsilon(u, field, y) * product_test.derivative(u.cardinality(), y)
+            rhs = upsilon(u, field, y) * product_test.derivative(0, u.cardinality(), y)
             err = abs(lhs - rhs) / (1.0 + abs(rhs))
             worst_leibniz = max(worst_leibniz, err)
             assert err <= 1e-9, (u, y)

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mirpath.algebra import (
     EMPTY_FOREST,
@@ -21,21 +23,25 @@ from mirpath.algebra import (
     MultiIndex,
     derivation_d,
     deshuffle,
+    enumerate_populated,
     forest_basis,
     gl_product,
 )
 from mirpath.fields import (
     DerivativeOrderError,
-    SmoothTest,
     VectorField,
-    translated_field,
     upsilon,
     upsilon_sum,
     upsilon_vf,
     vector_field_from_json,
     vector_field_to_json,
 )
-from mirpath.translation import Character, identity_characters, ito_strat_character
+from mirpath.translation import (
+    Character,
+    identity_characters,
+    ito_strat_character,
+    translated_field,
+)
 
 
 def mi(*pairs, d=2):
@@ -78,7 +84,7 @@ def sympy_upsilon(u, y_val):
 
 
 # ---------------------------------------------------------------------------
-# VectorField variants
+# VectorField constructors
 # ---------------------------------------------------------------------------
 
 
@@ -126,9 +132,6 @@ class TestVectorField:
         a = poly_field.derivative(2, 1, 0.8137)
         b = poly_field.derivative(2, 1, 0.8137)
         assert a == b
-
-    def test_call_is_order_zero(self, poly_field):
-        assert poly_field(1, 2.0) == poly_field.derivative(1, 0, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +192,14 @@ class TestUpsilon:
 
 class TestUpsilonVectorField:
     def test_single_variable_identity_test_function(self, poly_field):
-        ident = SmoothTest.identity()
+        ident = VectorField.polynomial([(0, 1)])
         for i in range(3):
             for k in range(2):
                 for y in SAMPLE_POINTS[:4]:
                     assert upsilon_vf(mi((i, k)), poly_field, ident, y) == poly_field.derivative(i, k, y)
 
     def test_cardinality_two_annihilates_identity(self, poly_field):
-        ident = SmoothTest.identity()
+        ident = VectorField.polynomial([(0, 1)])
         two = Forest([mi((1, 0)), mi((2, 0))])
         three = Forest([mi((1, 0)), mi((1, 0)), mi((0, 0))])
         for y in SAMPLE_POINTS:
@@ -206,11 +209,11 @@ class TestUpsilonVectorField:
     def test_linear_field_square_test(self):
         # f1 = y, psi = y^2: value at y=3 is f1 * psi' = 3 * 6 = 18
         f = VectorField.polynomial([(0,), (0, 1)])
-        psi = SmoothTest.polynomial((0, 0, 1))
+        psi = VectorField.polynomial([(0, 0, 1)])
         assert upsilon_vf(mi((1, 0), d=1), f, psi, 3.0) == 18.0
 
     def test_insufficient_test_order(self, poly_field):
-        psi = SmoothTest(provider=lambda k, y: y if k == 0 else 1.0, max_order=1)
+        psi = VectorField.from_closures([[lambda y: y, lambda y: 1.0]])
         two = Forest([mi((1, 0)), mi((2, 0))])
         with pytest.raises(DerivativeOrderError):
             upsilon_vf(two, poly_field, psi, 0.0)
@@ -253,7 +256,7 @@ def _apply_operator(forest, rep):
 def _eval_rep(rep, f, psi, y):
     total = 0.0
     for (forest, shift), coeff in rep.items():
-        total += float(coeff) * upsilon(forest, f, y) * psi.derivative(shift, y)
+        total += float(coeff) * upsilon(forest, f, y) * psi.derivative(0, shift, y)
     return total
 
 
@@ -261,13 +264,13 @@ def _forest_op_value(s, f, psi, y):
     """Σ c·Υ[F](ψ)(y) over a formal sum of forests."""
     total = 0.0
     for forest, coeff in s.items():
-        total += float(coeff) * upsilon(forest, f, y) * psi.derivative(forest.cardinality(), y)
+        total += float(coeff) * upsilon(forest, f, y) * psi.derivative(0, forest.cardinality(), y)
     return total
 
 
 class TestOperatorIdentities:
-    PSI = SmoothTest.polynomial((0, 3, 1))  # 3y + y^2
-    PHI = SmoothTest.polynomial((1, -2, 0, 0, 1))  # 1 - 2y + y^4
+    PSI = VectorField.polynomial([(0, 3, 1)])  # 3y + y^2
+    PHI = VectorField.polynomial([(1, -2, 0, 0, 1)])  # 1 - 2y + y^4
 
     def test_product_morphism_exhaustive(self, poly_field):
         # value of the product forest == composition of the two operators,
@@ -296,17 +299,17 @@ class TestOperatorIdentities:
         for a, ca in enumerate(phi_coeffs):
             for b, cb in enumerate(psi_coeffs):
                 conv[a + b] += ca * cb
-        product_test = SmoothTest.polynomial(tuple(conv))
+        product_test = VectorField.polynomial([conv])
         for u in forest_basis(2, 4):
             for y in SAMPLE_POINTS:
                 lhs = 0.0
                 for (u1, u2), coeff in deshuffle(u).items():
                     lhs += (
                         float(coeff)
-                        * upsilon(u1, poly_field, y) * self.PHI.derivative(u1.cardinality(), y)
-                        * upsilon(u2, poly_field, y) * self.PSI.derivative(u2.cardinality(), y)
+                        * upsilon(u1, poly_field, y) * self.PHI.derivative(0, u1.cardinality(), y)
+                        * upsilon(u2, poly_field, y) * self.PSI.derivative(0, u2.cardinality(), y)
                     )
-                rhs = upsilon(u, poly_field, y) * product_test.derivative(u.cardinality(), y)
+                rhs = upsilon(u, poly_field, y) * product_test.derivative(0, u.cardinality(), y)
                 assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
     def test_derivative_identity_vs_oracle(self, poly_field):
@@ -415,6 +418,51 @@ class TestTranslatedField:
         with pytest.raises(DerivativeOrderError):
             translated_field(f, ells)
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(data=st.data())
+    def test_closure_twin_translates_like_its_polynomial(self, data):
+        # P is a polynomial field and `twin` reads P's own derivatives through
+        # closures up to order K, so only the translation paths differ: exact
+        # rows for P, a float sum of Υ_P over T_ℓ z(i,k) for the twin.  The
+        # twin's budget is K − (max(1, support degree) − 1); every order
+        # within it agrees to 1e-12 relative to the majorant (|P| translated
+        # by |ℓ| at |y|, which bounds every term either side sums, so
+        # cancellation cannot fake a failure), and the next order raises.
+        d = data.draw(st.integers(1, 2), label="d")
+        coeff = st.integers(-8, 8).map(lambda n: Fraction(n, 4))
+        rows = [data.draw(st.lists(coeff, min_size=1, max_size=4)) for _ in range(d + 1)]
+        pool = enumerate_populated(d, 3)
+        ells = []
+        for i in range(d + 1):
+            keys = data.draw(st.lists(st.sampled_from(pool), max_size=3, unique=True))
+            ells.append(Character(i, {key: data.draw(coeff) for key in keys}, d))
+        support = max(1, max(ell.support_degree() for ell in ells))
+        K = data.draw(st.integers(support - 1, support + 2), label="K")
+
+        P = VectorField.polynomial(rows)
+        twin = VectorField.from_closures(
+            [[lambda y, i=i, k=k: P.derivative(i, k, y) for k in range(K + 1)]
+             for i in range(d + 1)]
+        )
+        exact = translated_field(P, ells)
+        generic = translated_field(twin, ells)
+        majorant = translated_field(
+            VectorField.polynomial([[abs(c) for c in row] for row in rows]),
+            [Character(i, {key: abs(v) for key, v in ell.terms.items()}, d)
+             for i, ell in enumerate(ells)],
+        )
+        budget = K - (support - 1)
+        assert generic.max_order == budget
+        for y in (-1.3, -0.4, 0.0, 0.7, 1.9):
+            for i in range(d + 1):
+                for k in range(budget + 1):
+                    got = generic.derivative(i, k, y)
+                    want = exact.derivative(i, k, y)
+                    scale = majorant.derivative(i, k, abs(y))
+                    assert abs(got - want) <= 1e-12 * scale, (i, k, y, got, want)
+                with pytest.raises(DerivativeOrderError):
+                    generic.derivative(i, budget + 1, y)
+
 
 # ---------------------------------------------------------------------------
 # Serialization
@@ -441,7 +489,7 @@ class TestVectorFieldJson:
 
     def test_linear_field_round_trips(self):
         f = VectorField.linear([0.5, -2.0])
-        assert f.variant == "polynomial"
+        assert f.poly_coeffs == ((0, Fraction(1, 2)), (0, -2))
         doc = json.loads(vector_field_to_json(f))
         assert doc == {
             "d": 1,

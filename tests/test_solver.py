@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mirpath.algebra import Grading, enumerate_populated, single, symmetry_factor
-from mirpath.fields import VectorField, translated_field, upsilon
+from mirpath.fields import VectorField, upsilon
 from mirpath.grammar import parse_multi_index
 from mirpath.group import (
     GroupElement,
@@ -47,7 +47,7 @@ from mirpath.solver import (
     reference_ode_solve,
     solve_flow,
 )
-from mirpath.translation import identity_characters, ito_strat_character
+from mirpath.translation import identity_characters, ito_strat_character, translated_field
 
 F = Fraction
 HALF = F(1, 2)
@@ -553,6 +553,11 @@ class TestDavieReport:
             (0.5, 1.0),
             (0.0, 1.0),
         ]
+
+    @pytest.mark.parametrize("min_block", [0, -3])
+    def test_dyadic_pairs_refuse_a_block_below_one(self, min_block):
+        with pytest.raises(ValueError, match=f"min_block must be >= 1, got {min_block}"):
+            dyadic_pairs((0.0, 0.5, 1.0), min_block=min_block)
 
 
 class TestAlmostFlowDefect:

@@ -779,17 +779,18 @@ class TestCliMalformedInputs:
         return json.loads(grid_file.read_text())
 
     @staticmethod
-    def assert_usage_error(path, *argv):
+    def assert_usage_error(path, *argv) -> str:
         code, out, err = run_cli(*argv)
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {str(path)!r} does not hold ")
+        return err
 
-    def solve_grid(self, tmp_path, doc, field_file):
+    def solve_grid(self, tmp_path, doc, field_file) -> str:
         grid_file = tmp_path / "bad_grid.json"
         grid_file.write_text(json.dumps(doc))
-        self.assert_usage_error(grid_file, "solve", "--grid", str(grid_file),
-                                "--field", str(field_file))
+        return self.assert_usage_error(grid_file, "solve", "--grid", str(grid_file),
+                                       "--field", str(field_file))
 
     def test_grid_gamma_with_zero_denominator(self, grid_doc, cubic_field_json, tmp_path):
         grid_doc["grid"]["gamma"] = "1/0"
@@ -810,6 +811,11 @@ class TestCliMalformedInputs:
     def test_grid_max_norm_given_as_a_string(self, grid_doc, cubic_field_json, tmp_path):
         grid_doc["grid"]["max_norm"] = str(grid_doc["grid"]["max_norm"])
         self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def test_grid_key_given_under_two_spellings(self, grid_doc, cubic_field_json, tmp_path):
+        grid_doc["grid"]["increments"][1]["z(1,0)^1"] = 0.5
+        err = self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+        assert "'z(1,0)^1' repeats the key z(1,0)" in err
 
     def solve_field(self, tmp_path, doc):
         grid_file = tmp_path / "grid.json"
@@ -832,12 +838,21 @@ class TestCliMalformedInputs:
     def test_field_letter_true(self, grid_doc, tmp_path):
         self.solve_field(tmp_path, {"d": 1, "fields": [{"i": True, "coeffs": ["1"]}]})
 
-    def translate_chars(self, tmp_path, doc):
+    def test_field_letter_listed_twice(self, tmp_path):
+        field_file = tmp_path / "twice.json"
+        field_file.write_text(json.dumps({"d": 1, "fields": [
+            {"i": 1, "coeffs": ["1"]}, {"i": 0, "coeffs": ["0"]}, {"i": 1, "coeffs": ["2"]},
+        ]}))
+        err = self.assert_usage_error(field_file, "translate-field", "--ito-strat",
+                                      "--field", str(field_file))
+        assert "field letter 1 is listed twice" in err
+
+    def translate_chars(self, tmp_path, doc) -> str:
         grid_file = tmp_path / "grid.json"
         chars = tmp_path / "chars.json"
         chars.write_text(json.dumps(doc))
-        self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
-                                "--chars", str(chars))
+        return self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
+                                       "--chars", str(chars))
 
     def test_character_term_with_zero_denominator(self, grid_doc, tmp_path):
         self.translate_chars(tmp_path, {"direction": 1, "terms": {"z(1,0)": "1/0"}})
@@ -847,6 +862,19 @@ class TestCliMalformedInputs:
 
     def test_character_direction_true(self, grid_doc, tmp_path):
         self.translate_chars(tmp_path, {"direction": True, "terms": {"z(1,0)": "2"}})
+
+    def test_two_characters_for_one_direction(self, grid_doc, tmp_path):
+        err = self.translate_chars(tmp_path, [
+            {"direction": 1, "terms": {"z(1,0)": "2"}},
+            {"direction": 1, "terms": {"z(1,0)": "3"}},
+        ])
+        assert "direction 1 has two characters" in err
+
+    def test_character_term_given_under_two_spellings(self, grid_doc, tmp_path):
+        err = self.translate_chars(
+            tmp_path, {"direction": 1, "terms": {"z(1,0)": "2", "z(1,0)^1": "3"}}
+        )
+        assert "'z(1,0)^1' repeats the term 'z(1,0)'" in err
 
     def test_path_csv_with_a_word_for_a_number(self, tmp_path):
         csv_file = tmp_path / "word.csv"
@@ -952,6 +980,18 @@ class TestCliReports:
         assert code == 2
         assert "exceeds --max-block" in err
         assert out == ""
+
+    @pytest.mark.parametrize("min_block", ["0", "-3"])
+    def test_min_block_below_one_is_a_usage_error(
+        self, min_block, sine_csv, cubic_field_json, tmp_path
+    ):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
+                "--out", str(grid_file))
+        code, out, err = run_cli("davie-report", "--grid", str(grid_file),
+                                 "--field", str(cubic_field_json), "--min-block", min_block)
+        assert (code, out) == (2, "")
+        assert f"--min-block must be >= 1, got {min_block}" in err
 
     def test_report_without_a_fit_writes_null_slope(
         self, sine_csv, cubic_field_json, tmp_path
@@ -1154,6 +1194,8 @@ def contract_inputs(tmp_path_factory):
             put("g-negative.json", broken(g1, lambda g: g["times"].__setitem__(1, -1.0))),
             put("g-type.json", broken(g1, lambda g: g.update(d="1"))),
             put("g-gamma.json", broken(g1, lambda g: g.update(gamma="0"))),
+            put("g-twice.json",
+                broken(g1, lambda g: g["increments"][1].update({"z(1,0)^1": 0.5}))),
             put("g-text.json", "{"),
             str(root / "missing.json"),
         ],
@@ -1175,6 +1217,7 @@ def contract_inputs(tmp_path_factory):
             put("f-huge.json", field(1, (1, ["1e400"]))),
             put("f-negative.json", field(-1, (0, ["1"]))),
             put("f-type.json", json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": "12"}]})),
+            put("f-twice.json", field(1, (1, ["1"]), (1, ["2"]))),
             put("f-text.json", "not json"),
         ],
     )
@@ -1202,6 +1245,10 @@ def contract_inputs(tmp_path_factory):
         [
             put("c-direction.json", json.dumps({"direction": 5, "terms": {"z(1,0)": "2"}})),
             put("c-type.json", json.dumps({"direction": 1, "terms": [["z(1,0)", "2"]]})),
+            put("c-twice.json", json.dumps([{"direction": 1, "terms": {"z(1,0)": "2"}},
+                                            {"direction": 1, "terms": {"z(1,0)": "3"}}])),
+            put("c-term-twice.json",
+                json.dumps({"direction": 1, "terms": {"z(1,0)": "2", "z(1,0)^1": "3"}})),
         ],
     )
     return {"root": root, "grid": grids, "field": fields, "csv": csvs, "chars": chars}
