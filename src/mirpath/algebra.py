@@ -28,13 +28,15 @@ add ``int`` numerators over one common denominator and divide once per term.
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
 cleared when full, so equal keys usually meet by identity in dict lookups.
-Equality and hashing stay structural, so an object built before a clear
-still equals, hashes like and finds the entries of a new one, and pickling
-or copying rebuilds through the constructor.  Every cache in this module has
-a stated bound: Dⁿ of a monomial and ``prelie_graft`` keep 8 192 results,
-``deshuffle`` 2 048, the Grossman–Larson product of two basis forests
-16 384 and its slot expansions (Π bucket)·Dⁿ comp 1 024; :func:`clear_caches`
-empties them all, as ``verify`` does after each suite.
+A clear of the monomial table empties the forest table too, so no forest
+outlives the monomials it was built from.  Equality and hashing stay
+structural, so an object built before a clear still equals, hashes like and
+finds the entries of a new one, and pickling or copying rebuilds through the
+constructor.  Every cache in this module has a stated bound: Dⁿ of a
+monomial and ``prelie_graft`` keep 8 192 results, ``deshuffle`` 2 048, the
+Grossman–Larson product of two basis forests 16 384 and its slot expansions
+(Π bucket)·Dⁿ comp 1 024; :func:`clear_caches` empties them all.  ``verify``
+empties them and both intern tables after each suite.
 """
 
 from __future__ import annotations
@@ -79,23 +81,22 @@ Entry = tuple[tuple[int, int], int]
 
 # Hash-consing tables: the canonical MultiIndex per (letters, entries) and the
 # canonical Forest per components tuple.  Each is cleared when it reaches its
-# bound.  ``verify --d 2 --max-norm 3`` fills them to about 6 000 and 12 000,
-# and the exact acceptance suite (criterion 01) to about 20 000 and 2 000.
+# bound.  One suite of ``verify --d 2 --max-norm 3`` fills them to at most
+# about 4 400 and 6 800 (``star-associative``), and the exact acceptance
+# suite (criterion 01) to about 20 000 and 2 000.
 _MULTI_INDEX_BOUND = 1 << 15
 _FOREST_BOUND = 1 << 15
 _MULTI_INDICES: dict[tuple[int, tuple[Entry, ...]], "MultiIndex"] = {}
 _FORESTS: dict[tuple["MultiIndex", ...], "Forest"] = {}
-# How many times the monomial table has been cleared; a forest made before
-# the last clear holds superseded components and is rebuilt on its next lookup.
-_EPOCH = 0
 
 
 def _clear_interned(table: dict) -> None:
-    """Empty a full intern table and every package cache, so that no cached
-    basis keeps a superseded key."""
-    global _EPOCH
+    """Empty an intern table and every package cache, so that no cached
+    basis keeps a superseded key.  Emptying the monomial table empties the
+    forest table too, so that no forest outlives the monomials it was built
+    from."""
     if table is _MULTI_INDICES:
-        _EPOCH += 1
+        _FORESTS.clear()
     table.clear()
     clear_caches()
 
@@ -333,7 +334,7 @@ class Forest:
     through the constructor.
     """
 
-    __slots__ = ("components", "_hash", "_degree", "_epoch")
+    __slots__ = ("components", "_hash", "_degree")
 
     def __new__(cls, components: Iterable[MultiIndex] = ()):
         comps = [c for c in components]
@@ -343,16 +344,13 @@ class Forest:
         comps.sort(key=_by_entries)
         key = tuple(comps)
         self = _FORESTS.get(key)
-        if self is None or self._epoch != _EPOCH:
-            if self is not None:
-                del _FORESTS[key]  # so that the new entry keeps the new key
-            elif len(_FORESTS) >= _FOREST_BOUND:
+        if self is None:
+            if len(_FORESTS) >= _FOREST_BOUND:
                 _clear_interned(_FORESTS)
             self = object.__new__(cls)
             self.components = key
             self._hash = hash(key)
             self._degree = sum(c._degree for c in key)
-            self._epoch = _EPOCH
             _FORESTS[key] = self
         return self
 

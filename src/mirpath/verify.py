@@ -27,11 +27,12 @@ import numpy as np
 
 from .algebra import (
     EMPTY_FOREST,
+    _MULTI_INDICES,
     Forest,
     FormalSum,
     Grading,
     MultiIndex,
-    clear_caches,
+    _clear_interned,
     derivation_d,
     deshuffle,
     enumerate_populated,
@@ -605,8 +606,9 @@ def run_all_suites(
     is a test-only hook: the first check of the suite of that name has its
     verdict inverted and its description tagged ``[injected fault]``, so the
     failure-reporting path can be exercised against a healthy build.
-    The package caches are emptied after each suite, so the peak memory is
-    that of the largest suite, not the sum of all of them.
+    The package caches and both intern tables are emptied after each suite,
+    so the peak memory is that of the largest suite (plus, once a float
+    suite has run, the ``numpy.random`` import), not the sum of all of them.
     """
     if d < 1:
         raise ValueError(f"need at least one driving letter, got d={d}")
@@ -629,6 +631,6 @@ def run_all_suites(
             continue
         rec = _Recorder(name, tolerance, name == fault_suite)
         fn(d, max_norm, seed, rec)
-        clear_caches()
+        _clear_interned(_MULTI_INDICES)
         results.append(rec.result())
     return results

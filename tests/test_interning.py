@@ -10,7 +10,8 @@ full.  The tests below pin the contract that makes this safe:
 * equality stays structural (the alphabet size is part of the value) and the
   constructors keep their error messages;
 * neither intern table, and no ``functools`` cache at module level under
-  ``mirpath``, can grow without bound;
+  ``mirpath``, can grow without bound, and a clear of the monomial table
+  empties the forest table too;
 * a memoized kernel returns what it computes from empty caches.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import copy
 import functools
 import importlib
+import itertools
 import pickle
 import pkgutil
 import re
@@ -251,14 +253,22 @@ def test_intern_tables_never_grow_past_their_bounds(fresh_tables):
     single(2, 0, 2)
     assert len(table) == 1
 
+    # the forests are built from a pool of monomials made beforehand, so that
+    # no clear of the monomial table empties the forest table on the way
     table, bound = algebra._FORESTS, algebra._FOREST_BOUND
-    z = single(1, 0, 1)
-    for k in range(bound):
-        Forest([z, single(0, k, 1)])
-        assert len(algebra._MULTI_INDICES) <= algebra._MULTI_INDEX_BOUND
+    pool = [single(1, k, 1) for k in range(256)]
+    for pair in itertools.islice(itertools.combinations_with_replacement(pool, 2), bound):
+        Forest(pair)
     assert len(table) == bound
-    Forest([z])
+    Forest([pool[0]])
     assert len(table) == 1
+
+    # a clear of the monomial table empties the forest table too
+    monomials = algebra._MULTI_INDICES
+    for k in range(algebra._MULTI_INDEX_BOUND - len(monomials) + 1):
+        single(2, k + 1, 2)
+    assert len(monomials) == 1
+    assert len(table) == 0
 
 
 def test_a_clear_leaves_no_superseded_key_in_the_cached_bases(monkeypatch):

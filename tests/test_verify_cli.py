@@ -28,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mirpath
+from mirpath import algebra
 from mirpath.algebra import Grading, MultiIndex, enumerate_populated
 from mirpath.cli import _write
 from mirpath.cli import main as cli_main
@@ -100,6 +101,7 @@ class TestSuiteEngine:
             if hasattr(value, "cache_info")
         ]
         assert caches and all(size == 0 for _name, size in caches), caches
+        assert not algebra._MULTI_INDICES and not algebra._FORESTS
         assert [(r.checked, r.failed) for r in results] == [
             (n, 0) for n in (1768, 1768, 152, 184, 39, 1768, 48, 3117,
                              67, 625, 324, 100, 286, 90, 276)
@@ -817,6 +819,14 @@ class TestCliMalformedInputs:
         err = self.solve_grid(tmp_path, grid_doc, cubic_field_json)
         assert "'z(1,0)^1' repeats the key z(1,0)" in err
 
+    def test_grid_increment_repeating_a_key(self, grid_doc, cubic_field_json, tmp_path):
+        grid_file = tmp_path / "bad_grid.json"
+        text = json.dumps(grid_doc["grid"])
+        grid_file.write_text(text.replace('"z(1,0)": ', '"z(1,0)": 0.5, "z(1,0)": ', 1))
+        err = self.assert_usage_error(grid_file, "solve", "--grid", str(grid_file),
+                                      "--field", str(cubic_field_json))
+        assert "the key 'z(1,0)' appears twice in one object" in err
+
     def solve_field(self, tmp_path, doc):
         grid_file = tmp_path / "grid.json"
         field_file = tmp_path / "bad_field.json"
@@ -847,6 +857,15 @@ class TestCliMalformedInputs:
                                       "--field", str(field_file))
         assert "field letter 1 is listed twice" in err
 
+    def test_field_entry_repeating_a_key(self, grid_doc, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        field_file = tmp_path / "repeat.json"
+        field_file.write_text('{"d": 1, "fields": [{"i": 0, "coeffs": ["0"]}, '
+                              '{"i": 1, "coeffs": ["0.5", "0.3"], "coeffs": ["9"]}]}')
+        err = self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
+                                      "--field", str(field_file))
+        assert "the key 'coeffs' appears twice in one object" in err
+
     def translate_chars(self, tmp_path, doc) -> str:
         grid_file = tmp_path / "grid.json"
         chars = tmp_path / "chars.json"
@@ -875,6 +894,14 @@ class TestCliMalformedInputs:
             tmp_path, {"direction": 1, "terms": {"z(1,0)": "2", "z(1,0)^1": "3"}}
         )
         assert "'z(1,0)^1' repeats the term 'z(1,0)'" in err
+
+    def test_character_file_repeating_a_key(self, grid_doc, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        chars = tmp_path / "chars.json"
+        chars.write_text('{"direction": 1, "terms": {"z(1,0)": "2", "z(1,0)": "3"}}')
+        err = self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
+                                      "--chars", str(chars))
+        assert "the key 'z(1,0)' appears twice in one object" in err
 
     def test_path_csv_with_a_word_for_a_number(self, tmp_path):
         csv_file = tmp_path / "word.csv"
@@ -1160,7 +1187,8 @@ SOLVE_FLAGS = {
 @pytest.fixture(scope="module")
 def contract_inputs(tmp_path_factory):
     """Input files by kind: valid ones, and copies broken by nan, inf, zero,
-    negative, huge and wrong-type values, or by not being JSON at all."""
+    negative, huge and wrong-type values, by naming one item twice, or by
+    not being JSON at all."""
     root = tmp_path_factory.mktemp("contract")
 
     def put(name, text):
@@ -1196,6 +1224,8 @@ def contract_inputs(tmp_path_factory):
             put("g-gamma.json", broken(g1, lambda g: g.update(gamma="0"))),
             put("g-twice.json",
                 broken(g1, lambda g: g["increments"][1].update({"z(1,0)^1": 0.5}))),
+            put("g-repeat.json",
+                json.dumps(g1).replace('"z(1,0)": ', '"z(1,0)": 0.5, "z(1,0)": ', 1)),
             put("g-text.json", "{"),
             str(root / "missing.json"),
         ],
@@ -1218,6 +1248,8 @@ def contract_inputs(tmp_path_factory):
             put("f-negative.json", field(-1, (0, ["1"]))),
             put("f-type.json", json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": "12"}]})),
             put("f-twice.json", field(1, (1, ["1"]), (1, ["2"]))),
+            put("f-repeat.json",
+                '{"d": 1, "fields": [{"i": 1, "coeffs": ["0.5"], "coeffs": ["9"]}]}'),
             put("f-text.json", "not json"),
         ],
     )
@@ -1249,6 +1281,7 @@ def contract_inputs(tmp_path_factory):
                                             {"direction": 1, "terms": {"z(1,0)": "3"}}])),
             put("c-term-twice.json",
                 json.dumps({"direction": 1, "terms": {"z(1,0)": "2", "z(1,0)^1": "3"}})),
+            put("c-repeat.json", '{"direction": 1, "terms": {"z(1,0)": "2", "z(1,0)": "3"}}'),
         ],
     )
     return {"root": root, "grid": grids, "field": fields, "csv": csvs, "chars": chars}
