@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
     "MultiIndex",
@@ -289,22 +289,6 @@ class MultiIndex:
         return MultiIndex._trusted(
             tuple(sorted(merged.items())), self.letters, self._degree - count
         )
-
-    def minus(self, other: "MultiIndex") -> "MultiIndex":
-        """Multiset difference; raises if ``other`` is not contained in self."""
-        out = self
-        for (i, k), m in other.entries:
-            out = out.without(i, k, m)
-        return out
-
-    def sub_multi_indices(self) -> Iterator["MultiIndex"]:
-        """All divisors of the monomial (including the empty one and itself)."""
-        keys = [key for key, _ in self.entries]
-        ranges = [range(m + 1) for _, m in self.entries]
-        for choice in itertools.product(*ranges):
-            yield MultiIndex(
-                [(key, c) for key, c in zip(keys, choice) if c > 0], self.letters
-            )
 
 
 def empty_multi_index(d: int) -> MultiIndex:

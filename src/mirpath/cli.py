@@ -166,22 +166,11 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {exc}") from exc
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object as a dict; a key given twice is refused, where
-    ``json.loads`` alone would keep its last value."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _value in pairs:
-            if key in seen:
-                raise ValueError(f"the key {key!r} appears twice in one object")
-            seen.add(key)
-    return obj
-
-
 def _read_input(path: str, reader, what: str, wrapper: str | None = None):
     """``reader`` applied to the JSON document in ``path``, unwrapped from
     its ``wrapper`` field if the file is a CLI output."""
+    from .grammar import _unique_keys
+
     try:
         payload = json.loads(_read_text(path), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import Forest, FormalSum, MultiIndex
-from .grammar import _json_int
+from .grammar import _json_int, _unique_keys
 
 __all__ = [
     "DerivativeOrderError",
@@ -245,7 +245,7 @@ def vector_field_to_json(f: VectorField) -> str:
 
 def vector_field_from_json(doc: str | Mapping) -> VectorField:
     """Read a polynomial field from its JSON text or the already-parsed document."""
-    payload = json.loads(doc) if isinstance(doc, str) else doc
+    payload = json.loads(doc, object_pairs_hook=_unique_keys) if isinstance(doc, str) else doc
     d = _json_int(payload, "d")
     rows: list[list[Fraction]] = [[Fraction(0)] for _ in range(d + 1)]
     listed: set[int] = set()

@@ -215,6 +215,19 @@ def _json_int(payload: dict, key: str) -> int:
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice is refused, where
+    ``json.loads`` alone would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise ValueError(f"the key {key!r} appears twice in one object")
+            seen.add(key)
+    return obj
+
+
 def format_multi_index(mi: MultiIndex) -> str:
     if mi.is_empty:
         return "1"

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import random
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -294,8 +295,9 @@ def log_element(x: GroupElement) -> LieElement:
     return LieElement._of(x.d, x.grading, acc[t.single])
 
 
-def random_character(d: int, grading: Grading, rng: np.random.Generator) -> GroupElement:
-    """Uniform(−1,1) values on every populated multi-index of degree ≤ N."""
+def random_character(d: int, grading: Grading, rng: random.Random) -> GroupElement:
+    """Values ``rng.uniform(−1, 1)`` on every populated multi-index of degree
+    ≤ N, drawn in basis order; a numpy ``Generator`` serves as well."""
     values = {
         mi: float(rng.uniform(-1.0, 1.0))
         for mi in _populated_tuple(d, grading.max_norm)

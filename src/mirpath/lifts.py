@@ -1,18 +1,15 @@
 """Concrete rough-path lifts and grid serialization.
 
-Every lift stores one increment per step, computed in closed form from the
-step's coordinate increments ΔX^i (letter 0 is time) by the recursion
+Every lift stores one increment per step, built in the group of
+:mod:`mirpath.group` from the step's coordinate increments ΔX^i (letter 0
+is time) and the level-1 element x = Σ_i ΔX^i z(i,0):
 
-    X(z(i,0)) = ΔX^i,   X(z^β) = w(|β|) · Σ_{(i,k)} Σ_{β = e(i,k)+β₁+…+β_k} ΔX^i · Π_j X(z^{β_j}),
-
-with the weight w fixing the rule:
-
-* ``lift_piecewise_linear`` (a sampled path, affine between samples):
-  w(n) = 1/n, the exact iterated integrals of an affine segment;
-* ``lift_brownian`` with ``"strat"``: w = ½, the trapezoid rule on a
-  lattice step of a seeded Brownian motion;
+* ``lift_piecewise_linear`` (a sampled path, affine between samples): the
+  signature of an affine segment, exp(x) by ``exp_element``;
+* ``lift_brownian`` with ``"strat"``: the trapezoid rule on a lattice step
+  of a seeded Brownian motion, exp(x) with its degree-3 values times 3/2;
 * ``lift_brownian`` with ``"ito"``: the left-point rule, which leaves only
-  level 1 within a step.
+  x within a step.
 
 The Brownian lattice lift is limited to level ≤ 3.  Each lift writes its
 step values by slot into the rows of one grid array, whose ``depth`` is the
@@ -30,14 +27,20 @@ import io
 import json
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Grading, MultiIndex, _populated_tuple
-from .grammar import _json_int, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _first_non_finite, _key_index, _slot
+from .algebra import Grading, _populated_tuple
+from .grammar import _json_int, _unique_keys, format_multi_index, parse_multi_index
+from .group import (
+    LieElement,
+    RoughPathGrid,
+    _first_non_finite,
+    _key_index,
+    _slot,
+    exp_element,
+)
 
 __all__ = [
     "UnsupportedLevelError",
@@ -51,8 +54,8 @@ __all__ = [
     "write_path_csv",
 ]
 
-#: Generator family used for every stochastic draw in the package; the name
-#: and version are quoted in CLI provenance headers.
+#: Generator family of the lifts' stochastic draws (``lift_brownian`` and
+#: ``brownian_pair_statistics``); the name is quoted in CLI provenance headers.
 RNG_ALGORITHM = "numpy.random.PCG64"
 
 
@@ -61,85 +64,29 @@ class UnsupportedLevelError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Decomposition of a populated multi-index into integration layers
+# Step values, shared by every lift
 # ---------------------------------------------------------------------------
 
 
-# Bounds: at d=3, N=4 the lifts need 170 (mi, k) keys here and 420 β below.
-@lru_cache(maxsize=256)
-def _ordered_parts(mi: MultiIndex, k: int) -> tuple[tuple[MultiIndex, ...], ...]:
-    """All ordered k-tuples of populated multi-indices with product ``mi``."""
-    if k == 0:
-        return ((),) if mi.is_empty else ()
-    if k == 1:
-        return ((mi,),) if (not mi.is_empty and mi.is_populated()) else ()
-    out = []
-    for head in mi.sub_multi_indices():
-        if head.is_empty or not head.is_populated():
-            continue
-        rest = mi.minus(head)
-        for tail in _ordered_parts(rest, k - 1):
-            out.append((head,) + tail)
-    return tuple(out)
+def _level_one(d: int, grading: Grading, dxs: Sequence[Sequence[float]]) -> np.ndarray:
+    """One row per row of ``dxs`` (letter 0 is time): the level-1 element
+    Σ dx[i] z(i,0), whose slots are those of z(0,0) … z(d,0), in order."""
+    coords = np.zeros((len(dxs), len(_key_index(d, grading.max_norm))))
+    coords[:, : d + 1] = dxs
+    return coords
 
 
-@lru_cache(maxsize=512)
-def integral_decompositions(
-    beta: MultiIndex,
-) -> tuple[tuple[int, int, tuple[MultiIndex, ...]], ...]:
-    """All ways to peel one integration off z^β: triples (i, k, inner parts)
-    with β = e(i,k) + β₁ + … + β_k and every βⱼ populated."""
-    out = []
-    for (i, k), _ in beta.entries:
-        rest = beta.without(i, k)
-        if k == 0:
-            if rest.is_empty:
-                out.append((i, 0, ()))
-            continue
-        for parts in _ordered_parts(rest, k):
-            out.append((i, k, parts))
-    return tuple(out)
+def _exp_rows(d: int, grading: Grading, dxs: Sequence[Sequence[float]]) -> np.ndarray:
+    """``exp_element`` of each row's level-1 element, one row per step."""
+    coords = _level_one(d, grading, dxs)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, refused below
+        for row in coords:
+            row[:] = exp_element(LieElement._of(d, grading, row.copy())).coords
+    return coords
 
 
-# ---------------------------------------------------------------------------
-# Closed-form step values, shared by every lift
-# ---------------------------------------------------------------------------
-
-
-def _lift_steps(
-    d: int,
-    grading: Grading,
-    times: Sequence[float],
-    dxs: Sequence[Sequence[float]],
-    depth: int,
-    weight: Callable[[int], float],
-) -> RoughPathGrid:
-    """One stored increment per row of ``dxs`` (letter 0 is time), its values
-    of degree ≤ ``depth`` written by slot:
-
-        X(z(i,0)) = dx[i],   X(z^β) = weight(|β|) · Σ dx[i] · Π_j X(z^{β_j})
-
-    summed over ``integral_decompositions(β)``.  The slots of degree 1 are
-    those of z(0,0) … z(d,0), in order, and every β comes after its parts."""
-    index = _key_index(d, grading.max_norm)
-    rules = [
-        (weight(beta.degree()), [(i, [index[bj] for bj in parts])
-                                 for i, _, parts in integral_decompositions(beta)])
-        for beta in tuple(index)[d + 1 : len(_populated_tuple(d, depth))]
-    ]
-    padding = [0.0] * (len(index) - d - 1)
-    coords = np.empty((len(dxs), len(index)))
-    for m, dx in enumerate(dxs):
-        row = [*dx, *padding]
-        for p, (w, terms) in enumerate(rules, start=d + 1):
-            total = 0.0
-            for i, slots in terms:
-                prod = 1.0
-                for q in slots:
-                    prod *= row[q]
-                total += w * prod * dx[i]
-            row[p] = total
-        coords[m] = row
+def _grid(d: int, grading: Grading, times, coords: np.ndarray, depth: int) -> RoughPathGrid:
+    """The grid over the step values ``coords``; a non-finite row is refused."""
     if (m := _first_non_finite(coords)) is not None:
         raise ValueError(
             f"lift value overflows on segment {m} (t = {times[m]} .. {times[m + 1]})"
@@ -174,9 +121,7 @@ def lift_piecewise_linear(
         [float(b) - float(a) for a, b in zip(row0, row1)]
         for row0, row1 in zip(samples, samples[1:])
     ]
-    # On an affine segment the integrand of a degree-n value grows like
-    # u^{n−1}, so integrating it against dX^i gives 1/n of its end value · ΔX^i.
-    return _lift_steps(d, grading, times, dxs, grading.max_norm, lambda n: 1.0 / n)
+    return _grid(d, grading, times, _exp_rows(d, grading, dxs), grading.max_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -231,10 +176,16 @@ def lift_brownian_from_increments(
     times = [float(dt * m) for m in range(n_steps + 1)]
     # Left point (Itô): every integrand of degree ≥ 2 vanishes at the start
     # of the step, so only level 1 is stored; higher levels come from Chen
-    # composition.  Trapezoid (Stratonovich): ∫ g dX ↦ ½(g(start) + g(end))ΔX
-    # with g(start) = 0.
-    depth = 1 if mode == "ito" else grading.max_norm
-    return _lift_steps(d, grading, times, dxs, depth, lambda n: 0.5)
+    # composition.
+    if mode == "ito":
+        return _grid(d, grading, times, _level_one(d, grading, dxs), 1)
+    # Trapezoid (Stratonovich): ∫ g dX ↦ ½ g(end) ΔX, as g(start) = 0, where
+    # the exact affine integral exp(x) weighs degree n by 1/n.  The two agree
+    # at degree 2, so at degree 3, whose integrands are degree-2 values, the
+    # rule is exp(x) times ½ / (1/3) = 3/2; max_norm ≤ 3 leaves no other.
+    coords = _exp_rows(d, grading, dxs)
+    coords[:, len(_populated_tuple(d, 2)) :] *= 1.5
+    return _grid(d, grading, times, coords, grading.max_norm)
 
 
 # Paths drawn per batch by brownian_pair_statistics: bounds the draw array at
@@ -327,7 +278,7 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     Each distinct key string is parsed and checked once, and a document that
     spells one key two ways is refused; the grid stores the degrees up to
     the highest key degree in the document."""
-    payload = json.loads(doc) if isinstance(doc, str) else doc
+    payload = json.loads(doc, object_pairs_hook=_unique_keys) if isinstance(doc, str) else doc
     d = _json_int(payload, "d")
     grading = Grading(max_norm=_json_int(payload, "max_norm"), gamma=Fraction(payload["gamma"]))
     times = tuple(float(t) for t in payload["times"])

@@ -450,7 +450,7 @@ def _worst_defect(want, got):
 def _suite_exp_log(d, max_norm, seed, rec):
     """exp after log returns every random character to itself."""
     grading = Grading(max_norm=max_norm, gamma=_GAMMA)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for idx in range(100):
         x = random_character(d, grading, rng)
         worst, worst_key = _worst_defect(x, exp_element(log_element(x)))
@@ -466,9 +466,12 @@ def _suite_exp_log(d, max_norm, seed, rec):
 def _suite_chen(d, max_norm, seed, rec):
     """Stored increments compose consistently across every split point."""
     n = 12
-    rng = np.random.default_rng(seed)
-    walk = np.cumsum(rng.standard_normal((n + 1, d)) * 0.7, axis=0)
-    samples = [(j / n, *map(float, walk[j])) for j in range(n + 1)]
+    rng = random.Random(seed)
+    walk = [0.0] * d
+    samples = []
+    for j in range(n + 1):
+        walk = [x + rng.gauss(0.0, 0.7) for x in walk]
+        samples.append((j / n, *walk))
     grid = lift_piecewise_linear(samples, Grading(max_norm=max_norm, gamma=_GAMMA))
     spans = {}
     for i in range(n):
@@ -607,8 +610,8 @@ def run_all_suites(
     verdict inverted and its description tagged ``[injected fault]``, so the
     failure-reporting path can be exercised against a healthy build.
     The package caches and both intern tables are emptied after each suite,
-    so the peak memory is that of the largest suite (plus, once a float
-    suite has run, the ``numpy.random`` import), not the sum of all of them.
+    so the peak memory is that of the largest suite, not the sum of all of
+    them.
     """
     if d < 1:
         raise ValueError(f"need at least one driving letter, got d={d}")

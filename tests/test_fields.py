@@ -502,3 +502,8 @@ class TestVectorFieldJson:
     def test_bad_letter_rejected(self):
         with pytest.raises(ValueError):
             vector_field_from_json('{"d": 1, "fields": [{"i": 5, "coeffs": ["1"]}]}')
+
+    def test_text_repeating_a_key_is_refused(self):
+        doc = '{"d": 1, "fields": [{"i": 1, "coeffs": ["1"], "coeffs": ["2"]}]}'
+        with pytest.raises(ValueError, match="the key 'coeffs' appears twice"):
+            vector_field_from_json(doc)

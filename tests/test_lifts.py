@@ -6,13 +6,15 @@ The oracle for affine segments is the exact rational coefficient recursion
 
 giving X_{s,s+h}(z^β) = c(β) · Π_{(i,k)} v_i^{β(i,k)} · h^{|β|} for a segment
 with slopes v (v₀ = 1).  The single-step Stratonovich oracle is the same
-recursion with ½ in place of 1/|β|.  Both are evaluated here with Fractions,
-independently of the float recursion in ``mirpath.lifts`` they check.
+recursion with ½ in place of 1/|β|.  Both are evaluated here with Fractions
+over decompositions enumerated here, while ``mirpath.lifts`` builds every
+step as an exponential in the group: the two share only the basis.
 """
 
 from __future__ import annotations
 
 import io
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -28,12 +30,10 @@ from mirpath.grammar import format_multi_index, parse_multi_index
 from mirpath.group import GroupElement, RoughPathGrid, _key_index, char_eval, chen_compose
 from mirpath.lifts import (
     UnsupportedLevelError,
-    _ordered_parts,
     brownian_pair_statistics,
     grid_from_json,
     grid_payload,
     grid_to_json,
-    integral_decompositions,
     lift_brownian,
     lift_brownian_from_increments,
     lift_piecewise_linear,
@@ -52,9 +52,37 @@ from mirpath.translation import (
 # ---------------------------------------------------------------------------
 
 
+def _splits(mi: MultiIndex):
+    """Every way to write ``mi`` as a product head · rest of two monomials."""
+    keys = [key for key, _ in mi.entries]
+    for choice in itertools.product(*(range(m + 1) for _, m in mi.entries)):
+        head = MultiIndex(zip(keys, choice), mi.letters)
+        rest = MultiIndex([(key, m - c) for (key, m), c in zip(mi.entries, choice)], mi.letters)
+        yield head, rest
+
+
+def _ordered_parts(mi: MultiIndex, k: int) -> list[tuple[MultiIndex, ...]]:
+    """All ordered k-tuples of populated multi-indices with product ``mi``."""
+    if k == 0:
+        return [()] if mi.is_empty else []
+    return [
+        (head, *tail)
+        for head, rest in _splits(mi)
+        if not head.is_empty and head.is_populated()
+        for tail in _ordered_parts(rest, k - 1)
+    ]
+
+
+def _integral_decompositions(beta: MultiIndex):
+    """The inner parts of every way to peel one integration off z^β:
+    β = e(i,k) + β₁ + … + β_k with every βⱼ populated."""
+    for (i, k), _ in beta.entries:
+        yield from _ordered_parts(beta.without(i, k), k)
+
+
 def _sum_over_decompositions(beta: MultiIndex, coefficient) -> Fraction:
     total = Fraction(0)
-    for _, _, parts in integral_decompositions(beta):
+    for parts in _integral_decompositions(beta):
         prod = Fraction(1)
         for part in parts:
             prod *= coefficient(part)
@@ -100,8 +128,9 @@ def test_affine_coefficient_reproduces_classical_taylor_weights():
         ((1.0, -0.3, 1.9), 3),
         ((1.0, 2.0, -1.0), 4),
         ((1.0, -0.3, 1.9, 0.6), 3),
+        ((1.0, -0.7), 4),
     ],
-    ids=["slopes0", "slopes1", "slopes2", "d2-N4", "d3-N3"],
+    ids=["slopes0", "slopes1", "slopes2", "d2-N4", "d3-N3", "d1-N4"],
 )
 def test_single_segment_matches_closed_form(slopes, max_norm):
     g = Grading(max_norm=max_norm, gamma=Fraction(1, max_norm))
@@ -113,20 +142,6 @@ def test_single_segment_matches_closed_form(slopes, max_norm):
         want = affine_value(beta, slopes, h)
         got = inc.values.get(beta, 0.0)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-12), beta
-
-
-def test_bounded_decomposition_caches_hold_one_grading_at_d3_n4():
-    # a second lift at d=3, N=4 finds every decomposition in the caches
-    samples = [(j / 2, 0.3 * j, -0.2 * j, 0.1 * j * j) for j in range(3)]
-    grading = Grading(max_norm=4, gamma=Fraction(1, 5))
-    integral_decompositions.cache_clear()
-    _ordered_parts.cache_clear()
-    lift_piecewise_linear(samples, grading)
-    first = integral_decompositions.cache_info(), _ordered_parts.cache_info()
-    lift_piecewise_linear(samples, grading)
-    second = integral_decompositions.cache_info(), _ordered_parts.cache_info()
-    assert [info.misses for info in second] == [info.misses for info in first]
-    assert all(info.currsize < info.maxsize for info in second)
 
 
 def test_first_level_is_the_plain_increment():
@@ -254,13 +269,14 @@ def test_strat_single_step_level_two_is_half_the_product():
         assert inc.values[k11] == pytest.approx(0.5 * inc.values[k1] ** 2, rel=1e-14)
 
 
-def test_strat_single_step_level_three_matches_exact_oracle():
-    grid = lift_brownian(2, 1.0, 8, 31, "strat", Grading(max_norm=3, gamma=Fraction(1, 3)))
-    letters = [parse_multi_index(f"z({i},0)", d=2) for i in range(3)]
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_strat_single_step_level_three_matches_exact_oracle(d):
+    grid = lift_brownian(d, 1.0, 8, 31, "strat", Grading(max_norm=3, gamma=Fraction(1, 3)))
+    letters = [parse_multi_index(f"z({i},0)", d=d) for i in range(d + 1)]
     for inc in grid.increments:
         dx = [Fraction(inc.values[key]) for key in letters]
         assert dx[0] == Fraction(1, 8)
-        for beta in enumerate_populated(2, 3):
+        for beta in enumerate_populated(d, 3):
             want = trapezoid_coefficient(beta)
             for (i, _), m in beta.entries:
                 want *= dx[i] ** m
@@ -337,6 +353,15 @@ def test_grid_json_round_trip_bit_exact():
     assert back.grading == grid.grading
     for a, b in zip(back.increments, grid.increments):
         assert a.values == b.values
+
+
+def test_grid_text_repeating_a_key_is_refused():
+    doc = (
+        '{"d": 1, "gamma": "1/2", "max_norm": 1, "times": [0.0, 1.0],'
+        ' "increments": [{"z(1,0)": 1.0, "z(1,0)": 2.0}]}'
+    )
+    with pytest.raises(ValueError, match="the key 'z\\(1,0\\)' appears twice"):
+        grid_from_json(doc)
 
 
 def test_grid_reader_keys_are_the_key_index_objects():

@@ -1468,3 +1468,14 @@ def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
         print(json.dumps({"codes": codes, "loaded": loaded}))
     """, tmp_path)
     assert got == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_verify_leaves_numpy_random_unloaded(tmp_path):
+    got = _run_python("""
+        import json, sys
+        from mirpath.cli import main
+        code = main(["verify", "--d", "1", "--max-norm", "2", "--no-timestamp",
+                     "--out", "verify.json"])
+        print(json.dumps({"code": code, "loaded": "numpy.random" in sys.modules}))
+    """, tmp_path)
+    assert got == {"code": 0, "loaded": False}
