@@ -19,11 +19,14 @@ Two private kernels carry the expansions of the exact layer.
 ``_distribute`` sums over every assignment of the components of one forest
 to the components of another, or to a kept slot; the simultaneous graft, the
 Grossman–Larson product (in one pass) and the forest insertion in
-:mod:`mirpath.translation` use it.  ``_multiply_out`` multiplies an ordered
-list of sums out onto a starting key and drops a term above a truncation as
-soon as it appears; the insertion into a monomial and the translation of
-monomials and forests use it.  It, ``gl_product`` and ``FormalSum.linear``
-add ``int`` numerators over one common denominator and divide once per term.
+:mod:`mirpath.translation` use it.  It reads the weighted spreads of equal
+components over the slots from a table built once per shape, and builds its
+output forests without re-checking their components.  ``_multiply_out``
+multiplies an ordered list of sums out onto a starting key and drops a term
+above a truncation as soon as it appears; the insertion into a monomial and
+the translation of monomials and forests use it.  It, ``gl_product`` and
+``FormalSum.linear`` add ``int`` numerators over one common denominator and
+divide once per term.
 
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
@@ -34,9 +37,10 @@ structural, so an object built before a clear still equals, hashes like and
 finds the entries of a new one, and pickling or copying rebuilds through the
 constructor.  Every cache in this module has a stated bound: Dⁿ of a
 monomial and ``prelie_graft`` keep 8 192 results, ``deshuffle`` 2 048, the
-Grossman–Larson product of two basis forests 16 384 and its slot expansions
-(Π bucket)·Dⁿ comp 1 024; :func:`clear_caches` empties them all.  ``verify``
-empties them and both intern tables after each suite.
+Grossman–Larson product of two basis forests 16 384, its slot expansions
+(Π bucket)·Dⁿ comp 1 024, and ``_distribute``'s spread table 256 shapes
+(r equal parts, number of slots); :func:`clear_caches` empties them all.
+``verify`` empties them and both intern tables after each suite.
 """
 
 from __future__ import annotations
@@ -276,19 +280,15 @@ class MultiIndex:
         merged[(i, k + 1)] = merged.get((i, k + 1), 0) + 1
         return MultiIndex._trusted(tuple(sorted(merged.items())), self.letters, self._degree)
 
-    def without(self, i: int, k: int, count: int = 1) -> "MultiIndex":
-        """Remove ``count`` copies of z(i,k); raises if not present."""
+    def without(self, i: int, k: int) -> "MultiIndex":
+        """Remove one copy of z(i,k); raises if not present."""
         merged = dict(self.entries)
-        have = merged.get((i, k), 0)
-        if have < count:
-            raise ValueError(f"cannot remove z({i},{k})^{count}: only {have} present")
-        if have == count:
-            del merged[(i, k)]
-        else:
-            merged[(i, k)] = have - count
-        return MultiIndex._trusted(
-            tuple(sorted(merged.items())), self.letters, self._degree - count
-        )
+        have = merged.pop((i, k), 0)
+        if not have:
+            raise ValueError(f"cannot remove z({i},{k})^1: only 0 present")
+        if have > 1:
+            merged[(i, k)] = have - 1
+        return MultiIndex._trusted(tuple(sorted(merged.items())), self.letters, self._degree - 1)
 
 
 def empty_multi_index(d: int) -> MultiIndex:
@@ -321,12 +321,17 @@ class Forest:
     __slots__ = ("components", "_hash", "_degree")
 
     def __new__(cls, components: Iterable[MultiIndex] = ()):
-        comps = [c for c in components]
+        comps = tuple(components)
         for c in comps:
             if not c.entries:
                 raise ValueError("a forest component must be a nonempty multi-index")
-        comps.sort(key=_by_entries)
-        key = tuple(comps)
+        return cls._trusted(comps)
+
+    @classmethod
+    def _trusted(cls, components: Iterable[MultiIndex]) -> "Forest":
+        """The canonical object for already-checked components, in any
+        order, every one a nonempty multi-index."""
+        key = tuple(sorted(components, key=_by_entries))
         self = _FORESTS.get(key)
         if self is None:
             if len(_FORESTS) >= _FOREST_BOUND:
@@ -394,7 +399,7 @@ class Forest:
             return self
         if not self.components:
             return other
-        return Forest(self.components + other.components)
+        return Forest._trusted(self.components + other.components)
 
     def all_populated(self) -> bool:
         return all(c.is_populated() for c in self.components)
@@ -646,27 +651,37 @@ def prelie_graft(a: MultiIndex, b: MultiIndex) -> FormalSum:
     return FormalSum._of({a.mul(m): c for m, c in _derivative_terms(b, 1).items()})
 
 
+@lru_cache(maxsize=1 << 8)
+def _spreads(r: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every way to send r equal parts to ``slots`` slots, as (pick, weight)
+    pairs: ``pick`` is the nondecreasing r-tuple of the slots the parts go
+    to, ``weight`` the number of assignments of r distinguishable parts that
+    make it, the multinomial r!/Π(copies per slot)!."""
+    return tuple(
+        (pick, math.factorial(r) // math.prod(map(math.factorial, Counter(pick).values())))
+        for pick in itertools.combinations_with_replacement(range(slots), r)
+    )
+
+
 def _distribute(left: Forest, right: Forest, slot_sum: Callable, keep=False) -> FormalSum:
     """The sum of forests over every assignment of each component of ``left``
     to one component of ``right`` or, with ``keep``, to a kept slot: a
     component receiving the parts ``bucket`` is replaced by the (monomial,
     coefficient) pairs of ``slot_sum(bucket, component)``, one receiving
     none and the kept parts stay, and each assignment adds the forests of
-    their Cartesian product."""
+    their Cartesian product.
+
+    Equal parts are interchangeable, so the assignments are enumerated as
+    one pick from :func:`_spreads` per distinct part, weighted by the number
+    of assignments that make it.  ``slot_sum`` must yield nonempty
+    monomials: the output forests are built without re-checking them."""
     groups = left.multiplicities()
     targets = right.components
     slots = len(targets) + keep
-    # equal parts are interchangeable: pick how many copies of each go to
-    # each slot, weighted by the number of assignments that make that pick
-    spreads = [
-        [
-            (pick, math.factorial(r) // math.prod(map(math.factorial, Counter(pick).values())))
-            for pick in itertools.combinations_with_replacement(range(slots), r)
-        ]
-        for _, r in groups
-    ]
+    trusted = Forest._trusted
     total: dict[Forest, int] = {}
-    for choice in itertools.product(*spreads):
+    get = total.get
+    for choice in itertools.product(*[_spreads(r, slots) for _, r in groups]):
         buckets: list[list[MultiIndex]] = [[] for _ in range(slots)]
         count = 1
         for (part, _r), (pick, ways) in zip(groups, choice):
@@ -678,10 +693,12 @@ def _distribute(left: Forest, right: Forest, slot_sum: Callable, keep=False) -> 
         slot_sums = [slot_sum(tuple(b), c) for b, c in zip(buckets, targets) if b]
         for combo in itertools.product(*slot_sums):
             coeff = count
-            for _mi, c in combo:
+            comps = fixed.copy()
+            for mi, c in combo:
                 coeff *= c
-            forest = Forest([*fixed, *(mi for mi, _c in combo)])
-            total[forest] = total.get(forest, 0) + coeff
+                comps.append(mi)
+            forest = trusted(comps)
+            total[forest] = get(forest, 0) + coeff
     return FormalSum._of(total)
 
 

@@ -381,7 +381,7 @@ def _translate_forest(
 ) -> FormalSum:
     factors = (_translate_mi(ells, c, trunc) for c in forest.components)
     return _multiply_out(
-        EMPTY_FOREST, factors, lambda f, mi: f.merge(Forest([mi])), trunc
+        EMPTY_FOREST, factors, lambda f, mi: Forest._trusted((*f.components, mi)), trunc
     )
 
 

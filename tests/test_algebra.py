@@ -28,6 +28,7 @@ from mirpath.algebra import (
     FormalSum,
     Grading,
     MultiIndex,
+    _spreads,
     derivation_d,
     deshuffle,
     enumerate_populated,
@@ -452,6 +453,18 @@ def test_product_matches_its_deshuffle_definition_sampled_d1_degree5(u, v):
 @given(st.sampled_from(FOREST24), st.sampled_from(FOREST24))
 def test_product_matches_its_deshuffle_definition_sampled_d2_degree4(u, v):
     assert gl_product(u, v) == _star_by_deshuffle(u, v)
+
+
+def test_spread_table_counts_every_assignment_once():
+    # r distinguishable parts have slots**r assignments to slots; each pick
+    # is one multiset of slots, listed once in nondecreasing order
+    for r, slots in itertools.product(range(5), range(6)):
+        spreads = _spreads(r, slots)
+        picks = [pick for pick, _ways in spreads]
+        assert sum(ways for _pick, ways in spreads) == slots**r, (r, slots)
+        assert all(len(pick) == r and list(pick) == sorted(pick) for pick in picks)
+        assert all(0 <= slot < slots for pick in picks for slot in pick)
+        assert len(set(picks)) == len(picks), (r, slots)
 
 
 # coefficients over the mixed denominators 2, 3, 5 and 6
