@@ -1,20 +1,22 @@
 """Concrete rough-path lifts and grid serialization.
 
-Every lift stores one increment per step, built in the group of
-:mod:`mirpath.group` from the step's coordinate increments ΔX^i (letter 0
-is time) and the level-1 element x = Σ_i ΔX^i z(i,0):
+Every lift stores one increment per step, in closed form in the step's
+coordinate increments ΔXⁱ (letter 0 is time): w(β)·Π_i (ΔXⁱ)^{n_i(β)} on β,
+where n_i(β) counts the variables of β with letter i.  The Grossman–Larson
+product keeps every letter, so an affine step's signature exp(Σ_i ΔXⁱ z(i,0))
+is this with w = c(β) = S(β)·[exp_⋆(Σ_i z(i,0))]_{z^β}, computed over ℚ by
+``gl_product`` once per (d, N) in ``_affine_weights`` (an ``lru_cache`` of 8).
+Each lift rule only chooses w:
 
-* ``lift_piecewise_linear`` (a sampled path, affine between samples): the
-  signature of an affine segment, exp(x) by ``exp_element``;
+* ``lift_piecewise_linear`` (a sampled path, affine between samples): w = c;
 * ``lift_brownian`` with ``"strat"``: the trapezoid rule on a lattice step
-  of a seeded Brownian motion, exp(x) with its degree-3 values times 3/2;
-* ``lift_brownian`` with ``"ito"``: the left-point rule, which leaves only
-  x within a step.
+  of a seeded Brownian motion, w = c with its degree-3 values times 3/2;
+* ``lift_brownian`` with ``"ito"``: the left-point rule, w = c = 1 on degree 1.
 
 The Brownian lattice lift is limited to level ≤ 3.  Each lift writes its
 step values by slot into the rows of one grid array, whose ``depth`` is the
-highest degree it stores (1 for the Itô rule); multi-step increments follow
-by Chen composition in every case.
+highest degree it stores and evaluates (1 for the Itô rule); multi-step
+increments follow by Chen composition in every case.
 
 The JSON/CSV formats at the bottom are the package's only on-disk path
 representations; a grid file lists every key up to the grid's depth.
@@ -27,20 +29,14 @@ import io
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Grading, _populated_tuple
+from .algebra import Forest, FormalSum, Grading, _populated_tuple, gl_product, single
 from .grammar import _json_int, _unique_keys, format_multi_index, parse_multi_index
-from .group import (
-    LieElement,
-    RoughPathGrid,
-    _first_non_finite,
-    _key_index,
-    _slot,
-    exp_element,
-)
+from .group import RoughPathGrid, _first_non_finite, _key_index, _slot
 
 __all__ = [
     "UnsupportedLevelError",
@@ -68,25 +64,34 @@ class UnsupportedLevelError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def _level_one(d: int, grading: Grading, dxs: Sequence[Sequence[float]]) -> np.ndarray:
-    """One row per row of ``dxs`` (letter 0 is time): the level-1 element
-    Σ dx[i] z(i,0), whose slots are those of z(0,0) … z(d,0), in order."""
+@lru_cache(maxsize=8)
+def _affine_weights(d: int, n: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
+    """The exact affine weights c(β) on the slots of ``_key_index(d, n)``,
+    and the read-only ``(K, d+1)`` array of the letter counts n_i(β)."""
+    x = FormalSum({Forest([single(i, 0, d)]): 1 for i in range(d + 1)})
+    exp = power = FormalSum.of(Forest())
+    for k in range(1, n + 1):
+        power = gl_product(power, x).scale(Fraction(1, k))
+        exp = exp + power
+    keys = _key_index(d, n)
+    counts = np.array([[beta.letter_count(i) for i in range(d + 1)] for beta in keys], float)
+    counts.flags.writeable = False
+    weights = tuple(beta.symmetry_factor() * exp.coefficient(Forest([beta])) for beta in keys)
+    return weights, counts
+
+
+def _lift(d: int, grading: Grading, times, dxs, depth: int, degree3=1.0) -> RoughPathGrid:
+    """The grid whose row m holds w(β)·Π_i dxs[m, i]^{n_i(β)} on each β of
+    degree ≤ ``depth``, with w = c times ``degree3`` at degree 3, and 0
+    above; a non-finite row is refused."""
+    weights, counts = _affine_weights(d, depth)
     coords = np.zeros((len(dxs), len(_key_index(d, grading.max_norm))))
-    coords[:, : d + 1] = dxs
-    return coords
-
-
-def _exp_rows(d: int, grading: Grading, dxs: Sequence[Sequence[float]]) -> np.ndarray:
-    """``exp_element`` of each row's level-1 element, one row per step."""
-    coords = _level_one(d, grading, dxs)
+    rows = coords[:, : len(weights)]
+    rows[:] = weights
+    rows[:, len(_populated_tuple(d, 2)) :] *= degree3
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, refused below
-        for row in coords:
-            row[:] = exp_element(LieElement._of(d, grading, row.copy())).coords
-    return coords
-
-
-def _grid(d: int, grading: Grading, times, coords: np.ndarray, depth: int) -> RoughPathGrid:
-    """The grid over the step values ``coords``; a non-finite row is refused."""
+        for i in range(d + 1):
+            rows *= dxs[:, i : i + 1] ** counts[:, i]
     if (m := _first_non_finite(coords)) is not None:
         raise ValueError(
             f"lift value overflows on segment {m} (t = {times[m]} .. {times[m + 1]})"
@@ -117,11 +122,8 @@ def lift_piecewise_linear(
     if d < 1:
         raise ValueError("samples must contain at least one state coordinate")
     times = [float(row[0]) for row in samples]
-    dxs = [
-        [float(b) - float(a) for a, b in zip(row0, row1)]
-        for row0, row1 in zip(samples, samples[1:])
-    ]
-    return _grid(d, grading, times, _exp_rows(d, grading, dxs), grading.max_norm)
+    dxs = np.diff(np.array(samples, dtype=float), axis=0)
+    return _lift(d, grading, times, dxs, grading.max_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +174,18 @@ def lift_brownian_from_increments(
     if mode not in ("ito", "strat"):
         raise ValueError(f"mode must be 'ito' or 'strat', got {mode!r}")
     n_steps, d = dw.shape
-    dxs = [[dt] + [float(v) for v in row] for row in dw]
+    dxs = np.column_stack([np.full(n_steps, dt), dw])
     times = [float(dt * m) for m in range(n_steps + 1)]
     # Left point (Itô): every integrand of degree ≥ 2 vanishes at the start
     # of the step, so only level 1 is stored; higher levels come from Chen
     # composition.
     if mode == "ito":
-        return _grid(d, grading, times, _level_one(d, grading, dxs), 1)
+        return _lift(d, grading, times, dxs, 1)
     # Trapezoid (Stratonovich): ∫ g dX ↦ ½ g(end) ΔX, as g(start) = 0, where
-    # the exact affine integral exp(x) weighs degree n by 1/n.  The two agree
-    # at degree 2, so at degree 3, whose integrands are degree-2 values, the
-    # rule is exp(x) times ½ / (1/3) = 3/2; max_norm ≤ 3 leaves no other.
-    coords = _exp_rows(d, grading, dxs)
-    coords[:, len(_populated_tuple(d, 2)) :] *= 1.5
-    return _grid(d, grading, times, coords, grading.max_norm)
+    # the exact affine integral weighs degree n by 1/n.  The two agree at
+    # degree 2, so at degree 3, whose integrands are degree-2 values, the rule
+    # is the affine weight times ½ / (1/3) = 3/2; max_norm ≤ 3 leaves no other.
+    return _lift(d, grading, times, dxs, grading.max_norm, degree3=1.5)
 
 
 # Paths drawn per batch by brownian_pair_statistics: bounds the draw array at

@@ -317,6 +317,7 @@ def test_every_module_level_cache_is_bounded():
         "algebra.deshuffle",
         "algebra._graft_slot",
         "algebra._spreads",
+        "lifts._affine_weights",
         "translation._translate_mi",
         "translation._translate_forest",
         "translation.insert_prelie",

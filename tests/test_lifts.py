@@ -7,8 +7,9 @@ The oracle for affine segments is the exact rational coefficient recursion
 giving X_{s,s+h}(z^β) = c(β) · Π_{(i,k)} v_i^{β(i,k)} · h^{|β|} for a segment
 with slopes v (v₀ = 1).  The single-step Stratonovich oracle is the same
 recursion with ½ in place of 1/|β|.  Both are evaluated here with Fractions
-over decompositions enumerated here, while ``mirpath.lifts`` builds every
-step as an exponential in the group: the two share only the basis.
+over decompositions enumerated here, while ``mirpath.lifts`` reads its
+weights off the exponential exp_⋆(Σ_i z(i,0)) of the Grossman–Larson product
+over ℚ: the two share only the basis.
 """
 
 from __future__ import annotations
@@ -24,12 +25,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirpath import algebra
-from mirpath.algebra import Grading, MultiIndex, enumerate_populated
+from mirpath import algebra, group
+from mirpath.algebra import Grading, MultiIndex, enumerate_populated, single
 from mirpath.grammar import format_multi_index, parse_multi_index
-from mirpath.group import GroupElement, RoughPathGrid, _key_index, char_eval, chen_compose
+from mirpath.group import (
+    GroupElement,
+    LieElement,
+    RoughPathGrid,
+    _key_index,
+    char_eval,
+    chen_compose,
+    exp_element,
+)
 from mirpath.lifts import (
     UnsupportedLevelError,
+    _affine_weights,
     brownian_pair_statistics,
     grid_from_json,
     grid_payload,
@@ -161,6 +171,30 @@ def test_level_two_linear_path_closed_form():
     )
 
 
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 4), (3, 3)])
+def test_affine_weights_are_the_exact_decomposition_coefficients(d, n):
+    weights, _ = _affine_weights(d, n)
+    for beta, p in _key_index(d, n).items():
+        assert isinstance(weights[p], (int, Fraction)), beta
+        assert weights[p] == affine_coefficient(beta), beta
+
+
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 3), (2, 4), (3, 3)])
+def test_piecewise_linear_rows_are_the_group_exponential_of_the_increment(d, n):
+    g = Grading(max_norm=n, gamma=Fraction(1, n + 1))
+    rng = np.random.default_rng(100 * d + n)
+    dx = rng.normal(size=(12, d + 1))
+    dx[:, 0] = np.abs(dx[:, 0]) + 0.1  # time increases
+    dx[3, 1:] = 0.0  # a step on which the state does not move
+    dx[7, 1] = 0.0  # one zero component among negative and positive ones
+    samples = np.vstack([np.zeros(d + 1), np.cumsum(dx, axis=0)])
+    grid = lift_piecewise_linear([tuple(row) for row in samples], g)
+    for row, step in zip(grid.coords, np.diff(samples, axis=0)):
+        x = LieElement(d, g, {single(i, 0, d): float(v) for i, v in enumerate(step)})
+        want = exp_element(x).coords
+        assert np.all(np.abs(row - want) <= 1e-14 * np.maximum(1.0, np.abs(want)))
+
+
 def test_chen_across_split_matches_direct_lift():
     g = Grading(max_norm=3, gamma=Fraction(1, 3))
     f = lambda t: (t, math.sin(t), t * t)
@@ -246,6 +280,23 @@ def test_time_component_is_exact_on_every_step():
     key = parse_multi_index("z(0,0)", d=1)
     for inc in grid.increments:
         assert inc.values[key] == 0.125
+
+
+def test_ito_step_stores_a_huge_increment_as_is():
+    # the left-point rule evaluates no power above degree 1, so no cube of
+    # 1e200 overflows on the way
+    g = Grading(max_norm=3, gamma=Fraction(1, 3))
+    grid = lift_brownian_from_increments(np.array([[1e200], [0.5]]), 1.0, "ito", g)
+    assert grid.depth == 1
+    assert grid.increments[0].values[parse_multi_index("z(1,0)", d=1)] == 1e200
+
+
+def test_lifts_build_no_float_product_table():
+    algebra.clear_caches()
+    g = Grading(max_norm=3, gamma=Fraction(1, 3))
+    lift_brownian(2, 1.0, 8, 3, "strat", g)
+    lift_piecewise_linear([(0.0, 0.0, 0.0), (0.5, 1.0, -2.0)], g)
+    assert group._table.cache_info().currsize == 0
 
 
 def test_ito_single_step_vanishes_above_level_one():
@@ -365,12 +416,10 @@ def test_grid_text_repeating_a_key_is_refused():
 
 
 def test_grid_reader_keys_are_the_key_index_objects():
-    # start from an empty monomial table and rebuild the cached basis from
-    # it, so that no clear made by an earlier test has left that basis
-    # holding superseded key objects
-    algebra._MULTI_INDICES.clear()
-    algebra._populated_tuple.cache_clear()
-    _key_index.cache_clear()
+    # start from empty intern tables and caches and rebuild the cached basis
+    # from them, so that no clear made by an earlier test has left that
+    # basis holding superseded key objects
+    algebra._clear_interned(algebra._MULTI_INDICES)
     grid = lift_brownian(2, 1.0, 8, 123, "strat", G2)
     index = _key_index(2, G2.max_norm)
     canonical = {key: key for key in index}
