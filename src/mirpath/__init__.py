@@ -24,10 +24,9 @@ __version__ = "0.1.0"
 # module -> the names re-exported from it; ``__all__`` is derived from this
 _EXPORTS = {
     "algebra": (
-        "EMPTY_FOREST", "Forest", "FormalSum", "Grading", "MultiIndex", "degree",
+        "EMPTY_FOREST", "Forest", "FormalSum", "Grading", "MultiIndex",
         "derivation_d", "deshuffle", "enumerate_populated", "forest_basis",
-        "gamma_degree", "gl_product", "graft_simultaneous", "is_populated",
-        "mi_product", "pairing", "prelie_graft", "symmetry_factor",
+        "gl_product", "graft_simultaneous", "pairing", "prelie_graft",
     ),
     "grammar": (
         "ParseError", "format_forest", "format_formal_sum", "format_multi_index",
@@ -41,13 +40,12 @@ _EXPORTS = {
     ),
     "lifts": (
         "UnsupportedLevelError", "brownian_pair_statistics", "grid_from_json",
-        "grid_payload", "grid_to_json", "lift_brownian", "lift_piecewise_linear",
+        "grid_payload", "lift_brownian", "lift_piecewise_linear",
         "read_path_csv", "write_path_csv",
     ),
     "fields": (
         "DerivativeOrderError", "VectorField", "upsilon", "upsilon_sum",
         "upsilon_vf", "vector_field_from_json", "vector_field_payload",
-        "vector_field_to_json",
     ),
     "translation": (
         "Character", "TruncationShortfallError", "character_from_json",

@@ -12,8 +12,7 @@ ever enters.
 The products implemented here are the raising derivation ``D``, the pre-Lie
 graft ``a ▷ b = a · D b``, the simultaneous graft (many components raised at
 once), the deshuffle coproduct, and the associative Grossman–Larson product
-built from the last two.  Truncation by total degree is optional and applied
-termwise, never during expansion.
+built from the last two.  None of them truncates.
 
 Two private kernels carry the expansions of the exact layer.
 ``_distribute`` sums over every assignment of the components of one forest
@@ -39,7 +38,9 @@ constructor.  Every cache in this module has a stated bound: Dⁿ of a
 monomial and ``prelie_graft`` keep 8 192 results, ``deshuffle`` 2 048, the
 Grossman–Larson product of two basis forests 16 384, its slot expansions
 (Π bucket)·Dⁿ comp 1 024, and ``_distribute``'s spread table 256 shapes
-(r equal parts, number of slots); :func:`clear_caches` empties them all.
+(r equal parts, number of slots), and the populated monomials and the
+forest basis of one (d, n) 32 each; the README lists every cache of the
+package with its bound.  :func:`clear_caches` empties them all, and
 ``verify`` empties them and both intern tables after each suite.
 """
 
@@ -60,11 +61,6 @@ __all__ = [
     "Forest",
     "FormalSum",
     "Grading",
-    "mi_product",
-    "degree",
-    "gamma_degree",
-    "is_populated",
-    "symmetry_factor",
     "pairing",
     "derivation_d",
     "prelie_graft",
@@ -194,9 +190,6 @@ class MultiIndex:
     def __lt__(self, other: "MultiIndex") -> bool:
         # Canonical total order: lexicographic on the sorted entry triples.
         return self.entries < other.entries
-
-    def __le__(self, other: "MultiIndex") -> bool:
-        return self.entries <= other.entries
 
     def __repr__(self) -> str:
         from .grammar import format_multi_index
@@ -354,11 +347,6 @@ class Forest:
     def __hash__(self) -> int:
         return self._hash
 
-    def __lt__(self, other: "Forest") -> bool:
-        return tuple(c.entries for c in self.components) < tuple(
-            c.entries for c in other.components
-        )
-
     def __repr__(self) -> str:
         from .grammar import format_forest
 
@@ -400,9 +388,6 @@ class Forest:
         if not self.components:
             return other
         return Forest._trusted(self.components + other.components)
-
-    def all_populated(self) -> bool:
-        return all(c.is_populated() for c in self.components)
 
 
 EMPTY_FOREST = Forest()
@@ -520,12 +505,7 @@ class FormalSum:
 
     def scale(self, scalar) -> "FormalSum":
         s = _exact(scalar)
-        if s == 0:
-            return FormalSum()
         return FormalSum._of({b: c * s for b, c in self.terms.items()})
-
-    def __neg__(self) -> "FormalSum":
-        return self.scale(-1)
 
     def coefficient(self, basis_element) -> int | Fraction:
         return self.terms.get(basis_element, 0)
@@ -537,9 +517,6 @@ class FormalSum:
         """Apply ``fn: basis -> FormalSum`` linearly."""
         return FormalSum.linear((fn(b), c) for b, c in self.terms.items())
 
-    def filter_terms(self, keep: Callable) -> "FormalSum":
-        return FormalSum._of({b: c for b, c in self.terms.items() if keep(b)})
-
     def __repr__(self) -> str:
         from .grammar import format_formal_sum
 
@@ -550,9 +527,8 @@ class FormalSum:
 class Grading:
     """Degree truncation ``max_norm`` together with an exact Hölder index.
 
-    ``n_gamma`` (= ⌊1/γ⌋) is always recomputed from γ so the two can never
-    drift apart.  γ being rational makes every degree-filter comparison exact,
-    in particular at the boundary |z^β|_γ = n_gamma.
+    γ is stored as a ``Fraction``, so every comparison of a γ-degree
+    |z^β|_γ against a level is exact, also at the boundary.
     """
 
     max_norm: int
@@ -566,35 +542,10 @@ class Grading:
         if self.max_norm < 1:
             raise ValueError(f"max_norm must be >= 1, got {self.max_norm}")
 
-    @property
-    def n_gamma(self) -> int:
-        return int(1 / self.gamma)  # floor of the exact reciprocal
-
 
 # ---------------------------------------------------------------------------
 # Free-standing operations (the module's public algebra surface)
 # ---------------------------------------------------------------------------
-
-
-def mi_product(a: MultiIndex, b: MultiIndex) -> MultiIndex:
-    """Entrywise sum of frequency maps (commutative, degree-additive)."""
-    return a.mul(b)
-
-
-def degree(u: Forest | MultiIndex) -> int:
-    return u.degree()
-
-
-def gamma_degree(u: Forest | MultiIndex, grading: Grading) -> Fraction:
-    return u.gamma_degree(grading.gamma)
-
-
-def is_populated(a: MultiIndex) -> bool:
-    return a.is_populated()
-
-
-def symmetry_factor(u: Forest | MultiIndex) -> int:
-    return u.symmetry_factor()
 
 
 def pairing(u: FormalSum, v: FormalSum) -> int | Fraction:
@@ -787,16 +738,8 @@ def _star_basis(u: Forest, v: Forest) -> FormalSum:
     return _distribute(u, v, _graft_slot, keep=True)
 
 
-def gl_product(
-    u: FormalSum | Forest, v: FormalSum | Forest, trunc: int | None = None
-) -> FormalSum:
-    """Associative product on formal sums of forests, unit ∅.
-
-    With ``trunc=N`` every output term of degree > N is dropped (the graded
-    quotient, not a different product).  A basis product has the degree of
-    its two factors together, so skipping the pairs above ``N`` drops
-    exactly those terms.
-    """
+def gl_product(u: FormalSum | Forest, v: FormalSum | Forest) -> FormalSum:
+    """Associative product on formal sums of forests, unit ∅, untruncated."""
     if isinstance(u, Forest):
         u = FormalSum.of(u)
     if isinstance(v, Forest):
@@ -805,8 +748,6 @@ def gl_product(
     out: dict[Forest, int] = {}
     for fu, nu in u_terms:
         for fv, nv in v_terms:
-            if trunc is not None and fu.degree() + fv.degree() > trunc:
-                continue
             nuv = nu * nv
             for w, c in _star_basis(fu, fv).terms.items():
                 out[w] = out.get(w, 0) + nuv * c

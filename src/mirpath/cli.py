@@ -246,7 +246,7 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> _Output:
-    from .algebra import Grading, enumerate_populated, gamma_degree, symmetry_factor
+    from .algebra import enumerate_populated
     from .grammar import format_multi_index
 
     if args.d < 1:
@@ -255,16 +255,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
         raise UsageError(f"--max-norm must be >= 0, got {args.max_norm}")
     gamma = _parse_gamma(args.gamma)
     config = {"d": args.d, "max_norm": args.max_norm, "gamma": str(gamma)}
-    lines: list[str] = []
-    if args.max_norm >= 1:
-        grading = Grading(max_norm=args.max_norm, gamma=gamma)
-        for m in enumerate_populated(args.d, args.max_norm):
-            lines.append(
-                f"{format_multi_index(m)}  degree={m.degree()}  "
-                f"gamma-degree={gamma_degree(m, grading)}  "
-                f"symmetry={symmetry_factor(m)}  "
-                f"populated={'yes' if m.is_populated() else 'no'}"
-            )
+    lines = [
+        f"{format_multi_index(m)}  degree={m.degree()}  "
+        f"gamma-degree={m.gamma_degree(gamma)}  "
+        f"symmetry={m.symmetry_factor()}  "
+        f"populated={'yes' if m.is_populated() else 'no'}"
+        for m in enumerate_populated(args.d, args.max_norm)
+    ]
     return _Output(config, None, lines)
 
 
@@ -427,9 +424,7 @@ def _cmd_davie_report(args: argparse.Namespace) -> _Output:
     if sol.diverged:
         return _Output(config, None, None, EXIT_DIVERGED, f"numeric divergence: {sol.message}")
     pairs = dyadic_pairs(sol.times, min_block=args.min_block, max_block=args.max_block)
-    report = davie_residual_report(
-        grid, field, sol, pairs, level=_parse_level(args.level)
-    )
+    report = davie_residual_report(grid, field, sol, pairs, level=cfg.level)
     config.update(min_block=args.min_block, max_block=args.max_block)
     body = {
         "report": {

@@ -32,7 +32,6 @@ __all__ = [
     "upsilon_sum",
     "upsilon_vf",
     "vector_field_payload",
-    "vector_field_to_json",
     "vector_field_from_json",
 ]
 
@@ -237,10 +236,6 @@ def vector_field_payload(f: VectorField) -> dict:
             if any(c != 0 for c in row)
         ],
     }
-
-
-def vector_field_to_json(f: VectorField) -> str:
-    return json.dumps(vector_field_payload(f), indent=2)
 
 
 def vector_field_from_json(doc: str | Mapping) -> VectorField:

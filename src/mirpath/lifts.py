@@ -44,7 +44,6 @@ __all__ = [
     "lift_brownian",
     "brownian_pair_statistics",
     "grid_payload",
-    "grid_to_json",
     "grid_from_json",
     "read_path_csv",
     "write_path_csv",
@@ -269,10 +268,6 @@ def grid_payload(path: RoughPathGrid) -> dict:
     }
 
 
-def grid_to_json(path: RoughPathGrid) -> str:
-    return json.dumps(grid_payload(path), indent=2)
-
-
 def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     """Read a grid from its JSON text or from the already-parsed document.
     Each distinct key string is parsed and checked once, and a document that
@@ -280,10 +275,15 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     the highest key degree in the document."""
     payload = json.loads(doc, object_pairs_hook=_unique_keys) if isinstance(doc, str) else doc
     d = _json_int(payload, "d")
-    grading = Grading(max_norm=_json_int(payload, "max_norm"), gamma=Fraction(payload["gamma"]))
-    times = tuple(float(t) for t in payload["times"])
-    if not all(math.isfinite(t) for t in times):
-        raise ValueError("grid times must be finite numbers")
+    # γ is read from its decimal text, so 0.3 is 3/10 and true is refused
+    grading = Grading(
+        max_norm=_json_int(payload, "max_norm"), gamma=Fraction(str(payload["gamma"]))
+    )
+    times = payload["times"]
+    for m, t in enumerate(times):
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise ValueError(f"grid times must be finite numbers, but time {m} is {t!r}")
+    times = tuple(map(float, times))
     index = tuple(_key_index(d, grading.max_norm))
     increments = payload["increments"]
     slots: dict[str, int] = {}

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import Grading, MultiIndex, _populated_tuple, single, symmetry_factor
+from .algebra import Grading, MultiIndex, _populated_tuple, single
 from .fields import VectorField
 from .group import LieElement, RoughPathGrid, _key_index, _time_index, log_element
 
@@ -109,7 +109,7 @@ def _expansion_slots(d: int, grading: Grading, level: Fraction) -> tuple:
     basis = expansion_basis(d, grading.gamma, level)
     index = _key_index(d, grading.max_norm)
     slots = np.array([index[beta] for beta in basis], dtype=int)
-    return basis, tuple(symmetry_factor(beta) for beta in basis), slots
+    return basis, tuple(beta.symmetry_factor() for beta in basis), slots
 
 
 def _nonzero_terms(element, level: Fraction) -> list[tuple]:

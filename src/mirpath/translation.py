@@ -52,7 +52,6 @@ from .algebra import (
     empty_multi_index,
     forest_basis,
     single,
-    symmetry_factor,
 )
 from .fields import (
     DerivativeOrderError,
@@ -345,7 +344,7 @@ def _generator_image(ell: Character, k: int) -> FormalSum:
 
 def _over_symmetry(weight: int | Fraction, key: MultiIndex) -> int | Fraction:
     """weight / S(key); an ``int`` weight stays an ``int`` when S(key) = 1."""
-    s = symmetry_factor(key)
+    s = key.symmetry_factor()
     return weight if s == 1 else Fraction(weight, s)
 
 
@@ -365,8 +364,10 @@ def _check_characters(ells: Sequence[Character], letters: int) -> None:
 def _translate_mi(
     ells: tuple[Character, ...], mi: MultiIndex, trunc: int | None
 ) -> FormalSum:
-    """Translate one monomial.  Memoized, so callers share the result and
-    must not mutate it (no ``FormalSum`` operation does)."""
+    """Translate one monomial, dropping each term above degree ``trunc`` as
+    soon as it appears (``m_ell`` passes its target's degree; ``None`` keeps
+    every term).  Memoized, so callers share the result and must not mutate
+    it (no ``FormalSum`` operation does)."""
     factors = (
         _generator_image(ells[i], k) for (i, k), m in mi.entries for _ in range(m)
     )
@@ -376,38 +377,29 @@ def _translate_mi(
 
 
 @lru_cache(maxsize=1 << 11)
-def _translate_forest(
-    ells: tuple[Character, ...], forest: Forest, trunc: int | None
-) -> FormalSum:
-    factors = (_translate_mi(ells, c, trunc) for c in forest.components)
+def _translate_forest(ells: tuple[Character, ...], forest: Forest) -> FormalSum:
+    factors = (_translate_mi(ells, c, None) for c in forest.components)
     return _multiply_out(
-        EMPTY_FOREST, factors, lambda f, mi: Forest._trusted((*f.components, mi)), trunc
+        EMPTY_FOREST, factors, lambda f, mi: Forest._trusted((*f.components, mi))
     )
 
 
-def translate(
-    ells: Sequence[Character],
-    u: FormalSum | Forest | MultiIndex,
-    trunc: int | None = None,
-) -> FormalSum:
+def translate(ells: Sequence[Character], u: FormalSum | Forest | MultiIndex) -> FormalSum:
     """Apply the translation determined by one character per letter.
 
-    Generators map to their character images, products to products; terms
-    above the truncation degree are dropped as soon as they appear.  Monomial
-    input yields a sum of monomials, forest input a sum of forests, and formal
-    sums are handled term by term.
+    Generators map to their character images, products to products, with
+    no truncation.  Monomial input yields a sum of monomials, forest input a
+    sum of forests, and formal sums are handled term by term.
     """
     ells = tuple(ells)
     if isinstance(u, MultiIndex):
         _check_characters(ells, u.letters)
-        return _translate_mi(ells, u, trunc)
+        return _translate_mi(ells, u, None)
     if isinstance(u, Forest):
         if not u.is_empty:
             _check_characters(ells, u.components[0].letters)
-        return _translate_forest(ells, u, trunc)
-    return FormalSum.linear(
-        (translate(ells, term, trunc), coeff) for term, coeff in u.items()
-    )
+        return _translate_forest(ells, u)
+    return FormalSum.linear((translate(ells, term), coeff) for term, coeff in u.items())
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +419,7 @@ def _coproduct_transpose(b: MultiIndex) -> FormalSum:
     """
     d = b.letters - 1
     bound = b.degree()
-    s_b = symmetry_factor(b)
+    s_b = b.symmetry_factor()
     out: dict[tuple[Forest, MultiIndex], int | Fraction] = {(EMPTY_FOREST, b): 1}
     buckets: dict[tuple[int, ...], list[MultiIndex]] = {}
     for alpha in _populated_tuple(d, bound):
@@ -444,7 +436,7 @@ def _coproduct_transpose(b: MultiIndex) -> FormalSum:
             coeff = _insert_into_mi(forest, alpha).coefficient(b)
             if coeff:
                 out[(forest, alpha)] = Fraction(
-                    coeff * s_b, symmetry_factor(forest) * symmetry_factor(alpha)
+                    coeff * s_b, forest.symmetry_factor() * alpha.symmetry_factor()
                 )
     return FormalSum._of(out)
 
@@ -522,7 +514,7 @@ def _coproduct_direct(b: MultiIndex) -> FormalSum:
     independent check of this bookkeeping.
     """
     d = b.letters - 1
-    s_b = symmetry_factor(b)
+    s_b = b.symmetry_factor()
     freq_b = _frequency_factor(b)
     out: dict[tuple[Forest, MultiIndex], int | Fraction] = {(EMPTY_FOREST, b): 1}
     variables = tuple((i, k) for (i, k), m in b.entries for _ in range(m))
@@ -538,7 +530,7 @@ def _coproduct_direct(b: MultiIndex) -> FormalSum:
             )
             base = Fraction(
                 s_b * _frequency_factor(leftover),
-                symmetry_factor(leftover) * freq_b,
+                leftover.symmetry_factor() * freq_b,
             )
             for blocks in _set_partitions(slots):
                 block_mis = [
@@ -562,8 +554,6 @@ def _coproduct_direct(b: MultiIndex) -> FormalSum:
                 option_lists = [
                     _raise_candidates(mi, s) for mi, s in zip(block_mis, steps)
                 ]
-                if any(not options for options in option_lists):
-                    continue
                 for chosen in itertools.product(*option_lists):
                     gammas = [gamma for gamma, _c in chosen]
                     coeff = prefactor
@@ -572,7 +562,7 @@ def _coproduct_direct(b: MultiIndex) -> FormalSum:
                     forest = Forest(gammas)
                     for gamma, group in itertools.groupby(sorted(gammas)):
                         repeat = len(tuple(group))
-                        coeff /= Fraction(symmetry_factor(gamma)) ** repeat
+                        coeff /= Fraction(gamma.symmetry_factor()) ** repeat
                     key = (forest, contracted)
                     out[key] = out.get(key, 0) + coeff
     return FormalSum._of(out)
@@ -615,13 +605,13 @@ def m_ell(ells: Sequence[Character], b: MultiIndex) -> FormalSum:
     if not b.is_populated():
         raise ValueError(f"dual translation target {b!r} must be populated")
     d = b.letters - 1
-    s_target = symmetry_factor(b)
+    s_target = b.symmetry_factor()
     ells = tuple(ells)
     out: dict[MultiIndex, int | Fraction] = {}
     for beta in _populated_tuple(d, b.degree()):
         coeff = _translate_mi(ells, beta, b.degree()).coefficient(b)
         if coeff:
-            out[beta] = Fraction(coeff * s_target, symmetry_factor(beta))
+            out[beta] = Fraction(coeff * s_target, beta.symmetry_factor())
     return FormalSum._of(out)
 
 

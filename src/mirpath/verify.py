@@ -39,7 +39,6 @@ from .algebra import (
     forest_basis,
     gl_product,
     prelie_graft,
-    symmetry_factor,
 )
 from .fields import VectorField, _poly_mul, upsilon, upsilon_vf
 from .grammar import format_forest, format_multi_index
@@ -335,13 +334,13 @@ def _suite_adjointness(d, max_norm, seed, rec):
     # dense grid of both present and absent tensor pairs at low degree
     for b in monomials:
         split = dict(coproduct_minus(b, route="direct").items())
-        s_b = symmetry_factor(b)
+        s_b = b.symmetry_factor()
         for forest in forests:
             for a in monomials:
                 lhs = insert_simultaneous(forest, a).coefficient(b) * s_b
                 rhs = (
-                    symmetry_factor(forest)
-                    * symmetry_factor(a)
+                    forest.symmetry_factor()
+                    * a.symmetry_factor()
                     * split.get((forest, a), Fraction(0))
                 )
                 rec.check(
@@ -350,11 +349,11 @@ def _suite_adjointness(d, max_norm, seed, rec):
                 )
     # every extracted term of the deeper targets pairs back correctly
     for b in enumerate_populated(d, max_norm):
-        s_b = symmetry_factor(b)
+        s_b = b.symmetry_factor()
         for (forest, a), coeff in coproduct_minus(b, route="direct").items():
             lhs = insert_simultaneous(forest, a).coefficient(b) * s_b
             rec.check(
-                lhs == symmetry_factor(forest) * symmetry_factor(a) * coeff,
+                lhs == forest.symmetry_factor() * a.symmetry_factor() * coeff,
                 lambda forest=forest, a=a, b=b: tensor_text(forest, a, b),
             )
 

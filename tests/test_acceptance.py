@@ -34,7 +34,6 @@ from mirpath.algebra import (
     gl_product,
     prelie_graft,
     single,
-    symmetry_factor,
 )
 from mirpath.fields import VectorField, upsilon
 from mirpath.group import chen_compose, exp_element, log_element, random_character
@@ -236,15 +235,15 @@ def test_criterion_02_insertion_extraction_adjoint():
         assert direct == transpose, b  # term-by-term: same keys, same weights
         splits[b] = dict(direct.items())
 
-    s_target = {b: symmetry_factor(b) for b in targets}
+    s_target = {b: b.symmetry_factor() for b in targets}
     pairs = 0
     checks = 0
     for forest in forest_basis(2, 3):
         deg_f = forest.degree()
-        s_f = symmetry_factor(forest)
+        s_f = forest.symmetry_factor()
         for a in enumerate_populated(2, 4 - deg_f):
             ins = dict(insert_simultaneous(forest, a).items())
-            s_a = symmetry_factor(a)
+            s_a = a.symmetry_factor()
             pairs += 1
             for b in targets:
                 lhs = ins.get(b, 0) * s_target[b]

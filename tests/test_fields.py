@@ -34,7 +34,7 @@ from mirpath.fields import (
     upsilon_sum,
     upsilon_vf,
     vector_field_from_json,
-    vector_field_to_json,
+    vector_field_payload,
 )
 from mirpath.translation import (
     Character,
@@ -471,13 +471,13 @@ class TestTranslatedField:
 
 class TestVectorFieldJson:
     def test_round_trip(self, poly_field):
-        text = vector_field_to_json(poly_field)
+        text = json.dumps(vector_field_payload(poly_field))
         back = vector_field_from_json(text)
         assert back.poly_coeffs == poly_field.poly_coeffs
 
     def test_decimal_and_rational_rendering(self):
         f = VectorField.polynomial([(Fraction(1, 2),), (Fraction(1, 3), 2)])
-        text = vector_field_to_json(f)
+        text = json.dumps(vector_field_payload(f))
         assert '"0.5"' in text
         assert '"1/3"' in text
         assert vector_field_from_json(text).poly_coeffs == f.poly_coeffs
@@ -485,12 +485,12 @@ class TestVectorFieldJson:
     def test_non_polynomial_rejected(self):
         f = VectorField.from_closures([[lambda y: 1.0], [lambda y: y]])
         with pytest.raises(ValueError):
-            vector_field_to_json(f)
+            vector_field_payload(f)
 
     def test_linear_field_round_trips(self):
         f = VectorField.linear([0.5, -2.0])
         assert f.poly_coeffs == ((0, Fraction(1, 2)), (0, -2))
-        doc = json.loads(vector_field_to_json(f))
+        doc = vector_field_payload(f)
         assert doc == {
             "d": 1,
             "fields": [{"i": 0, "coeffs": ["0", "0.5"]}, {"i": 1, "coeffs": ["0", "-2"]}],

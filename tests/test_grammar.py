@@ -108,3 +108,18 @@ def test_formal_sum_merges_repeated_terms():
 def test_formal_sum_cancellation_drops_term():
     s = parse_formal_sum("+(1) z(1,0) -(1) z(1,0)")
     assert s == FormalSum.zero()
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("0 z(1,0)", "trailing input", 2),
+        ("(1) z(1,0)", "expected '+' or '-' before a summand", 0),
+        ("+(1/0) z(1,0)", "zero denominator", 4),
+    ],
+)
+def test_malformed_formal_sum_names_its_position(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_formal_sum(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position

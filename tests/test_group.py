@@ -62,6 +62,8 @@ def test_char_eval_rejects_out_of_truncation():
     x = identity_character(2, Grading(max_norm=2, gamma=Fraction(1, 2)))
     with pytest.raises(InvalidKeyError):
         char_eval(x, parse_multi_index("z(1,0)z(1,1)^2", d=2))
+    with pytest.raises(InvalidKeyError, match="^forest degree 3 above truncation 2$"):
+        char_eval(x, parse_forest("z(1,0)*z(1,0)*z(1,0)", d=2))
 
 
 def test_char_eval_rejects_unpopulated_key():
@@ -267,7 +269,15 @@ def _assert_close(got: dict, want: dict, rel: float) -> None:
 @given(characters(2))
 def test_chen_matches_exact_gl_product(pair):
     a, b = pair
-    exact = gl_product(_exact_sum(a), _exact_sum(b), trunc=a.grading.max_norm)
+    # a basis product has the degree of its two factors together, so the
+    # pairs above the truncation are the terms the group product drops
+    left, right = _exact_sum(a), _exact_sum(b)
+    exact = FormalSum.linear(
+        (gl_product(u, v), cu * cv)
+        for u, cu in left.items()
+        for v, cv in right.items()
+        if u.degree() + v.degree() <= a.grading.max_norm
+    )
     want = {
         f.components[0]: c * f.symmetry_factor()
         for f, c in exact.items()
@@ -374,6 +384,10 @@ def test_grid_validation():
         RoughPathGrid(d=2, grading=G3, times=(0.0, 0.0), increments=(inc,))
     with pytest.raises(ValueError):
         RoughPathGrid(d=2, grading=G3, times=(0.0, 1.0), increments=())
+    other = identity_character(2, Grading(max_norm=2, gamma=Fraction(1, 3)))
+    message = "^increment grading differs from grid grading$"
+    with pytest.raises(GradingMismatchError, match=message):
+        RoughPathGrid(d=2, grading=G3, times=(0.0, 1.0), increments=(other,))
 
 
 def test_grid_off_grid_time_rejected():
@@ -393,3 +407,9 @@ def test_grid_composition_bracketing_independent():
     for key in enumerate_populated(2, G3.max_norm):
         v = full.value(key)
         assert abs(v - left.value(key)) <= 1e-12 * max(1.0, abs(v))
+
+
+def test_increment_past_the_last_time_is_refused():
+    grid = _constant_grid([{}, {}, {}])
+    with pytest.raises(ValueError, match=re.escape("index pair (0,4) out of range")):
+        grid.increment_by_index(0, len(grid.times))

@@ -25,6 +25,7 @@ import pickle
 import pkgutil
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -51,6 +52,7 @@ from mirpath.translation import (
     identity_characters,
     insert_prelie,
     insert_simultaneous,
+    _translate_mi,
     ito_strat_character,
     translate,
 )
@@ -249,9 +251,8 @@ def test_translate_is_cached_on_equal_characters_not_on_their_objects():
     target = parse_multi_index("z(0,0)z(1,1)", d=2)
     forest = Forest([target, single(2, 0, 2)])
     for u in (target, forest):
-        for trunc in (None, 3):
-            assert translate(first, u, trunc) == translate(second, u, trunc)
-            assert translate(second, u, trunc) == translate(list(second), u, trunc)
+        assert translate(first, u) == translate(second, u)
+        assert translate(second, u) == translate(list(second), u)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +331,20 @@ def test_every_module_level_cache_is_bounded():
     assert unbounded == []
 
 
+def test_readme_cache_table_names_every_cache_with_its_bound():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = {
+        name: int(bound)
+        for name, bound in re.findall(r"^\| `(\w+\.\w+)` \| (\d+) \|", readme, re.M)
+    }
+    listed = {
+        f"{fn.__module__.removeprefix('mirpath.')}.{fn.__qualname__}":
+            fn.cache_parameters()["maxsize"]
+        for _name, fn in _module_caches()
+    }
+    assert table == listed
+
+
 def test_clear_caches_reaches_a_cache_behind_a_wraps_wrapper(monkeypatch):
     # a profiler replaces a memoized kernel by a wrapper without cache_clear
     cached = algebra.prelie_graft
@@ -368,8 +383,9 @@ def _kernel_calls(draw):
         (insert_simultaneous, (u, b)),
         (insert_simultaneous, (u, v)),
         (gl_product, (u, v)),
-        (translate, (ells, a, trunc)),
-        (translate, (ells, u, trunc)),
+        (translate, (ells, a)),
+        (translate, (ells, u)),
+        (_translate_mi, (ells, a, trunc)),
     ]
 
 

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import io
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -43,7 +45,6 @@ from mirpath.lifts import (
     brownian_pair_statistics,
     grid_from_json,
     grid_payload,
-    grid_to_json,
     lift_brownian,
     lift_brownian_from_increments,
     lift_piecewise_linear,
@@ -399,11 +400,35 @@ def test_pair_statistics_diagonal_target():
 
 def test_grid_json_round_trip_bit_exact():
     grid = lift_brownian(2, 1.0, 8, 123, "strat", G2)
-    back = grid_from_json(grid_to_json(grid))
+    back = grid_from_json(json.dumps(grid_payload(grid)))
     assert back.times == grid.times
     assert back.grading == grid.grading
     for a, b in zip(back.increments, grid.increments):
         assert a.values == b.values
+
+
+def _one_letter_grid(times, gamma="1/2") -> dict:
+    return {"d": 1, "gamma": gamma, "max_norm": 1, "times": times,
+            "increments": [{"z(1,0)": 1.0}] * (len(times) - 1)}
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, None, [0.5], math.inf])
+def test_grid_times_must_be_finite_json_numbers(bad):
+    with pytest.raises(ValueError, match=re.escape(f"time 1 is {bad!r}")):
+        grid_from_json(_one_letter_grid([0, bad, 1.0]))
+    grid = grid_from_json(_one_letter_grid([0, 0.5, 1]))
+    assert grid.times == (0.0, 0.5, 1.0)
+    assert all(type(t) is float for t in grid.times)
+
+
+@pytest.mark.parametrize("gamma, want", [(0.3, Fraction(3, 10)), ("3/10", Fraction(3, 10))])
+def test_grid_gamma_is_read_by_its_decimal_text(gamma, want):
+    assert grid_from_json(_one_letter_grid([0.0, 1.0], gamma)).grading.gamma == want
+
+
+def test_grid_gamma_cannot_be_a_bool():
+    with pytest.raises(ValueError):
+        grid_from_json(_one_letter_grid([0.0, 1.0], True))
 
 
 def test_grid_text_repeating_a_key_is_refused():
@@ -423,7 +448,7 @@ def test_grid_reader_keys_are_the_key_index_objects():
     grid = lift_brownian(2, 1.0, 8, 123, "strat", G2)
     index = _key_index(2, G2.max_norm)
     canonical = {key: key for key in index}
-    back = grid_from_json(grid_to_json(grid))
+    back = grid_from_json(json.dumps(grid_payload(grid)))
     for increment in back.increments:
         assert len(increment.values) == len(index)
         assert all(canonical[key] is key for key in increment.values)
@@ -476,7 +501,7 @@ def _reference_translation(ells, path):
 @settings(max_examples=40, deadline=None)
 @given(grid=_lifted_grids())
 def test_grid_rows_round_trip_translate_and_list_their_stored_degrees(grid):
-    back = grid_from_json(grid_to_json(grid))
+    back = grid_from_json(json.dumps(grid_payload(grid)))
     assert back.coords.tobytes() == grid.coords.tobytes()
     assert back.depth == grid.depth
     stored = {format_multi_index(mi) for mi in enumerate_populated(grid.d, grid.depth)}
@@ -489,7 +514,9 @@ def test_grid_rows_round_trip_translate_and_list_their_stored_degrees(grid):
 
 def test_reader_depth_of_an_ito_file_is_its_highest_key_degree():
     grading = Grading(max_norm=3, gamma=Fraction(1, 3))
-    ito = grid_from_json(grid_to_json(lift_brownian(2, 1.0, 8, 11, "ito", grading)))
+    ito = grid_from_json(
+        json.dumps(grid_payload(lift_brownian(2, 1.0, 8, 11, "ito", grading)))
+    )
     assert (ito.grading, ito.depth) == (grading, 1)
     assert all(set(inc.values) == set(enumerate_populated(2, 1)) for inc in ito.increments)
     ells = [ito_strat_character(2), *identity_characters(2)[1:]]

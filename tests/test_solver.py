@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirpath.algebra import Grading, enumerate_populated, single, symmetry_factor
+from mirpath.algebra import Grading, enumerate_populated, single
 from mirpath.fields import VectorField, upsilon
 from mirpath.grammar import parse_multi_index
 from mirpath.group import (
@@ -250,7 +250,7 @@ def _reference_logode_step(lam, f, y, substeps, level):
     for beta in expansion_basis(lam.d, lam.grading.gamma, level):
         x = lam.value(beta)
         if x != 0.0:
-            terms.append((beta, x / symmetry_factor(beta)))
+            terms.append((beta, x / beta.symmetry_factor()))
 
     def rhs(z):
         total = 0.0
@@ -281,7 +281,7 @@ def _reference_davie(path, f, i, j, y, level):
     for beta in expansion_basis(path.d, path.grading.gamma, level):
         x = increment.value(beta)
         if x != 0.0:
-            total += upsilon(beta, f, y) / symmetry_factor(beta) * x
+            total += upsilon(beta, f, y) / beta.symmetry_factor() * x
     return total
 
 

@@ -50,7 +50,6 @@ from mirpath.algebra import (
     pairing,
     prelie_graft,
     single,
-    symmetry_factor,
 )
 from mirpath.group import RoughPathGrid, chen_compose
 from mirpath.lifts import lift_brownian
@@ -74,6 +73,7 @@ from mirpath.translation import (  # white-box: the kernels and their references
     _coproduct_direct,
     _generator_image,
     _raise_candidates,
+    _translate_mi,
 )
 
 HALF = Fraction(1, 2)
@@ -395,14 +395,15 @@ class TestTranslate:
         assert got == want
 
     def test_truncation_equals_restriction(self):
-        ells = _second_order_space_characters()
-        for b in [*enumerate_populated(1, 3), *forest_basis(1, 3)]:
+        # m_ell truncates each monomial's translation at its target's degree
+        ells = tuple(_second_order_space_characters())
+        for b in enumerate_populated(1, 3):
             full = translate(ells, b)
             for bound in (1, 2, 3):
                 restricted = FormalSum(
                     {k: c for k, c in full.items() if k.degree() <= bound}
                 )
-                assert translate(ells, b, trunc=bound) == restricted
+                assert _translate_mi(ells, b, bound) == restricted
 
     def test_multiplicative_on_monomials(self):
         ells = _is_characters(1)
@@ -569,11 +570,11 @@ class TestAdjointness:
         for forest in forest_basis(d, 4):
             if forest.is_empty:
                 continue
-            s_forest = symmetry_factor(forest)
+            s_forest = forest.symmetry_factor()
             room = 4 - forest.degree()
             for a in enumerate_populated(d, max(room + forest.cardinality(), 1)):
                 inserted = insert_simultaneous(forest, a)
-                weight = Fraction(s_forest * symmetry_factor(a))
+                weight = Fraction(s_forest * a.symmetry_factor())
                 for b in mis4:
                     lhs = pairing(inserted, FormalSum.of(b))
                     rhs = weight * splits[b].coefficient((forest, a))
@@ -664,7 +665,7 @@ class TestDualTranslation:
                 for combo in itertools.combinations_with_replacement(support, n0):
                     forest = Forest(list(combo))
                     weight = ells[0].on_forest(forest) / Fraction(
-                        symmetry_factor(forest)
+                        forest.symmetry_factor()
                     )
                     total = total + insert_simultaneous(forest, beta).scale(weight)
             assert total == translate(ells, beta), beta
@@ -876,16 +877,14 @@ def _ref_translate_mi(ells, a: MultiIndex, trunc) -> FormalSum:
     return FormalSum._of(acc)
 
 
-def _ref_translate_forest(ells, forest: Forest, trunc) -> FormalSum:
+def _ref_translate_forest(ells, forest: Forest) -> FormalSum:
     acc: dict = {EMPTY_FOREST: 1}
     for component in forest.components:
-        image = _ref_translate_mi(ells, component, trunc)
+        image = _ref_translate_mi(ells, component, None)
         nxt: dict = {}
         for left, cl in acc.items():
             for t, cm in image.items():
                 key = left.merge(Forest([t]))
-                if trunc is not None and key.degree() > trunc:
-                    continue
                 nxt[key] = nxt.get(key, 0) + cl * cm
         acc = nxt
         if not acc:
@@ -896,7 +895,7 @@ def _ref_translate_forest(ells, forest: Forest, trunc) -> FormalSum:
 @st.composite
 def kernel_inputs(draw):
     """Two forests of at most three components and degree ≤ 4 over d ≤ 2,
-    a character list and a truncation."""
+    a character list and a truncation for the monomial translations."""
     d = draw(st.sampled_from([1, 2]))
     forests = st.sampled_from([f for f in forest_basis(d, 4) if f.cardinality() <= 3])
     ells = draw(st.sampled_from([identity_characters(d), _is_characters(d)]))
@@ -911,12 +910,12 @@ def test_shared_kernels_keep_the_terms_and_their_order(inputs):
     pairs = [
         (graft_simultaneous(u, v), _ref_graft_simultaneous(u, v)),
         (insert_simultaneous(u, v), _ref_insert_into_forest(u, v)),
-        (translate(ells, u, trunc), _ref_translate_forest(ells, u, trunc)),
+        (translate(ells, u), _ref_translate_forest(ells, u)),
     ]
     for target in v.components:
         pairs.append((insert_simultaneous(u, target), _ref_insert_into_mi(u, target)))
         pairs.append(
-            (translate(ells, target, trunc), _ref_translate_mi(ells, target, trunc))
+            (_translate_mi(ells, target, trunc), _ref_translate_mi(ells, target, trunc))
         )
     for got, want in pairs:
         assert got == want

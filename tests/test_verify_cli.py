@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -32,7 +33,7 @@ from mirpath import algebra
 from mirpath.algebra import Grading, MultiIndex, enumerate_populated
 from mirpath.cli import _write
 from mirpath.cli import main as cli_main
-from mirpath.fields import VectorField, vector_field_from_json, vector_field_to_json
+from mirpath.fields import VectorField, vector_field_from_json, vector_field_payload
 from mirpath.grammar import format_multi_index
 from mirpath.lifts import (
     grid_payload,
@@ -74,7 +75,7 @@ def write_sine_csv(path, n=32, amplitude=1 / 3) -> None:
 
 
 def write_field_json(path, rows) -> None:
-    path.write_text(vector_field_to_json(VectorField.polynomial(rows)))
+    path.write_text(json.dumps(vector_field_payload(VectorField.polynomial(rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -664,6 +665,19 @@ class TestCliTranslate:
         for inc_b, inc_a in zip(before, grid["increments"]):
             assert inc_a["z(1,0)"] == inc_b["z(1,0)"]
 
+    def test_decimal_gamma_is_read_by_its_text(self, tmp_path):
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--brownian", "ito", "--d", "1", "--steps", "4",
+                "--gamma", "3/10", "--no-timestamp", "--out", str(grid_file))
+        doc = json.loads(grid_file.read_text())
+        doc["grid"]["gamma"] = 0.3
+        grid_file.write_text(json.dumps(doc))
+        out_file = tmp_path / "translated.json"
+        code, _, _ = run_cli("translate", "--grid", str(grid_file), "--ito-strat",
+                             "--no-timestamp", "--out", str(out_file))
+        assert code == 0
+        assert json.loads(out_file.read_text())["grid"]["gamma"] == "3/10"
+
     def test_character_source_flags_are_exclusive(self, grid_file, tmp_path):
         chars = tmp_path / "chars.json"
         chars.write_text(json.dumps([character_to_json(identity_characters(1)[0])]))
@@ -797,6 +811,12 @@ class TestCliMalformedInputs:
     def test_grid_gamma_with_zero_denominator(self, grid_doc, cubic_field_json, tmp_path):
         grid_doc["grid"]["gamma"] = "1/0"
         self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+
+    def test_grid_times_must_be_json_numbers(self, grid_doc, cubic_field_json, tmp_path):
+        # the rule of an increment value: an int or a float, not a bool, finite
+        grid_doc["grid"]["times"] = [0, "0.25", "5e-1", 0.75, True]
+        err = self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+        assert "time 1 is '0.25'" in err
 
     def test_grid_increment_given_as_a_list(self, grid_doc, cubic_field_json, tmp_path):
         grid_doc["grid"]["increments"][1] = list(grid_doc["grid"]["increments"][1].values())
@@ -1450,6 +1470,15 @@ def test_version_loads_no_layer_and_every_export_resolves(tmp_path):
     assert got["missing"] == [] and got["wrong"] == []
     assert got["disagree"] == []
     assert {"__version__", "solve_flow", "translate", "run_all_suites"} <= set(got["names"])
+
+
+def test_each_operation_has_one_spelling():
+    for name in ("mi_product", "degree", "gamma_degree", "is_populated",
+                 "symmetry_factor", "grid_to_json", "vector_field_to_json"):
+        with pytest.raises(AttributeError):
+            getattr(mirpath, name)
+    assert list(inspect.signature(mirpath.gl_product).parameters) == ["u", "v"]
+    assert list(inspect.signature(mirpath.translate).parameters) == ["ells", "u"]
 
 
 def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
