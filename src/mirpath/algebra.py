@@ -21,9 +21,9 @@ Grossman–Larson product (in one pass) and the forest insertion in
 :mod:`mirpath.translation` use it.  It reads the weighted spreads of equal
 components over the slots from a table built once per shape, and builds its
 output forests without re-checking their components.  ``_multiply_out``
-multiplies an ordered list of sums out onto a starting key and drops a term
-above a truncation as soon as it appears; the insertion into a monomial and
-the translation of monomials and forests use it.  It, ``gl_product`` and
+multiplies an ordered list of sums out onto a starting key; the insertion into
+a monomial and the translation of monomials and forests use it, and only the
+dual table of the translation passes it a truncation.  It, ``gl_product`` and
 ``FormalSum.linear`` add ``int`` numerators over one common denominator and
 divide once per term.
 

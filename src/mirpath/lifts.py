@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -281,6 +282,11 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     )
     times = payload["times"]
     for m, t in enumerate(times):
+        if type(t) is int and abs(t) > sys.float_info.max:
+            raise ValueError(
+                f"grid times must be finite numbers, but time {m} is an integer "
+                "beyond the float range"
+            )
         if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
             raise ValueError(f"grid times must be finite numbers, but time {m} is {t!r}")
     times = tuple(map(float, times))
@@ -300,7 +306,12 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
                 slots[key] = p
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"increment {m} holds {v!r} under {key!r}, not a number")
-            row[p] = float(v)
+            try:
+                row[p] = float(v)
+            except OverflowError:
+                raise ValueError(
+                    f"increment {m} holds an integer beyond the float range under {key!r}"
+                ) from None
         coords[m] = row
     if (m := _first_non_finite(coords)) is not None:
         raise ValueError(f"increment {m} holds a non-finite value")

@@ -31,7 +31,14 @@ import numpy as np
 
 from .algebra import Grading, MultiIndex, _populated_tuple, single
 from .fields import VectorField
-from .group import LieElement, RoughPathGrid, _key_index, _time_index, log_element
+from .group import (
+    LieElement,
+    OffGridTimeError,
+    RoughPathGrid,
+    _key_index,
+    _time_index,
+    log_element,
+)
 
 __all__ = [
     "DavieReport",
@@ -273,7 +280,16 @@ def _mesh_indices(path: RoughPathGrid, cfg: SolveConfig) -> list[int]:
         )
     pieces = 1 << cfg.mesh_level
     t0, t1 = path.times[0], path.times[-1]
-    return [path.index_of(t0 + (t1 - t0) * k / pieces) for k in range(pieces + 1)]
+    indices = []
+    for k in range(pieces + 1):
+        t = t0 + (t1 - t0) * k / pieces
+        if (j := _time_index(path.times, t)) is None:
+            raise OffGridTimeError(
+                f"mesh level {cfg.mesh_level} puts a point at t = {t}, "
+                "which is not a grid point"
+            )
+        indices.append(j)
+    return indices
 
 
 def solve_flow(

@@ -15,7 +15,10 @@ The insertion products and the translation are expansions built on the two
 kernels of :mod:`mirpath.algebra`: ``_distribute`` spreads the components
 of an inserted forest over the components of the target forest, and
 ``_multiply_out`` multiplies out the factors of one monomial's insertion or
-translation, and the component images of a forest's translation.
+translation, and the component images of a forest's translation.  Only the
+dual table that :func:`m_ell` and :func:`translate_roughpath` read truncates:
+it translates each populated monomial of degree ≤ n once, without the terms
+above n.
 
 The dual of the translation is computed twice, on purpose, by two routes:
 once by transposing the insertion product against the graded basis with the
@@ -82,7 +85,8 @@ __all__ = [
 
 
 class TruncationShortfallError(ValueError):
-    """A translation needs basis values beyond the stored truncation."""
+    """A translation needs basis values beyond the stored truncation;
+    ``missing_degree`` is the lowest degree it needs and the grid lacks."""
 
     def __init__(self, message: str, missing_degree: int):
         super().__init__(message)
@@ -302,18 +306,6 @@ def _insert_into_mi(left: Forest, a: MultiIndex) -> FormalSum:
     return FormalSum._of(total)
 
 
-def _insert_into_forest(left: Forest, right: Forest) -> FormalSum:
-    """Leibniz extension: distribute the inserted components over the
-    right-hand factors in every possible way."""
-    if right.is_empty:
-        return FormalSum.of(EMPTY_FOREST) if left.is_empty else FormalSum.zero()
-    return _distribute(
-        left,
-        right,
-        lambda bucket, target: _insert_into_mi(Forest(bucket), target).items(),
-    )
-
-
 def insert_simultaneous(left: Forest, right: MultiIndex | Forest) -> FormalSum:
     """Simultaneous insertion of every component of ``left`` into ``right``.
 
@@ -322,11 +314,16 @@ def insert_simultaneous(left: Forest, right: MultiIndex | Forest) -> FormalSum:
     with multiplicity): each component is differentiated to the arity of the
     time variable it replaces, summed over all matchings.  A count mismatch
     yields zero rather than an error, so the product is defined on the whole
-    basis.
+    basis.  On a forest the Leibniz extension distributes the inserted
+    components over the right-hand factors in every possible way.
     """
     if isinstance(right, MultiIndex):
         return _insert_into_mi(left, right)
-    return _insert_into_forest(left, right)
+    if right.is_empty:
+        return FormalSum.of(EMPTY_FOREST) if left.is_empty else FormalSum.zero()
+    return _distribute(
+        left, right, lambda bucket, target: _insert_into_mi(Forest(bucket), target).items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -360,25 +357,22 @@ def _check_characters(ells: Sequence[Character], letters: int) -> None:
             )
 
 
+def _generator_images(ells: tuple[Character, ...], mi: MultiIndex) -> Iterable[FormalSum]:
+    """The image of each variable of ``mi``, repeated by its frequency."""
+    return (_generator_image(ells[i], k) for (i, k), m in mi.entries for _ in range(m))
+
+
 @lru_cache(maxsize=4096)
-def _translate_mi(
-    ells: tuple[Character, ...], mi: MultiIndex, trunc: int | None
-) -> FormalSum:
-    """Translate one monomial, dropping each term above degree ``trunc`` as
-    soon as it appears (``m_ell`` passes its target's degree; ``None`` keeps
-    every term).  Memoized, so callers share the result and must not mutate
-    it (no ``FormalSum`` operation does)."""
-    factors = (
-        _generator_image(ells[i], k) for (i, k), m in mi.entries for _ in range(m)
-    )
+def _translate_mi(ells: tuple[Character, ...], mi: MultiIndex) -> FormalSum:
+    """Translate one monomial; callers share the memoized result and must not mutate it."""
     return _multiply_out(
-        empty_multi_index(mi.letters - 1), factors, MultiIndex.mul, trunc
+        empty_multi_index(mi.letters - 1), _generator_images(ells, mi), MultiIndex.mul
     )
 
 
 @lru_cache(maxsize=1 << 11)
 def _translate_forest(ells: tuple[Character, ...], forest: Forest) -> FormalSum:
-    factors = (_translate_mi(ells, c, None) for c in forest.components)
+    factors = (_translate_mi(ells, c) for c in forest.components)
     return _multiply_out(
         EMPTY_FOREST, factors, lambda f, mi: Forest._trusted((*f.components, mi))
     )
@@ -394,7 +388,7 @@ def translate(ells: Sequence[Character], u: FormalSum | Forest | MultiIndex) -> 
     ells = tuple(ells)
     if isinstance(u, MultiIndex):
         _check_characters(ells, u.letters)
-        return _translate_mi(ells, u, None)
+        return _translate_mi(ells, u)
     if isinstance(u, Forest):
         if not u.is_empty:
             _check_characters(ells, u.components[0].letters)
@@ -448,13 +442,6 @@ def _letter_counts(monomials: Iterable[MultiIndex], letters: int) -> tuple[int, 
         for (i, _k), m in mi.entries:
             counts[i] += m
     return tuple(counts)
-
-
-def _mi_from_items(items: Iterable[tuple[int, int]], letters: int) -> MultiIndex:
-    counts: dict[tuple[int, int], int] = {}
-    for var in items:
-        counts[var] = counts.get(var, 0) + 1
-    return MultiIndex(counts, letters)
 
 
 def _set_partitions(items: tuple[int, ...]) -> Iterable[tuple[tuple[int, ...], ...]]:
@@ -525,8 +512,8 @@ def _coproduct_direct(b: MultiIndex) -> FormalSum:
             slots = tuple(sorted(time_slots + picked))
             if not slots:
                 continue
-            leftover = _mi_from_items(
-                (variables[p] for p in space_slots if p not in picked), b.letters
+            leftover = MultiIndex(
+                [(variables[p], 1) for p in space_slots if p not in picked], b.letters
             )
             base = Fraction(
                 s_b * _frequency_factor(leftover),
@@ -534,7 +521,7 @@ def _coproduct_direct(b: MultiIndex) -> FormalSum:
             )
             for blocks in _set_partitions(slots):
                 block_mis = [
-                    _mi_from_items((variables[p] for p in block), b.letters)
+                    MultiIndex([(variables[p], 1) for p in block], b.letters)
                     for block in blocks
                 ]
                 steps = [1 - mi.population_count() for mi in block_mis]
@@ -591,12 +578,30 @@ def coproduct_minus(b: MultiIndex, *, route: str = "direct") -> FormalSum:
 # dual translation and rough-path translation
 
 
+@lru_cache(maxsize=8)
+def _dual_table(ells: tuple[Character, ...], d: int, n: int) -> dict[MultiIndex, FormalSum]:
+    """The dual of the translation on the populated basis of degree ≤ ``n``,
+    as one transpose: each β, in basis order, is translated once without its
+    terms above ``n``, and each term z^b is filed under row b with
+    coefficient ⟨T z^β, z^b⟩·S(z^b)/S(z^β).  Translation never lowers degree
+    and keeps monomials populated, so row b is the whole dual image of z^b.
+    Memoized, so callers share the rows and must not mutate them."""
+    rows: dict[MultiIndex, dict[MultiIndex, Fraction]] = {}
+    for beta in _populated_tuple(d, n):
+        image = _multiply_out(
+            empty_multi_index(d), _generator_images(ells, beta), MultiIndex.mul, n
+        )
+        s_beta = beta.symmetry_factor()
+        for b, coeff in image.items():
+            rows.setdefault(b, {})[beta] = Fraction(coeff * b.symmetry_factor(), s_beta)
+    return {b: FormalSum._of(row) for b, row in rows.items()}
+
+
 def m_ell(ells: Sequence[Character], b: MultiIndex) -> FormalSum:
     """Dual of :func:`translate` on one basis monomial.
 
-    Obtained by transposition: the coefficient of z^β is
-    ⟨T z^β, z^γ⟩·S(z^γ)/S(z^β), with β running over the populated basis of
-    degree at most deg γ (translation never lowers degree).  For a
+    The coefficient of z^β is ⟨T z^β, z^b⟩·S(z^b)/S(z^β), read off row b of
+    the dual table at degree deg b (translation never lowers degree).  For a
     direction-0 character this must reproduce contracting the
     extraction–contraction coproduct against the character, which the tests
     check term by term.
@@ -604,15 +609,32 @@ def m_ell(ells: Sequence[Character], b: MultiIndex) -> FormalSum:
     _check_characters(ells, b.letters)
     if not b.is_populated():
         raise ValueError(f"dual translation target {b!r} must be populated")
-    d = b.letters - 1
-    s_target = b.symmetry_factor()
-    ells = tuple(ells)
-    out: dict[MultiIndex, int | Fraction] = {}
-    for beta in _populated_tuple(d, b.degree()):
-        coeff = _translate_mi(ells, beta, b.degree()).coefficient(b)
-        if coeff:
-            out[beta] = Fraction(coeff * s_target, beta.symmetry_factor())
-    return FormalSum._of(out)
+    return _dual_table(tuple(ells), b.letters - 1, b.degree()).get(b, FormalSum.zero())
+
+
+def _missing_degree(ells: tuple[Character, ...], d: int, stored: int, n: int) -> int | None:
+    """The lowest degree above ``stored`` of a monomial z^β that the dual
+    table at degree ``n`` reads, that is, whose image T z^β has a term of
+    degree ≤ ``n``; None if there is none.
+
+    A product of nonzero polynomials is nonzero, so the lowest degree of
+    T z^β is the sum of the lowest degrees of its generator images, and no
+    image is multiplied out.
+    """
+    lowest = {
+        (ell.direction, k): min(
+            (t.degree() for t in _generator_image(ell, k).terms), default=math.inf
+        )
+        for ell in ells
+        for k in range(n)  # a populated monomial of degree ≤ n has arities < n
+    }
+    for m in range(stored + 1, n + 1):
+        if any(
+            beta.degree() == m and sum(lowest[var] * c for var, c in beta.entries) <= n
+            for beta in _populated_tuple(d, m)
+        ):
+            return m
+    return None
 
 
 def contract_character(ell: Character, split: FormalSum) -> FormalSum:
@@ -634,9 +656,10 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
     input grading unchanged (so the identity is bit-identical at any stored
     level), while order N > 1 moves to Hölder exponent γ/N with truncation
     ⌊N/γ⌋, N being :func:`translation_order`.  The input truncation must
-    cover every monomial the dual images touch; if not, the missing degree is
-    reported rather than silently truncated.  An output value that overflows
-    the float range is refused with a ``ValueError`` naming its segment.
+    cover every monomial the dual images touch; if not, the lowest missing
+    degree is reported, before any dual image is built, rather than silently
+    truncated.  An output value that overflows the float range is refused
+    with a ``ValueError`` naming its segment.
     """
     _check_characters(ells, path.d + 1)
     gamma = path.grading.gamma
@@ -645,24 +668,23 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
         out_grading = path.grading
     else:
         out_grading = Grading(max_norm=math.floor(order / gamma), gamma=gamma / order)
-    out_index = _key_index(path.d, out_grading.max_norm)
-    duals = {beta: m_ell(ells, beta) for beta in out_index}
-    needed = max(
-        (gamma_mi.degree() for image in duals.values() for gamma_mi, _ in image.items()),
-        default=0,
-    )
-    if needed > path.grading.max_norm:
+    ells = tuple(ells)
+    stored = path.grading.max_norm
+    missing = _missing_degree(ells, path.d, stored, out_grading.max_norm)
+    if missing is not None:
         raise TruncationShortfallError(
-            f"translation needs stored values up to degree {needed}, "
-            f"but the grid is truncated at {path.grading.max_norm}",
-            missing_degree=needed,
+            f"translation needs stored values of degree {missing}, "
+            f"but the grid is truncated at {stored}",
+            missing_degree=missing,
         )
-    index = _key_index(path.d, path.grading.max_norm)
+    duals = _dual_table(ells, path.d, out_grading.max_norm)
+    out_index = _key_index(path.d, out_grading.max_norm)
+    index = _key_index(path.d, stored)
     coords = np.zeros((len(path.coords), len(out_index)))
     with np.errstate(all="ignore"):  # overflow gives inf, refused below
-        for beta, image in duals.items():
-            column = coords[:, out_index[beta]]
-            for gamma_mi, coeff in image.items():
+        for beta, p in out_index.items():
+            column = coords[:, p]
+            for gamma_mi, coeff in duals.get(beta, FormalSum.zero()).items():
                 column += float(coeff) * path.coords[:, index[gamma_mi]]
     if (m := _first_non_finite(coords)) is not None:
         raise ValueError(

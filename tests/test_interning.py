@@ -54,6 +54,7 @@ from mirpath.translation import (
     insert_simultaneous,
     _translate_mi,
     ito_strat_character,
+    m_ell,
     translate,
 )
 
@@ -320,6 +321,7 @@ def test_every_module_level_cache_is_bounded():
         "algebra._spreads",
         "lifts._affine_weights",
         "translation._translate_mi",
+        "translation._dual_table",
         "translation._translate_forest",
         "translation.insert_prelie",
         "translation._insert_into_mi",
@@ -375,7 +377,6 @@ def _kernel_calls(draw):
     a, b = draw(monomial), draw(monomial)
     u, v = draw(forest), draw(forest)
     ells = (ito_strat_character(d), *identity_characters(d)[1:])
-    trunc = draw(st.sampled_from([None, 3]))
     return [
         (prelie_graft, (a, b)),
         (deshuffle, (u,)),
@@ -385,7 +386,8 @@ def _kernel_calls(draw):
         (gl_product, (u, v)),
         (translate, (ells, a)),
         (translate, (ells, u)),
-        (_translate_mi, (ells, a, trunc)),
+        (_translate_mi, (ells, a)),
+        (m_ell, (ells, a)),  # a row of the memoized dual table
     ]
 
 

@@ -421,6 +421,18 @@ def test_grid_times_must_be_finite_json_numbers(bad):
     assert all(type(t) is float for t in grid.times)
 
 
+def test_grid_integers_beyond_the_float_range_are_refused_by_index():
+    with pytest.raises(ValueError, match="time 1 is an integer beyond the float range"):
+        grid_from_json(_one_letter_grid([0, 10**310, 1.0]))
+    doc = _one_letter_grid([0.0, 0.5, 1.0])
+    doc["increments"] = [{"z(1,0)": 1.0}, {"z(1,0)": -(10**310)}]
+    with pytest.raises(
+        ValueError,
+        match=re.escape("increment 1 holds an integer beyond the float range under 'z(1,0)'"),
+    ):
+        grid_from_json(doc)
+
+
 @pytest.mark.parametrize("gamma, want", [(0.3, Fraction(3, 10)), ("3/10", Fraction(3, 10))])
 def test_grid_gamma_is_read_by_its_decimal_text(gamma, want):
     assert grid_from_json(_one_letter_grid([0.0, 1.0], gamma)).grading.gamma == want

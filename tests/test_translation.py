@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 import types
 from fractions import Fraction
 from functools import reduce
@@ -71,7 +72,9 @@ from mirpath.translation import (
 )
 from mirpath.translation import (  # white-box: the kernels and their references
     _coproduct_direct,
+    _dual_table,
     _generator_image,
+    _missing_degree,
     _raise_candidates,
     _translate_mi,
 )
@@ -395,7 +398,7 @@ class TestTranslate:
         assert got == want
 
     def test_truncation_equals_restriction(self):
-        # m_ell truncates each monomial's translation at its target's degree
+        # the dual table truncates each monomial's translation at its degree
         ells = tuple(_second_order_space_characters())
         for b in enumerate_populated(1, 3):
             full = translate(ells, b)
@@ -403,7 +406,7 @@ class TestTranslate:
                 restricted = FormalSum(
                     {k: c for k, c in full.items() if k.degree() <= bound}
                 )
-                assert _translate_mi(ells, b, bound) == restricted
+                assert _image_from_dual_table(ells, b, bound) == restricted
 
     def test_multiplicative_on_monomials(self):
         ells = _is_characters(1)
@@ -670,6 +673,23 @@ class TestDualTranslation:
                     total = total + insert_simultaneous(forest, beta).scale(weight)
             assert total == translate(ells, beta), beta
 
+    def test_dual_table_rows_equal_the_per_target_transpose(self):
+        rng = random.Random(22)
+        dense = Character(
+            1,
+            {key: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+             for key in enumerate_populated(2, 3)},
+            2,
+        )
+        assert dense.support_degree() == 3
+        plain = identity_characters(2)
+        for ells in (_is_characters(2), [plain[0], dense, plain[2]]):
+            images: dict = {}
+            for b in enumerate_populated(2, 4):
+                got, want = m_ell(ells, b), _ref_m_ell(ells, b, images)
+                assert got == want, b
+                assert list(got.terms) == list(want.terms), b
+
     def test_dual_population_and_validation(self):
         ells = _is_characters(1)
         for term, _ in m_ell(ells, mi(1, (0, 0), (0, 1))).items():
@@ -772,6 +792,29 @@ class TestTranslateRoughpath:
         with pytest.raises(TruncationShortfallError) as info:
             translate_roughpath(ells, path)
         assert info.value.missing_degree == 4
+
+    def test_shortfall_degree_is_the_lowest_stored_degree_the_duals_read(self):
+        # the refusal reads lowest degrees of generator images instead of
+        # the dual images themselves
+        raising = Character(1, {mi(1, (1, 0), (1, 1)): 2}, 1)
+        cases = [
+            _second_order_space_characters(),
+            _is_characters(1),
+            [Character(0, {}, 1), raising],
+            _is_characters(2),
+        ]
+        for ells in cases:
+            d = len(ells) - 1
+            images: dict = {}
+            for n in (1, 2, 3, 4):
+                read = {
+                    beta.degree()
+                    for b in enumerate_populated(d, n)
+                    for beta in _ref_m_ell(ells, b, images).terms
+                }
+                for stored in range(1, n + 1):
+                    want = min((m for m in read if m > stored), default=None)
+                    assert _missing_degree(tuple(ells), d, stored, n) == want, (ells, n)
 
     def test_wrong_character_count(self):
         path = _ito_path(n_steps=4, seed=1)
@@ -877,6 +920,31 @@ def _ref_translate_mi(ells, a: MultiIndex, trunc) -> FormalSum:
     return FormalSum._of(acc)
 
 
+def _ref_m_ell(ells, b: MultiIndex, images: dict) -> FormalSum:
+    """The dual transposed one target at a time: the coefficient of z^β is
+    read off T z^β truncated at deg b, for every β of degree ≤ deg b;
+    ``images`` memoizes the truncated translations across targets."""
+    out: dict = {}
+    for beta in enumerate_populated(b.letters - 1, b.degree()):
+        key = (beta, b.degree())
+        if key not in images:
+            images[key] = _ref_translate_mi(ells, beta, b.degree())
+        coeff = images[key].coefficient(b)
+        if coeff:
+            out[beta] = Fraction(coeff * b.symmetry_factor(), beta.symmetry_factor())
+    return FormalSum._of(out)
+
+
+def _image_from_dual_table(ells, beta: MultiIndex, n: int) -> FormalSum:
+    """T z^β without its terms above degree n, read back from column β of
+    the dual table at degree n."""
+    table = _dual_table(tuple(ells), beta.letters - 1, n)
+    return FormalSum({
+        b: Fraction(row.coefficient(beta) * beta.symmetry_factor(), b.symmetry_factor())
+        for b, row in table.items()
+    })
+
+
 def _ref_translate_forest(ells, forest: Forest) -> FormalSum:
     acc: dict = {EMPTY_FOREST: 1}
     for component in forest.components:
@@ -895,7 +963,7 @@ def _ref_translate_forest(ells, forest: Forest) -> FormalSum:
 @st.composite
 def kernel_inputs(draw):
     """Two forests of at most three components and degree ≤ 4 over d ≤ 2,
-    a character list and a truncation for the monomial translations."""
+    a character list and a truncation for the dual table."""
     d = draw(st.sampled_from([1, 2]))
     forests = st.sampled_from([f for f in forest_basis(d, 4) if f.cardinality() <= 3])
     ells = draw(st.sampled_from([identity_characters(d), _is_characters(d)]))
@@ -914,9 +982,11 @@ def test_shared_kernels_keep_the_terms_and_their_order(inputs):
     ]
     for target in v.components:
         pairs.append((insert_simultaneous(u, target), _ref_insert_into_mi(u, target)))
-        pairs.append(
-            (_translate_mi(ells, target, trunc), _ref_translate_mi(ells, target, trunc))
-        )
+        pairs.append((_translate_mi(ells, target), _ref_translate_mi(ells, target, None)))
+        if trunc is not None:
+            # the table keeps the truncated terms, not their order
+            want = _ref_translate_mi(ells, target, trunc)
+            assert _image_from_dual_table(ells, target, trunc) == want
     for got, want in pairs:
         assert got == want
         assert list(got.terms) == list(want.terms)

@@ -500,6 +500,17 @@ class TestCliLiftSolve:
         assert out == ""
         assert "mesh level 99 asks for 2^99 intervals, more than the 32" in err
 
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    def test_mesh_level_off_the_grid_names_the_level(self, cubic_field_json, tmp_path, command):
+        csv_file = tmp_path / "three_steps.csv"
+        csv_file.write_text("t,x1\n0,0\n0.25,0.1\n0.75,-0.2\n1,0.3\n")
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--path", str(csv_file), "--no-timestamp", "--out", str(grid_file))
+        code, out, err = run_cli(command, "--grid", str(grid_file), "--field",
+                                 str(cubic_field_json), "--mesh-level", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: mesh level 1 puts a point at t = 0.5, which is not a grid point\n"
+
     def test_dimension_mismatch_is_a_usage_error(self, sine_csv, tmp_path):
         grid_file = tmp_path / "grid.json"
         run_cli("lift", "--path", str(sine_csv), "--no-timestamp",
@@ -615,6 +626,11 @@ class TestCliLiftSolve:
 # ---------------------------------------------------------------------------
 # translation commands
 # ---------------------------------------------------------------------------
+
+
+#: Wall-clock budget of a ``translate`` run refused for a truncation
+#: shortfall, interpreter start included (it takes about 0.2 s).
+SHORTFALL_BUDGET_S = 10
 
 
 class TestCliTranslate:
@@ -740,10 +756,37 @@ class TestCliTranslate:
         assert code == 2
         assert out == ""
         assert err == (
-            "error: translation needs stored values up to degree 4, "
+            "error: translation needs stored values of degree 4, "
             "but the grid is truncated at 3\n"
         )
         assert not out_file.exists()
+
+    def test_truncation_shortfall_is_refused_before_the_dual_table_is_built(self, tmp_path):
+        # an order-3 character moves the degree-4 grid to truncation
+        # ⌊3/(1/3)⌋ = 9, a basis of 23 094 keys whose dual table took more
+        # than a minute to build before the shortfall was found
+        csv_file, grid_file, chars = (tmp_path / n for n in ("p.csv", "g.json", "c.json"))
+        rows = [(j / 16, math.sin(j / 3), math.cos(j / 5)) for j in range(17)]
+        buf = io.StringIO()
+        write_path_csv(rows, buf)
+        csv_file.write_text(buf.getvalue())
+        assert run_cli("lift", "--path", str(csv_file), "--gamma", "1/3", "--max-norm",
+                       "4", "--no-timestamp", "--out", str(grid_file))[0] == 0
+        chars.write_text(json.dumps(
+            {"direction": 1, "terms": {"z(1,0)": "1", "z(1,0)^2z(1,2)": "1/5"}}
+        ))
+        src = str(Path(mirpath.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "mirpath.cli", "translate", "--grid", str(grid_file),
+             "--chars", str(chars)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=SHORTFALL_BUDGET_S,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: translation needs stored values of degree 5, "
+            "but the grid is truncated at 4\n"
+        )
 
     def test_field_translation_emits_exact_coefficients(
         self, cubic_field_json, tmp_path
@@ -817,6 +860,20 @@ class TestCliMalformedInputs:
         grid_doc["grid"]["times"] = [0, "0.25", "5e-1", 0.75, True]
         err = self.solve_grid(tmp_path, grid_doc, cubic_field_json)
         assert "time 1 is '0.25'" in err
+
+    @pytest.mark.parametrize("where, message", [
+        ("times", "time 2 is an integer beyond the float range"),
+        ("increments", "increment 1 holds an integer beyond the float range under 'z(1,0)'"),
+    ])
+    def test_grid_integer_beyond_the_float_range(
+        self, grid_doc, cubic_field_json, tmp_path, where, message
+    ):
+        if where == "times":
+            grid_doc["grid"]["times"][2] = 10**310
+        else:
+            grid_doc["grid"]["increments"][1]["z(1,0)"] = -(10**310)
+        err = self.solve_grid(tmp_path, grid_doc, cubic_field_json)
+        assert err.endswith(f"{message}\n")
 
     def test_grid_increment_given_as_a_list(self, grid_doc, cubic_field_json, tmp_path):
         grid_doc["grid"]["increments"][1] = list(grid_doc["grid"]["increments"][1].values())
