@@ -55,7 +55,7 @@ _EXPORTS = {
         "translation_order",
     ),
     "solver": (
-        "DavieReport", "DivergedError", "FlowSolution", "SolveConfig",
+        "DavieReport", "DivergedError", "FlowSolution",
         "davie_expansion", "davie_residual_report", "dyadic_pairs",
         "expansion_basis", "logode_step", "reference_ode_solve", "solve_flow",
     ),

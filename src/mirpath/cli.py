@@ -338,21 +338,19 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
 
 
 def _solve_inputs(args: argparse.Namespace) -> tuple:
-    """The grid, field and solver settings that ``solve`` and
+    """The grid, field and ``solve_flow`` settings that ``solve`` and
     ``davie-report`` share, and their provenance config."""
-    from .solver import SolveConfig
-
     grid = _load_grid(args.grid)
     field = _load_field(args.field)
     if field.d != grid.d:
         raise UsageError(
             f"field drives {field.d} letters but the grid stores {grid.d}"
         )
-    cfg = SolveConfig(
-        rk4_substeps=args.substeps,
-        mesh_level=args.mesh_level,
-        level=_parse_level(args.level),
-    )
+    settings = {
+        "substeps": args.substeps,
+        "mesh_level": args.mesh_level,
+        "level": _parse_level(args.level),
+    }
     config = {
         "grid": args.grid,
         "field": args.field,
@@ -361,14 +359,14 @@ def _solve_inputs(args: argparse.Namespace) -> tuple:
         "mesh_level": args.mesh_level,
         "level": args.level,
     }
-    return grid, field, cfg, config
+    return grid, field, settings, config
 
 
 def _cmd_solve(args: argparse.Namespace) -> _Output:
     from .solver import solve_flow
 
-    grid, field, cfg, config = _solve_inputs(args)
-    sol = solve_flow(grid, field, args.y0, cfg)
+    grid, field, settings, config = _solve_inputs(args)
+    sol = solve_flow(grid, field, args.y0, **settings)
     body = {
         "solution": {
             "times": list(sol.times),
@@ -419,12 +417,12 @@ def _cmd_davie_report(args: argparse.Namespace) -> _Output:
         raise UsageError(
             f"--min-block {args.min_block} exceeds --max-block {args.max_block}"
         )
-    grid, field, cfg, config = _solve_inputs(args)
-    sol = solve_flow(grid, field, args.y0, cfg)
+    grid, field, settings, config = _solve_inputs(args)
+    sol = solve_flow(grid, field, args.y0, **settings)
     if sol.diverged:
         return _Output(config, None, None, EXIT_DIVERGED, f"numeric divergence: {sol.message}")
     pairs = dyadic_pairs(sol.times, min_block=args.min_block, max_block=args.max_block)
-    report = davie_residual_report(grid, field, sol, pairs, level=cfg.level)
+    report = davie_residual_report(grid, field, sol, pairs, level=settings["level"])
     config.update(min_block=args.min_block, max_block=args.max_block)
     body = {
         "report": {

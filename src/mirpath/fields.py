@@ -17,13 +17,12 @@ components.  The translated field f^ℓ is built in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .algebra import Forest, FormalSum, MultiIndex
-from .grammar import _json_int, _unique_keys
+from .grammar import _MISSING, _json_int, _json_value
 
 __all__ = [
     "DerivativeOrderError",
@@ -240,20 +239,19 @@ def vector_field_payload(f: VectorField) -> dict:
 
 def vector_field_from_json(doc: str | Mapping) -> VectorField:
     """Read a polynomial field from its JSON text or the already-parsed document."""
-    payload = json.loads(doc, object_pairs_hook=_unique_keys) if isinstance(doc, str) else doc
+    payload = _json_value(doc, "document", "a vector field")
     d = _json_int(payload, "d")
     rows: list[list[Fraction]] = [[Fraction(0)] for _ in range(d + 1)]
     listed: set[int] = set()
-    for entry in payload.get("fields", []):
-        i = _json_int(entry, "i")
+    for n, entry in enumerate(_json_value(payload.get("fields", []), "list", "fields")):
+        i = _json_int(_json_value(entry, "object", f"field entry {n}"), "i")
         if not 0 <= i <= d:
             raise ValueError(f"field letter {i} outside 0..{d}")
         if i in listed:
             raise ValueError(f"field letter {i} is listed twice")
         listed.add(i)
-        if not isinstance(entry["coeffs"], list):
-            raise ValueError(f"field letter {i}: coeffs must be a JSON list")
-        rows[i] = [Fraction(str(c)) for c in entry["coeffs"]]
+        coeffs = _json_value(entry.get("coeffs", _MISSING), "list", "coeffs")
+        rows[i] = [Fraction(str(c)) for c in coeffs]
         try:
             for k in range(len(rows[i])):
                 for c in _poly_derivative(tuple(rows[i]), k):

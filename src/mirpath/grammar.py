@@ -18,7 +18,10 @@ formatter never emits whitespace inside a term.
 
 from __future__ import annotations
 
+import json
+import reprlib
 from fractions import Fraction
+from typing import Mapping
 
 from .algebra import EMPTY_FOREST, Forest, FormalSum, MultiIndex
 
@@ -206,13 +209,37 @@ def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
 # ---------------------------------------------------------------------------
 
 
-def _json_int(payload: dict, key: str) -> int:
-    """``payload[key]``, which must be a JSON integer: ``true``, ``2.7`` and
-    ``"3"`` raise instead of being read as 1, 2 and 3."""
-    value = payload[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+#: Stands in for the value of a key that a JSON object does not have.
+_MISSING = object()
+
+_JSON_KINDS = {"integer": int, "list": list, "object": Mapping, "value": object}
+
+# a refused value is quoted with its own items, but not theirs
+_BRIEF = reprlib.Repr()
+_BRIEF.maxlevel = 1
+
+
+def _json_value(value, kind: str, what: str):
+    """``value`` as a JSON ``kind``: an ``"integer"`` (``true``, ``2.7`` and
+    ``"3"`` are not), a ``"list"``, an ``"object"``, any ``"value"``, or a
+    ``"document"``, an object given as JSON text or already parsed, whose
+    text may not give one key twice.  Any other value, and ``_MISSING``,
+    raise a ValueError that names ``what``."""
+    if value is _MISSING:
+        raise ValueError(f"missing key {what!r}")
+    if kind == "document":
+        if isinstance(value, str):
+            value = json.loads(value, object_pairs_hook=_unique_keys)
+        kind = "object"
+    fits = type(value) is int if kind == "integer" else isinstance(value, _JSON_KINDS[kind])
+    if not fits:
+        raise ValueError(f"{what} must be a JSON {kind}, got {_BRIEF.repr(value)}")
     return value
+
+
+def _json_int(payload: Mapping, key: str) -> int:
+    """``payload[key]``, which must be a JSON integer."""
+    return _json_value(payload.get(key, _MISSING), "integer", key)
 
 
 def _unique_keys(pairs: list) -> dict:

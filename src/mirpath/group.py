@@ -15,9 +15,9 @@ Chen composition reads the single-component slots of that product.
 :class:`LieElement` holds the logarithm: a primitive element, nonzero only on
 single multi-indices.  ``exp_element``/``log_element`` are truncated power
 series in the same product.  :class:`RoughPathGrid` stores the increments
-along a time grid as one read-only ``(n, K)`` array over the same slots, with
-``depth``, the highest degree its rows store values for; wider increments
-follow by composition on demand.
+along a grid of finite times as one read-only ``(n, K)`` array of finite
+values over the same slots, with ``depth``, the highest degree its rows
+store values for; wider increments follow by composition on demand.
 """
 
 from __future__ import annotations
@@ -324,14 +324,8 @@ def _time_index(times: Sequence[float], t: float) -> int | None:
     return None
 
 
-def _first_non_finite(coords: np.ndarray) -> int | None:
-    """The first row of ``coords`` that holds a non-finite value, if any."""
-    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
-    return int(bad[0]) if bad.size else None
-
-
 class RoughPathGrid:
-    """Consecutive increments X_{t_j,t_{j+1}} over a strictly increasing grid.
+    """Finite increments X_{t_j,t_{j+1}} over a strictly increasing finite grid.
 
     Row m of the read-only ``(n, K)`` array ``coords`` holds X_{t_m,t_{m+1}}
     over the slots of ``_key_index(d, N)``; ``depth`` is the highest degree
@@ -359,6 +353,7 @@ class RoughPathGrid:
         return out
 
     def _fill(self, d, grading, times, coords, depth) -> None:
+        """The one check of every grid, however it is made."""
         if len(times) < 2:
             raise ValueError("a grid needs at least two time points")
         if len(coords) != len(times) - 1:
@@ -366,9 +361,18 @@ class RoughPathGrid:
                 f"{len(times)} times require {len(times) - 1} increments, "
                 f"got {len(coords)}"
             )
+        for m, t in enumerate(times):
+            if not math.isfinite(t):
+                raise ValueError(f"grid times must be finite numbers, but time {m} is {t!r}")
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError(f"times not strictly increasing at {a} .. {b}")
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            m = int(finite.argmin())
+            raise ValueError(
+                f"grid value on segment {m} (t = {times[m]} .. {times[m + 1]}) is not finite"
+            )
         coords.flags.writeable = False
         vars(self).update(d=d, grading=grading, times=times, coords=coords, depth=depth)
 

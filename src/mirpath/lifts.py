@@ -16,7 +16,8 @@ Each lift rule only chooses w:
 The Brownian lattice lift is limited to level ≤ 3.  Each lift writes its
 step values by slot into the rows of one grid array, whose ``depth`` is the
 highest degree it stores and evaluates (1 for the Itô rule); multi-step
-increments follow by Chen composition in every case.
+increments follow by Chen composition in every case.  A grid holds finite
+times and values, so a step value that overflows is refused.
 
 The JSON/CSV formats at the bottom are the package's only on-disk path
 representations; a grid file lists every key up to the grid's depth.
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -36,8 +36,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .algebra import Forest, FormalSum, Grading, _populated_tuple, gl_product, single
-from .grammar import _json_int, _unique_keys, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _first_non_finite, _key_index, _slot
+from .grammar import _MISSING, _json_int, _json_value, format_multi_index, parse_multi_index
+from .group import RoughPathGrid, _key_index, _slot
 
 __all__ = [
     "UnsupportedLevelError",
@@ -83,19 +83,15 @@ def _affine_weights(d: int, n: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
 def _lift(d: int, grading: Grading, times, dxs, depth: int, degree3=1.0) -> RoughPathGrid:
     """The grid whose row m holds w(β)·Π_i dxs[m, i]^{n_i(β)} on each β of
     degree ≤ ``depth``, with w = c times ``degree3`` at degree 3, and 0
-    above; a non-finite row is refused."""
+    above; the grid refuses a row that overflows."""
     weights, counts = _affine_weights(d, depth)
     coords = np.zeros((len(dxs), len(_key_index(d, grading.max_norm))))
     rows = coords[:, : len(weights)]
     rows[:] = weights
     rows[:, len(_populated_tuple(d, 2)) :] *= degree3
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # the grid refuses an overflow
         for i in range(d + 1):
             rows *= dxs[:, i : i + 1] ** counts[:, i]
-    if (m := _first_non_finite(coords)) is not None:
-        raise ValueError(
-            f"lift value overflows on segment {m} (t = {times[m]} .. {times[m + 1]})"
-        )
     return RoughPathGrid._of(d, grading, times, coords, depth)
 
 
@@ -211,8 +207,9 @@ def brownian_pair_statistics(
 
     so the gap is ½ Σ_m ΔB^i_m ΔB^j_m.  The paths are drawn from a single
     seeded generator in fixed-size chunks, which keeps the stream identical
-    to per-path sequential draws.  Returns per-pair means and standard errors
-    together with the lattice expectation (t/2 on the diagonal, 0 off it).
+    to per-path sequential draws.  Returns the ``(d, d)`` arrays
+    ``mean_gap`` and ``standard_error``, per pair, with ``target``, the
+    lattice expectation (t/2 on the diagonal, 0 off it).
     """
     _check_t_final(t_final)
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -236,16 +233,7 @@ def brownian_pair_statistics(
         raise ValueError(f"gap statistics overflow the float range at t_final = {t_final}")
     target = np.full((d, d), 0.0)
     np.fill_diagonal(target, t_final / 2.0)
-    return {
-        "n_paths": n_paths,
-        "n_steps": n_steps,
-        "t_final": t_final,
-        "rng": RNG_ALGORITHM,
-        "seed": seed,
-        "mean_gap": mean,
-        "standard_error": se,
-        "target": target,
-    }
+    return {"mean_gap": mean, "standard_error": se, "target": target}
 
 
 # ---------------------------------------------------------------------------
@@ -274,29 +262,29 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     Each distinct key string is parsed and checked once, and a document that
     spells one key two ways is refused; the grid stores the degrees up to
     the highest key degree in the document."""
-    payload = json.loads(doc, object_pairs_hook=_unique_keys) if isinstance(doc, str) else doc
+    payload = _json_value(doc, "document", "a grid")
     d = _json_int(payload, "d")
     # γ is read from its decimal text, so 0.3 is 3/10 and true is refused
     grading = Grading(
-        max_norm=_json_int(payload, "max_norm"), gamma=Fraction(str(payload["gamma"]))
+        max_norm=_json_int(payload, "max_norm"),
+        gamma=Fraction(str(_json_value(payload.get("gamma", _MISSING), "value", "gamma"))),
     )
-    times = payload["times"]
+    times = _json_value(payload.get("times", _MISSING), "list", "times")
     for m, t in enumerate(times):
         if type(t) is int and abs(t) > sys.float_info.max:
             raise ValueError(
                 f"grid times must be finite numbers, but time {m} is an integer "
                 "beyond the float range"
             )
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+        if isinstance(t, bool) or not isinstance(t, (int, float)):
             raise ValueError(f"grid times must be finite numbers, but time {m} is {t!r}")
     times = tuple(map(float, times))
     index = tuple(_key_index(d, grading.max_norm))
-    increments = payload["increments"]
+    increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
     slots: dict[str, int] = {}
     coords = np.empty((len(increments), len(index)))
     for m, entry in enumerate(increments):
-        if not isinstance(entry, Mapping):
-            raise ValueError(f"increment {m} is not a JSON object")
+        _json_value(entry, "object", f"increment {m}")
         row = [0.0] * len(index)
         for key, v in entry.items():
             if (p := slots.get(key)) is None:
@@ -313,8 +301,6 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
                     f"increment {m} holds an integer beyond the float range under {key!r}"
                 ) from None
         coords[m] = row
-    if (m := _first_non_finite(coords)) is not None:
-        raise ValueError(f"increment {m} holds a non-finite value")
     depth = max((index[p].degree() for p in slots.values()), default=0)
     return RoughPathGrid._of(d, grading, times, coords, depth)
 

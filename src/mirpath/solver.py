@@ -1,10 +1,10 @@
 """Log-ODE flow solver for scalar rough differential equations.
 
-The driver enters only through its truncated-group increments.  Over each
-mesh interval the state advances by integrating, over unit time, an
-autonomous ODE whose right-hand side combines the log-coordinates of the
-interval's increment with the elementary differentials of the coefficient
-field:
+The driver enters only through its truncated-group increments, which a
+grid holds, like its times, as finite numbers.  Over each mesh interval the
+state advances by integrating, over unit time, an autonomous ODE whose
+right-hand side combines the log-coordinates of the interval's increment
+with the elementary differentials of the coefficient field:
 
     Ż = Σ_β Υ_f[z^β](Z) / S(z^β) · Λ(z^β),      Z(0) = y,
 
@@ -44,7 +44,6 @@ __all__ = [
     "DavieReport",
     "DivergedError",
     "FlowSolution",
-    "SolveConfig",
     "davie_expansion",
     "davie_residual_report",
     "dyadic_pairs",
@@ -230,37 +229,18 @@ def logode_step(
 
 
 @dataclass(frozen=True)
-class SolveConfig:
-    """Mesh selection and integrator settings for :func:`solve_flow`.
-
-    The mesh is the full grid (default) or every dyadic point at
-    ``mesh_level`` (2^level intervals spanning the grid); each mesh point is
-    a grid point, since increments are never interpolated.  ``level`` caps
-    the γ-size of the expansion monomials (default: the stored degree
-    bound).
-    """
-
-    rk4_substeps: int = 8
-    mesh_level: int | None = None
-    level: Fraction | int | None = None
-
-    def __post_init__(self):
-        if self.rk4_substeps < 1:
-            raise ValueError(f"rk4_substeps must be >= 1, got {self.rk4_substeps}")
-        if self.mesh_level is not None and self.mesh_level < 0:
-            raise ValueError(f"mesh_level must be >= 0, got {self.mesh_level}")
-
-
-@dataclass(frozen=True)
 class FlowSolution:
     """A flow computed over a mesh; the first value is exactly the initial
     condition.  A diverged run is truncated at the last finite state and
-    flagged, never raised (local-solution semantics)."""
+    says why in ``message``, never raised (local-solution semantics)."""
 
     times: tuple[float, ...]
     values: tuple[float, ...]
-    diverged: bool = False
     message: str = ""
+
+    @property
+    def diverged(self) -> bool:
+        return bool(self.message)
 
     def value_at(self, t: float) -> float:
         j = _time_index(self.times, t)
@@ -269,23 +249,25 @@ class FlowSolution:
         return self.values[j]
 
 
-def _mesh_indices(path: RoughPathGrid, cfg: SolveConfig) -> list[int]:
-    if cfg.mesh_level is None:
+def _mesh_indices(path: RoughPathGrid, mesh_level: int | None) -> list[int]:
+    if mesh_level is None:
         return list(range(len(path.times)))
+    if mesh_level < 0:
+        raise ValueError(f"mesh_level must be >= 0, got {mesh_level}")
     n = len(path.times) - 1
-    if n.bit_length() <= cfg.mesh_level:  # 2^level > n
+    if n.bit_length() <= mesh_level:  # 2^level > n
         raise ValueError(
-            f"mesh level {cfg.mesh_level} asks for 2^{cfg.mesh_level} intervals, "
+            f"mesh level {mesh_level} asks for 2^{mesh_level} intervals, "
             f"more than the {n} the grid stores"
         )
-    pieces = 1 << cfg.mesh_level
+    pieces = 1 << mesh_level
     t0, t1 = path.times[0], path.times[-1]
     indices = []
     for k in range(pieces + 1):
         t = t0 + (t1 - t0) * k / pieces
         if (j := _time_index(path.times, t)) is None:
             raise OffGridTimeError(
-                f"mesh level {cfg.mesh_level} puts a point at t = {t}, "
+                f"mesh level {mesh_level} puts a point at t = {t}, "
                 "which is not a grid point"
             )
         indices.append(j)
@@ -296,13 +278,26 @@ def solve_flow(
     path: RoughPathGrid,
     f: VectorField,
     y0: float,
-    cfg: SolveConfig = SolveConfig(),
+    *,
+    substeps: int = 8,
+    mesh_level: int | None = None,
+    level: Fraction | int | None = None,
 ) -> FlowSolution:
     """Compose log-ODE steps along the mesh: each interval's increment is
     Chen-composed from the stored grid, sent through its log-coordinates, and
-    integrated by :func:`logode_step` starting from the previous state."""
-    indices = _mesh_indices(path, cfg)
-    bound = _resolve_level(path.grading, cfg.level)
+    integrated by :func:`logode_step` in ``substeps`` RK4 substeps, starting
+    from the previous state.
+
+    The mesh is the full grid (default) or every dyadic point at
+    ``mesh_level`` (2^level intervals spanning the grid); increments are
+    never interpolated.  ``level`` caps the γ-size of the expansion
+    monomials (default: the stored degree bound).  An initial state beyond
+    1e12 (``_DIVERGENCE_BOUND``) in absolute value is refused.
+    """
+    if not abs(y0) <= _DIVERGENCE_BOUND:
+        raise ValueError(f"initial state {y0} lies beyond the state bound {_DIVERGENCE_BOUND:g}")
+    indices = _mesh_indices(path, mesh_level)
+    bound = _resolve_level(path.grading, level)
     times = [path.times[0]]
     values = [float(y0)]
     message = ""
@@ -310,7 +305,7 @@ def solve_flow(
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan trip the guard
             lam = log_element(path.increment_by_index(a, b))
         try:
-            y = logode_step(lam, f, values[-1], cfg.rk4_substeps, bound)
+            y = logode_step(lam, f, values[-1], substeps, bound)
         except DivergedError as err:
             message = str(err)
         except OverflowError as err:  # a power in the right-hand side
@@ -319,7 +314,7 @@ def solve_flow(
             break
         times.append(path.times[b])
         values.append(y)
-    return FlowSolution(tuple(times), tuple(values), bool(message), message)
+    return FlowSolution(tuple(times), tuple(values), message)
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,8 @@ from .fields import (
     _poly_monomial_upsilon,
     upsilon_sum,
 )
-from .grammar import _json_int, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _first_non_finite, _key_index
+from .grammar import _json_int, _json_value, format_multi_index, parse_multi_index
+from .group import RoughPathGrid, _key_index
 
 __all__ = [
     "Character",
@@ -229,10 +229,8 @@ def character_to_json(ell: Character) -> dict:
 
 
 def character_from_json(payload: dict, d: int | None = None) -> Character:
-    direction = _json_int(payload, "direction")
-    raw = payload.get("terms", {})
-    if not isinstance(raw, Mapping):
-        raise ValueError(f"terms must be a JSON object, got {raw!r}")
+    direction = _json_int(_json_value(payload, "object", "a character"), "direction")
+    raw = _json_value(payload.get("terms", {}), "object", "terms")
     parsed: list[tuple[MultiIndex, Fraction]] = []
     spelled: dict[tuple, str] = {}
     widest = max(direction, 1)
@@ -681,16 +679,11 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
     out_index = _key_index(path.d, out_grading.max_norm)
     index = _key_index(path.d, stored)
     coords = np.zeros((len(path.coords), len(out_index)))
-    with np.errstate(all="ignore"):  # overflow gives inf, refused below
+    with np.errstate(all="ignore"):  # the grid refuses an overflow
         for beta, p in out_index.items():
             column = coords[:, p]
             for gamma_mi, coeff in duals.get(beta, FormalSum.zero()).items():
                 column += float(coeff) * path.coords[:, index[gamma_mi]]
-    if (m := _first_non_finite(coords)) is not None:
-        raise ValueError(
-            f"translated value overflows on segment {m} "
-            f"(t = {path.times[m]} .. {path.times[m + 1]})"
-        )
     return RoughPathGrid._of(
         path.d, out_grading, path.times, coords, out_grading.max_norm
     )

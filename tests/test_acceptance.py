@@ -43,7 +43,6 @@ from mirpath.lifts import (
     lift_piecewise_linear,
 )
 from mirpath.solver import (
-    SolveConfig,
     davie_residual_report,
     dyadic_pairs,
     reference_ode_solve,
@@ -527,7 +526,7 @@ def test_criterion_08_solver_consistency():
     f = _cos_field()
     errors = []
     for mesh_level in (6, 7, 8, 9, 10):
-        sol = solve_flow(path, f, 0.3, SolveConfig(mesh_level=mesh_level))
+        sol = solve_flow(path, f, 0.3, mesh_level=mesh_level)
         ref = reference_ode_solve(f, [math.cos], 0.3, sol.times)
         errors.append(max(abs(a - b) for a, b in zip(sol.values, ref)))
     _report(
@@ -555,7 +554,6 @@ def test_criterion_09_translation_two_routes():
     path = lift_piecewise_linear(samples, grading)
     f = VectorField.polynomial(((F(1, 5),), (F(1), F(0), F(-1, 4))))
     y0 = 0.1
-    cfg = SolveConfig(rk4_substeps=8)
 
     sups = []
     for label, ells in (
@@ -571,8 +569,8 @@ def test_criterion_09_translation_two_routes():
             ],
         ),
     ):
-        via_path = solve_flow(translate_roughpath(ells, path), f, y0, cfg)
-        via_field = solve_flow(path, translated_field(f, ells), y0, cfg)
+        via_path = solve_flow(translate_roughpath(ells, path), f, y0, substeps=8)
+        via_field = solve_flow(path, translated_field(f, ells), y0, substeps=8)
         sup = max(abs(a - b) for a, b in zip(via_path.values, via_field.values))
         sups.append((label, sup))
         assert sup <= 1e-5, (label, sup)

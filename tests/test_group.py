@@ -390,6 +390,18 @@ def test_grid_validation():
         RoughPathGrid(d=2, grading=G3, times=(0.0, 1.0), increments=(other,))
 
 
+def test_grid_refuses_a_non_finite_value_or_time():
+    key = parse_multi_index("z(2,0)", d=2)
+    message = "grid value on segment 1 (t = 0.5 .. 1.0) is not finite"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _constant_grid([{}, {key: value}])
+    inc = identity_character(2, G3)
+    message = "grid times must be finite numbers, but time 2 is inf"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        RoughPathGrid(d=2, grading=G3, times=(0.0, 1.0, float("inf")), increments=(inc, inc))
+
+
 def test_grid_off_grid_time_rejected():
     grid = _constant_grid([{}, {}, {}, {}])
     with pytest.raises(OffGridTimeError):

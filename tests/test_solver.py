@@ -38,7 +38,6 @@ from mirpath.lifts import lift_piecewise_linear
 from mirpath.solver import (
     DivergedError,
     FlowSolution,
-    SolveConfig,
     davie_expansion,
     davie_residual_report,
     dyadic_pairs,
@@ -364,6 +363,12 @@ class TestSolveFlow:
         assert sol.values == tuple([0.77] * len(path.times))
         assert not sol.diverged
 
+    def test_initial_state_beyond_the_bound_is_refused(self):
+        f = VectorField.polynomial([(0,), (0,)])
+        assert solve_flow(sine_path(8), f, -1e12).values[-1] == -1e12
+        with pytest.raises(ValueError, match="^initial state 2000000000000.0 lies beyond"):
+            solve_flow(sine_path(8), f, 2e12)
+
     def test_initial_condition_exact(self):
         path = sine_path(8)
         y0 = 0.1234567890123456789  # rounds to a specific binary64
@@ -392,7 +397,7 @@ class TestSolveFlow:
         f = cos_field()
         errors = []
         for mesh_level in (6, 7, 8, 9, 10):
-            sol = solve_flow(path, f, 0.3, SolveConfig(mesh_level=mesh_level))
+            sol = solve_flow(path, f, 0.3, mesh_level=mesh_level)
             ref = reference_ode_solve(f, [math.cos], 0.3, sol.times)
             errors.append(max(abs(a - b) for a, b in zip(sol.values, ref)))
         assert all(a > b for a, b in zip(errors, errors[1:])), errors
@@ -404,9 +409,7 @@ class TestSolveFlow:
         f = drifted_cos_field()
         errors = []
         for mesh_level in (6, 7, 8, 9, 10):
-            sol = solve_flow(
-                path, f, 0.3, SolveConfig(mesh_level=mesh_level, level=1)
-            )
+            sol = solve_flow(path, f, 0.3, mesh_level=mesh_level, level=1)
             ref = reference_ode_solve(f, [math.cos], 0.3, sol.times)
             errors.append(max(abs(a - b) for a, b in zip(sol.values, ref)))
         assert all(a > b for a, b in zip(errors, errors[1:])), errors
@@ -418,7 +421,7 @@ class TestSolveFlow:
         path = sine_path(1 << 10)
         f = drifted_cos_field()
         sols = {
-            level: solve_flow(path, f, 0.3, SolveConfig(mesh_level=level, level=1))
+            level: solve_flow(path, f, 0.3, mesh_level=level, level=1)
             for level in (5, 6, 7, 8)
         }
         diffs = []
@@ -434,9 +437,8 @@ class TestSolveFlow:
 
     def test_deterministic(self):
         path = sine_path(64)
-        cfg = SolveConfig(mesh_level=4)
-        one = solve_flow(path, cos_field(), 0.3, cfg)
-        two = solve_flow(path, cos_field(), 0.3, cfg)
+        one = solve_flow(path, cos_field(), 0.3, mesh_level=4)
+        two = solve_flow(path, cos_field(), 0.3, mesh_level=4)
         assert one.values == two.values and one.times == two.times
 
     def test_divergence_truncates_locally(self):
@@ -467,19 +469,19 @@ class TestSolveFlow:
             f = translated_field(base, ells)
             key = "z(0,1)z(1,0)"
         path = one_step_path(key)
-        sol = solve_flow(path, f, 0.5, SolveConfig(rk4_substeps=4))
+        sol = solve_flow(path, f, 0.5, substeps=4)
         assert sol.diverged
         assert sol.values == (0.5,)
         assert "overflowed in the step to 0.5" in sol.message
 
     def test_mesh_validation(self):
         path = sine_path(8)
+        with pytest.raises(ValueError, match="substeps must be >= 1, got 0"):
+            solve_flow(path, cos_field(), 0.3, substeps=0)
+        with pytest.raises(ValueError, match="mesh_level must be >= 0, got -1"):
+            solve_flow(path, cos_field(), 0.3, mesh_level=-1)
         with pytest.raises(ValueError):
-            SolveConfig(rk4_substeps=0)
-        with pytest.raises(ValueError):
-            SolveConfig(mesh_level=-1)
-        with pytest.raises(ValueError):
-            solve_flow(path, cos_field(), 0.3, SolveConfig(mesh_level=4))
+            solve_flow(path, cos_field(), 0.3, mesh_level=4)
 
     def test_value_at_unknown_time(self):
         path = sine_path(4)

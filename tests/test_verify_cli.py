@@ -42,7 +42,7 @@ from mirpath.lifts import (
     read_path_csv,
     write_path_csv,
 )
-from mirpath.solver import SolveConfig, solve_flow
+from mirpath.solver import solve_flow
 from mirpath.translation import Character, character_to_json, identity_characters
 from mirpath.verify import SuiteResult, available_suites, run_all_suites
 
@@ -377,12 +377,12 @@ class TestCliLiftSolve:
         csv_file.write_text("t,x1\n0.0,0.0\n0.5,0.1\n1.0,1e300\n")
         code, out, err = run_cli("lift", "--path", str(csv_file), "--no-timestamp")
         assert code == 2
-        assert "overflows on segment 1" in err
+        assert "grid value on segment 1 (t = 0.5 .. 1.0) is not finite" in err
         assert out == ""
 
     @pytest.mark.parametrize("field, message", [
         ("times", "grid times must be finite"),
-        ("increments", "increment 2 holds a non-finite value"),
+        ("increments", "grid value on segment 2 (t = 0.0625 .. 0.09375) is not finite"),
     ])
     def test_non_finite_grid_is_a_usage_error(
         self, sine_csv, cubic_field_json, tmp_path, field, message
@@ -445,7 +445,7 @@ class TestCliLiftSolve:
             samples, Grading(max_norm=3, gamma=Fraction(1, 2))
         )
         field = vector_field_from_json(cubic_field_json.read_text())
-        ref = solve_flow(grid, field, 0.1, SolveConfig(rk4_substeps=8))
+        ref = solve_flow(grid, field, 0.1, substeps=8)
         assert sol["times"] == list(ref.times)
         assert sol["values"] == list(ref.values)
         assert sol["diverged"] is False
@@ -607,6 +607,22 @@ class TestCliLiftSolve:
         assert "--y0" in err and "finite" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    def test_y0_beyond_the_state_bound_is_a_usage_error(self, command, tmp_path):
+        # the zero field keeps every state constant; a start beyond the
+        # solver's bound used to be reported as a divergence at substep 1
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--brownian", "strat", "--d", "1", "--steps", "8",
+                "--no-timestamp", "--out", str(grid_file))
+        field_file = tmp_path / "field.json"
+        field_file.write_text(json.dumps({"d": 1, "fields": []}))
+        out_file = tmp_path / "out.json"
+        code, out, err = run_cli(command, "--grid", str(grid_file), "--field",
+                                 str(field_file), "--y0", "2e12", "--out", str(out_file))
+        assert code == 2
+        assert err == "error: initial state 2000000000000.0 lies beyond the state bound 1e+12\n"
+        assert out == "" and not out_file.exists()
+
     def test_flat_coordinate_keeps_its_explicit_zeros(self, tmp_path):
         csv_file = tmp_path / "flat.csv"
         buf = io.StringIO()
@@ -740,7 +756,7 @@ class TestCliTranslate:
                                      "--ito-strat", "--no-timestamp", *out_flags)
             assert code == 2
             assert out == ""
-            assert err == "error: translated value overflows on segment 0 (t = 0.0 .. 0.25)\n"
+            assert err == "error: grid value on segment 0 (t = 0.0 .. 0.25) is not finite\n"
         assert not out_file.exists()
 
     def test_truncation_shortfall_is_a_usage_error(self, grid_file, tmp_path):
@@ -904,12 +920,12 @@ class TestCliMalformedInputs:
                                       "--field", str(cubic_field_json))
         assert "the key 'z(1,0)' appears twice in one object" in err
 
-    def solve_field(self, tmp_path, doc):
+    def solve_field(self, tmp_path, doc) -> str:
         grid_file = tmp_path / "grid.json"
         field_file = tmp_path / "bad_field.json"
         field_file.write_text(json.dumps(doc))
-        self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
-                                "--field", str(field_file))
+        return self.assert_usage_error(field_file, "solve", "--grid", str(grid_file),
+                                       "--field", str(field_file))
 
     def test_field_coefficient_with_zero_denominator(self, grid_doc, tmp_path):
         self.solve_field(tmp_path, {
@@ -979,6 +995,30 @@ class TestCliMalformedInputs:
         err = self.assert_usage_error(chars, "translate", "--grid", str(grid_file),
                                       "--chars", str(chars))
         assert "the key 'z(1,0)' appears twice in one object" in err
+
+    @pytest.mark.parametrize("kind, doc, message", [
+        ("grid", lambda g: {k: v for k, v in g.items() if k != "times"},
+         "missing key 'times'"),
+        ("grid", lambda g: [g], "a grid must be a JSON object, got [{...}]"),
+        ("grid", lambda g: {**g, "increments": 5}, "increments must be a JSON list, got 5"),
+        ("field", {"fields": []}, "missing key 'd'"),
+        ("field", {"d": 1, "fields": [5]}, "field entry 0 must be a JSON object, got 5"),
+        ("field", {"d": 1, "fields": {"i": 1}}, "fields must be a JSON list, got {'i': 1}"),
+        ("chars", [5], "a character must be a JSON object, got 5"),
+        ("chars", "abc", "a character must be a JSON object, got 'abc'"),
+    ], ids=["grid-without-times", "grid-as-a-list", "grid-increments-a-number",
+            "field-without-d", "field-entry-a-number", "fields-as-an-object",
+            "characters-a-number", "characters-a-string"])
+    def test_json_reader_names_what_is_wrong(self, grid_doc, cubic_field_json, tmp_path,
+                                             kind, doc, message):
+        # each used to name only a Python internal, such as 'times'
+        if kind == "grid":
+            err = self.solve_grid(tmp_path, doc(grid_doc["grid"]), cubic_field_json)
+        elif kind == "field":
+            err = self.solve_field(tmp_path, doc)
+        else:
+            err = self.translate_chars(tmp_path, doc)
+        assert err.endswith(f": {message}\n")
 
     def test_path_csv_with_a_word_for_a_number(self, tmp_path):
         csv_file = tmp_path / "word.csv"
@@ -1531,11 +1571,13 @@ def test_version_loads_no_layer_and_every_export_resolves(tmp_path):
 
 def test_each_operation_has_one_spelling():
     for name in ("mi_product", "degree", "gamma_degree", "is_populated",
-                 "symmetry_factor", "grid_to_json", "vector_field_to_json"):
+                 "symmetry_factor", "grid_to_json", "vector_field_to_json", "SolveConfig"):
         with pytest.raises(AttributeError):
             getattr(mirpath, name)
     assert list(inspect.signature(mirpath.gl_product).parameters) == ["u", "v"]
     assert list(inspect.signature(mirpath.translate).parameters) == ["ells", "u"]
+    assert list(inspect.signature(mirpath.solve_flow).parameters) == [
+        "path", "f", "y0", "substeps", "mesh_level", "level"]
 
 
 def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
