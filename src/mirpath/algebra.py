@@ -407,6 +407,17 @@ def _exact(c) -> int | Fraction:
     return Fraction(c)
 
 
+def _rational(value) -> Fraction:
+    """An outside value as an exact rational: an int, a float read by its
+    decimal text (so 0.3 is 3/10), or a string such as ``"p/q"`` or
+    ``"1.5"``.  Any other value, a NaN or an infinity raise ValueError, and
+    a zero denominator ZeroDivisionError.  The CLI's rational flags and the
+    JSON readers' ``"rational"`` kind both read by this rule."""
+    if type(value) not in (int, float, str):
+        raise ValueError(f"not a rational: {value!r}")
+    return Fraction(repr(value) if type(value) is float else value)
+
+
 def _numerators(s: "FormalSum") -> tuple[Iterable, int]:
     """The terms of ``s`` as ``(basis, int numerator)`` pairs over the least
     common denominator of its coefficients, and that denominator."""

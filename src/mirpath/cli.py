@@ -33,12 +33,13 @@ import contextlib
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .fields import VectorField
     from .group import RoughPathGrid
     from .translation import Character
@@ -75,16 +76,6 @@ class _Output(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _parse_gamma(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse gamma {text!r} as a rational p/q") from exc
-    if not 0 < value < 1:
-        raise UsageError(f"gamma must lie strictly between 0 and 1, got {value}")
-    return value
-
-
 def _finite_float(text: str) -> float:
     """argparse type: a float that is neither infinite nor NaN."""
     try:
@@ -96,24 +87,39 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _seed(text: str) -> int:
-    """argparse type: a non-negative integer of any size."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1  # refused below with the same message as a negative seed
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+def _integer(low: int, noun: str):
+    """argparse type: an integer of any size that is at least ``low``,
+    called ``noun`` when refused."""
+
+    def parse(text: str) -> int:
+        with contextlib.suppress(ValueError):
+            if (value := int(text)) >= low:
+                return value
+        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+
+    return parse
 
 
-def _parse_level(text: str | None) -> Fraction | None:
-    if text is None:
-        return None
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"cannot parse level {text!r} as a rational p/q") from exc
+_seed = _integer(0, "a non-negative integer")
+_count = _integer(1, "a positive integer")
+
+
+def _rational(text: str) -> Fraction:
+    """argparse type: an exact rational such as 3/2 or 1.5, by the rule of
+    the input files.  The import is here so that building the parser
+    imports no package module."""
+    from . import algebra
+
+    with contextlib.suppress(ValueError, ZeroDivisionError):
+        return algebra._rational(text)
+    raise argparse.ArgumentTypeError(f"expected a rational p/q, got {text!r}")
+
+
+def _gamma(text: str) -> Fraction:
+    """argparse type: an exact rational strictly between 0 and 1."""
+    if 0 < (value := _rational(text)) < 1:
+        return value
+    raise argparse.ArgumentTypeError(f"expected a rational p/q in (0, 1), got {text!r}")
 
 
 def _provenance(args: argparse.Namespace, out: _Output) -> dict:
@@ -171,8 +177,9 @@ def _read_input(path: str, reader, what: str, wrapper: str | None = None):
     its ``wrapper`` field if the file is a CLI output."""
     from .grammar import _unique_keys
 
+    text = _read_text(path)
     try:
-        payload = json.loads(_read_text(path), object_pairs_hook=_unique_keys)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path!r} is not valid JSON: {exc}") from exc
     except ValueError as exc:
@@ -210,18 +217,12 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
     The file may hold a single character object or a list of them; any
     direction not mentioned keeps the identity character.
     """
-    from .translation import (
-        character_from_json,
-        identity_characters,
-        ito_strat_character,
-    )
+    from .translation import _ito_strat_characters, character_from_json, identity_characters
 
     if args.ito_strat and args.chars:
         raise UsageError("pass either --ito-strat or --chars, not both")
-    ells = identity_characters(d)
     if args.ito_strat:
-        ells[0] = ito_strat_character(d)
-        return ells
+        return _ito_strat_characters(d)
     if not args.chars:
         raise UsageError("translation needs --ito-strat or --chars FILE")
 
@@ -235,6 +236,7 @@ def _load_characters(args: argparse.Namespace, d: int) -> list[Character]:
             seen.add(ell.direction)
         return out
 
+    ells = identity_characters(d)
     for ell in _read_input(args.chars, read, "characters"):
         ells[ell.direction] = ell
     return ells
@@ -249,15 +251,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> _Output:
     from .algebra import enumerate_populated
     from .grammar import format_multi_index
 
-    if args.d < 1:
-        raise UsageError(f"need at least one driving letter, got --d {args.d}")
-    if args.max_norm < 0:
-        raise UsageError(f"--max-norm must be >= 0, got {args.max_norm}")
-    gamma = _parse_gamma(args.gamma)
-    config = {"d": args.d, "max_norm": args.max_norm, "gamma": str(gamma)}
+    config = {"d": args.d, "max_norm": args.max_norm, "gamma": str(args.gamma)}
     lines = [
         f"{format_multi_index(m)}  degree={m.degree()}  "
-        f"gamma-degree={m.gamma_degree(gamma)}  "
+        f"gamma-degree={m.gamma_degree(args.gamma)}  "
         f"symmetry={m.symmetry_factor()}  "
         f"populated={'yes' if m.is_populated() else 'no'}"
         for m in enumerate_populated(args.d, args.max_norm)
@@ -294,10 +291,9 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
     from .algebra import Grading
     from .lifts import grid_payload, lift_brownian, lift_piecewise_linear, read_path_csv
 
-    gamma = _parse_gamma(args.gamma)
     if bool(args.path) == bool(args.brownian):
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")
-    grading = Grading(max_norm=args.max_norm, gamma=gamma)
+    grading = Grading(max_norm=args.max_norm, gamma=args.gamma)
     if args.path:
         samples = _parse_input(args.path, read_path_csv, _read_text(args.path), "a path CSV")
         d = len(samples[0]) - 1
@@ -309,10 +305,6 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
         seed = None
         source = {"kind": "piecewise-linear", "file": args.path}
     else:
-        if args.brownian not in ("ito", "strat"):
-            raise UsageError(
-                f"--brownian must be 'ito' or 'strat', got {args.brownian!r}"
-            )
         d = args.d if args.d is not None else 1
         grid = lift_brownian(
             d=d,
@@ -330,7 +322,7 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
         }
     config = {
         "d": d,
-        "gamma": str(gamma),
+        "gamma": str(args.gamma),
         "max_norm": args.max_norm,
         "source": source,
     }
@@ -349,7 +341,7 @@ def _solve_inputs(args: argparse.Namespace) -> tuple:
     settings = {
         "substeps": args.substeps,
         "mesh_level": args.mesh_level,
-        "level": _parse_level(args.level),
+        "level": args.level,
     }
     config = {
         "grid": args.grid,
@@ -357,7 +349,7 @@ def _solve_inputs(args: argparse.Namespace) -> tuple:
         "y0": args.y0,
         "substeps": args.substeps,
         "mesh_level": args.mesh_level,
-        "level": args.level,
+        "level": None if args.level is None else str(args.level),
     }
     return grid, field, settings, config
 
@@ -411,8 +403,6 @@ def _cmd_translate_field(args: argparse.Namespace) -> _Output:
 def _cmd_davie_report(args: argparse.Namespace) -> _Output:
     from .solver import davie_residual_report, dyadic_pairs, solve_flow
 
-    if args.min_block < 1:
-        raise UsageError(f"--min-block must be >= 1, got {args.min_block}")
     if args.max_block is not None and args.min_block > args.max_block:
         raise UsageError(
             f"--min-block {args.min_block} exceeds --max-block {args.max_block}"
@@ -440,10 +430,6 @@ def _cmd_davie_report(args: argparse.Namespace) -> _Output:
 def _cmd_ito_strat_demo(args: argparse.Namespace) -> _Output:
     from .lifts import brownian_pair_statistics
 
-    if args.d < 1:
-        raise UsageError(f"need at least one driving letter, got --d {args.d}")
-    if args.paths < 1 or args.steps < 1:
-        raise UsageError("--paths and --steps must be positive")
     stats = brownian_pair_statistics(
         d=args.d,
         t_final=args.t_final,
@@ -485,12 +471,12 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_gamma(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--gamma", default="1/2", metavar="P/Q",
+    sub.add_argument("--gamma", type=_gamma, default="1/2", metavar="P/Q",
                      help="Hölder exponent as an exact rational in (0,1)")
 
 
 def _add_d(sub: argparse.ArgumentParser, default: int | None) -> None:
-    sub.add_argument("--d", type=int, default=default,
+    sub.add_argument("--d", type=_count, default=default,
                      help="number of driving letters (letter 0 is time)")
 
 
@@ -514,7 +500,7 @@ def _add_solve_inputs(sub: argparse.ArgumentParser) -> None:
                      help="use the dyadic sub-mesh 2^-L of the stored grid")
     sub.add_argument("--substeps", type=int, default=8,
                      help="RK4 substeps per log-flow step")
-    sub.add_argument("--level", default=None, metavar="P/Q",
+    sub.add_argument("--level", type=_rational, default=None, metavar="P/Q",
                      help="expansion level (default: the stored truncation)")
 
 
@@ -554,7 +540,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     p.add_argument("--path", default=None, metavar="CSV",
                    help="piecewise-linear samples: t,x1,…,xd with header")
-    p.add_argument("--brownian", default=None, metavar="MODE",
+    p.add_argument("--brownian", choices=("ito", "strat"), default=None, metavar="MODE",
                    help="lattice Brownian lift, MODE is 'ito' or 'strat'")
     p.add_argument("--steps", type=int, default=1024,
                    help="number of Brownian lattice steps (power of two)")
@@ -588,7 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="residual decay of the local expansion")
     _add_output(p)
     _add_solve_inputs(p)
-    p.add_argument("--min-block", type=int, default=1,
+    p.add_argument("--min-block", type=_count, default=1,
                    help="smallest dyadic block size in the residual fit")
     p.add_argument("--max-block", type=int, default=None,
                    help="largest dyadic block size in the residual fit")
@@ -599,9 +585,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_d(p, 1)
     _add_seed(p)
     _add_output(p)
-    p.add_argument("--paths", type=int, default=10000,
+    p.add_argument("--paths", type=_count, default=10000,
                    help="number of Monte-Carlo paths")
-    p.add_argument("--steps", type=int, default=4096,
+    p.add_argument("--steps", type=_count, default=4096,
                    help="lattice steps per path")
     p.add_argument("--t-final", type=float, default=1.0)
     p.set_defaults(handler=_cmd_ito_strat_demo)
@@ -623,9 +609,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        # --gamma is validated before any other flag is checked or file read
-        if getattr(args, "gamma", None) is not None:
-            _parse_gamma(args.gamma)
         out = args.handler(args)
         if out.body is not None:
             _write(args.out, _provenance(args, out), out.body)

@@ -251,11 +251,14 @@ def vector_field_from_json(doc: str | Mapping) -> VectorField:
             raise ValueError(f"field letter {i} is listed twice")
         listed.add(i)
         coeffs = _json_value(entry.get("coeffs", _MISSING), "list", "coeffs")
-        rows[i] = [Fraction(str(c)) for c in coeffs]
+        rows[i] = [_json_value(c, "rational", f"coefficient {k} of field letter {i}")
+                   for k, c in enumerate(coeffs)]
+        derivative = rows[i]
         try:
-            for k in range(len(rows[i])):
-                for c in _poly_derivative(tuple(rows[i]), k):
+            while derivative:
+                for c in derivative:
                     float(c)  # OverflowError beyond the float range
+                derivative = _poly_derivative(derivative, 1)
         except OverflowError:
             raise ValueError(
                 f"field letter {i}: a coefficient of f_{i} or of one of its "

@@ -18,12 +18,13 @@ formatter never emits whitespace inside a term.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import reprlib
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .algebra import EMPTY_FOREST, Forest, FormalSum, MultiIndex
+from .algebra import EMPTY_FOREST, Forest, FormalSum, MultiIndex, _rational
 
 __all__ = [
     "ParseError",
@@ -212,34 +213,54 @@ def parse_formal_sum(text: str, d: int | None = None) -> FormalSum:
 #: Stands in for the value of a key that a JSON object does not have.
 _MISSING = object()
 
-_JSON_KINDS = {"integer": int, "list": list, "object": Mapping, "value": object}
+_JSON_KINDS = {"integer": int, "number": float, "list": list, "object": Mapping}
 
 # a refused value is quoted with its own items, but not theirs
 _BRIEF = reprlib.Repr()
 _BRIEF.maxlevel = 1
 
+#: The largest value an input file may give each of these integer keys,
+#: refused before a reader allocates by it: the grid's key table at
+#: (d, max_norm) = (6, 5) holds 17 892 keys and takes 0.3 s to build, and
+#: it grows like d^max_norm.
+_AT_MOST = {"d": 6, "max_norm": 5}
 
-def _json_value(value, kind: str, what: str):
+
+def _json_value(value, kind: str, what: str | Callable[[], str]):
     """``value`` as a JSON ``kind``: an ``"integer"`` (``true``, ``2.7`` and
-    ``"3"`` are not), a ``"list"``, an ``"object"``, any ``"value"``, or a
+    ``"3"`` are not), a ``"number"`` (an integer or a float, but not
+    ``true``, returned as a float), a ``"rational"`` (read by
+    :func:`algebra._rational`), a ``"list"``, an ``"object"``, or a
     ``"document"``, an object given as JSON text or already parsed, whose
-    text may not give one key twice.  Any other value, and ``_MISSING``,
-    raise a ValueError that names ``what``."""
+    text may not give one key twice.  Any other value, an integer beyond
+    the float range as a number, and ``_MISSING`` raise a ValueError that
+    names ``what``; a callable ``what`` is called for that name only."""
     if value is _MISSING:
         raise ValueError(f"missing key {what!r}")
     if kind == "document":
         if isinstance(value, str):
             value = json.loads(value, object_pairs_hook=_unique_keys)
         kind = "object"
-    fits = type(value) is int if kind == "integer" else isinstance(value, _JSON_KINDS[kind])
-    if not fits:
-        raise ValueError(f"{what} must be a JSON {kind}, got {_BRIEF.repr(value)}")
-    return value
+    if kind == "rational":
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return _rational(value)
+    elif kind == "number" and type(value) in (int, float):
+        with contextlib.suppress(OverflowError):
+            return float(value)
+        kind = "number in the float range"
+    elif type(value) is int if kind == "integer" else isinstance(value, _JSON_KINDS[kind]):
+        return value
+    name = what() if callable(what) else what
+    raise ValueError(f"{name} must be a JSON {kind}, got {_BRIEF.repr(value)}")
 
 
 def _json_int(payload: Mapping, key: str) -> int:
-    """``payload[key]``, which must be a JSON integer."""
-    return _json_value(payload.get(key, _MISSING), "integer", key)
+    """``payload[key]``, which must be a JSON integer, and at most
+    ``_AT_MOST[key]`` for a key listed there."""
+    value = _json_value(payload.get(key, _MISSING), "integer", key)
+    if key in _AT_MOST and value > _AT_MOST[key]:
+        raise ValueError(f"{key} must be at most {_AT_MOST[key]}, got {value}")
+    return value
 
 
 def _unique_keys(pairs: list) -> dict:

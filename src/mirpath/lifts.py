@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -264,21 +263,13 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     the highest key degree in the document."""
     payload = _json_value(doc, "document", "a grid")
     d = _json_int(payload, "d")
-    # γ is read from its decimal text, so 0.3 is 3/10 and true is refused
     grading = Grading(
         max_norm=_json_int(payload, "max_norm"),
-        gamma=Fraction(str(_json_value(payload.get("gamma", _MISSING), "value", "gamma"))),
+        gamma=_json_value(payload.get("gamma", _MISSING), "rational", "gamma"),
     )
+    # a grid holds thousands of values, so each is named only if refused
     times = _json_value(payload.get("times", _MISSING), "list", "times")
-    for m, t in enumerate(times):
-        if type(t) is int and abs(t) > sys.float_info.max:
-            raise ValueError(
-                f"grid times must be finite numbers, but time {m} is an integer "
-                "beyond the float range"
-            )
-        if isinstance(t, bool) or not isinstance(t, (int, float)):
-            raise ValueError(f"grid times must be finite numbers, but time {m} is {t!r}")
-    times = tuple(map(float, times))
+    times = tuple(_json_value(t, "number", lambda: f"time {m}") for m, t in enumerate(times))
     index = tuple(_key_index(d, grading.max_norm))
     increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
     slots: dict[str, int] = {}
@@ -292,14 +283,7 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
                 if p in slots.values():
                     raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
                 slots[key] = p
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"increment {m} holds {v!r} under {key!r}, not a number")
-            try:
-                row[p] = float(v)
-            except OverflowError:
-                raise ValueError(
-                    f"increment {m} holds an integer beyond the float range under {key!r}"
-                ) from None
+            row[p] = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
         coords[m] = row
     depth = max((index[p].degree() for p in slots.values()), default=0)
     return RoughPathGrid._of(d, grading, times, coords, depth)

@@ -192,6 +192,14 @@ def ito_strat_character(d: int) -> Character:
     return Character(0, terms, d)
 
 
+def _ito_strat_characters(d: int) -> list[Character]:
+    """The Itô→Stratonovich list: :func:`ito_strat_character` in the drift
+    slot, the identity in every other direction."""
+    ells = identity_characters(d)
+    ells[0] = ito_strat_character(d)
+    return ells
+
+
 def translation_order(ells: Sequence[Character], gamma: Fraction) -> Fraction:
     """Regularity cost of a translation: the output path is γ/N-Hölder.
 
@@ -238,7 +246,7 @@ def character_from_json(payload: dict, d: int | None = None) -> Character:
         key = parse_multi_index(text)
         if (first := spelled.setdefault(key.entries, text)) != text:
             raise ValueError(f"{text!r} repeats the term {first!r}")
-        parsed.append((key, Fraction(str(value))))
+        parsed.append((key, _json_value(value, "rational", f"the weight of {text!r}")))
         widest = max(widest, *(i for (i, _k), _m in key.entries), 0)
     if d is None:
         d = widest

@@ -45,11 +45,11 @@ from .grammar import format_forest, format_multi_index
 from .group import _key_index, chen_compose, exp_element, log_element, random_character
 from .lifts import lift_piecewise_linear
 from .translation import (
+    _ito_strat_characters,
     coproduct_minus,
     identity_characters,
     insert_prelie,
     insert_simultaneous,
-    ito_strat_character,
     m_ell,
     translate,
 )
@@ -161,13 +161,6 @@ def _add_term(acc: dict, key, coeff) -> None:
 def _triple_text(kind: str, a, b, c) -> str:
     fmt = format_forest if isinstance(a, Forest) else format_multi_index
     return f"{kind} triple ({fmt(a)}, {fmt(b)}, {fmt(c)})"
-
-
-def _is_characters(d: int):
-    """Character list: raising correction in the drift slot, identity elsewhere."""
-    ells = identity_characters(d)
-    ells[0] = ito_strat_character(d)
-    return ells
 
 
 def _poly_rows(d: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -375,7 +368,7 @@ def _suite_translate_identity(d, max_norm, seed, rec):
 
 def _suite_translate_morphism(d, max_norm, seed, rec):
     """Translation respects the forest product and the raising derivation."""
-    ells = _is_characters(d)
+    ells = _ito_strat_characters(d)
     mis = enumerate_populated(d, 2)
     forests = [EMPTY_FOREST]
     forests += [Forest([m]) for m in mis]
@@ -406,7 +399,7 @@ def _suite_translate_morphism(d, max_norm, seed, rec):
 
 def _suite_translate_population(d, max_norm, seed, rec):
     """Images of translation, its dual, and insertion stay populated."""
-    ells = _is_characters(d)
+    ells = _ito_strat_characters(d)
     for b in enumerate_populated(d, max_norm):
         rec.check(
             all(t.is_populated() for t, _ in translate(ells, b).items()),

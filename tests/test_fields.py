@@ -9,6 +9,7 @@ path with the Grossman–Larson product used on the left.
 
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -469,6 +470,10 @@ class TestTranslatedField:
 # ---------------------------------------------------------------------------
 
 
+#: Wall-clock budget for reading one field row of 300 coefficients.
+LONG_ROW_BUDGET_S = 3.0
+
+
 class TestVectorFieldJson:
     def test_round_trip(self, poly_field):
         text = json.dumps(vector_field_payload(poly_field))
@@ -507,3 +512,18 @@ class TestVectorFieldJson:
         doc = '{"d": 1, "fields": [{"i": 1, "coeffs": ["1"], "coeffs": ["2"]}]}'
         with pytest.raises(ValueError, match="the key 'coeffs' appears twice"):
             vector_field_from_json(doc)
+
+    def test_d_above_its_bound_is_refused(self):
+        # the reader used to build d + 1 rows first: 47 MB at d = 200000
+        assert vector_field_from_json({"d": 6, "fields": []}).d == 6
+        with pytest.raises(ValueError, match="^d must be at most 6, got 200000$"):
+            vector_field_from_json({"d": 200000, "fields": []})
+
+    def test_long_coefficient_row_reads_within_budget(self):
+        # each derivative of a row is checked against the float range; taking
+        # every order from scratch made this row take about 30 s, against
+        # 0.2 s for taking each order from the one before
+        start = time.perf_counter()
+        f = vector_field_from_json({"d": 1, "fields": [{"i": 1, "coeffs": ["1e-1000"] * 300}]})
+        assert time.perf_counter() - start < LONG_ROW_BUDGET_S
+        assert f.poly_coeffs[1] == (Fraction(1, 10**1000),) * 300

@@ -414,7 +414,9 @@ def _one_letter_grid(times, gamma="1/2") -> dict:
 
 @pytest.mark.parametrize("bad", ["0.5", True, None, [0.5], math.inf])
 def test_grid_times_must_be_finite_json_numbers(bad):
-    with pytest.raises(ValueError, match=re.escape(f"time 1 is {bad!r}")):
+    # inf is a JSON number, which the grid itself refuses
+    message = "time 1 is inf" if bad == math.inf else f"time 1 must be a JSON number, got {bad!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         grid_from_json(_one_letter_grid([0, bad, 1.0]))
     grid = grid_from_json(_one_letter_grid([0, 0.5, 1]))
     assert grid.times == (0.0, 0.5, 1.0)
@@ -422,13 +424,14 @@ def test_grid_times_must_be_finite_json_numbers(bad):
 
 
 def test_grid_integers_beyond_the_float_range_are_refused_by_index():
-    with pytest.raises(ValueError, match="time 1 is an integer beyond the float range"):
+    huge = "must be a JSON number in the float range, got "
+    with pytest.raises(ValueError, match=re.escape(f"time 1 {huge}1{'0' * 17}...{'0' * 19}")):
         grid_from_json(_one_letter_grid([0, 10**310, 1.0]))
     doc = _one_letter_grid([0.0, 0.5, 1.0])
     doc["increments"] = [{"z(1,0)": 1.0}, {"z(1,0)": -(10**310)}]
     with pytest.raises(
         ValueError,
-        match=re.escape("increment 1 holds an integer beyond the float range under 'z(1,0)'"),
+        match=re.escape(f"increment 1 at 'z(1,0)' {huge}-1{'0' * 16}...{'0' * 19}"),
     ):
         grid_from_json(doc)
 
@@ -441,6 +444,19 @@ def test_grid_gamma_is_read_by_its_decimal_text(gamma, want):
 def test_grid_gamma_cannot_be_a_bool():
     with pytest.raises(ValueError):
         grid_from_json(_one_letter_grid([0.0, 1.0], True))
+
+
+def test_grid_d_and_max_norm_above_their_bounds_are_refused():
+    # the key table grows like d^N, and the reader used to build it for
+    # whatever d and max_norm the file named
+    doc = _one_letter_grid([0.0, 1.0])
+    for d, max_norm, message in [(7, 1, "d must be at most 6, got 7"),
+                                 (50, 3, "d must be at most 6, got 50"),
+                                 (1, 6, "max_norm must be at most 5, got 6")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            grid_from_json({**doc, "d": d, "max_norm": max_norm})
+    for d, max_norm in [(6, 1), (1, 5)]:
+        assert grid_from_json({**doc, "d": d, "max_norm": max_norm}).grading.max_norm == max_norm
 
 
 def test_grid_text_repeating_a_key_is_refused():

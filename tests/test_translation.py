@@ -74,6 +74,7 @@ from mirpath.translation import (  # white-box: the kernels and their references
     _coproduct_direct,
     _dual_table,
     _generator_image,
+    _ito_strat_characters,
     _missing_degree,
     _raise_candidates,
     _translate_mi,
@@ -301,12 +302,6 @@ class TestInsertSimultaneous:
 # ---------------------------------------------------------------------------
 
 
-def _is_characters(d: int) -> list[Character]:
-    ells = identity_characters(d)
-    ells[0] = ito_strat_character(d)
-    return ells
-
-
 def _second_order_space_characters() -> list[Character]:
     ells = identity_characters(1)
     ells[1] = Character(
@@ -364,7 +359,7 @@ class TestTranslate:
 
     def test_drift_generator_image(self):
         d = 2
-        got = translate(_is_characters(d), single(0, 0, d))
+        got = translate(_ito_strat_characters(d), single(0, 0, d))
         want = (
             FormalSum.of(single(0, 0, d))
             + FormalSum.of(mi(d, (1, 0), (1, 1)), HALF)
@@ -374,7 +369,7 @@ class TestTranslate:
 
     def test_raised_drift_generator_image(self):
         # the image of z(0,1) is the derivation applied to the image of z(0,0)
-        got = translate(_is_characters(1), single(0, 1, 1))
+        got = translate(_ito_strat_characters(1), single(0, 1, 1))
         want = (
             FormalSum.of(single(0, 1, 1))
             + FormalSum.of(mi(1, (1, 0), (1, 2)), HALF)
@@ -384,7 +379,7 @@ class TestTranslate:
 
     def test_space_generators_unchanged(self):
         for key in (single(1, 0, 2), single(2, 1, 2), mi(2, (1, 0), (2, 1))):
-            assert translate(_is_characters(2), key) == FormalSum.of(key)
+            assert translate(_ito_strat_characters(2), key) == FormalSum.of(key)
 
     def test_second_order_space_expansion(self):
         got = translate(_second_order_space_characters(), mi(1, (1, 0), (1, 1)))
@@ -409,7 +404,7 @@ class TestTranslate:
                 assert _image_from_dual_table(ells, b, bound) == restricted
 
     def test_multiplicative_on_monomials(self):
-        ells = _is_characters(1)
+        ells = _ito_strat_characters(1)
         a, b = single(0, 0, 1), mi(1, (1, 0), (1, 1))
         lhs = translate(ells, a.mul(b))
         rhs = FormalSum.zero()
@@ -428,7 +423,7 @@ class TestTranslate:
             for a, b in itertools.combinations_with_replacement(mis, 2)
             if a.degree() + b.degree() <= 3
         ]
-        for ells in (_is_characters(1), _second_order_space_characters()):
+        for ells in (_ito_strat_characters(1), _second_order_space_characters()):
             for u in forests:
                 for v in forests:
                     if u.degree() + v.degree() > 4:
@@ -438,7 +433,7 @@ class TestTranslate:
                     assert lhs == rhs, (u, v)
 
     def test_commutes_with_raising_derivation(self):
-        for ells in (_is_characters(1), _second_order_space_characters()):
+        for ells in (_ito_strat_characters(1), _second_order_space_characters()):
             for b in enumerate_populated(1, 3):
                 assert translate(ells, derivation_d(b)) == derivation_d(
                     translate(ells, b)
@@ -446,7 +441,7 @@ class TestTranslate:
 
     def test_population_preserved_termwise(self):
         for b in enumerate_populated(2, 3):
-            for term, _ in translate(_is_characters(2), b).items():
+            for term, _ in translate(_ito_strat_characters(2), b).items():
                 assert term.is_populated()
 
     def test_mixed_denominators_accumulate_exactly(self):
@@ -598,7 +593,7 @@ class TestDualTranslation:
     def test_second_order_corrections(self):
         # dual of the Itô–Stratonovich translation on the level-two basis:
         # each diagonal pair gains half a time variable
-        ells = _is_characters(2)
+        ells = _ito_strat_characters(2)
         ell0 = ells[0]
         for i in (1, 2):
             for j in (1, 2):
@@ -615,7 +610,7 @@ class TestDualTranslation:
         # two labelled channels coincide as one multiset channel, so each
         # surviving channel still carries 1/2 — coincident letters merge
         # channels, they never double the weight.
-        ells = _is_characters(2)
+        ells = _ito_strat_characters(2)
         ell0 = ells[0]
         for i, j, k in itertools.product((1, 2), repeat=3):
             b = mi(2, (i, 0), (j, 1), (k, 1))
@@ -633,7 +628,7 @@ class TestDualTranslation:
             assert contract_character(ell0, coproduct_minus(b)) == want, (i, j, k)
 
     def test_level_two_dimension_one(self):
-        ells = _is_characters(1)
+        ells = _ito_strat_characters(1)
         got = m_ell(ells, mi(1, (1, 0), (1, 1)))
         assert got == FormalSum.of(mi(1, (1, 0), (1, 1))) + FormalSum.of(
             single(0, 0, 1), HALF
@@ -644,7 +639,7 @@ class TestDualTranslation:
         # dual translation plus one copy of b for every target that still
         # contains a time variable (the self-extraction channel)
         for d, bound in ((1, 4), (2, 3)):
-            ells = _is_characters(d)
+            ells = _ito_strat_characters(d)
             ell0 = ells[0]
             for b in enumerate_populated(d, bound):
                 got = contract_character(ell0, coproduct_minus(b))
@@ -657,7 +652,7 @@ class TestDualTranslation:
         # T* b expands as Σ_F ℓ(F)/S(F) · (F ⋆₁ b) over forests whose
         # cardinality equals the number of time variables of b, components
         # drawn from the support of the character
-        ells = _is_characters(2)
+        ells = _ito_strat_characters(2)
         support = list(ells[0].terms)
         for beta in enumerate_populated(2, 4):
             n0 = beta.letter_count(0)
@@ -683,7 +678,7 @@ class TestDualTranslation:
         )
         assert dense.support_degree() == 3
         plain = identity_characters(2)
-        for ells in (_is_characters(2), [plain[0], dense, plain[2]]):
+        for ells in (_ito_strat_characters(2), [plain[0], dense, plain[2]]):
             images: dict = {}
             for b in enumerate_populated(2, 4):
                 got, want = m_ell(ells, b), _ref_m_ell(ells, b, images)
@@ -691,7 +686,7 @@ class TestDualTranslation:
                 assert list(got.terms) == list(want.terms), b
 
     def test_dual_population_and_validation(self):
-        ells = _is_characters(1)
+        ells = _ito_strat_characters(1)
         for term, _ in m_ell(ells, mi(1, (0, 0), (0, 1))).items():
             assert term.is_populated()
         with pytest.raises(ValueError):
@@ -744,7 +739,7 @@ class TestTranslateRoughpath:
 
     def test_ito_to_strat_level_values(self):
         path = _ito_path()
-        ells = _is_characters(1)
+        ells = _ito_strat_characters(1)
         out = translate_roughpath(ells, path)
         assert out.grading == path.grading
         level2 = mi(1, (1, 0), (1, 1))
@@ -759,7 +754,7 @@ class TestTranslateRoughpath:
 
     def test_values_match_dual_contraction(self):
         path = _ito_path(n_steps=8, seed=99)
-        ells = _is_characters(1)
+        ells = _ito_strat_characters(1)
         out = translate_roughpath(ells, path)
         for before, after in zip(path.increments, out.increments):
             for key in enumerate_populated(1, 3):
@@ -771,7 +766,7 @@ class TestTranslateRoughpath:
 
     def test_chen_relation_preserved(self):
         path = _ito_path(n_steps=8, seed=777)
-        out = translate_roughpath(_is_characters(1), path)
+        out = translate_roughpath(_ito_strat_characters(1), path)
         coarse_incs = tuple(
             chen_compose(path.increments[i], path.increments[i + 1])
             for i in range(0, 8, 2)
@@ -779,7 +774,7 @@ class TestTranslateRoughpath:
         coarse = RoughPathGrid(
             d=1, grading=GRADING_HALF, times=path.times[0::2], increments=coarse_incs
         )
-        out_coarse = translate_roughpath(_is_characters(1), coarse)
+        out_coarse = translate_roughpath(_ito_strat_characters(1), coarse)
         for j in range(4):
             direct = chen_compose(out.increments[2 * j], out.increments[2 * j + 1])
             for key in enumerate_populated(1, GRADING_HALF.max_norm):
@@ -799,9 +794,9 @@ class TestTranslateRoughpath:
         raising = Character(1, {mi(1, (1, 0), (1, 1)): 2}, 1)
         cases = [
             _second_order_space_characters(),
-            _is_characters(1),
+            _ito_strat_characters(1),
             [Character(0, {}, 1), raising],
-            _is_characters(2),
+            _ito_strat_characters(2),
         ]
         for ells in cases:
             d = len(ells) - 1
@@ -966,7 +961,7 @@ def kernel_inputs(draw):
     a character list and a truncation for the dual table."""
     d = draw(st.sampled_from([1, 2]))
     forests = st.sampled_from([f for f in forest_basis(d, 4) if f.cardinality() <= 3])
-    ells = draw(st.sampled_from([identity_characters(d), _is_characters(d)]))
+    ells = draw(st.sampled_from([identity_characters(d), _ito_strat_characters(d)]))
     trunc = draw(st.sampled_from([None, 1, 2, 3, 4]))
     return draw(forests), draw(forests), tuple(ells), trunc
 
@@ -1045,7 +1040,7 @@ def test_exact_kernels_keep_int_or_fraction_coefficients(inputs):
     halved = identity_characters(d)
     s_two = MultiIndex([((1, 0), 2), ((1, 2), 1)], d + 1)  # z(1,0)^2 z(1,2)
     halved[0] = Character(0, {single(0, 0, d): 1, s_two: 3}, d)
-    for ells in (identity_characters(d), _is_characters(d), halved):
+    for ells in (identity_characters(d), _ito_strat_characters(d), halved):
         results += [translate(ells, target), translate(ells, ab), m_ell(ells, target)]
     for result in results:
         for key, c in result.items():

@@ -843,6 +843,10 @@ class TestCliTranslate:
 # ---------------------------------------------------------------------------
 
 
+#: How the readers refuse an integer beyond the float range, up to its value.
+HUGE = "must be a JSON number in the float range, got "
+
+
 class TestCliMalformedInputs:
     """Malformed input files exit 2 with a message that names the file."""
 
@@ -875,11 +879,11 @@ class TestCliMalformedInputs:
         # the rule of an increment value: an int or a float, not a bool, finite
         grid_doc["grid"]["times"] = [0, "0.25", "5e-1", 0.75, True]
         err = self.solve_grid(tmp_path, grid_doc, cubic_field_json)
-        assert "time 1 is '0.25'" in err
+        assert "time 1 must be a JSON number, got '0.25'" in err
 
     @pytest.mark.parametrize("where, message", [
-        ("times", "time 2 is an integer beyond the float range"),
-        ("increments", "increment 1 holds an integer beyond the float range under 'z(1,0)'"),
+        ("times", f"time 2 {HUGE}1{'0' * 17}...{'0' * 19}"),
+        ("increments", f"increment 1 at 'z(1,0)' {HUGE}-1{'0' * 16}...{'0' * 19}"),
     ])
     def test_grid_integer_beyond_the_float_range(
         self, grid_doc, cubic_field_json, tmp_path, where, message
@@ -1006,9 +1010,15 @@ class TestCliMalformedInputs:
         ("field", {"d": 1, "fields": {"i": 1}}, "fields must be a JSON list, got {'i': 1}"),
         ("chars", [5], "a character must be a JSON object, got 5"),
         ("chars", "abc", "a character must be a JSON object, got 'abc'"),
+        ("grid", lambda g: {**g, "gamma": [1]}, "gamma must be a JSON rational, got [1]"),
+        ("field", {"d": 1, "fields": [{"i": 1, "coeffs": ["1", True]}]},
+         "coefficient 1 of field letter 1 must be a JSON rational, got True"),
+        ("chars", {"direction": 1, "terms": {"z(1,0)": [1]}},
+         "the weight of 'z(1,0)' must be a JSON rational, got [1]"),
     ], ids=["grid-without-times", "grid-as-a-list", "grid-increments-a-number",
             "field-without-d", "field-entry-a-number", "fields-as-an-object",
-            "characters-a-number", "characters-a-string"])
+            "characters-a-number", "characters-a-string", "grid-gamma-a-list",
+            "field-coefficient-true", "character-weight-a-list"])
     def test_json_reader_names_what_is_wrong(self, grid_doc, cubic_field_json, tmp_path,
                                              kind, doc, message):
         # each used to name only a Python internal, such as 'times'
@@ -1019,6 +1029,21 @@ class TestCliMalformedInputs:
         else:
             err = self.translate_chars(tmp_path, doc)
         assert err.endswith(f": {message}\n")
+
+    @pytest.mark.parametrize("flag", ["--grid", "--field", "--chars"])
+    def test_missing_file_is_named_once(self, grid_doc, cubic_field_json, tmp_path, flag):
+        # the read used to sit inside the reader's own refusal, which named it again
+        missing = str(tmp_path / "nope.json")
+        grid = missing if flag == "--grid" else str(tmp_path / "grid.json")
+        if flag == "--chars":
+            argv = ["translate", "--grid", grid, "--chars", missing]
+        else:
+            field = missing if flag == "--field" else str(cubic_field_json)
+            argv = ["solve", "--grid", grid, "--field", field]
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: cannot read {missing!r}: "
+                       f"[Errno 2] No such file or directory: {missing!r}\n")
 
     def test_path_csv_with_a_word_for_a_number(self, tmp_path):
         csv_file = tmp_path / "word.csv"
@@ -1135,7 +1160,7 @@ class TestCliReports:
         code, out, err = run_cli("davie-report", "--grid", str(grid_file),
                                  "--field", str(cubic_field_json), "--min-block", min_block)
         assert (code, out) == (2, "")
-        assert f"--min-block must be >= 1, got {min_block}" in err
+        assert f"argument --min-block: expected a positive integer, got '{min_block}'" in err
 
     def test_report_without_a_fit_writes_null_slope(
         self, sine_csv, cubic_field_json, tmp_path
@@ -1221,6 +1246,30 @@ class TestCliTopLevel:
         code, _, err = run_cli("lift", "--path", "nope.csv", "--gamma", "7/3")
         assert code == 2
         assert "gamma" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--gamma", "x"),
+        ("enumerate", "--d", "x"),
+        ("verify", "--d", "0"),
+        ("lift", "--path", "nope.csv", "--gamma", "0"),
+        ("lift", "--path", "nope.csv", "--gamma", "1/0"),
+        ("lift", "--path", "nope.csv", "--d", "0"),
+        ("lift", "--path", "nope.csv", "--seed", "-1"),
+        ("lift", "--path", "nope.csv", "--brownian", "midpoint"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--level", "abc"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--level", "1/0"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--y0", "nan"),
+        ("davie-report", "--grid", "nope.json", "--field", "nope.json", "--min-block", "0"),
+        ("davie-report", "--grid", "nope.json", "--field", "nope.json", "--level", "x"),
+        ("ito-strat-demo", "--d", "-1"),
+        ("ito-strat-demo", "--paths", "0"),
+        ("ito-strat-demo", "--steps", "x"),
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+    def test_each_flag_is_refused_before_any_file_is_read(self, argv):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert f"error: argument {argv[-2]}: " in err
+        assert "nope" not in err
 
     @staticmethod
     def assert_seed_refused(*argv):
