@@ -410,11 +410,17 @@ def _exact(c) -> int | Fraction:
 def _rational(value) -> Fraction:
     """An outside value as an exact rational: an int, a float read by its
     decimal text (so 0.3 is 3/10), or a string such as ``"p/q"`` or
-    ``"1.5"``.  Any other value, a NaN or an infinity raise ValueError, and
-    a zero denominator ZeroDivisionError.  The CLI's rational flags and the
-    JSON readers' ``"rational"`` kind both read by this rule."""
+    ``"1.5"``.  Any other value, a NaN, an infinity and a decimal exponent
+    of more than four digits (``Fraction`` would build its power of ten)
+    raise ValueError, and a zero denominator ZeroDivisionError.  The CLI's
+    rational flags and the JSON readers' ``"rational"`` kind both read by
+    this rule."""
     if type(value) not in (int, float, str):
         raise ValueError(f"not a rational: {value!r}")
+    if type(value) is str:
+        exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
+        if len(exponent.lstrip("0")) > 4:
+            raise ValueError(f"the exponent of {value!r} has more than four digits")
     return Fraction(repr(value) if type(value) is float else value)
 
 

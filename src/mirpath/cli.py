@@ -290,13 +290,15 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 def _cmd_lift(args: argparse.Namespace) -> _Output:
     from .algebra import Grading
     from .lifts import grid_payload, lift_brownian, lift_piecewise_linear, read_path_csv
+    from .grammar import _at_most  # after lifts, which imports numpy first
 
     if bool(args.path) == bool(args.brownian):
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")
-    grading = Grading(max_norm=args.max_norm, gamma=args.gamma)
+    # the grid reader's bounds, so that no lift writes a grid it refuses
+    grading = Grading(max_norm=_at_most("max_norm", args.max_norm), gamma=args.gamma)
     if args.path:
         samples = _parse_input(args.path, read_path_csv, _read_text(args.path), "a path CSV")
-        d = len(samples[0]) - 1
+        d = _at_most("d", len(samples[0]) - 1)
         if args.d is not None and args.d != d:
             raise UsageError(
                 f"--d {args.d} disagrees with the {d}-column path file"
@@ -305,7 +307,7 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
         seed = None
         source = {"kind": "piecewise-linear", "file": args.path}
     else:
-        d = args.d if args.d is not None else 1
+        d = _at_most("d", args.d if args.d is not None else 1)
         grid = lift_brownian(
             d=d,
             t_final=args.t_final,
@@ -412,7 +414,7 @@ def _cmd_davie_report(args: argparse.Namespace) -> _Output:
     if sol.diverged:
         return _Output(config, None, None, EXIT_DIVERGED, f"numeric divergence: {sol.message}")
     pairs = dyadic_pairs(sol.times, min_block=args.min_block, max_block=args.max_block)
-    report = davie_residual_report(grid, field, sol, pairs, level=settings["level"])
+    report = davie_residual_report(grid, field, sol, pairs)
     config.update(min_block=args.min_block, max_block=args.max_block)
     body = {
         "report": {

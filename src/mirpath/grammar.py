@@ -254,13 +254,16 @@ def _json_value(value, kind: str, what: str | Callable[[], str]):
     raise ValueError(f"{name} must be a JSON {kind}, got {_BRIEF.repr(value)}")
 
 
-def _json_int(payload: Mapping, key: str) -> int:
-    """``payload[key]``, which must be a JSON integer, and at most
-    ``_AT_MOST[key]`` for a key listed there."""
-    value = _json_value(payload.get(key, _MISSING), "integer", key)
+def _at_most(key: str, value: int) -> int:
+    """``value``, refused if it exceeds ``_AT_MOST[key]`` for a key listed there."""
     if key in _AT_MOST and value > _AT_MOST[key]:
         raise ValueError(f"{key} must be at most {_AT_MOST[key]}, got {value}")
     return value
+
+
+def _json_int(payload: Mapping, key: str) -> int:
+    """``payload[key]``, which must be a JSON integer within ``_at_most``."""
+    return _at_most(key, _json_value(payload.get(key, _MISSING), "integer", key))
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -316,9 +316,11 @@ class OffGridTimeError(ValueError):
 
 def _time_index(times: Sequence[float], t: float) -> int | None:
     """Index of the point of the increasing ``times`` that equals ``t`` up to
-    rel 1e-12 / abs 1e-14, the lower one if two do; None if none does."""
-    j = bisect.bisect_left(times, t)
-    for k in (j - 1, j):
+    rel 1e-12 / abs 1e-14, the nearer one if two do (the lower on a tie);
+    None if none does."""
+    j = bisect.bisect_left(times, t)  # times[j - 1] < t <= times[j]
+    nearer_first = 0 < j < len(times) and times[j] - t < t - times[j - 1]
+    for k in (j, j - 1) if nearer_first else (j - 1, j):
         if 0 <= k < len(times) and math.isclose(times[k], t, rel_tol=1e-12, abs_tol=1e-14):
             return k
     return None

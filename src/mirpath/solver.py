@@ -98,53 +98,53 @@ def expansion_basis(d: int, gamma: Fraction, level: Fraction) -> tuple[MultiInde
     return tuple(sorted(keep))
 
 
-def _resolve_level(grading, level: Fraction | int | None) -> Fraction:
-    out = Fraction(grading.max_norm) if level is None else Fraction(level)
-    if out > grading.max_norm:
-        raise ValueError(
-            f"truncation level {out} exceeds the stored degree {grading.max_norm}"
-        )
-    return out
-
-
 @lru_cache(maxsize=32)
-def _expansion_slots(d: int, grading: Grading, level: Fraction) -> tuple:
-    """The expansion basis at ``level``, the symmetry factors of its
-    monomials and their slots in an element's ``coords``.  A run needs one
-    key; the bound only stops a process that tries many levels from growing."""
-    basis = expansion_basis(d, grading.gamma, level)
+def _expansion(d: int, grading: Grading, level: Fraction | int | None) -> tuple:
+    """The expansion at ``level`` (default: the stored degree, which it may
+    not exceed), prepared once: per β of its basis, the slot of β in an
+    element's ``coords``, S(β) and the variables (i, k, m, p) of β, p
+    indexing the distinct f_i^{(k)} the basis reads; and their number.  A
+    run needs one key; the bound only stops a process that tries many
+    levels from growing."""
+    level = Fraction(grading.max_norm if level is None else level)
+    if level > grading.max_norm:
+        raise ValueError(
+            f"truncation level {level} exceeds the stored degree {grading.max_norm}"
+        )
     index = _key_index(d, grading.max_norm)
-    slots = np.array([index[beta] for beta in basis], dtype=int)
-    return basis, tuple(beta.symmetry_factor() for beta in basis), slots
+    pairs: dict[tuple[int, int], int] = {}
+    rows = tuple(
+        (index[beta], beta.symmetry_factor(),
+         tuple((i, k, m, pairs.setdefault((i, k), len(pairs))) for (i, k), m in beta.entries))
+        for beta in expansion_basis(d, grading.gamma, level)
+    )
+    return rows, len(pairs)
 
 
-def _nonzero_terms(element, level: Fraction) -> list[tuple]:
-    """(β, S(β), X(β)) for the β of the expansion basis at ``level`` on
-    which ``element`` is nonzero."""
-    basis, sym, slots = _expansion_slots(element.d, element.grading, level)
-    xs = element.coords[slots].tolist()
-    return [term for term in zip(basis, sym, xs) if term[2] != 0.0]
+def _nonzero_terms(element, level: Fraction | int | None) -> tuple[list[tuple], int]:
+    """(X(β), S(β), variables of β) for the β of the expansion at ``level``
+    on which ``element`` is nonzero, and the number of distinct derivatives
+    the expansion reads."""
+    rows, width = _expansion(element.d, element.grading, level)
+    coords = element.coords.tolist()
+    return [(x, sym, v) for slot, sym, v in rows if (x := coords[slot]) != 0.0], width
 
 
-def _upsilons(betas: Sequence[MultiIndex], f: VectorField) -> Callable[[float], list[float]]:
-    """y ↦ [Υ_f[z^β](y) for β in ``betas``]: each distinct f_i^{(k)}(y) is
-    evaluated once, and every product is formed in the order of
-    :func:`mirpath.fields.upsilon`, so the values are bit-identical to it."""
-    pairs = list(dict.fromkeys(ik for beta in betas for ik, _ in beta.entries))
-    slot = {ik: p for p, ik in enumerate(pairs)}
-    rows = [[(slot[ik], m) for ik, m in beta.entries] for beta in betas]
-
-    def at(y: float) -> list[float]:
-        ders = [f.derivative(i, k, y) for i, k in pairs]
-        out = []
-        for row in rows:
-            u = 1.0
-            for p, m in row:
-                u *= ders[p] ** m
-            out.append(u)
-        return out
-
-    return at
+def _upsilons(terms: list[tuple], width: int, f: VectorField, y: float) -> list[float]:
+    """[Υ_f[z^β](y) for the β of ``terms``]: each of the ``width`` distinct
+    f_i^{(k)}(y) is taken at most once, when first needed, and every power
+    and product in the order of :func:`mirpath.fields.upsilon`, so values
+    and errors are its own."""
+    ders: list = [None] * width
+    out = []
+    for _, _, variables in terms:
+        u = 1.0
+        for i, k, m, p in variables:
+            if (v := ders[p]) is None:
+                v = ders[p] = f.derivative(i, k, y)
+            u *= v ** m
+        out.append(u)
+    return out
 
 
 def davie_expansion(
@@ -165,12 +165,9 @@ def davie_expansion(
     i, j = path.index_of(s), path.index_of(t)
     if i > j:
         raise ValueError(f"expansion needs s <= t, got s={s}, t={t}")
-    bound = _resolve_level(path.grading, level)
-    increment = path.increment_by_index(i, j)
-    terms = _nonzero_terms(increment, bound)
-    upsilons = _upsilons([beta for beta, _, _ in terms], f)
+    terms, width = _nonzero_terms(path.increment_by_index(i, j), level)
     total = float(y)
-    for (_, sym, x), u in zip(terms, upsilons(y)):
+    for (x, sym, _), u in zip(terms, _upsilons(terms, width, f, y)):
         total += u / sym * x
     return total
 
@@ -195,14 +192,12 @@ def logode_step(
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    bound = _resolve_level(lam.grading, level)
-    terms = _nonzero_terms(lam, bound)
-    coeffs = [x / sym for _, sym, x in terms]
-    upsilons = _upsilons([beta for beta, _, _ in terms], f)
+    terms, width = _nonzero_terms(lam, level)
+    coeffs = [x / sym for x, sym, _ in terms]
 
     def rhs(z: float) -> float:
         total = 0.0
-        for c, u in zip(coeffs, upsilons(z)):
+        for c, u in zip(coeffs, _upsilons(terms, width, f, z)):
             total += c * u
         return total
 
@@ -230,12 +225,14 @@ def logode_step(
 
 @dataclass(frozen=True)
 class FlowSolution:
-    """A flow computed over a mesh; the first value is exactly the initial
-    condition.  A diverged run is truncated at the last finite state and
-    says why in ``message``, never raised (local-solution semantics)."""
+    """A flow computed over a mesh with the expansion at ``level``, from
+    exactly the initial condition.  A diverged run is truncated at the last
+    finite state and says why in ``message``, never raised (local-solution
+    semantics)."""
 
     times: tuple[float, ...]
     values: tuple[float, ...]
+    level: Fraction
     message: str = ""
 
     @property
@@ -291,13 +288,15 @@ def solve_flow(
     The mesh is the full grid (default) or every dyadic point at
     ``mesh_level`` (2^level intervals spanning the grid); increments are
     never interpolated.  ``level`` caps the γ-size of the expansion
-    monomials (default: the stored degree bound).  An initial state beyond
-    1e12 (``_DIVERGENCE_BOUND``) in absolute value is refused.
+    monomials (default: the stored degree bound) and is recorded in the
+    solution.  An initial state beyond 1e12 (``_DIVERGENCE_BOUND``) in
+    absolute value is refused.
     """
     if not abs(y0) <= _DIVERGENCE_BOUND:
         raise ValueError(f"initial state {y0} lies beyond the state bound {_DIVERGENCE_BOUND:g}")
     indices = _mesh_indices(path, mesh_level)
-    bound = _resolve_level(path.grading, level)
+    level = Fraction(path.grading.max_norm if level is None else level)
+    _expansion(path.d, path.grading, level)  # refuses a level above the stored degree
     times = [path.times[0]]
     values = [float(y0)]
     message = ""
@@ -305,7 +304,7 @@ def solve_flow(
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan trip the guard
             lam = log_element(path.increment_by_index(a, b))
         try:
-            y = logode_step(lam, f, values[-1], substeps, bound)
+            y = logode_step(lam, f, values[-1], substeps, level)
         except DivergedError as err:
             message = str(err)
         except OverflowError as err:  # a power in the right-hand side
@@ -314,7 +313,7 @@ def solve_flow(
             break
         times.append(path.times[b])
         values.append(y)
-    return FlowSolution(tuple(times), tuple(values), message)
+    return FlowSolution(tuple(times), tuple(values), level, message)
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +358,15 @@ def davie_residual_report(
     f: VectorField,
     sol: FlowSolution,
     pairs: Sequence[tuple[float, float]],
-    level: Fraction | int | None = None,
 ) -> DavieReport:
-    bound = _resolve_level(path.grading, level)
+    """Residuals of ``sol`` against the expansion at ``sol.level`` over ``pairs``."""
     rows = []
     for s, t in pairs:
         ys = sol.value_at(s)
         yt = sol.value_at(t)
         try:
             with np.errstate(over="ignore", invalid="ignore"):  # inf and nan refused below
-                expansion = davie_expansion(path, f, s, t, ys, level=bound)
+                expansion = davie_expansion(path, f, s, t, ys, sol.level)
         except OverflowError as exc:  # a power in the right-hand side
             message = f"expansion over [{s}, {t}] overflowed at state {ys}: {exc}"
             raise DivergedError(message, substep=1, state=ys) from exc
@@ -391,8 +389,8 @@ def davie_residual_report(
     return DavieReport(
         rows=tuple(rows),
         slope=slope,
-        target_slope=float((bound + 1) * gamma),
-        level=float(bound),
+        target_slope=float((sol.level + 1) * gamma),
+        level=float(sol.level),
         gamma=float(gamma),
     )
 

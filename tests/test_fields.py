@@ -9,6 +9,7 @@ path with the Grossman–Larson product used on the left.
 
 import json
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from mirpath.algebra import (
     Forest,
     FormalSum,
     MultiIndex,
+    _rational,
     derivation_d,
     deshuffle,
     enumerate_populated,
@@ -473,6 +475,10 @@ class TestTranslatedField:
 #: Wall-clock budget for reading one field row of 300 coefficients.
 LONG_ROW_BUDGET_S = 3.0
 
+#: Wall-clock budget for refusing one coefficient with a nine-digit exponent;
+#: building its power of ten would take minutes.
+LONG_EXPONENT_BUDGET_S = 0.5
+
 
 class TestVectorFieldJson:
     def test_round_trip(self, poly_field):
@@ -527,3 +533,18 @@ class TestVectorFieldJson:
         f = vector_field_from_json({"d": 1, "fields": [{"i": 1, "coeffs": ["1e-1000"] * 300}]})
         assert time.perf_counter() - start < LONG_ROW_BUDGET_S
         assert f.poly_coeffs[1] == (Fraction(1, 10**1000),) * 300
+
+    @pytest.mark.parametrize("text", ["1e100000000", "-2.5E-0100000000", "1e1_0000", "1e10000"])
+    def test_exponent_of_more_than_four_digits_is_refused_within_budget(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=re.escape(
+            f"coefficient 0 of field letter 1 must be a JSON rational, got {text!r}"
+        )):
+            vector_field_from_json({"d": 1, "fields": [{"i": 1, "coeffs": [text]}]})
+        assert time.perf_counter() - start < LONG_EXPONENT_BUDGET_S
+        with pytest.raises(ValueError, match="has more than four digits$"):
+            _rational(text)
+
+    def test_exponent_of_four_digits_still_reads(self):
+        assert _rational("1e-9999") == Fraction(1, 10**9999)
+        assert _rational("2.5E+0000012") == 25 * 10**11

@@ -408,6 +408,26 @@ def test_grid_off_grid_time_rejected():
         grid.index_of(0.3)
 
 
+@pytest.mark.parametrize("origin", [0.0, 1.7e12, -3.25e9])
+def test_every_grid_time_finds_its_own_point(origin):
+    # at 1.7e12 neighbours one apart are equal up to rel 1e-12, and the
+    # lower one used to be returned for the upper one's time as well
+    times = tuple(origin + m for m in range(9))
+    inc = identity_character(2, G3)
+    grid = RoughPathGrid(d=2, grading=G3, times=times, increments=(inc,) * 8)
+    assert [grid.index_of(t) for t in times] == list(range(9))
+
+
+def test_a_time_between_two_matching_points_takes_the_nearer():
+    times = (1.7e12, 1.7e12 + 1, 1.7e12 + 2)
+    inc = identity_character(2, G3)
+    grid = RoughPathGrid(d=2, grading=G3, times=times, increments=(inc, inc))
+    assert grid.index_of(1.7e12 + 0.25) == 0
+    assert grid.index_of(1.7e12 + 0.75) == 1
+    assert grid.index_of(1.7e12 + 0.5) == 0  # a tie goes to the lower point
+    assert grid.index_of(1.7e12 + 1.5) == 1
+
+
 def test_grid_composition_bracketing_independent():
     rng = _rng(17)
     grid = _constant_grid([random_character(2, G3, rng).values for _ in range(4)])

@@ -34,8 +34,9 @@ from mirpath.group import (
     identity_character,
     log_element,
 )
-from mirpath.lifts import lift_piecewise_linear
+from mirpath.lifts import lift_brownian, lift_piecewise_linear
 from mirpath.solver import (
+    _expansion,
     DivergedError,
     FlowSolution,
     davie_expansion,
@@ -350,6 +351,26 @@ def test_shared_rhs_matches_per_monomial_reference_bit_for_bit(case, substeps):
         assert got == _outcome(_reference_davie, path, f, i, j, y, bound)
 
 
+def test_power_overflow_before_a_missing_order_raises_what_the_reference_raises():
+    # f_1 ≡ 1e200 with one derivative order: (1e200)² overflows in
+    # z(1,0)²z(1,2) before its f_1'' is asked for; taking every derivative
+    # first used to raise DerivativeOrderError instead
+    f = VectorField.from_closures([[lambda y: 0.0] * 2, [lambda y: 1e200, lambda y: 0.0]])
+    values = {key: 0.5 for key in enumerate_populated(1, 3)}
+    lam = LieElement(d=1, grading=GRADING3, values=values)
+    got = _outcome(logode_step, lam, f, 0.5, 2, None)
+    assert got[0] is OverflowError
+    assert got == _outcome(_reference_logode_step, lam, f, 0.5, 2, F(3))
+    inc = GroupElement(d=1, grading=GRADING3, values=values)
+    path = RoughPathGrid(d=1, grading=GRADING3, times=(0.0, 0.5), increments=(inc,))
+    got = _outcome(davie_expansion, path, f, 0.0, 0.5, 0.5, None)
+    assert got[0] is OverflowError
+    assert got == _outcome(_reference_davie, path, f, 0, 1, 0.5, F(3))
+    sol = solve_flow(path, f, 0.5)
+    assert sol.diverged and sol.values == (0.5,)
+    assert "overflowed in the step to 0.5" in sol.message
+
+
 # ---------------------------------------------------------------------------
 # flow composition
 # ---------------------------------------------------------------------------
@@ -489,6 +510,19 @@ class TestSolveFlow:
         with pytest.raises(ValueError):
             sol.value_at(0.3)
 
+    def test_solution_records_the_resolved_level(self):
+        path = sine_path(8, GRADING3)
+        assert solve_flow(path, cos_field(), 0.3).level == 3
+        assert solve_flow(path, cos_field(), 0.3, level=1.5).level == F(3, 2)
+        with pytest.raises(ValueError, match="^truncation level 4 exceeds the stored degree 3$"):
+            solve_flow(path, cos_field(), 0.3, level=4)
+
+    def test_every_mesh_time_finds_its_own_value_on_epoch_times(self):
+        # neighbours one apart at 1.7e12 are equal up to rel 1e-12
+        samples = [(1.7e12 + m, math.sin(m)) for m in range(9)]
+        sol = solve_flow(lift_piecewise_linear(samples, GRADING2), cos_field(), 0.3)
+        assert [sol.value_at(t) for t in sol.times] == list(sol.values)
+
 
 # ---------------------------------------------------------------------------
 # Davie residual report
@@ -505,14 +539,14 @@ class TestDavieReport:
             y = davie_expansion(path, f, i / 64, (i + 1) / 64, y)
             times.append((i + 1) / 64)
             values.append(y)
-        fabricated = FlowSolution(times=tuple(times), values=tuple(values))
+        fabricated = FlowSolution(times=tuple(times), values=tuple(values), level=F(2))
         pairs = [(times[i], times[i + 1]) for i in range(64)]
         report = davie_residual_report(path, f, fabricated, pairs)
         assert all(r == 0.0 for _, _, r in report.rows)
         assert math.isnan(report.slope)
 
     def test_power_overflow_is_a_divergence(self):
-        flow = FlowSolution(times=(0.0, 0.5), values=(0.5, 0.5))
+        flow = FlowSolution(times=(0.0, 0.5), values=(0.5, 0.5), level=F(3))
         path = one_step_path("z(1,0)z(1,1)^2")
         with pytest.raises(DivergedError) as info:
             davie_residual_report(path, overflowing_field(), flow, [(0.0, 0.5)])
@@ -542,6 +576,35 @@ class TestDavieReport:
                 ).slope
             )
         assert abs(slopes[0] - slopes[1]) <= 0.1
+
+    def test_report_reads_the_level_of_the_solution(self):
+        # a level-2 solution on an N = 3 grid is checked at level 2, target 3γ
+        path = sine_path(64, GRADING3)
+        sol = solve_flow(path, cos_field(), 0.3, level=2)
+        report = davie_residual_report(path, cos_field(), sol, dyadic_pairs(sol.times, 1, 8))
+        assert (report.level, report.target_slope) == (2.0, 1.5)
+        pair = (path.times[56], path.times[64])  # the last pair, at block size 8
+        expansion = davie_expansion(path, cos_field(), *pair, sol.value_at(pair[0]), 2)
+        assert report.rows[-1] == (*pair, abs(sol.value_at(pair[1]) - expansion))
+
+    def test_solve_and_report_build_the_expansion_once(self):
+        path = lift_brownian(d=2, t_final=1.0, n_steps=64, seed=3, mode="strat",
+                             grading=GRADING3)
+        f = VectorField.polynomial([("0.1", "-0.5"), ("1", "0", "-0.25"), ("0.5", "0.3")])
+        _expansion.cache_clear()
+        sol = solve_flow(path, f, 0.2, substeps=4)
+        davie_residual_report(path, f, sol, dyadic_pairs(sol.times, 1, 16))
+        assert (_expansion.cache_info().misses, _expansion.cache_info().currsize) == (1, 1)
+
+    def test_residuals_do_not_move_with_the_time_origin(self):
+        # epoch-style times used to shift every pair onto its lower neighbour
+        xs = [0.0, 0.3, -0.1, 0.4, 0.2, 0.5, 0.1, -0.2, 0.0]
+        rows = []
+        for origin in (0.0, 1.7e12):
+            path = lift_piecewise_linear([(origin + m, x) for m, x in enumerate(xs)], GRADING2)
+            sol = solve_flow(path, cos_field(), 0.3)
+            rows.append(davie_residual_report(path, cos_field(), sol, dyadic_pairs(sol.times)).rows)
+        assert [r for *_, r in rows[1]] == [r for *_, r in rows[0]]
 
     def test_dyadic_pairs_structure(self):
         times = (0.0, 0.25, 0.5, 0.75, 1.0)

@@ -351,6 +351,25 @@ class TestCliLiftSolve:
         code, _, _ = run_cli("lift", "--path", str(sine_csv), "--brownian", "ito")
         assert code == 2
 
+    @pytest.mark.parametrize("source, message", [
+        (("--brownian", "strat", "--d", "7", "--max-norm", "2", "--steps", "4"),
+         "d must be at most 6, got 7"),
+        (("--path", "wide.csv", "--max-norm", "2"), "d must be at most 6, got 8"),
+        (("--path", "wide.csv", "--max-norm", "6"), "max_norm must be at most 5, got 6"),
+        (("--path", "nope.csv", "--max-norm", "6"), "max_norm must be at most 5, got 6"),
+    ], ids=["brownian-d-7", "csv-8-columns", "csv-max-norm-6", "missing-csv-max-norm-6"])
+    def test_lift_refuses_what_the_grid_reader_refuses(self, tmp_path, monkeypatch,
+                                                       source, message):
+        # the lift used to write these grids, which solve then refused
+        monkeypatch.chdir(tmp_path)
+        header = "t," + ",".join(f"x{i}" for i in range(1, 9))
+        rows = [",".join([str(m / 4)] + [str(0.1 * m * i) for i in range(1, 9)])
+                for m in range(5)]
+        (tmp_path / "wide.csv").write_text("\n".join([header, *rows]) + "\n")
+        code, out, err = run_cli("lift", *source, "--out", "grid.json")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "grid.json").exists()
+
     def test_brownian_lift_mode_validated(self):
         code, _, err = run_cli("lift", "--brownian", "midpoint", "--steps", "8")
         assert code == 2
@@ -1231,6 +1250,10 @@ class TestCliReports:
 # ---------------------------------------------------------------------------
 
 
+#: Wall-clock budget for refusing a rational flag with a nine-digit exponent.
+LONG_EXPONENT_BUDGET_S = 0.5
+
+
 class TestCliTopLevel:
     def test_version_flag(self):
         code, out, _ = run_cli("--version")
@@ -1270,6 +1293,19 @@ class TestCliTopLevel:
         assert (code, out) == (2, "")
         assert f"error: argument {argv[-2]}: " in err
         assert "nope" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("lift", "--path", "nope.csv", "--gamma", "1e-100000000"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--level", "1e100000000"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--level", "1e10000"),
+    ], ids=lambda argv: f"{argv[-2]}={argv[-1]}")
+    def test_rational_flag_with_a_long_exponent_is_refused_within_budget(self, argv):
+        # Fraction would build the power of ten: minutes for a nine-digit exponent
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < LONG_EXPONENT_BUDGET_S
+        assert (code, out) == (2, "")
+        assert f"error: argument {argv[-2]}: expected a rational p/q, got {argv[-1]!r}" in err
 
     @staticmethod
     def assert_seed_refused(*argv):
