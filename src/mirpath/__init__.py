@@ -34,9 +34,8 @@ _EXPORTS = {
     ),
     "group": (
         "GradingMismatchError", "GroupElement", "InvalidKeyError", "LieElement",
-        "OffGridTimeError", "PrimitivityError", "RoughPathGrid", "char_eval",
-        "chen_compose", "exp_element", "identity_character", "log_element",
-        "random_character",
+        "OffGridTimeError", "PrimitivityError", "RoughPathGrid", "chen_compose",
+        "exp_element", "identity_character", "log_element", "random_character",
     ),
     "lifts": (
         "UnsupportedLevelError", "brownian_pair_statistics", "grid_from_json",
@@ -57,7 +56,7 @@ _EXPORTS = {
     "solver": (
         "DavieReport", "DivergedError", "FlowSolution",
         "davie_expansion", "davie_residual_report", "dyadic_pairs",
-        "expansion_basis", "logode_step", "reference_ode_solve", "solve_flow",
+        "expansion_basis", "logode_step", "solve_flow",
     ),
     "verify": ("SuiteResult", "available_suites", "run_all_suites"),
 }

@@ -407,12 +407,19 @@ def _exact(c) -> int | Fraction:
     return Fraction(c)
 
 
+#: The bit length of 10^4000 − 1.  A longer numerator or denominator has
+#: more than 4000 decimal digits, near the 4300 beyond which Python will not
+#: print an int, so ``_rational`` refuses it before any work uses it.
+_RATIONAL_BITS = 13288
+
+
 def _rational(value) -> Fraction:
     """An outside value as an exact rational: an int, a float read by its
     decimal text (so 0.3 is 3/10), or a string such as ``"p/q"`` or
-    ``"1.5"``.  Any other value, a NaN, an infinity and a decimal exponent
-    of more than four digits (``Fraction`` would build its power of ten)
-    raise ValueError, and a zero denominator ZeroDivisionError.  The CLI's
+    ``"1.5"``.  Any other value, a NaN, an infinity, a decimal exponent of
+    more than four digits (``Fraction`` would build its power of ten) and a
+    numerator or denominator of more than 4000 decimal digits raise
+    ValueError, and a zero denominator ZeroDivisionError.  The CLI's
     rational flags and the JSON readers' ``"rational"`` kind both read by
     this rule."""
     if type(value) not in (int, float, str):
@@ -421,7 +428,10 @@ def _rational(value) -> Fraction:
         exponent = value.lower().partition("e")[2].strip().lstrip("+-").replace("_", "")
         if len(exponent.lstrip("0")) > 4:
             raise ValueError(f"the exponent of {value!r} has more than four digits")
-    return Fraction(repr(value) if type(value) is float else value)
+    q = Fraction(repr(value) if type(value) is float else value)
+    if max(q.numerator.bit_length(), q.denominator.bit_length()) > _RATIONAL_BITS:
+        raise ValueError("a numerator or denominator has more than 4000 digits")
+    return q
 
 
 def _numerators(s: "FormalSum") -> tuple[Iterable, int]:

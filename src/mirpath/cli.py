@@ -100,7 +100,7 @@ def _integer(low: int, noun: str):
     return parse
 
 
-_seed = _integer(0, "a non-negative integer")
+_non_negative = _integer(0, "a non-negative integer")
 _count = _integer(1, "a positive integer")
 
 
@@ -488,7 +488,7 @@ def _add_max_norm(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_seed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_seed, default=0,
+    sub.add_argument("--seed", type=_non_negative, default=0,
                      help="seed for every random draw in this run")
 
 
@@ -498,9 +498,9 @@ def _add_solve_inputs(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field", required=True, metavar="FILE",
                      help="vector-field JSON")
     sub.add_argument("--y0", type=_finite_float, default=0.0, help="initial state")
-    sub.add_argument("--mesh-level", type=int, default=None,
+    sub.add_argument("--mesh-level", type=_non_negative, default=None,
                      help="use the dyadic sub-mesh 2^-L of the stored grid")
-    sub.add_argument("--substeps", type=int, default=8,
+    sub.add_argument("--substeps", type=_count, default=8,
                      help="RK4 substeps per log-flow step")
     sub.add_argument("--level", type=_rational, default=None, metavar="P/Q",
                      help="expansion level (default: the stored truncation)")

@@ -32,7 +32,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    Forest,
     Grading,
     MultiIndex,
     _populated_tuple,
@@ -48,7 +47,6 @@ __all__ = [
     "GradingMismatchError",
     "InvalidKeyError",
     "PrimitivityError",
-    "char_eval",
     "chen_compose",
     "exp_element",
     "log_element",
@@ -149,8 +147,9 @@ class _Element:
 class GroupElement(_Element):
     """A character of the truncated group: values on populated multi-indices.
 
-    The value on the empty forest is implicitly 1; forest values follow by
-    multiplicativity via :func:`char_eval`.
+    The value on the empty forest is implicitly 1; a forest's value is the
+    product of its components' values, φ(u) = Π X(components of u), which
+    the product table evaluates for every forest at once.
     """
 
 
@@ -164,20 +163,6 @@ class LieElement(_Element):
 
 def identity_character(d: int, grading: Grading) -> GroupElement:
     return GroupElement(d=d, grading=grading, values={})
-
-
-def char_eval(x: GroupElement, f: Forest | MultiIndex) -> float:
-    """Evaluate a character on a forest by multiplicativity (1 on ∅)."""
-    if isinstance(f, MultiIndex):
-        return x.value(f)
-    if f.degree() > x.grading.max_norm:
-        raise InvalidKeyError(
-            f"forest degree {f.degree()} above truncation {x.grading.max_norm}"
-        )
-    out = 1.0
-    for c in f.components:
-        out *= x.value(c)
-    return out
 
 
 # ---------------------------------------------------------------------------

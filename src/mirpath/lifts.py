@@ -2,11 +2,13 @@
 
 Every lift stores one increment per step, in closed form in the step's
 coordinate increments ΔXⁱ (letter 0 is time): w(β)·Π_i (ΔXⁱ)^{n_i(β)} on β,
-where n_i(β) counts the variables of β with letter i.  The Grossman–Larson
-product keeps every letter, so an affine step's signature exp(Σ_i ΔXⁱ z(i,0))
-is this with w = c(β) = S(β)·[exp_⋆(Σ_i z(i,0))]_{z^β}, computed over ℚ by
-``gl_product`` once per (d, N) in ``_affine_weights`` (an ``lru_cache`` of 8).
-Each lift rule only chooses w:
+where n_i(β) counts the variables of β with letter i.  An affine step's
+signature on monomials is the Taylor series of the flow of
+ẏ = Σ_i ΔXⁱ f_i(y), whose degree-k part is the right-nested pre-Lie graft
+S_k = (S_1 ▷ S_{k−1})/k of S_1 = Σ_i z(i,0); the graft keeps every letter,
+so the signature is this with w = c(β) = S(β)·[S_{|β|}]_β, computed over ℚ
+by ``prelie_graft`` once per (d, N) in ``_affine_weights`` (an
+``lru_cache`` of 8).  Each lift rule only chooses w:
 
 * ``lift_piecewise_linear`` (a sampled path, affine between samples): w = c;
 * ``lift_brownian`` with ``"strat"``: the trapezoid rule on a lattice step
@@ -34,7 +36,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import Forest, FormalSum, Grading, _populated_tuple, gl_product, single
+from .algebra import FormalSum, Grading, _populated_tuple, prelie_graft, single
 from .grammar import _MISSING, _json_int, _json_value, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _key_index, _slot
 
@@ -64,18 +66,25 @@ class UnsupportedLevelError(ValueError):
 
 
 @lru_cache(maxsize=8)
-def _affine_weights(d: int, n: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
+def _affine_weights(d: int, n: int) -> tuple[tuple[int | Fraction, ...], np.ndarray]:
     """The exact affine weights c(β) on the slots of ``_key_index(d, n)``,
-    and the read-only ``(K, d+1)`` array of the letter counts n_i(β)."""
-    x = FormalSum({Forest([single(i, 0, d)]): 1 for i in range(d + 1)})
-    exp = power = FormalSum.of(Forest())
-    for k in range(1, n + 1):
-        power = gl_product(power, x).scale(Fraction(1, k))
-        exp = exp + power
+    and the read-only ``(K, d+1)`` array of the letter counts n_i(β).
+
+    The grafts run over monomials only: S_k is the single-component part of
+    x^⋆k/k!, since x ⋆ u leaves a single component only where u has one."""
+    x = FormalSum({single(i, 0, d): 1 for i in range(d + 1)})
+    powers = [x]  # powers[k − 1] = S_k = (x ▷ S_{k−1})/k, of degree k
+    for k in range(2, n + 1):
+        last = powers[-1].items()
+        powers.append(FormalSum.linear(
+            (prelie_graft(a, b), Fraction(c, k)) for a in x.terms for b, c in last
+        ))
     keys = _key_index(d, n)
     counts = np.array([[beta.letter_count(i) for i in range(d + 1)] for beta in keys], float)
     counts.flags.writeable = False
-    weights = tuple(beta.symmetry_factor() * exp.coefficient(Forest([beta])) for beta in keys)
+    weights = tuple(
+        beta.symmetry_factor() * powers[beta.degree() - 1].coefficient(beta) for beta in keys
+    )
     return weights, counts
 
 
@@ -272,7 +281,8 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     times = tuple(_json_value(t, "number", lambda: f"time {m}") for m, t in enumerate(times))
     index = tuple(_key_index(d, grading.max_norm))
     increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
-    slots: dict[str, int] = {}
+    slots: dict[str, int] = {}  # each key spelling read so far -> its slot
+    taken: set[int] = set()
     coords = np.empty((len(increments), len(index)))
     for m, entry in enumerate(increments):
         _json_value(entry, "object", f"increment {m}")
@@ -280,12 +290,13 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
         for key, v in entry.items():
             if (p := slots.get(key)) is None:
                 p = _slot(parse_multi_index(key, d=d), d, grading)
-                if p in slots.values():
+                if p in taken:
                     raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
                 slots[key] = p
+                taken.add(p)
             row[p] = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
         coords[m] = row
-    depth = max((index[p].degree() for p in slots.values()), default=0)
+    depth = max((index[p].degree() for p in taken), default=0)
     return RoughPathGrid._of(d, grading, times, coords, depth)
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "dyadic_pairs",
     "expansion_basis",
     "logode_step",
-    "reference_ode_solve",
     "solve_flow",
 ]
 
@@ -393,50 +392,3 @@ def davie_residual_report(
         level=float(sol.level),
         gamma=float(gamma),
     )
-
-
-# ---------------------------------------------------------------------------
-# reference solver for smooth drivers
-# ---------------------------------------------------------------------------
-
-
-def reference_ode_solve(
-    f: VectorField,
-    driver_derivatives: Sequence[Callable[[float], float]],
-    y0: float,
-    times: Sequence[float],
-) -> np.ndarray:
-    """Classical RK4 for dY = f₀(Y)dt + Σ_i f_i(Y)·Ẋ^i(t)dt on the given
-    mesh; the driver enters through its time derivatives, one callable per
-    space letter."""
-    if len(driver_derivatives) != f.d:
-        raise ValueError(
-            f"need {f.d} driver derivatives (one per space letter), "
-            f"got {len(driver_derivatives)}"
-        )
-
-    def rhs(t: float, z: float) -> float:
-        total = f.derivative(0, 0, z)
-        for i, dx in enumerate(driver_derivatives, start=1):
-            total += f.derivative(i, 0, z) * dx(t)
-        return total
-
-    out = np.empty(len(times), dtype=float)
-    out[0] = float(y0)
-    y = float(y0)
-    for j in range(len(times) - 1):
-        t = times[j]
-        dt = times[j + 1] - times[j]
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * dt, y + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, y + 0.5 * dt * k2)
-        k4 = rhs(t + dt, y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-        if not math.isfinite(y):
-            raise DivergedError(
-                f"reference solve left the finite range after t={t}",
-                substep=j + 1,
-                state=y,
-            )
-        out[j + 1] = y
-    return out

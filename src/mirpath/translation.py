@@ -643,16 +643,6 @@ def _missing_degree(ells: tuple[Character, ...], d: int, stored: int, n: int) ->
     return None
 
 
-def contract_character(ell: Character, split: FormalSum) -> FormalSum:
-    """Evaluate a character on the forest leg of a coproduct expansion."""
-    out: dict[MultiIndex, int | Fraction] = {}
-    for (forest, mi), coeff in split.items():
-        weight = ell.on_forest(forest)
-        if weight:
-            out[mi] = out.get(mi, 0) + coeff * weight
-    return FormalSum._of(out)
-
-
 def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> RoughPathGrid:
     """Push a stored rough path through a translation.
 

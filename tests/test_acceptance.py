@@ -45,7 +45,6 @@ from mirpath.lifts import (
 from mirpath.solver import (
     davie_residual_report,
     dyadic_pairs,
-    reference_ode_solve,
     solve_flow,
 )
 from mirpath.translation import (
@@ -58,6 +57,7 @@ from mirpath.translation import (
     translate_roughpath,
     translated_field,
 )
+from test_solver import reference_ode_solve
 
 F = Fraction
 HALF = F(1, 2)

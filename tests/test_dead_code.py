@@ -11,12 +11,16 @@ name in ``src``, ``tests`` or ``bench`` outside its own body, or be listed in
 an ``__all__``; dunders are called by the interpreter and are exempt.
 Every parameter with a default, of a function or method at any depth, must
 be passed, by keyword or by position, by some call in ``src``, ``tests`` or
-``bench``: a default nothing overrides is a setting nobody uses.
+``bench``: a default nothing overrides is a setting nobody uses.  Every
+name the package exports, and every public module-level ``def`` and
+``class``, must be read in the package outside its own definition or be
+named in backticks in ``README.md``: what only a test calls is a test's.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -211,3 +215,29 @@ def test_every_defaulted_parameter_is_passed():
         if path.parent == REPO / "src" / "mirpath":
             visit(tree, None)
     assert unpassed == []
+
+
+def test_every_public_name_is_read_in_the_package_or_documented():
+    modules = _modules()
+    reads = sum((_reads(tree) for tree in modules.values()), Counter())
+    # each module-level name -> what its own defining statement reads
+    own: dict[str, Counter] = {}
+    public = set(mirpath._MODULE_OF)
+    for tree in modules.values():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own[stmt.name] = _reads(stmt)
+                if not stmt.name.startswith("_"):
+                    public.add(stmt.name)
+            elif isinstance(stmt, ast.Assign):
+                own.update((t.id, _reads(stmt)) for t in stmt.targets if isinstance(t, ast.Name))
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    documented = {
+        word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)
+    }
+    unread = sorted(
+        name
+        for name in public
+        if reads[name] <= own.get(name, Counter())[name] and name not in documented
+    )
+    assert unread == []

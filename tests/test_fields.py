@@ -546,5 +546,15 @@ class TestVectorFieldJson:
             _rational(text)
 
     def test_exponent_of_four_digits_still_reads(self):
-        assert _rational("1e-9999") == Fraction(1, 10**9999)
+        assert _rational("1e-3999") == Fraction(1, 10**3999)
         assert _rational("2.5E+0000012") == 25 * 10**11
+
+    @pytest.mark.parametrize("value", ["1e-9999", "-3e4000", 10**4001, "1/" + "7" * 4001],
+                             ids=["1e-9999", "-3e4000", "10**4001", "1/7...7"])
+    def test_more_than_4000_digits_is_refused(self, value):
+        # 10^9999 was read, and then could not be printed as p/q
+        with pytest.raises(ValueError, match="^a numerator or denominator has more than 4000"):
+            _rational(value)
+        field = {"d": 1, "fields": [{"i": 1, "coeffs": [value]}]}
+        with pytest.raises(ValueError, match="^coefficient 0 of field letter 1 must be a JSON"):
+            vector_field_from_json(field)

@@ -30,7 +30,6 @@ from mirpath.group import (
     OffGridTimeError,
     PrimitivityError,
     RoughPathGrid,
-    char_eval,
     chen_compose,
     exp_element,
     identity_character,
@@ -46,27 +45,22 @@ def _rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def test_char_eval_multiplicative_over_components():
+def test_table_character_multiplicative_over_components():
     x = GroupElement(d=2, grading=G3, values={parse_multi_index("z(1,0)", d=2): 2.0})
-    assert char_eval(x, parse_forest("z(1,0)*z(1,0)", d=2)) == 4.0
-    assert char_eval(x, EMPTY_FOREST) == 1.0
+    t = _table(2, 3)
+    phi = t.character(x.coords)
+    assert phi[t.basis.index(parse_forest("z(1,0)*z(1,0)", d=2))] == 4.0
+    assert phi[t.basis.index(EMPTY_FOREST)] == 1.0
 
 
-def test_char_eval_zero_character_kills_nonempty_forests():
-    x = identity_character(2, G3)
-    for f in forest_basis(2, 3):
-        assert char_eval(x, f) == (1.0 if f.is_empty else 0.0)
+def test_table_character_of_identity_kills_nonempty_forests():
+    t = _table(2, 3)
+    phi = t.character(identity_character(2, G3).coords)
+    for f, v in zip(t.basis, phi):
+        assert v == (1.0 if f.is_empty else 0.0)
 
 
-def test_char_eval_rejects_out_of_truncation():
-    x = identity_character(2, Grading(max_norm=2, gamma=Fraction(1, 2)))
-    with pytest.raises(InvalidKeyError):
-        char_eval(x, parse_multi_index("z(1,0)z(1,1)^2", d=2))
-    with pytest.raises(InvalidKeyError, match="^forest degree 3 above truncation 2$"):
-        char_eval(x, parse_forest("z(1,0)*z(1,0)*z(1,0)", d=2))
-
-
-def test_char_eval_rejects_unpopulated_key():
+def test_value_rejects_unpopulated_key():
     x = identity_character(2, G3)
     with pytest.raises(InvalidKeyError):
         x.value(parse_multi_index("z(1,1)", d=2))

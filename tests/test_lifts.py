@@ -8,8 +8,8 @@ giving X_{s,s+h}(z^β) = c(β) · Π_{(i,k)} v_i^{β(i,k)} · h^{|β|} for a seg
 with slopes v (v₀ = 1).  The single-step Stratonovich oracle is the same
 recursion with ½ in place of 1/|β|.  Both are evaluated here with Fractions
 over decompositions enumerated here, while ``mirpath.lifts`` reads its
-weights off the exponential exp_⋆(Σ_i z(i,0)) of the Grossman–Larson product
-over ℚ: the two share only the basis.
+weights off the right-nested pre-Lie grafts of Σ_i z(i,0) over ℚ: the two
+share only the basis.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import itertools
 import json
 import math
 import re
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -35,7 +36,6 @@ from mirpath.group import (
     LieElement,
     RoughPathGrid,
     _key_index,
-    char_eval,
     chen_compose,
     exp_element,
 )
@@ -441,6 +441,12 @@ def test_grid_gamma_is_read_by_its_decimal_text(gamma, want):
     assert grid_from_json(_one_letter_grid([0.0, 1.0], gamma)).grading.gamma == want
 
 
+def test_grid_gamma_of_more_than_4000_digits_is_refused():
+    # its denominator 10^9999 used to be read, and then could not be printed
+    with pytest.raises(ValueError, match="^gamma must be a JSON rational, got '1e-9999'$"):
+        grid_from_json(_one_letter_grid([0.0, 1.0], "1e-9999"))
+
+
 def test_grid_gamma_cannot_be_a_bool():
     with pytest.raises(ValueError):
         grid_from_json(_one_letter_grid([0.0, 1.0], True))
@@ -457,6 +463,30 @@ def test_grid_d_and_max_norm_above_their_bounds_are_refused():
             grid_from_json({**doc, "d": d, "max_norm": max_norm})
     for d, max_norm in [(6, 1), (1, 5)]:
         assert grid_from_json({**doc, "d": d, "max_norm": max_norm}).grading.max_norm == max_norm
+
+
+def _full_grid_doc(d: int) -> dict:
+    """A two-step grid document at (d, 5) listing every key."""
+    grading = Grading(max_norm=5, gamma=Fraction(1, 2))
+    coords = np.full((2, len(_key_index(d, 5))), 0.25)
+    return grid_payload(RoughPathGrid._of(d, grading, (0.0, 0.5, 1.0), coords, 5))
+
+
+def _best_read_s(doc: dict) -> float:
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        grid_from_json(doc)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def test_grid_read_time_grows_linearly_in_the_keys():
+    # from (4, 5) to (6, 5) the keys grow 4.33x; the reader used to check
+    # each new key spelling against every slot seen so far, and its time
+    # grew about 13x
+    small, large = _full_grid_doc(4), _full_grid_doc(6)  # _key_index warmed here
+    assert _best_read_s(large) / _best_read_s(small) < 8
 
 
 def test_grid_text_repeating_a_key_is_refused():

@@ -26,10 +26,12 @@ import itertools
 import json
 import math
 import random
+import time
 import types
 from fractions import Fraction
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,14 +54,15 @@ from mirpath.algebra import (
     prelie_graft,
     single,
 )
+from mirpath.fields import VectorField
 from mirpath.group import RoughPathGrid, chen_compose
-from mirpath.lifts import lift_brownian
+from mirpath.lifts import lift_brownian, lift_piecewise_linear
+from mirpath.solver import davie_expansion, dyadic_pairs, solve_flow
 from mirpath.translation import (
     Character,
     TruncationShortfallError,
     character_from_json,
     character_to_json,
-    contract_character,
     coproduct_minus,
     identity_characters,
     insert_prelie,
@@ -68,6 +71,7 @@ from mirpath.translation import (
     m_ell,
     translate,
     translate_roughpath,
+    translated_field,
     translation_order,
 )
 from mirpath.translation import (  # white-box: the kernels and their references
@@ -88,6 +92,16 @@ def mi(d: int, *pairs: tuple[int, int]) -> MultiIndex:
     for i, k in pairs:
         out = out.mul(single(i, k, d))
     return out
+
+
+def contract_character(ell: Character, split: FormalSum) -> FormalSum:
+    """Evaluate a character on the forest leg of a coproduct expansion."""
+    out: dict[MultiIndex, int | Fraction] = {}
+    for (forest, key), coeff in split.items():
+        weight = ell.on_forest(forest)
+        if weight:
+            out[key] = out.get(key, 0) + coeff * weight
+    return FormalSum._of(out)
 
 
 def apply_insert(u: FormalSum, c: MultiIndex) -> FormalSum:
@@ -815,6 +829,76 @@ class TestTranslateRoughpath:
         path = _ito_path(n_steps=4, seed=1)
         with pytest.raises(ValueError):
             translate_roughpath(identity_characters(2), path)
+
+
+# ---------------------------------------------------------------------------
+# the translation statement on rough drivers
+# ---------------------------------------------------------------------------
+
+#: Wall-clock budget of each check below; each takes about 0.3 s.
+ROUGH_DRIVER_BUDGET_S = 10.0
+
+#: A mean-reverting drift and two diffusion letters, one quadratic and one
+#: affine, started at 0.2.
+ROUGH_FIELD = VectorField.polynomial(
+    [["1/10", "-1/2"], ["1", "0", "-1/4"], ["1/2", "3/10"]]
+)
+ROUGH_Y0 = 0.2
+
+
+def _flow_gap(ells: list[Character], path: RoughPathGrid) -> float:
+    """sup |solve(T_ℓ X, f) − solve(X, f^ℓ)| over the grid, at 4 substeps."""
+    via_path = solve_flow(translate_roughpath(ells, path), ROUGH_FIELD, ROUGH_Y0, substeps=4)
+    via_field = solve_flow(path, translated_field(ROUGH_FIELD, ells), ROUGH_Y0, substeps=4)
+    untranslated = solve_flow(path, ROUGH_FIELD, ROUGH_Y0, substeps=4)
+    # the translation moves the solution, so the agreement below is not vacuous
+    assert max(abs(a - b) for a, b in zip(via_field.values, untranslated.values)) > 1e-3
+    return max(abs(a - b) for a, b in zip(via_path.values, via_field.values))
+
+
+class TestTranslationOnRoughDrivers:
+    """The two routes of the translation statement agree to rounding on
+    Brownian and random-walk drivers, where criterion 09's smooth d = 1 path
+    would hide a wrong coefficient of the dual table under its 1e-5."""
+
+    @staticmethod
+    def _brownian() -> RoughPathGrid:
+        return lift_brownian(2, 1.0, 256, 7, "ito", GRADING_HALF)
+
+    def test_ito_strat_flows_agree_on_a_brownian_lift(self):
+        start = time.perf_counter()
+        gap = _flow_gap(_ito_strat_characters(2), self._brownian())
+        assert time.perf_counter() - start < ROUGH_DRIVER_BUDGET_S
+        assert gap <= 1e-12
+
+    def test_ito_strat_one_step_expansions_agree_on_a_brownian_lift(self):
+        start = time.perf_counter()
+        path, ells = self._brownian(), _ito_strat_characters(2)
+        moved = translate_roughpath(ells, path)
+        f_ell = translated_field(ROUGH_FIELD, ells)
+        gap = max(
+            abs(davie_expansion(moved, ROUGH_FIELD, s, t, ROUGH_Y0)
+                - davie_expansion(path, f_ell, s, t, ROUGH_Y0))
+            for s, t in dyadic_pairs(path.times, 1, 32)
+        )
+        assert time.perf_counter() - start < ROUGH_DRIVER_BUDGET_S
+        assert gap <= 1e-12
+
+    def test_second_order_space_translation_flows_agree_on_a_random_walk(self):
+        # ℓ₁ = z(1,0) + ⅓·z(2,0)z(1,1) has order 2, so the output grading
+        # (4, 9/40) reads the stored level 4
+        start = time.perf_counter()
+        n = 64
+        rng = np.random.Generator(np.random.PCG64(11))
+        walk = np.vstack([np.zeros(2), np.cumsum(rng.normal(0.0, n**-0.5, (n, 2)), axis=0)])
+        samples = [(j / n, *walk[j]) for j in range(n + 1)]
+        path = lift_piecewise_linear(samples, Grading(max_norm=4, gamma=Fraction(9, 20)))
+        ells = identity_characters(2)
+        ells[1] = Character(1, {single(1, 0, 2): 1, mi(2, (2, 0), (1, 1)): Fraction(1, 3)}, 2)
+        assert translate_roughpath(ells, path).grading == Grading(max_norm=4, gamma=Fraction(9, 40))
+        gap = _flow_gap(ells, path)
+        assert time.perf_counter() - start < ROUGH_DRIVER_BUDGET_S
+        assert gap <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -1287,6 +1287,10 @@ class TestCliTopLevel:
         ("ito-strat-demo", "--d", "-1"),
         ("ito-strat-demo", "--paths", "0"),
         ("ito-strat-demo", "--steps", "x"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--substeps", "0"),
+        ("solve", "--grid", "nope.json", "--field", "nope.json", "--mesh-level", "-1"),
+        ("davie-report", "--grid", "nope.json", "--field", "nope.json", "--substeps", "0"),
+        ("davie-report", "--grid", "nope.json", "--field", "nope.json", "--mesh-level", "-1"),
     ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
     def test_each_flag_is_refused_before_any_file_is_read(self, argv):
         code, out, err = run_cli(*argv)
@@ -1306,6 +1310,17 @@ class TestCliTopLevel:
         assert time.perf_counter() - start < LONG_EXPONENT_BUDGET_S
         assert (code, out) == (2, "")
         assert f"error: argument {argv[-2]}: expected a rational p/q, got {argv[-1]!r}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("enumerate", "--d", "1", "--max-norm", "2"),
+        ("lift", "--brownian", "strat", "--steps", "4"),
+    ], ids=lambda argv: argv[0])
+    def test_gamma_of_more_than_4000_digits_is_refused_before_any_work(self, argv):
+        # 1e-9999 used to be read, and its denominator then failed to print
+        # as p/q after the work was done
+        code, out, err = run_cli(*argv, "--gamma", "1e-9999")
+        assert (code, out) == (2, "")
+        assert "error: argument --gamma: expected a rational p/q, got '1e-9999'" in err
 
     @staticmethod
     def assert_seed_refused(*argv):
