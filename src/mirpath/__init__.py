@@ -34,8 +34,8 @@ _EXPORTS = {
     ),
     "group": (
         "GradingMismatchError", "GroupElement", "InvalidKeyError", "LieElement",
-        "OffGridTimeError", "PrimitivityError", "RoughPathGrid", "chen_compose",
-        "exp_element", "identity_character", "log_element", "random_character",
+        "OffGridTimeError", "RoughPathGrid", "chen_compose", "exp_element",
+        "identity_character", "log_element", "random_character",
     ),
     "lifts": (
         "UnsupportedLevelError", "brownian_pair_statistics", "grid_from_json",

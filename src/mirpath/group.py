@@ -8,16 +8,20 @@ was built.  All numeric products go through one table per (d, N), built on
 first use from the exact Grossman–Larson structure constants of
 :mod:`mirpath.algebra` and cached.  Over the indexed forest basis an element
 is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
-is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the table rows (u, v, w), where
+is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the rows (u, v, w), where
 C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into the exact constant c.
-Chen composition reads the single-component slots of that product.
+A character is fixed by its values on single multi-indices, so the table
+keeps only the rows with w a single multi-index; in each, v is ∅ or a
+single multi-index too.  Chen composition is that product.
 
 :class:`LieElement` holds the logarithm: a primitive element, nonzero only on
 single multi-indices.  ``exp_element``/``log_element`` are truncated power
-series in the same product.  :class:`RoughPathGrid` stores the increments
-along a grid of finite times as one read-only ``(n, K)`` array of finite
-values over the same slots, with ``depth``, the highest degree its rows
-store values for; wider increments follow by composition on demand.
+series in the same product, taken as left powers: the single-multi-index
+part of x^⋆ⁿ is x ⋆ (that part of x^⋆⁽ⁿ⁻¹⁾).  :class:`RoughPathGrid` stores
+the increments along a grid of finite times as one read-only ``(n, K)``
+array of finite values over the same slots, with ``depth``, the highest
+degree its rows store values for; wider increments follow by composition
+on demand.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ __all__ = [
     "RoughPathGrid",
     "GradingMismatchError",
     "InvalidKeyError",
-    "PrimitivityError",
     "chen_compose",
     "exp_element",
     "log_element",
@@ -61,11 +64,6 @@ class GradingMismatchError(ValueError):
 
 class InvalidKeyError(ValueError):
     """A value was requested or supplied outside the populated truncated basis."""
-
-
-class PrimitivityError(ValueError):
-    """log_element produced non-negligible mass on a forest of cardinality ≥ 2,
-    meaning the input was not a character of the group."""
 
 
 @lru_cache(maxsize=8)
@@ -166,37 +164,36 @@ def identity_character(d: int, grading: Grading) -> GroupElement:
 
 
 # ---------------------------------------------------------------------------
-# The product table over the indexed forest basis
+# The product rows that land on a single multi-index
 # ---------------------------------------------------------------------------
 
 
 class _Table:
-    """``forest_basis(d, N)`` indexed by slot (∅ is slot 0), with the
-    truncated product as rows ``(i, j, k, coeff)`` in (i, j) basis order:
-    slot i times slot j adds ``coeff`` to slot k."""
+    """``forest_basis(d, N)`` indexed by slot (∅ is slot 0), with the rows
+    ``(i, j, k, coeff)`` of the truncated product whose output is a single
+    multi-index, in (i, j) order: forest slot i times coords position j adds
+    ``coeff`` to coords position k.  The right factor of such a row is ∅ or
+    a single multi-index, so j indexes ``coords`` with ∅ at ``len(coords)``."""
 
     def __init__(self, d: int, n: int):
         self.basis = basis = forest_basis(d, n)
-        slot = {u: s for s, u in enumerate(basis)}
         degree = [u.degree() for u in basis]
         sym = [u.symmetry_factor() for u in basis]
         # the single-component slots, in the order of an element's coords
         self.single = np.array([s for s, u in enumerate(basis) if u.cardinality() == 1])
-        self.multi = np.array(
-            [s for s, u in enumerate(basis) if u.cardinality() >= 2], dtype=int
-        )
-        self.symmetry = np.array(sym, dtype=float)
         # per slot, the coords positions of its components; len(position) pads
         position = _key_index(d, n)
         self.components = np.full((len(basis), n), len(position))
         for s, u in enumerate(basis):
             self.components[s, : u.cardinality()] = [position[c] for c in u.components]
         rows = [
-            (a, b, slot[w], float(c * sym[slot[w]] / (sym[a] * sym[b])))
+            (a, self.components[b, 0], position[w.components[0]],
+             float(c * w.symmetry_factor() / (sym[a] * sym[b])))
             for a, u in enumerate(basis)
             for b, v in enumerate(basis)
-            if degree[a] + degree[b] <= n
+            if v.cardinality() <= 1 and degree[a] + degree[b] <= n
             for w, c in _star_basis(u, v).items()
+            if w.cardinality() == 1
         ]
         self.i, self.j, self.k, self.coeff = (np.array(col) for col in zip(*rows))
 
@@ -204,9 +201,11 @@ class _Table:
         """φ(u) = Π X(components of u), 1 on ∅."""
         return np.append(coords, 1.0)[self.components].prod(axis=1)
 
-    def star(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        weights = a[self.i] * b[self.j] * self.coeff
-        return np.bincount(self.k, weights=weights, minlength=len(self.basis))
+    def star(self, phi: np.ndarray, coords: np.ndarray, unit: float) -> np.ndarray:
+        """φ ⋆ ψ on the single multi-indices, for φ over the forest basis and
+        ψ given by ``coords`` and its value ``unit`` on ∅."""
+        weights = phi[self.i] * np.append(coords, unit)[self.j] * self.coeff
+        return np.bincount(self.k, weights=weights, minlength=len(coords))
 
 
 @lru_cache(maxsize=8)
@@ -217,67 +216,49 @@ def _table(d: int, n: int) -> _Table:
 def chen_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group law on increments: (s,u) followed by (u,t).
 
-    Both factors must share grading and dimension.  The composition is read
-    off the truncated product of the two characters' forest values.
+    Both factors must share grading and dimension.  The composition is the
+    truncated product of the forest values of ``a`` with ``b``.
     """
     if (a.d, a.grading) != (b.d, b.grading):
         raise GradingMismatchError(
             f"cannot compose d={a.d},{a.grading} with d={b.d},{b.grading}"
         )
     t = _table(a.d, a.grading.max_norm)
-    prod = t.star(t.character(a.coords), t.character(b.coords))
-    return GroupElement._of(a.d, a.grading, prod[t.single])
+    return GroupElement._of(a.d, a.grading, t.star(t.character(a.coords), b.coords, 1.0))
+
+
+def _power_series(t: _Table, left: np.ndarray, first: np.ndarray, divisors) -> np.ndarray:
+    """Σ_n left^⋆n / divisors[n−1] on the single multi-indices, for ``left``
+    over the forest basis, 0 on ∅, with ``first`` its own values there: that
+    part of left^⋆n is left ⋆ (that part of left^⋆(n−1))."""
+    acc = np.zeros_like(first)
+    power = first
+    for n, divisor in enumerate(divisors):
+        if n:
+            power = t.star(left, power, 0.0)
+        acc = acc + power / divisor
+    return acc
 
 
 def exp_element(x: LieElement) -> GroupElement:
     """Truncated exponential Σ_{n≤N} x^⋆ⁿ/n! of a primitive element."""
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
-    base = np.zeros(len(t.basis))
-    base[t.single] = x.coords
-    acc = power = t.character(np.zeros(len(x.coords)))
-    fact = 1.0
-    for n in range(1, n_max + 1):
-        power = t.star(power, base)
-        fact *= n
-        acc = acc + power / fact
-    return GroupElement._of(x.d, x.grading, acc[t.single])
-
-
-#: Relative size of a coefficient that :func:`log_element` may leave on a
-#: forest of two or more components before it refuses its input.
-_DEFECT_TOLERANCE = 1e-9
+    left = np.zeros(len(t.basis))
+    left[t.single] = x.coords
+    divisors = [math.factorial(n) for n in range(1, n_max + 1)]
+    return GroupElement._of(x.d, x.grading, _power_series(t, left, x.coords, divisors))
 
 
 def log_element(x: GroupElement) -> LieElement:
-    """Truncated logarithm Σ_{n≤N} (−1)^{n+1}(x−∅)^⋆ⁿ/n of a character.
-
-    The result must be primitive: a formal-sum coefficient φ(u)/S(u) left on
-    a forest u of cardinality ≥ 2 beyond ``_DEFECT_TOLERANCE`` (relative to
-    the largest coefficient) raises :class:`PrimitivityError` rather than
-    being dropped silently.
-    """
+    """Truncated logarithm Σ_{n≤N} (−1)^{n+1}(x−∅)^⋆ⁿ/n of a character,
+    which is primitive: its values on single multi-indices are all of it."""
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
-    y = t.character(x.coords)
-    y[0] = 0.0
-    acc = np.zeros_like(y)
-    power = y
-    for n in range(1, n_max + 1):
-        sign = 1.0 if n % 2 == 1 else -1.0
-        acc = acc + sign * power / n
-        if n < n_max:
-            power = t.star(power, y)
-    coeff = acc / t.symmetry
-    scale = max(1.0, float(np.abs(coeff).max()))
-    defects = t.multi[np.abs(coeff[t.multi]) > _DEFECT_TOLERANCE * scale]
-    if defects.size:
-        s = defects[0]
-        raise PrimitivityError(
-            f"logarithm left coefficient {coeff[s]:.3e} on {t.basis[s]!r}; "
-            "input is not a character"
-        )
-    return LieElement._of(x.d, x.grading, acc[t.single])
+    left = t.character(x.coords)
+    left[0] = 0.0
+    divisors = [n if n % 2 else -n for n in range(1, n_max + 1)]
+    return LieElement._of(x.d, x.grading, _power_series(t, left, x.coords, divisors))
 
 
 def random_character(d: int, grading: Grading, rng: random.Random) -> GroupElement:

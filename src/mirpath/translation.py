@@ -63,7 +63,7 @@ from .fields import (
     _poly_monomial_upsilon,
     upsilon_sum,
 )
-from .grammar import _json_int, _json_value, format_multi_index, parse_multi_index
+from .grammar import _at_most, _json_int, _json_value, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _key_index
 
 __all__ = [
@@ -154,15 +154,6 @@ class Character:
 
     def value(self, key: MultiIndex) -> int | Fraction:
         return self.terms.get(key, 0)
-
-    def on_forest(self, forest: Forest) -> int | Fraction:
-        """Multiplicative extension; the empty forest evaluates to 1."""
-        out = 1
-        for component in forest.components:
-            out *= self.terms.get(component, 0)
-            if out == 0:
-                return out
-        return out
 
     def support_degree(self) -> int:
         return max((key.degree() for key in self.terms), default=0)
@@ -618,29 +609,18 @@ def m_ell(ells: Sequence[Character], b: MultiIndex) -> FormalSum:
     return _dual_table(tuple(ells), b.letters - 1, b.degree()).get(b, FormalSum.zero())
 
 
-def _missing_degree(ells: tuple[Character, ...], d: int, stored: int, n: int) -> int | None:
+def _missing_degree(ells: tuple[Character, ...], stored: int, n: int) -> int | None:
     """The lowest degree above ``stored`` of a monomial z^β that the dual
     table at degree ``n`` reads, that is, whose image T z^β has a term of
     degree ≤ ``n``; None if there is none.
 
-    A product of nonzero polynomials is nonzero, so the lowest degree of
-    T z^β is the sum of the lowest degrees of its generator images, and no
-    image is multiplied out.
+    Dᵏ is injective on non-constant polynomials, so the image of z(i,k) has
+    the lowest degree L_i of the support of ℓᵢ.  A product of nonzero
+    polynomials is nonzero, so over β of degree m the least lowest degree
+    of T z^β is m·L, L = min_i L_i, reached by z(i,m−1)z(i,0)^{m−1}.
     """
-    lowest = {
-        (ell.direction, k): min(
-            (t.degree() for t in _generator_image(ell, k).terms), default=math.inf
-        )
-        for ell in ells
-        for k in range(n)  # a populated monomial of degree ≤ n has arities < n
-    }
-    for m in range(stored + 1, n + 1):
-        if any(
-            beta.degree() == m and sum(lowest[var] * c for var, c in beta.entries) <= n
-            for beta in _populated_tuple(d, m)
-        ):
-            return m
-    return None
+    lowest = min((key.degree() for ell in ells for key in ell.terms), default=math.inf)
+    return stored + 1 if stored < n and (stored + 1) * lowest <= n else None
 
 
 def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> RoughPathGrid:
@@ -654,8 +634,9 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
     ⌊N/γ⌋, N being :func:`translation_order`.  The input truncation must
     cover every monomial the dual images touch; if not, the lowest missing
     degree is reported, before any dual image is built, rather than silently
-    truncated.  An output value that overflows the float range is refused
-    with a ``ValueError`` naming its segment.
+    truncated.  So is an output truncation above the grid reader's bound.
+    An output value that overflows the float range is refused with a
+    ``ValueError`` naming its segment.
     """
     _check_characters(ells, path.d + 1)
     gamma = path.grading.gamma
@@ -666,13 +647,14 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
         out_grading = Grading(max_norm=math.floor(order / gamma), gamma=gamma / order)
     ells = tuple(ells)
     stored = path.grading.max_norm
-    missing = _missing_degree(ells, path.d, stored, out_grading.max_norm)
+    missing = _missing_degree(ells, stored, out_grading.max_norm)
     if missing is not None:
         raise TruncationShortfallError(
             f"translation needs stored values of degree {missing}, "
             f"but the grid is truncated at {stored}",
             missing_degree=missing,
         )
+    _at_most("max_norm", out_grading.max_norm)  # the grid reader's bound
     duals = _dual_table(ells, path.d, out_grading.max_norm)
     out_index = _key_index(path.d, out_grading.max_norm)
     index = _key_index(path.d, stored)

@@ -12,9 +12,10 @@ an ``__all__``; dunders are called by the interpreter and are exempt.
 Every parameter with a default, of a function or method at any depth, must
 be passed, by keyword or by position, by some call in ``src``, ``tests`` or
 ``bench``: a default nothing overrides is a setting nobody uses.  Every
-name the package exports, and every public module-level ``def`` and
-``class``, must be read in the package outside its own definition or be
-named in backticks in ``README.md``: what only a test calls is a test's.
+name the package exports, every public module-level ``def`` and ``class``,
+and every public method of a package class, must be read in the package
+outside its own definition or be named in backticks in ``README.md``: what
+only a test calls is a test's.
 """
 
 from __future__ import annotations
@@ -220,24 +221,27 @@ def test_every_defaulted_parameter_is_passed():
 def test_every_public_name_is_read_in_the_package_or_documented():
     modules = _modules()
     reads = sum((_reads(tree) for tree in modules.values()), Counter())
-    # each module-level name -> what its own defining statement reads
-    own: dict[str, Counter] = {}
-    public = set(mirpath._MODULE_OF)
+    # each public name -> what its own defining statements read
+    own: dict[str, Counter] = {name: Counter() for name in mirpath._MODULE_OF}
     for tree in modules.values():
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                own[stmt.name] = _reads(stmt)
-                if not stmt.name.startswith("_"):
-                    public.add(stmt.name)
+                own.setdefault(stmt.name, Counter()).update(_reads(stmt))
             elif isinstance(stmt, ast.Assign):
-                own.update((t.id, _reads(stmt)) for t in stmt.targets if isinstance(t, ast.Name))
+                for t in stmt.targets:
+                    if isinstance(t, ast.Name) and t.id in own:
+                        own[t.id].update(_reads(stmt))
+            if isinstance(stmt, ast.ClassDef):  # and the public methods of a class
+                for method in stmt.body:
+                    if isinstance(method, ast.FunctionDef):
+                        own.setdefault(method.name, Counter()).update(_reads(method))
     readme = (REPO / "README.md").read_text(encoding="utf-8")
     documented = {
         word for span in re.findall(r"`([^`\n]+)`", readme) for word in re.findall(r"\w+", span)
     }
     unread = sorted(
         name
-        for name in public
-        if reads[name] <= own.get(name, Counter())[name] and name not in documented
+        for name, counts in own.items()
+        if not name.startswith("_") and reads[name] <= counts[name] and name not in documented
     )
     assert unread == []

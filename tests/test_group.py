@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirpath import group
 from mirpath.algebra import (
     EMPTY_FOREST,
+    Forest,
     FormalSum,
     Grading,
     _star_basis,
@@ -28,7 +28,6 @@ from mirpath.group import (
     InvalidKeyError,
     LieElement,
     OffGridTimeError,
-    PrimitivityError,
     RoughPathGrid,
     chen_compose,
     exp_element,
@@ -36,7 +35,7 @@ from mirpath.group import (
     log_element,
     random_character,
 )
-from mirpath.group import _table  # white-box checks
+from mirpath.group import _key_index, _table  # white-box checks
 
 G3 = Grading(max_norm=3, gamma=Fraction(1, 3))
 
@@ -160,29 +159,57 @@ def test_log_level_one_copies_the_character():
         assert lam.values[key] == x.values[key]
 
 
+def _full_product(d, n):
+    """The truncated product over the whole forest basis, as rows
+    (u, v, w, c·S(w)/(S(u)·S(v))) in (u, v) basis order, each constant an
+    exact Fraction."""
+    basis = forest_basis(d, n)
+    return [
+        (u, v, w, Fraction(c * w.symmetry_factor(), u.symmetry_factor() * v.symmetry_factor()))
+        for u in basis
+        for v in basis
+        if u.degree() + v.degree() <= n
+        for w, c in _star_basis(u, v).items()
+    ]
+
+
+def _full_star(d, n):
+    """The float product of two vectors over ``forest_basis(d, n)``, built
+    from :func:`_full_product` and not from the group's table."""
+    slot = {u: s for s, u in enumerate(forest_basis(d, n))}
+    rows = [(slot[u], slot[v], slot[w], float(c)) for u, v, w, c in _full_product(d, n)]
+    i, j, k, coeff = (np.array(col) for col in zip(*rows))
+    return lambda a, b: np.bincount(k, weights=a[i] * b[j] * coeff, minlength=len(slot))
+
+
+def _forest_values(x) -> np.ndarray:
+    """Π X(components of u) over ``forest_basis``, 1 on ∅."""
+    return np.array([
+        float(np.prod([x.value(c) for c in u.components]))
+        for u in forest_basis(x.d, x.grading.max_norm)
+    ])
+
+
 def test_log_output_carries_no_mass_on_larger_forests():
-    # recompute the log series over the product table and look at the
-    # cardinality ≥ 2 forests directly, instead of trusting log_element
+    # the log series over the whole product, as right powers: no mass on
+    # the forests of two or more components, and log_element's left powers
+    # over single multi-indices give the rest of it
     x = random_character(2, G3, _rng(21))
-    t = _table(2, 3)
-    y = t.character(x.coords)
+    star = _full_star(2, 3)
+    y = _forest_values(x)
     y[0] = 0.0
     acc = np.zeros_like(y)
     power = y
     for n in (1, 2, 3):
         sign = 1.0 if n % 2 else -1.0
         acc = acc + sign * power / n
-        power = t.star(power, y)
-    for s, f in enumerate(t.basis):
+        power = star(power, y)
+    basis = forest_basis(2, 3)
+    for s, f in enumerate(basis):
         if f.cardinality() >= 2:
             assert abs(acc[s] / f.symmetry_factor()) <= 1e-12
-
-
-def test_log_primitivity_guard_is_live(monkeypatch):
-    monkeypatch.setattr(group, "_DEFECT_TOLERANCE", 0.0)
-    x = random_character(2, G3, _rng(2))
-    with pytest.raises(PrimitivityError):
-        log_element(x)
+    single = [s for s, f in enumerate(basis) if f.cardinality() == 1]
+    assert np.abs(acc[single] - log_element(x).coords).max() <= 1e-14
 
 
 def test_exp_of_primitive_is_grouplike():
@@ -203,13 +230,14 @@ def test_exp_of_primitive_is_grouplike():
         },
     )
     x = exp_element(lam)
-    # the exp series over the product table, before the read-out
-    t = _table(2, 3)
-    base = np.zeros(len(t.basis))
-    base[t.single] = lam.coords
-    acc = power = t.character(np.zeros(len(lam.coords)))
+    # the exp series over the whole product, as right powers
+    star = _full_star(2, 3)
+    basis = forest_basis(2, 3)
+    base = np.zeros(len(basis))
+    base[[s for s, f in enumerate(basis) if f.cardinality() == 1]] = lam.coords
+    acc = power = _forest_values(identity_character(2, G3))
     for fact in (1.0, 2.0, 6.0):
-        power = t.star(power, base)
+        power = star(power, base)
         acc = acc + power / fact
     f = parse_forest("z(1,0)*z(2,0)", d=2)
     expect = (
@@ -217,9 +245,9 @@ def test_exp_of_primitive_is_grouplike():
         * x.values[parse_multi_index("z(2,0)", d=2)]
         / f.symmetry_factor()
     )
-    assert acc[t.basis.index(f)] / f.symmetry_factor() == pytest.approx(expect, rel=1e-14)
+    assert acc[basis.index(f)] / f.symmetry_factor() == pytest.approx(expect, rel=1e-14)
     # and on every forest: the series equals the product of its own values
-    assert np.abs(acc - t.character(x.coords)).max() <= 1e-14
+    assert np.abs(acc - _forest_values(x)).max() <= 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +373,30 @@ def test_values_view_lists_the_nonzero_coordinates(case):
         assert _lists_its_nonzero_coordinates(out)
 
 
+def _row_factors(d, n):
+    """The forests that the table's i, j and k index: the forest basis; the
+    single multi-indices by coords position, then ∅; the same without ∅."""
+    keys = [Forest([key]) for key in _key_index(d, n)]
+    return forest_basis(d, n), [*keys, EMPTY_FOREST], keys
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_table_holds_the_product_rows_that_land_on_one_multi_index(d, n):
+    t = _table(d, n)
+    left, right, out = _row_factors(d, n)
+    got = [(left[i], right[j], out[k]) for i, j, k in zip(t.i, t.j, t.k)]
+    want = [(u, v, w) for u, v, w, _c in _full_product(d, n) if w.cardinality() == 1]
+    assert got == want
+
+
 @pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
 def test_table_constants_round_like_their_fractions(d, n):
     # the exact structure constants are ints, so the table divides ints;
     # that must round exactly as the Fraction c·S(w)/(S(u)·S(v)) does
     t = _table(d, n)
+    left, right, out = _row_factors(d, n)
     for i, j, k, got in zip(t.i, t.j, t.k, t.coeff):
-        u, v, w = t.basis[i], t.basis[j], t.basis[k]
+        u, v, w = left[i], right[j], out[k]
         c = _star_basis(u, v).coefficient(w)
         want = float(
             Fraction(c * w.symmetry_factor(), u.symmetry_factor() * v.symmetry_factor())

@@ -390,6 +390,18 @@ class TestSolveFlow:
         with pytest.raises(ValueError, match="^initial state 2000000000000.0 lies beyond"):
             solve_flow(sine_path(8), f, 2e12)
 
+    def test_one_huge_level_one_value_diverges(self):
+        # the logarithm of an increment with z(1,0) = 1e200 overflows; the
+        # flow reports a divergence instead of refusing the increment
+        path = lift_brownian(d=1, t_final=1.0, n_steps=4, seed=0, mode="strat",
+                             grading=GRADING3)
+        key = parse_multi_index("z(1,0)", d=1)
+        incs = list(path.increments)
+        incs[1] = GroupElement(d=1, grading=GRADING3, values={**incs[1].values, key: 1e200})
+        huge = RoughPathGrid(d=1, grading=GRADING3, times=path.times, increments=incs)
+        sol = solve_flow(huge, VectorField.polynomial([(0,), (1,)]), 0.0)
+        assert sol.diverged and len(sol.values) < len(path.times)
+
     def test_initial_condition_exact(self):
         path = sine_path(8)
         y0 = 0.1234567890123456789  # rounds to a specific binary64

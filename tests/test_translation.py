@@ -94,11 +94,16 @@ def mi(d: int, *pairs: tuple[int, int]) -> MultiIndex:
     return out
 
 
+def on_forest(ell: Character, forest: Forest) -> int | Fraction:
+    """The multiplicative extension of ``ell``; the empty forest gives 1."""
+    return math.prod(ell.value(component) for component in forest.components)
+
+
 def contract_character(ell: Character, split: FormalSum) -> FormalSum:
     """Evaluate a character on the forest leg of a coproduct expansion."""
     out: dict[MultiIndex, int | Fraction] = {}
     for (forest, key), coeff in split.items():
-        weight = ell.on_forest(forest)
+        weight = on_forest(ell, forest)
         if weight:
             out[key] = out.get(key, 0) + coeff * weight
     return FormalSum._of(out)
@@ -163,10 +168,10 @@ class TestCharacter:
     def test_on_forest_multiplicative(self):
         ell = ito_strat_character(1)
         key = mi(1, (1, 0), (1, 1))
-        assert ell.on_forest(EMPTY_FOREST) == 1
-        assert ell.on_forest(Forest([key])) == HALF
-        assert ell.on_forest(Forest([key, key, single(0, 0, 1)])) == Fraction(1, 4)
-        assert ell.on_forest(Forest([single(1, 0, 1)])) == 0
+        assert on_forest(ell, EMPTY_FOREST) == 1
+        assert on_forest(ell, Forest([key])) == HALF
+        assert on_forest(ell, Forest([key, key, single(0, 0, 1)])) == Fraction(1, 4)
+        assert on_forest(ell, Forest([single(1, 0, 1)])) == 0
 
 
 class TestCharacterJson:
@@ -676,7 +681,7 @@ class TestDualTranslation:
                 total = FormalSum.zero()
                 for combo in itertools.combinations_with_replacement(support, n0):
                     forest = Forest(list(combo))
-                    weight = ells[0].on_forest(forest) / Fraction(
+                    weight = on_forest(ells[0], forest) / Fraction(
                         forest.symmetry_factor()
                     )
                     total = total + insert_simultaneous(forest, beta).scale(weight)
@@ -803,8 +808,8 @@ class TestTranslateRoughpath:
         assert info.value.missing_degree == 4
 
     def test_shortfall_degree_is_the_lowest_stored_degree_the_duals_read(self):
-        # the refusal reads lowest degrees of generator images instead of
-        # the dual images themselves
+        # the refusal's closed form, against the degrees that the dual
+        # images themselves read
         raising = Character(1, {mi(1, (1, 0), (1, 1)): 2}, 1)
         cases = [
             _second_order_space_characters(),
@@ -823,7 +828,7 @@ class TestTranslateRoughpath:
                 }
                 for stored in range(1, n + 1):
                     want = min((m for m in read if m > stored), default=None)
-                    assert _missing_degree(tuple(ells), d, stored, n) == want, (ells, n)
+                    assert _missing_degree(tuple(ells), stored, n) == want, (ells, n)
 
     def test_wrong_character_count(self):
         path = _ito_path(n_steps=4, seed=1)

@@ -823,6 +823,53 @@ class TestCliTranslate:
             "but the grid is truncated at 4\n"
         )
 
+    def test_fine_gamma_shortfall_is_refused_within_the_budget(self, tmp_path):
+        # order 2 at γ = 1/1000 moves the output to truncation 2000; the
+        # shortfall search used to build Dᵏ of each character image for every
+        # k < 2000, and died with a RecursionError
+        grid_file, chars = tmp_path / "g.json", tmp_path / "c.json"
+        assert run_cli("lift", "--brownian", "strat", "--d", "1", "--max-norm", "3",
+                       "--gamma", "1/1000", "--steps", "4", "--no-timestamp",
+                       "--out", str(grid_file))[0] == 0
+        chars.write_text(json.dumps(
+            {"direction": 1, "terms": {"z(1,0)": "1", "z(1,0)z(1,1)": "1"}}
+        ))
+        src = str(Path(mirpath.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "mirpath.cli", "translate", "--grid", str(grid_file),
+             "--chars", str(chars)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+            timeout=SHORTFALL_BUDGET_S,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "error: translation needs stored values of degree 4, "
+            "but the grid is truncated at 3\n"
+        )
+
+    def test_output_grading_the_reader_refuses_is_not_written(self, tmp_path, monkeypatch):
+        # order 2 at γ = 1/3 moves the degree-5 grid to truncation 6, which
+        # the grid reader refuses; translate used to write it with exit 0
+        from mirpath import translation
+
+        def no_dual_table(*args):
+            raise AssertionError("a dual image was built")
+
+        csv_file, grid_file, chars = (tmp_path / n for n in ("p.csv", "g.json", "c.json"))
+        write_sine_csv(csv_file, n=4)
+        assert run_cli("lift", "--path", str(csv_file), "--max-norm", "5", "--gamma",
+                       "1/3", "--no-timestamp", "--out", str(grid_file))[0] == 0
+        chars.write_text(json.dumps([
+            {"direction": i, "terms": {"z(1,0)z(1,1)": "1"}} for i in (0, 1)
+        ]))
+        monkeypatch.setattr(translation, "_dual_table", no_dual_table)
+        out_file = tmp_path / "translated.json"
+        code, out, err = run_cli("translate", "--grid", str(grid_file), "--chars",
+                                 str(chars), "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err == "error: max_norm must be at most 5, got 6\n"
+        assert not out_file.exists()
+
     def test_field_translation_emits_exact_coefficients(
         self, cubic_field_json, tmp_path
     ):
@@ -1140,6 +1187,24 @@ class TestCliReports:
             assert json.loads(out)["solution"]["values"] == [0.0]
         else:
             assert out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "davie-report"])
+    def test_one_huge_level_one_value_is_a_numeric_divergence(self, command, tmp_path):
+        # a grid the reader accepts, with one finite z(1,0) of 1e200: its
+        # logarithm overflows, which is a divergence (exit 3), where a
+        # primitivity check on the logarithm used to call it a non-character
+        grid_file = tmp_path / "grid.json"
+        run_cli("lift", "--brownian", "strat", "--d", "1", "--max-norm", "3",
+                "--steps", "4", "--no-timestamp", "--out", str(grid_file))
+        doc = json.loads(grid_file.read_text())
+        doc["grid"]["increments"][1]["z(1,0)"] = 1e200
+        grid_file.write_text(json.dumps(doc))
+        field_file = tmp_path / "field.json"
+        write_field_json(field_file, [(0,), (1,)])
+        code, _, err = run_cli(command, "--grid", str(grid_file), "--field",
+                               str(field_file), "--no-timestamp")
+        assert code == 3
+        assert err.startswith("numeric divergence: ")
 
     def test_non_finite_expansion_exits_three_and_writes_nothing(self, tmp_path):
         # at N = 1 each step's logarithm is finite and the zero field keeps
