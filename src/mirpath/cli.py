@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from .translation import Character
 
 # Each handler imports the layers it uses, so a run loads only those (and
-# building the parser loads no numpy).
+# only the Brownian lift and the pair statistics load numpy).
 
 __all__ = ["main"]
 
@@ -122,18 +122,39 @@ def _gamma(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"expected a rational p/q in (0, 1), got {text!r}")
 
 
+def _numpy_version() -> str | None:
+    """numpy's version, found without importing numpy, so that a command
+    that computes without it loads none: from its ``version.py``, which
+    holds plain constants from numpy 1.26 on, else from the installed
+    distribution's metadata; None if numpy is not installed."""
+    import importlib.util
+    import os
+
+    numpy = importlib.util.find_spec("numpy")
+    if numpy is None or numpy.origin is None:
+        return None
+    path = os.path.join(os.path.dirname(numpy.origin), "version.py")
+    try:
+        spec = importlib.util.spec_from_file_location("version", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.__version__
+    except (ImportError, OSError, AttributeError):  # numpy < 1.26 imports its version
+        from importlib import metadata
+
+        return metadata.version("numpy")
+
+
 def _provenance(args: argparse.Namespace, out: _Output) -> dict:
     import datetime
     import platform
-
-    import numpy as np
 
     from .lifts import RNG_ALGORITHM
 
     header = {
         "tool": f"mirpath {__version__}",
         "python": platform.python_version(),
-        "numpy": np.__version__,
+        "numpy": _numpy_version(),
         "rng": {"algorithm": RNG_ALGORITHM, "seed": out.seed},
         "config": out.config,
     }
@@ -289,8 +310,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 
 def _cmd_lift(args: argparse.Namespace) -> _Output:
     from .algebra import Grading
+    from .grammar import _at_most
     from .lifts import grid_payload, lift_brownian, lift_piecewise_linear, read_path_csv
-    from .grammar import _at_most  # after lifts, which imports numpy first
 
     if bool(args.path) == bool(args.brownian):
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")

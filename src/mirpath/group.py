@@ -1,12 +1,13 @@
 """Truncated character group over the forest algebra.
 
-A rough-path increment is stored as a :class:`GroupElement`: one read-only
-float vector ``coords`` over the populated multi-indices of degree ≤ N (in
+A rough-path increment is stored as a :class:`GroupElement`: one tuple of
+floats ``coords`` over the populated multi-indices of degree ≤ N (in
 ascending degree), extended to forests by multiplicativity.  ``values`` is
 the read-only map of its nonzero coordinates by key, however the element
 was built.  All numeric products go through one table per (d, N), built on
 first use from the exact Grossman–Larson structure constants of
-:mod:`mirpath.algebra` and cached.  Over the indexed forest basis an element
+:mod:`mirpath.algebra`, compiled into two straight-line functions and
+cached.  Over the indexed forest basis an element
 is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
 is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the rows (u, v, w), where
 C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into the exact constant c.
@@ -18,8 +19,8 @@ single multi-index too.  Chen composition is that product.
 single multi-indices.  ``exp_element``/``log_element`` are truncated power
 series in the same product, taken as left powers: the single-multi-index
 part of x^⋆ⁿ is x ⋆ (that part of x^⋆⁽ⁿ⁻¹⁾).  :class:`RoughPathGrid` stores
-the increments along a grid of finite times as one read-only ``(n, K)``
-array of finite values over the same slots, with ``depth``, the highest
+the increments along a grid of finite times as one tuple of row tuples of
+finite values over the same slots, with ``depth``, the highest
 degree its rows store values for; wider increments follow by composition
 on demand.
 """
@@ -31,9 +32,7 @@ import math
 import random
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
-from typing import Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Mapping, Sequence
 
 from .algebra import (
     Grading,
@@ -102,34 +101,33 @@ class _Element:
     def __init__(self, d: int, grading: Grading, values: Mapping = MappingProxyType({})):
         """The checked constructor: every key of ``values`` must lie in the
         populated basis of degree ≤ N over letters 0..d."""
-        coords = np.zeros(len(_key_index(d, grading.max_norm)))
+        coords = [0.0] * len(_key_index(d, grading.max_norm))
         for key, v in values.items():
-            coords[_slot(key, d, grading)] = v
-        coords.flags.writeable = False
-        vars(self).update(d=d, grading=grading, coords=coords)
+            coords[_slot(key, d, grading)] = float(v)
+        vars(self).update(d=d, grading=grading, coords=tuple(coords))
 
     @classmethod
-    def _of(cls, d: int, grading: Grading, coords: np.ndarray):
-        """Unchecked: the element over the computed vector ``coords``."""
+    def _of(cls, d: int, grading: Grading, coords: tuple[float, ...]):
+        """Unchecked: the element over the computed tuple ``coords``."""
         out = cls.__new__(cls)
-        coords.flags.writeable = False
         vars(out).update(d=d, grading=grading, coords=coords)
         return out
 
     @cached_property
     def values(self) -> Mapping[MultiIndex, float]:
         """Read-only map of the nonzero coordinates by key, in slot order."""
-        pairs = zip(_key_index(self.d, self.grading.max_norm), self.coords.tolist())
+        pairs = zip(_key_index(self.d, self.grading.max_norm), self.coords)
         return MappingProxyType({key: x for key, x in pairs if x != 0.0})
 
     def value(self, key: MultiIndex) -> float:
-        return float(self.coords[_slot(key, self.d, self.grading)])
+        return self.coords[_slot(key, self.d, self.grading)]
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
             return NotImplemented
         same = (self.d, self.grading) == (other.d, other.grading)
-        return same and np.array_equal(self.coords, other.coords)
+        # element by element, so that a NaN equals nothing, itself included
+        return same and all(x == y for x, y in zip(self.coords, other.coords))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -173,39 +171,62 @@ class _Table:
     ``(i, j, k, coeff)`` of the truncated product whose output is a single
     multi-index, in (i, j) order: forest slot i times coords position j adds
     ``coeff`` to coords position k.  The right factor of such a row is ∅ or
-    a single multi-index, so j indexes ``coords`` with ∅ at ``len(coords)``."""
+    a single multi-index, so j indexes ``coords`` with ∅ at ``len(coords)``.
+
+    The rows are compiled into two straight-line functions:
+    ``character(a)``, the tuple φ(u) = Π a[components of u] over the basis,
+    taken in component order, 1.0 on ∅; and ``star(phi, b, u)``, φ ⋆ ψ on
+    the single multi-indices for ψ given by the tuple ``b`` and its value
+    ``u`` on ∅, each output slot k summed as 0.0 + Σ phi[i]·b[j]·coeff over
+    its rows in order (a factor 1.0 is left out, which changes no bit)."""
 
     def __init__(self, d: int, n: int):
         self.basis = basis = forest_basis(d, n)
         degree = [u.degree() for u in basis]
         sym = [u.symmetry_factor() for u in basis]
         # the single-component slots, in the order of an element's coords
-        self.single = np.array([s for s, u in enumerate(basis) if u.cardinality() == 1])
-        # per slot, the coords positions of its components; len(position) pads
+        self.single = tuple(s for s, u in enumerate(basis) if u.cardinality() == 1)
         position = _key_index(d, n)
-        self.components = np.full((len(basis), n), len(position))
-        for s, u in enumerate(basis):
-            self.components[s, : u.cardinality()] = [position[c] for c in u.components]
-        rows = [
-            (a, self.components[b, 0], position[w.components[0]],
-             float(c * w.symmetry_factor() / (sym[a] * sym[b])))
+        unit = len(position)  # the j of ∅
+        self.rows = tuple(
+            (a, position[v.components[0]] if v.components else unit,
+             position[w.components[0]], float(c * w.symmetry_factor() / (sym[a] * sym[b])))
             for a, u in enumerate(basis)
             for b, v in enumerate(basis)
             if v.cardinality() <= 1 and degree[a] + degree[b] <= n
             for w, c in _star_basis(u, v).items()
             if w.cardinality() == 1
-        ]
-        self.i, self.j, self.k, self.coeff = (np.array(col) for col in zip(*rows))
+        )
+        products = ["*".join(f"a{position[c]}" for c in u.components) or "1.0" for u in basis]
+        terms: list[list[str]] = [[] for _ in range(unit)]
+        for i, j, k, coeff in self.rows:
+            factor = "u" if j == unit else f"b{j}"
+            terms[k].append(f" + p{i}*{factor}" + ("" if coeff == 1.0 else f"*{coeff!r}"))
+        label = f"product table d={d} N={n}"
+        self.character = _straight_line(label, [("a", unit)], products)
+        self.star = _straight_line(
+            label, [("p", len(basis)), ("b", unit), ("u", None)],
+            ["0.0" + "".join(t) for t in terms],
+        )
 
-    def character(self, coords: np.ndarray) -> np.ndarray:
-        """φ(u) = Π X(components of u), 1 on ∅."""
-        return np.append(coords, 1.0)[self.components].prod(axis=1)
 
-    def star(self, phi: np.ndarray, coords: np.ndarray, unit: float) -> np.ndarray:
-        """φ ⋆ ψ on the single multi-indices, for φ over the forest basis and
-        ψ given by ``coords`` and its value ``unit`` on ∅."""
-        weights = phi[self.i] * np.append(coords, unit)[self.j] * self.coeff
-        return np.bincount(self.k, weights=weights, minlength=len(coords))
+def _straight_line(label: str, params: Sequence[tuple[str, int | None]],
+                   outputs: Sequence[str]) -> Callable[..., tuple[float, ...]]:
+    """Compile the function of ``params`` that returns the tuple of the
+    Python expressions ``outputs``.  A parameter (p, n) is unpacked into
+    the locals p0 … p(n−1) the expressions read; (p, None) is a scalar.
+    The code is straight-line, so each expression evaluates, and each sum
+    adds its terms, exactly in the written order."""
+    unpack = "".join(
+        f"    {''.join(f'{p}{m}, ' for m in range(n))}= {p}\n" for p, n in params if n is not None
+    )
+    source = (
+        f"def f({', '.join(p for p, _ in params)}):\n{unpack}"
+        f"    return ({''.join(f'{x}, ' for x in outputs)})\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<{label}>", "exec"), namespace)
+    return namespace["f"]
 
 
 @lru_cache(maxsize=8)
@@ -227,26 +248,27 @@ def chen_compose(a: GroupElement, b: GroupElement) -> GroupElement:
     return GroupElement._of(a.d, a.grading, t.star(t.character(a.coords), b.coords, 1.0))
 
 
-def _power_series(t: _Table, left: np.ndarray, first: np.ndarray, divisors) -> np.ndarray:
+def _power_series(t: _Table, left: Sequence[float], first: tuple, divisors) -> tuple[float, ...]:
     """Σ_n left^⋆n / divisors[n−1] on the single multi-indices, for ``left``
     over the forest basis, 0 on ∅, with ``first`` its own values there: that
     part of left^⋆n is left ⋆ (that part of left^⋆(n−1))."""
-    acc = np.zeros_like(first)
+    acc = [0.0] * len(first)
     power = first
     for n, divisor in enumerate(divisors):
         if n:
             power = t.star(left, power, 0.0)
-        acc = acc + power / divisor
-    return acc
+        acc = [a + x / divisor for a, x in zip(acc, power)]
+    return tuple(acc)
 
 
 def exp_element(x: LieElement) -> GroupElement:
     """Truncated exponential Σ_{n≤N} x^⋆ⁿ/n! of a primitive element."""
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
-    left = np.zeros(len(t.basis))
-    left[t.single] = x.coords
-    divisors = [math.factorial(n) for n in range(1, n_max + 1)]
+    left = [0.0] * len(t.basis)
+    for s, v in zip(t.single, x.coords):
+        left[s] = v
+    divisors = [float(math.factorial(n)) for n in range(1, n_max + 1)]
     return GroupElement._of(x.d, x.grading, _power_series(t, left, x.coords, divisors))
 
 
@@ -255,9 +277,8 @@ def log_element(x: GroupElement) -> LieElement:
     which is primitive: its values on single multi-indices are all of it."""
     n_max = x.grading.max_norm
     t = _table(x.d, n_max)
-    left = t.character(x.coords)
-    left[0] = 0.0
-    divisors = [n if n % 2 else -n for n in range(1, n_max + 1)]
+    left = (0.0, *t.character(x.coords)[1:])
+    divisors = [float(n if n % 2 else -n) for n in range(1, n_max + 1)]
     return LieElement._of(x.d, x.grading, _power_series(t, left, x.coords, divisors))
 
 
@@ -295,7 +316,7 @@ def _time_index(times: Sequence[float], t: float) -> int | None:
 class RoughPathGrid:
     """Finite increments X_{t_j,t_{j+1}} over a strictly increasing finite grid.
 
-    Row m of the read-only ``(n, K)`` array ``coords`` holds X_{t_m,t_{m+1}}
+    Row m of the tuple of row tuples ``coords`` holds X_{t_m,t_{m+1}}
     over the slots of ``_key_index(d, N)``; ``depth`` is the highest degree
     the rows store values for, and every slot above it is 0.  Increments
     over non-adjacent grid pairs are produced by Chen composition on demand;
@@ -309,13 +330,13 @@ class RoughPathGrid:
         ``times``, each over ``d`` and ``grading``; every degree is stored."""
         if any((inc.d, inc.grading) != (d, grading) for inc in increments):
             raise GradingMismatchError("increment grading differs from grid grading")
-        width = len(_key_index(d, grading.max_norm))
-        coords = np.array([inc.coords for inc in increments]).reshape(-1, width)
+        coords = tuple(inc.coords for inc in increments)
         self._fill(d, grading, tuple(times), coords, grading.max_norm)
 
     @classmethod
-    def _of(cls, d: int, grading: Grading, times, coords: np.ndarray, depth: int):
-        """A grid over rows filled by slot, which store degrees ≤ ``depth``."""
+    def _of(cls, d: int, grading: Grading, times, coords: tuple[tuple[float, ...], ...],
+            depth: int):
+        """A grid over row tuples filled by slot, which store degrees ≤ ``depth``."""
         out = cls.__new__(cls)
         out._fill(d, grading, tuple(times), coords, depth)
         return out
@@ -335,13 +356,13 @@ class RoughPathGrid:
         for a, b in zip(times, times[1:]):
             if not b > a:
                 raise ValueError(f"times not strictly increasing at {a} .. {b}")
-        finite = np.isfinite(coords).all(axis=1)
-        if not finite.all():
-            m = int(finite.argmin())
-            raise ValueError(
-                f"grid value on segment {m} (t = {times[m]} .. {times[m + 1]}) is not finite"
-            )
-        coords.flags.writeable = False
+        for m, row in enumerate(coords):
+            # a sum is finite only if every term is; one that overflows is
+            # checked term by term
+            if not math.isfinite(sum(row)) and not all(map(math.isfinite, row)):
+                raise ValueError(
+                    f"grid value on segment {m} (t = {times[m]} .. {times[m + 1]}) is not finite"
+                )
         vars(self).update(d=d, grading=grading, times=times, coords=coords, depth=depth)
 
     def __setattr__(self, name: str, value) -> None:
@@ -349,7 +370,7 @@ class RoughPathGrid:
 
     @cached_property
     def increments(self) -> tuple[GroupElement, ...]:
-        """The rows of ``coords`` as elements, each a read-only view of its row."""
+        """The rows of ``coords`` as elements, each sharing its row tuple."""
         return tuple(GroupElement._of(self.d, self.grading, row) for row in self.coords)
 
     def index_of(self, t: float) -> int:

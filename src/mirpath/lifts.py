@@ -16,10 +16,13 @@ by ``prelie_graft`` once per (d, N) in ``_affine_weights`` (an
 * ``lift_brownian`` with ``"ito"``: the left-point rule, w = c = 1 on degree 1.
 
 The Brownian lattice lift is limited to level ≤ 3.  Each lift writes its
-step values by slot into the rows of one grid array, whose ``depth`` is the
+step values by slot into the row tuples of one grid, whose ``depth`` is the
 highest degree it stores and evaluates (1 for the Itô rule); multi-step
 increments follow by Chen composition in every case.  A grid holds finite
-times and values, so a step value that overflows is refused.
+times and values, so a step value that overflows is refused.  The step
+values are plain float arithmetic, in one straight-line step function per
+(d, N) compiled beside the weights; numpy is imported only for the seeded
+Gaussian draws of ``lift_brownian`` and ``brownian_pair_statistics``.
 
 The JSON/CSV formats at the bottom are the package's only on-disk path
 representations; a grid file lists every key up to the grid's depth.
@@ -32,13 +35,11 @@ import io
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import FormalSum, Grading, _populated_tuple, prelie_graft, single
 from .grammar import _MISSING, _json_int, _json_value, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _key_index, _slot
+from .group import RoughPathGrid, _key_index, _slot, _straight_line
 
 __all__ = [
     "UnsupportedLevelError",
@@ -66,9 +67,10 @@ class UnsupportedLevelError(ValueError):
 
 
 @lru_cache(maxsize=8)
-def _affine_weights(d: int, n: int) -> tuple[tuple[int | Fraction, ...], np.ndarray]:
+def _affine_weights(d: int, n: int) -> tuple[tuple[int | Fraction, ...], Callable]:
     """The exact affine weights c(β) on the slots of ``_key_index(d, n)``,
-    and the read-only ``(K, d+1)`` array of the letter counts n_i(β).
+    and the compiled step ``step(w, dx)``: the tuple of w[p]·Π_i dx[i]^{n_i(β)}
+    on each slot p, multiplied in letter order.
 
     The grafts run over monomials only: S_k is the single-component part of
     x^⋆k/k!, since x ⋆ u leaves a single component only where u has one."""
@@ -80,27 +82,39 @@ def _affine_weights(d: int, n: int) -> tuple[tuple[int | Fraction, ...], np.ndar
             (prelie_graft(a, b), Fraction(c, k)) for a in x.terms for b, c in last
         ))
     keys = _key_index(d, n)
-    counts = np.array([[beta.letter_count(i) for i in range(d + 1)] for beta in keys], float)
-    counts.flags.writeable = False
     weights = tuple(
         beta.symmetry_factor() * powers[beta.degree() - 1].coefficient(beta) for beta in keys
     )
-    return weights, counts
+    monomials = [
+        f"w{p}" + "".join(
+            f"*x{i}" + (f"**{c}" if c > 1 else "")
+            for i in range(d + 1) if (c := beta.letter_count(i))
+        )
+        for beta, p in keys.items()
+    ]
+    step = _straight_line(f"affine step d={d} N={n}", [("w", len(keys)), ("x", d + 1)], monomials)
+    return weights, step
 
 
 def _lift(d: int, grading: Grading, times, dxs, depth: int, degree3=1.0) -> RoughPathGrid:
-    """The grid whose row m holds w(β)·Π_i dxs[m, i]^{n_i(β)} on each β of
+    """The grid whose row m holds w(β)·Π_i dxs[m][i]^{n_i(β)} on each β of
     degree ≤ ``depth``, with w = c times ``degree3`` at degree 3, and 0
     above; the grid refuses a row that overflows."""
-    weights, counts = _affine_weights(d, depth)
-    coords = np.zeros((len(dxs), len(_key_index(d, grading.max_norm))))
-    rows = coords[:, : len(weights)]
-    rows[:] = weights
-    rows[:, len(_populated_tuple(d, 2)) :] *= degree3
-    with np.errstate(over="ignore", invalid="ignore"):  # the grid refuses an overflow
-        for i in range(d + 1):
-            rows *= dxs[:, i : i + 1] ** counts[:, i]
+    weights, step = _affine_weights(d, depth)
+    degree3_from = len(_populated_tuple(d, 2))
+    w = tuple(float(c) * degree3 if p >= degree3_from else float(c) for p, c in enumerate(weights))
+    pad = (0.0,) * (len(_key_index(d, grading.max_norm)) - len(weights))
+    coords = tuple(_step_row(step, w, dx) + pad for dx in dxs)
     return RoughPathGrid._of(d, grading, times, coords, depth)
+
+
+def _step_row(step: Callable, w: tuple[float, ...], dx: Sequence[float]) -> tuple[float, ...]:
+    """``step(w, dx)``, or a row of inf where a power leaves the float
+    range (Python's ``**`` raises there), which the grid refuses."""
+    try:
+        return step(w, dx)
+    except OverflowError:
+        return (math.inf,) * len(w)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +139,9 @@ def lift_piecewise_linear(
     d = widths.pop() - 1
     if d < 1:
         raise ValueError("samples must contain at least one state coordinate")
-    times = [float(row[0]) for row in samples]
-    dxs = np.diff(np.array(samples, dtype=float), axis=0)
+    rows = [tuple(map(float, row)) for row in samples]
+    times = [row[0] for row in rows]
+    dxs = [tuple(b - a for a, b in zip(r, s)) for r, s in zip(rows, rows[1:])]
     return _lift(d, grading, times, dxs, grading.max_norm)
 
 
@@ -160,14 +175,16 @@ def lift_brownian(
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_t_final(t_final)
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     dt = t_final / n_steps
     dw = rng.normal(0.0, math.sqrt(dt), size=(n_steps, d))
-    return lift_brownian_from_increments(dw, dt, mode, grading)
+    return lift_brownian_from_increments(dw.tolist(), dt, mode, grading)
 
 
 def lift_brownian_from_increments(
-    dw: np.ndarray, dt: float, mode: str, grading: Grading
+    dw: Sequence[Sequence[float]], dt: float, mode: str, grading: Grading
 ) -> RoughPathGrid:
     """Assemble the lattice lift from externally supplied Gaussian increments
     (one row per step, one column per driving letter ≥ 1)."""
@@ -177,9 +194,9 @@ def lift_brownian_from_increments(
         )
     if mode not in ("ito", "strat"):
         raise ValueError(f"mode must be 'ito' or 'strat', got {mode!r}")
-    n_steps, d = dw.shape
-    dxs = np.column_stack([np.full(n_steps, dt), dw])
-    times = [float(dt * m) for m in range(n_steps + 1)]
+    dxs = [(dt, *map(float, row)) for row in dw]
+    d = len(dxs[0]) - 1
+    times = [float(dt * m) for m in range(len(dxs) + 1)]
     # Left point (Itô): every integrand of degree ≥ 2 vanishes at the start
     # of the step, so only level 1 is stored; higher levels come from Chen
     # composition.
@@ -220,6 +237,8 @@ def brownian_pair_statistics(
     lattice expectation (t/2 on the diagonal, 0 off it).
     """
     _check_t_final(t_final)
+    import numpy as np
+
     rng = np.random.Generator(np.random.PCG64(seed))
     dt = t_final / n_steps
     sums = np.zeros((d, d))
@@ -261,7 +280,7 @@ def grid_payload(path: RoughPathGrid) -> dict:
         "gamma": f"{path.grading.gamma.numerator}/{path.grading.gamma.denominator}",
         "max_norm": path.grading.max_norm,
         "times": list(path.times),
-        "increments": [dict(zip(names, row)) for row in path.coords[:, order].tolist()],
+        "increments": [dict(zip(names, [row[p] for p in order])) for row in path.coords],
     }
 
 
@@ -283,7 +302,7 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
     slots: dict[str, int] = {}  # each key spelling read so far -> its slot
     taken: set[int] = set()
-    coords = np.empty((len(increments), len(index)))
+    coords = []
     for m, entry in enumerate(increments):
         _json_value(entry, "object", f"increment {m}")
         row = [0.0] * len(index)
@@ -295,9 +314,9 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
                 slots[key] = p
                 taken.add(p)
             row[p] = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
-        coords[m] = row
+        coords.append(tuple(row))
     depth = max((index[p].degree() for p in taken), default=0)
-    return RoughPathGrid._of(d, grading, times, coords, depth)
+    return RoughPathGrid._of(d, grading, times, tuple(coords), depth)
 
 
 def write_path_csv(samples: Iterable[tuple[float, ...]], stream) -> None:

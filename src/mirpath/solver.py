@@ -22,12 +22,11 @@ computed solution against the theoretical target.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .algebra import Grading, MultiIndex, _populated_tuple, single
 from .fields import VectorField
@@ -125,7 +124,7 @@ def _nonzero_terms(element, level: Fraction | int | None) -> tuple[list[tuple], 
     on which ``element`` is nonzero, and the number of distinct derivatives
     the expansion reads."""
     rows, width = _expansion(element.d, element.grading, level)
-    coords = element.coords.tolist()
+    coords = element.coords
     return [(x, sym, v) for slot, sym, v in rows if (x := coords[slot]) != 0.0], width
 
 
@@ -300,8 +299,13 @@ def solve_flow(
     values = [float(y0)]
     message = ""
     for a, b in zip(indices, indices[1:]):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan trip the guard
-            lam = log_element(path.increment_by_index(a, b))
+        lam = log_element(path.increment_by_index(a, b))
+        if not all(map(math.isfinite, lam.coords)):
+            message = (
+                f"the logarithm of the increment over "
+                f"[{path.times[a]}, {path.times[b]}] is not finite"
+            )
+            break
         try:
             y = logode_step(lam, f, values[-1], substeps, level)
         except DivergedError as err:
@@ -364,8 +368,7 @@ def davie_residual_report(
         ys = sol.value_at(s)
         yt = sol.value_at(t)
         try:
-            with np.errstate(over="ignore", invalid="ignore"):  # inf and nan refused below
-                expansion = davie_expansion(path, f, s, t, ys, sol.level)
+            expansion = davie_expansion(path, f, s, t, ys, sol.level)
         except OverflowError as exc:  # a power in the right-hand side
             message = f"expansion over [{s}, {t}] overflowed at state {ys}: {exc}"
             raise DivergedError(message, substep=1, state=ys) from exc
@@ -374,15 +377,10 @@ def davie_residual_report(
             message = f"expansion over [{s}, {t}] is {expansion} at state {ys}"
             raise DivergedError(message, substep=1, state=ys)
         rows.append((s, t, residual))
-    xs = []
-    ys_log = []
-    for s, t, residual in rows:
-        if t > s and residual > 0.0:
-            xs.append(math.log(t - s))
-            ys_log.append(math.log(residual))
-    if len(xs) >= 2 and max(xs) > min(xs):
-        slope = float(np.polyfit(np.array(xs), np.array(ys_log), 1)[0])
-    else:
+    logs = [(math.log(t - s), math.log(r)) for s, t, r in rows if t > s and r > 0.0]
+    try:
+        slope = statistics.linear_regression([x for x, _ in logs], [y for _, y in logs]).slope
+    except statistics.StatisticsError:  # fewer than two points, or a single x
         slope = math.nan
     gamma = path.grading.gamma
     return DavieReport(
@@ -392,3 +390,4 @@ def davie_residual_report(
         level=float(sol.level),
         gamma=float(gamma),
     )
+

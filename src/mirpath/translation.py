@@ -39,8 +39,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .algebra import (
     EMPTY_FOREST,
     Forest,
@@ -64,7 +62,7 @@ from .fields import (
     upsilon_sum,
 )
 from .grammar import _at_most, _json_int, _json_value, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _key_index
+from .group import RoughPathGrid, _key_index, _straight_line
 
 __all__ = [
     "Character",
@@ -658,12 +656,17 @@ def translate_roughpath(ells: Sequence[Character], path: RoughPathGrid) -> Rough
     duals = _dual_table(ells, path.d, out_grading.max_norm)
     out_index = _key_index(path.d, out_grading.max_norm)
     index = _key_index(path.d, stored)
-    coords = np.zeros((len(path.coords), len(out_index)))
-    with np.errstate(all="ignore"):  # the grid refuses an overflow
-        for beta, p in out_index.items():
-            column = coords[:, p]
-            for gamma_mi, coeff in duals.get(beta, FormalSum.zero()).items():
-                column += float(coeff) * path.coords[:, index[gamma_mi]]
+    # per output slot, 0.0 + Σ c·r[q] over its dual image, added in order (a
+    # factor 1.0 is left out, which changes no bit); an overflow is left to
+    # the grid, which refuses it
+    dual = _straight_line("dual images", [("r", len(index))], [
+        "0.0" + "".join(
+            f" + r{index[mi]}" + ("" if c == 1 else f"*{float(c)!r}")
+            for mi, c in duals.get(beta, FormalSum.zero()).items()
+        )
+        for beta in out_index
+    ])
+    coords = tuple(map(dual, path.coords))
     return RoughPathGrid._of(
         path.d, out_grading, path.times, coords, out_grading.max_norm
     )

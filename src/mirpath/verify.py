@@ -18,12 +18,11 @@ end to end without shipping a broken identity.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 from .algebra import (
     EMPTY_FOREST,
@@ -431,12 +430,14 @@ def _suite_translate_population(d, max_norm, seed, rec):
 
 def _worst_defect(want, got):
     """The largest relative defect |got − want| / max(1, |want|) over the
-    coordinates of two elements, and its key (None if every one agrees)."""
-    err = np.abs(got.coords - want.coords) / np.maximum(1.0, np.abs(want.coords))
-    p = int(np.argmax(err))
+    coordinates of two elements, and its key (None if every one agrees).
+    The first NaN defect counts as the largest, so that it fails every
+    tolerance; among equal defects the first counts."""
+    err = [abs(g - w) / max(1.0, abs(w)) for w, g in zip(want.coords, got.coords)]
+    p = max(range(len(err)), key=lambda p: (math.isnan(err[p]), err[p]))
     if err[p] == 0.0:
         return 0.0, None
-    return float(err[p]), list(_key_index(want.d, want.grading.max_norm))[p]
+    return err[p], list(_key_index(want.d, want.grading.max_norm))[p]
 
 
 def _suite_exp_log(d, max_norm, seed, rec):
@@ -603,7 +604,8 @@ def run_all_suites(
     failure-reporting path can be exercised against a healthy build.
     The package caches and both intern tables are emptied after each suite,
     so the peak memory is that of the largest suite, not the sum of all of
-    them.
+    them.  The draws come from ``random.Random`` and the float suites run
+    on the plain-Python group and lift, so a run loads no numpy.
     """
     if d < 1:
         raise ValueError(f"need at least one driving letter, got d={d}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import pickle
 import re
 from fractions import Fraction
@@ -363,7 +364,8 @@ def test_values_view_lists_the_nonzero_coordinates(case):
     assert all(x.value(k) == v for k, v in m1.items())
     with pytest.raises(TypeError):
         x.values[next(iter(enumerate_populated(d, grading.max_norm)))] = 1.0
-    assert not x.coords.flags.writeable
+    with pytest.raises(TypeError):
+        x.coords[0] = 1.0
     with pytest.raises(AttributeError):
         x.d = d + 1
     back = pickle.loads(pickle.dumps(lam))
@@ -384,7 +386,7 @@ def _row_factors(d, n):
 def test_table_holds_the_product_rows_that_land_on_one_multi_index(d, n):
     t = _table(d, n)
     left, right, out = _row_factors(d, n)
-    got = [(left[i], right[j], out[k]) for i, j, k in zip(t.i, t.j, t.k)]
+    got = [(left[i], right[j], out[k]) for i, j, k, _coeff in t.rows]
     want = [(u, v, w) for u, v, w, _c in _full_product(d, n) if w.cardinality() == 1]
     assert got == want
 
@@ -395,13 +397,71 @@ def test_table_constants_round_like_their_fractions(d, n):
     # that must round exactly as the Fraction c·S(w)/(S(u)·S(v)) does
     t = _table(d, n)
     left, right, out = _row_factors(d, n)
-    for i, j, k, got in zip(t.i, t.j, t.k, t.coeff):
+    for i, j, k, got in t.rows:
         u, v, w = left[i], right[j], out[k]
         c = _star_basis(u, v).coefficient(w)
         want = float(
             Fraction(c * w.symmetry_factor(), u.symmetry_factor() * v.symmetry_factor())
         )
         assert got == want, (u, v, w)
+
+
+def _bincount_product(d, n):
+    """The table's two functions over numpy columns of its rows: gather the
+    forest values, then accumulate each row's weight φ(u)·ψ(v)·coeff into
+    its output slot with ``np.bincount``, which adds in row order."""
+    t = _table(d, n)
+    position = _key_index(d, n)
+    components = np.full((len(t.basis), n), len(position))
+    for s, u in enumerate(t.basis):
+        components[s, : u.cardinality()] = [position[c] for c in u.components]
+    i, j, k, coeff = (np.array(col) for col in zip(*t.rows))
+
+    def character(coords):
+        return np.append(coords, 1.0)[components].prod(axis=1)
+
+    def star(phi, coords, unit):
+        weights = phi[i] * np.append(coords, unit)[j] * coeff
+        return np.bincount(k, weights=weights, minlength=len(coords))
+
+    return character, star
+
+
+def _bincount_series(star, left, first, divisors):
+    acc = np.zeros_like(first)
+    power = first
+    for m, divisor in enumerate(divisors):
+        if m:
+            power = star(left, power, 0.0)
+        acc = acc + power / divisor
+    return acc
+
+
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+def test_compiled_product_is_bit_identical_to_the_bincount_product(d, n):
+    # the straight-line kernel adds 0.0 + Σ φ(u)·ψ(v)·coeff per output in
+    # row order, which is how np.bincount accumulates: the same bits
+    character, star = _bincount_product(d, n)
+    t = _table(d, n)
+    grading = Grading(max_norm=n, gamma=Fraction(1, n + 1))
+    rng = _rng(10 * d + n)
+    for _ in range(25):
+        a = random_character(d, grading, rng)
+        b = random_character(d, grading, rng)
+        x, y = np.array(a.coords), np.array(b.coords)
+        assert np.array(t.character(a.coords)).tobytes() == character(x).tobytes()
+        want = star(character(x), y, 1.0)
+        assert np.array(chen_compose(a, b).coords).tobytes() == want.tobytes()
+        left = character(x)
+        left[0] = 0.0
+        want = _bincount_series(star, left, x, [m if m % 2 else -m for m in range(1, n + 1)])
+        lam = log_element(a)
+        assert np.array(lam.coords).tobytes() == want.tobytes()
+        left = np.zeros(len(t.basis))
+        left[list(t.single)] = lam.coords
+        divisors = [math.factorial(m) for m in range(1, n + 1)]
+        want = _bincount_series(star, left, np.array(lam.coords), divisors)
+        assert np.array(exp_element(lam).coords).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +499,13 @@ def test_grid_refuses_a_non_finite_value_or_time():
     message = "grid times must be finite numbers, but time 2 is inf"
     with pytest.raises(ValueError, match=f"^{message}$"):
         RoughPathGrid(d=2, grading=G3, times=(0.0, 1.0, float("inf")), increments=(inc, inc))
+
+
+def test_grid_keeps_finite_values_whose_sum_leaves_the_float_range():
+    # a row is summed first, and checked term by term when the sum is not finite
+    one, two = parse_multi_index("z(1,0)", d=2), parse_multi_index("z(2,0)", d=2)
+    grid = _constant_grid([{}, {one: 1e308, two: 1e308}])
+    assert grid.increments[1].values == {one: 1e308, two: 1e308}
 
 
 def test_grid_off_grid_time_rejected():

@@ -565,6 +565,48 @@ class TestDavieReport:
         assert (info.value.substep, info.value.state) == (1, 0.5)
         assert "overflowed at state 0.5" in str(info.value)
 
+    @staticmethod
+    def _report_on_residuals(lengths, residuals):
+        """The report over the pairs (0, t) for t in ``lengths``, with a zero
+        field, so that the expansion is y0 = 0 and each residual is the
+        fabricated value at t."""
+        times = (0.0, *lengths)
+        path = lift_piecewise_linear([(t, 0.0) for t in times], GRADING2)
+        flow = FlowSolution(times=times, values=(0.0, *residuals), level=F(2))
+        zero = VectorField.polynomial([(0,), (0,)])
+        return davie_residual_report(path, zero, flow, [(0.0, t) for t in lengths])
+
+    def test_slope_of_collinear_points_is_the_line_slope_exactly(self):
+        # log-log points on y = 1.5x + 0.25 at dyadic x and y, where every
+        # sum and product of the least-squares slope is exact
+        xs = (-4.0, -3.0, -2.0, -1.0)
+        ys = tuple(1.5 * x + 0.25 for x in xs)
+        lengths, residuals = [math.exp(x) for x in xs], [math.exp(y) for y in ys]
+        assert [math.log(t) for t in lengths] == list(xs)
+        assert [math.log(r) for r in residuals] == list(ys)
+        assert self._report_on_residuals(lengths, residuals).slope == 1.5
+
+    def test_slope_matches_polyfit_on_random_points(self):
+        rng = np.random.Generator(np.random.PCG64(8))
+        for size in (2, 3, 7, 31, 124):
+            lengths = np.sort(rng.uniform(0.001, 1.0, size)).tolist()
+            xs = [math.log(t) for t in lengths]
+            ys = [rng.uniform(1.0, 3.0) * x + rng.normal(0.0, 0.5) for x in xs]
+            got = self._report_on_residuals(lengths, [math.exp(y) for y in ys]).slope
+            want = _fit_slope(xs, [math.log(math.exp(y)) for y in ys])
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_slope_needs_two_distinct_abscissae(self):
+        assert math.isnan(self._report_on_residuals([0.5], [0.0]).slope)  # no point
+        assert math.isnan(self._report_on_residuals([0.5], [0.25]).slope)  # one point
+        # two pairs over intervals of the same length 0.5
+        path = lift_piecewise_linear([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)], GRADING2)
+        flow = FlowSolution(times=(0.0, 0.5, 1.0), values=(0.0, 0.25, 0.5), level=F(2))
+        zero = VectorField.polynomial([(0,), (0,)])
+        report = davie_residual_report(path, zero, flow, [(0.0, 0.5), (0.5, 1.0)])
+        assert [r for _, _, r in report.rows] == [0.25, 0.25]
+        assert math.isnan(report.slope)
+
     def test_smooth_driver_rate(self):
         path = sine_path(1 << 8)
         f = cos_field()

@@ -35,6 +35,7 @@ from mirpath.cli import _write
 from mirpath.cli import main as cli_main
 from mirpath.fields import VectorField, vector_field_from_json, vector_field_payload
 from mirpath.grammar import format_multi_index
+from mirpath.group import GroupElement, _key_index
 from mirpath.lifts import (
     grid_payload,
     lift_brownian,
@@ -44,7 +45,7 @@ from mirpath.lifts import (
 )
 from mirpath.solver import solve_flow
 from mirpath.translation import Character, character_to_json, identity_characters
-from mirpath.verify import SuiteResult, available_suites, run_all_suites
+from mirpath.verify import SuiteResult, _worst_defect, available_suites, run_all_suites
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -84,6 +85,22 @@ def write_field_json(path, rows) -> None:
 
 
 class TestSuiteEngine:
+    def test_worst_defect_reports_the_first_nan(self):
+        # np.argmax returned the first NaN; a defect loop must not skip it,
+        # so that a NaN fails every tolerance
+        grading = Grading(max_norm=2, gamma=Fraction(1, 2))
+        keys = list(_key_index(1, 2))
+        want = GroupElement(1, grading, {key: 1.0 for key in keys})
+        defects = {keys[1]: 1.5, keys[2]: math.nan, keys[3]: 100.0, keys[4]: math.nan}
+        got = GroupElement(1, grading, {**want.values, **defects})
+        worst, key = _worst_defect(want, got)
+        assert math.isnan(worst) and key == keys[2]
+        assert not worst <= 1e-9
+        del defects[keys[2]], defects[keys[4]]
+        got = GroupElement(1, grading, {**want.values, **defects})
+        assert _worst_defect(want, got) == (99.0, keys[3])
+        assert _worst_defect(want, want) == (0.0, None)
+
     def test_all_suites_pass_on_the_default_budget(self):
         results = run_all_suites()
         assert [r.name for r in results] == list(available_suites())
@@ -1182,7 +1199,8 @@ class TestCliReports:
         code, out, err = run_cli(command, "--grid", str(grid_file), "--field",
                                  str(field_file), "--no-timestamp")
         assert code == 3
-        assert err == "numeric divergence: state nan left the finite range at substep 1/8\n"
+        assert err == ("numeric divergence: the logarithm of the increment over "
+                       "[0.0, 0.25] is not finite\n")
         if command == "solve":
             assert json.loads(out)["solution"]["values"] == [0.0]
         else:
@@ -1192,7 +1210,9 @@ class TestCliReports:
     def test_one_huge_level_one_value_is_a_numeric_divergence(self, command, tmp_path):
         # a grid the reader accepts, with one finite z(1,0) of 1e200: its
         # logarithm overflows, which is a divergence (exit 3), where a
-        # primitivity check on the logarithm used to call it a non-character
+        # primitivity check on the logarithm used to call it a non-character;
+        # the message names the step, where it used to read "state nan left
+        # the finite range at substep 1/8"
         grid_file = tmp_path / "grid.json"
         run_cli("lift", "--brownian", "strat", "--d", "1", "--max-norm", "3",
                 "--steps", "4", "--no-timestamp", "--out", str(grid_file))
@@ -1201,10 +1221,15 @@ class TestCliReports:
         grid_file.write_text(json.dumps(doc))
         field_file = tmp_path / "field.json"
         write_field_json(field_file, [(0,), (1,)])
-        code, _, err = run_cli(command, "--grid", str(grid_file), "--field",
-                               str(field_file), "--no-timestamp")
+        code, out, err = run_cli(command, "--grid", str(grid_file), "--field",
+                                 str(field_file), "--no-timestamp")
         assert code == 3
-        assert err.startswith("numeric divergence: ")
+        assert err == ("numeric divergence: the logarithm of the increment over "
+                       "[0.25, 0.5] is not finite\n")
+        if command == "solve":
+            assert json.loads(out)["solution"]["times"] == [0.0, 0.25]
+        else:
+            assert out == ""
 
     def test_non_finite_expansion_exits_three_and_writes_nothing(self, tmp_path):
         # at N = 1 each step's logarithm is finite and the zero field keeps
@@ -1745,6 +1770,17 @@ def test_each_operation_has_one_spelling():
         "path", "f", "y0", "substeps", "mesh_level", "level"]
 
 
+def _lift_in_its_own_process(tmp_path, *flags: str) -> None:
+    """Write ``grid.json`` with ``lift`` in a fresh interpreter."""
+    got = _run_python(f"""
+        import json
+        from mirpath.cli import main
+        code = main(["lift", *{list(flags)!r}, "--no-timestamp", "--out", "grid.json"])
+        print(json.dumps({{"code": code}}))
+    """, tmp_path)
+    assert got == {"code": 0}
+
+
 def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
     write_field_json(tmp_path / "field.json", [(0,), (1,)])
     got = _run_python("""
@@ -1761,14 +1797,62 @@ def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
         print(json.dumps({"codes": codes, "loaded": loaded}))
     """, tmp_path)
     assert got == {"codes": [0, 0, 0], "loaded": []}
-
-
-def test_verify_leaves_numpy_random_unloaded(tmp_path):
-    got = _run_python("""
+    # on an existing grid, solve and davie-report load no numpy either
+    got = _run_python(f"""
         import json, sys
         from mirpath.cli import main
-        code = main(["verify", "--d", "1", "--max-norm", "2", "--no-timestamp",
-                     "--out", "verify.json"])
-        print(json.dumps({"code": code, "loaded": "numpy.random" in sys.modules}))
+        flow = ["--grid", "grid.json", "--field", "field.json", "--no-timestamp"]
+        codes = [
+            main(["solve", *flow, "--out", "solution.json"]),
+            main(["davie-report", *flow, "--out", "davie.json"]),
+        ]
+        loaded = [m for m in {UNUSED_BY_THE_FLOW!r} if m in sys.modules]
+        print(json.dumps({{"codes": codes, "loaded": loaded}}))
+    """, tmp_path)
+    assert got == {"codes": [0, 0], "loaded": []}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--d", "1", "--max-norm", "2"],
+    ["enumerate", "--d", "2", "--max-norm", "3"],
+    ["translate", "--grid", "grid.json", "--ito-strat"],
+], ids=["verify", "enumerate", "translate"])
+def test_commands_without_draws_load_no_numpy(argv, tmp_path):
+    # only lift --brownian and the pair statistics draw, through numpy
+    _lift_in_its_own_process(tmp_path, "--brownian", "ito", "--d", "1", "--steps", "4")
+    got = _run_python(f"""
+        import json, sys
+        from mirpath.cli import main
+        code = main([*{argv!r}, "--no-timestamp", "--out", "out.txt"])
+        print(json.dumps({{"code": code, "loaded": "numpy" in sys.modules}}))
     """, tmp_path)
     assert got == {"code": 0, "loaded": False}
+
+
+def test_header_records_the_installed_numpy_version():
+    import numpy
+
+    code, out, _ = run_cli("verify", "--d", "1", "--max-norm", "1", "--no-timestamp")
+    assert code == 0
+    assert json.loads(out)["provenance"]["numpy"] == numpy.__version__
+
+
+def test_numpy_version_without_a_standalone_version_file(tmp_path, monkeypatch):
+    # numpy 1.24 and 1.25 import their version.py's value from a sibling module
+    import importlib.metadata
+    import importlib.util
+
+    from mirpath.cli import _numpy_version
+
+    package = tmp_path / "numpy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "version.py").write_text(
+        "from ._version import get_versions\n__version__ = get_versions()['version']\n"
+    )
+    stand_in = importlib.util.spec_from_file_location("numpy", package / "__init__.py")
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: stand_in if name == "numpy" else None)
+    assert _numpy_version() == importlib.metadata.version("numpy")
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    assert _numpy_version() is None
