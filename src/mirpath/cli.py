@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from .translation import Character
 
 # Each handler imports the layers it uses, so a run loads only those (and
-# only the Brownian lift and the pair statistics load numpy).
+# only the pair statistics of ito-strat-demo load numpy).
 
 __all__ = ["main"]
 

@@ -21,8 +21,10 @@ highest degree it stores and evaluates (1 for the Itô rule); multi-step
 increments follow by Chen composition in every case.  A grid holds finite
 times and values, so a step value that overflows is refused.  The step
 values are plain float arithmetic, in one straight-line step function per
-(d, N) compiled beside the weights; numpy is imported only for the seeded
-Gaussian draws of ``lift_brownian`` and ``brownian_pair_statistics``.
+(d, N) compiled beside the weights.  ``lift_brownian`` draws its Gaussians
+from ``_pcg``, a plain-Python reader of numpy's PCG64 normal stream, and
+only ``brownian_pair_statistics`` imports numpy, whose vectorised reader
+of the same stream serves its Monte-Carlo.
 
 The JSON/CSV formats at the bottom are the package's only on-disk path
 representations; a grid file lists every key up to the grid's depth.
@@ -52,8 +54,9 @@ __all__ = [
     "write_path_csv",
 ]
 
-#: Generator family of the lifts' stochastic draws (``lift_brownian`` and
-#: ``brownian_pair_statistics``); the name is quoted in CLI provenance headers.
+#: Generator family of the lifts' stochastic draws, quoted in CLI provenance
+#: headers: ``lift_brownian`` reads it through ``_pcg`` and
+#: ``brownian_pair_statistics`` through numpy, bit for bit the same stream.
 RNG_ALGORITHM = "numpy.random.PCG64"
 
 
@@ -168,34 +171,45 @@ def lift_brownian(
     ``mode`` selects the evaluation rule for the single-step iterated sums:
     ``"ito"`` (left point) or ``"strat"`` (trapezoid).  The time coordinate
     (letter 0) is the exact function t, not a sampled one.  Replaying the
-    same seed reproduces the grid bit for bit.
+    same seed reproduces the grid bit for bit: the increments are those of
+    numpy's ``Generator(PCG64(seed)).normal(0.0, √dt, (n_steps, d))``.  The
+    seed must be a non-negative integer.
     """
     if n_steps < 1 or (n_steps & (n_steps - 1)) != 0:
         raise ValueError(f"n_steps must be a power of two, got {n_steps}")
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     _check_t_final(t_final)
-    import numpy as np
+    from ._pcg import _normals
 
-    rng = np.random.Generator(np.random.PCG64(seed))
     dt = t_final / n_steps
-    dw = rng.normal(0.0, math.sqrt(dt), size=(n_steps, d))
-    return lift_brownian_from_increments(dw.tolist(), dt, mode, grading)
+    draws = _normals(seed, n_steps * d, math.sqrt(dt))
+    dw = [draws[m : m + d] for m in range(0, len(draws), d)]
+    return lift_brownian_from_increments(dw, dt, mode, grading)
 
 
 def lift_brownian_from_increments(
     dw: Sequence[Sequence[float]], dt: float, mode: str, grading: Grading
 ) -> RoughPathGrid:
     """Assemble the lattice lift from externally supplied Gaussian increments
-    (one row per step, one column per driving letter ≥ 1)."""
+    (one row per step, one column per driving letter ≥ 1) on the step ``dt``."""
     if grading.max_norm > 3:
         raise UnsupportedLevelError(
             f"lattice Brownian lift supports max_norm ≤ 3, got {grading.max_norm}"
         )
     if mode not in ("ito", "strat"):
         raise ValueError(f"mode must be 'ito' or 'strat', got {mode!r}")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if len(dw) == 0:
+        raise ValueError("no increments: dw needs at least one row")
+    widths = {len(row) for row in dw}
+    if len(widths) != 1:
+        raise ValueError(f"ragged increment rows: widths {sorted(widths)}")
+    d = widths.pop()
+    if d < 1:
+        raise ValueError("increment rows must hold at least one driving letter")
     dxs = [(dt, *map(float, row)) for row in dw]
-    d = len(dxs[0]) - 1
     times = [float(dt * m) for m in range(len(dxs) + 1)]
     # Left point (Itô): every integrand of degree ≥ 2 vanishes at the start
     # of the step, so only level 1 is stored; higher levels come from Chen

@@ -14,6 +14,7 @@ share only the basis.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import itertools
 import json
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mirpath import algebra, group
+from mirpath import _pcg, algebra, group
 from mirpath.algebra import Grading, MultiIndex, enumerate_populated, single
 from mirpath.grammar import format_multi_index, parse_multi_index
 from mirpath.group import (
@@ -275,6 +276,104 @@ def test_brownian_rejects_bad_arguments():
         lift_brownian(0, 1.0, 8, 0, "ito", G2)
     with pytest.raises(ValueError):
         lift_brownian_from_increments(np.zeros((8, 1)), 0.125, "midpoint", G2)
+
+
+@pytest.mark.parametrize("seed, error", [
+    (-1, ValueError), (-(2**70), ValueError), (1.5, TypeError), (2.0, TypeError),
+    ("5", TypeError), (None, TypeError), ([1, 2], TypeError),
+])
+def test_brownian_refuses_a_seed_that_is_not_a_non_negative_integer(seed, error):
+    # refused before the seed is split into words, which never ends below 0
+    with pytest.raises(error, match="^seed must be"):
+        lift_brownian(1, 1.0, 8, seed, "ito", G2)
+
+
+@pytest.mark.parametrize("seed, same_as", [
+    (True, 1), (False, 0), (np.int64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1),
+])
+def test_brownian_accepts_bool_and_numpy_integer_seeds(seed, same_as):
+    assert lift_brownian(2, 1.0, 8, seed, "strat", G2).coords == (
+        lift_brownian(2, 1.0, 8, same_as, "strat", G2).coords)
+
+
+@pytest.mark.parametrize("dw, dt, message", [
+    ([], 0.125, "no increments: dw needs at least one row"),
+    (np.zeros((0, 2)), 0.125, "no increments: dw needs at least one row"),
+    ([[0.1, 0.2], [0.3]], 0.125, "ragged increment rows: widths [1, 2]"),
+    ([[], []], 0.125, "increment rows must hold at least one driving letter"),
+    ([[0.1]], math.inf, "dt must be finite and > 0, got inf"),
+    ([[0.1]], math.nan, "dt must be finite and > 0, got nan"),
+    ([[0.1]], 0.0, "dt must be finite and > 0, got 0.0"),
+    ([[0.1]], -0.5, "dt must be finite and > 0, got -0.5"),
+])
+def test_increment_lift_names_what_is_wrong_with_its_input(dw, dt, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lift_brownian_from_increments(dw, dt, "strat", G2)
+
+
+# The stream parity below compares 5 × 40 000 = 2 × 10⁵ normals with
+# numpy's; a plain draw costs about 1 µs and must stay under 5 µs.
+PARITY_SEEDS = [0, 1, 2**31 - 1, 2**64 + 5, 2**200 + 17]
+PARITY_DRAWS = 40_000
+
+
+@pytest.mark.parametrize("seed", PARITY_SEEDS)
+def test_pcg_seeding_and_raw_outputs_are_numpys(seed):
+    bits = np.random.PCG64(seed)
+    assert _pcg._seeded(seed) == (bits.state["state"]["state"], bits.state["state"]["inc"])
+    want = bits.random_raw(4096).tolist()
+    assert list(itertools.islice(_pcg._stream(seed), 4096)) == want
+
+
+@pytest.mark.parametrize("seed", PARITY_SEEDS)
+def test_pcg_normals_are_numpys_bit_for_bit_through_tail_and_wedge(seed, monkeypatch):
+    calls = {"exp": 0, "log1p": 0, "raw": 0}
+    stream = _pcg._stream
+
+    def counted(name, f):
+        def call(x):
+            calls[name] += 1
+            return f(x)
+        return call
+
+    def counted_stream(s):
+        for r in stream(s):
+            calls["raw"] += 1
+            yield r
+
+    monkeypatch.setattr(_pcg, "exp", counted("exp", math.exp))
+    monkeypatch.setattr(_pcg, "log1p", counted("log1p", math.log1p))
+    monkeypatch.setattr(_pcg, "_stream", counted_stream)
+    sd = math.sqrt(1.0 / 64) if seed % 2 else 1.0
+    got = _pcg._normals(seed, PARITY_DRAWS, sd)
+    want = np.random.Generator(np.random.PCG64(seed)).normal(0.0, sd, PARITY_DRAWS)
+    assert np.array(got).tobytes() == want.tobytes()
+    # a draw reads one raw output per try, one per wedge test and two per
+    # tail try, and tries again only when its wedge test fails
+    assert calls["log1p"] > 0  # the tail beyond _R was taken
+    assert calls["raw"] - PARITY_DRAWS - calls["exp"] - calls["log1p"] > 0  # a wedge rejected
+
+
+def test_pcg_normal_draw_stays_under_its_budget():
+    start = time.process_time()
+    _pcg._normals(PARITY_SEEDS[-1], PARITY_DRAWS, 1.0)
+    assert time.process_time() - start < 5e-6 * PARITY_DRAWS
+
+
+def test_pcg_tables_are_pinned():
+    # numpy's fi_double, wi_double and ki_double, as _pcg's docstring extracts them
+    assert hashlib.sha256(_pcg._TABLES).hexdigest() == (
+        "e3811c133c6e61093d15d9a7c4dc37d055d79937a0084872fdde0905da48cd1c")
+    assert _pcg._FI[0] == 1.0 and _pcg._KI[1] == 0 and len(_pcg._WI) == 256
+
+
+@pytest.mark.parametrize("d, mode", [(1, "ito"), (3, "strat")])
+def test_brownian_increments_are_numpys_normal_draws(d, mode):
+    n, seed = 64, 2024
+    grid = lift_brownian(d, 2.0, n, seed, mode, G2)
+    want = np.random.Generator(np.random.PCG64(seed)).normal(0.0, math.sqrt(2.0 / n), (n, d))
+    slots = [_key_index(d, 2)[parse_multi_index(f"z({i},0)", d=d)] for i in range(1, d + 1)]
+    assert np.array([[row[p] for p in slots] for row in grid.coords]).tobytes() == want.tobytes()
 
 
 def test_time_component_is_exact_on_every_step():

@@ -1781,9 +1781,9 @@ def _lift_in_its_own_process(tmp_path, *flags: str) -> None:
     assert got == {"code": 0}
 
 
-def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
+def test_flow_pipeline_loads_no_numpy_translation_or_verify(tmp_path):
     write_field_json(tmp_path / "field.json", [(0,), (1,)])
-    got = _run_python("""
+    got = _run_python(f"""
         import json, sys
         from mirpath.cli import main
         flow = ["--grid", "grid.json", "--field", "field.json", "--no-timestamp"]
@@ -1793,40 +1793,35 @@ def test_flow_pipeline_loads_neither_translation_nor_verify(tmp_path):
             main(["solve", *flow, "--out", "solution.json"]),
             main(["davie-report", *flow, "--out", "davie.json"]),
         ]
-        loaded = [m for m in ("mirpath.translation", "mirpath.verify") if m in sys.modules]
-        print(json.dumps({"codes": codes, "loaded": loaded}))
-    """, tmp_path)
-    assert got == {"codes": [0, 0, 0], "loaded": []}
-    # on an existing grid, solve and davie-report load no numpy either
-    got = _run_python(f"""
-        import json, sys
-        from mirpath.cli import main
-        flow = ["--grid", "grid.json", "--field", "field.json", "--no-timestamp"]
-        codes = [
-            main(["solve", *flow, "--out", "solution.json"]),
-            main(["davie-report", *flow, "--out", "davie.json"]),
-        ]
         loaded = [m for m in {UNUSED_BY_THE_FLOW!r} if m in sys.modules]
         print(json.dumps({{"codes": codes, "loaded": loaded}}))
     """, tmp_path)
-    assert got == {"codes": [0, 0], "loaded": []}
+    assert got == {"codes": [0, 0, 0], "loaded": []}
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--d", "1", "--max-norm", "2"],
-    ["enumerate", "--d", "2", "--max-norm", "3"],
-    ["translate", "--grid", "grid.json", "--ito-strat"],
-], ids=["verify", "enumerate", "translate"])
-def test_commands_without_draws_load_no_numpy(argv, tmp_path):
-    # only lift --brownian and the pair statistics draw, through numpy
+@pytest.mark.parametrize("argv, loads_numpy", [
+    (["lift", "--brownian", "ito", "--d", "2", "--steps", "8"], False),
+    (["lift", "--path", "path.csv"], False),
+    (["verify", "--d", "1", "--max-norm", "2"], False),
+    (["enumerate", "--d", "2", "--max-norm", "3"], False),
+    (["translate", "--grid", "grid.json", "--ito-strat"], False),
+    (["translate-field", "--field", "field.json", "--ito-strat"], False),
+    (["ito-strat-demo", "--paths", "10", "--steps", "8"], True),
+], ids=["lift-brownian", "lift-path", "verify", "enumerate", "translate",
+        "translate-field", "ito-strat-demo"])
+def test_only_the_pair_statistics_load_numpy(argv, loads_numpy, tmp_path):
+    # the Brownian lift draws through mirpath._pcg; the Monte-Carlo of
+    # ito-strat-demo reads the same stream through numpy
     _lift_in_its_own_process(tmp_path, "--brownian", "ito", "--d", "1", "--steps", "4")
+    (tmp_path / "path.csv").write_text("t,x1\n0,0\n0.5,1\n1,0.5\n")
+    write_field_json(tmp_path / "field.json", [(0,), (1,)])
     got = _run_python(f"""
         import json, sys
         from mirpath.cli import main
         code = main([*{argv!r}, "--no-timestamp", "--out", "out.txt"])
         print(json.dumps({{"code": code, "loaded": "numpy" in sys.modules}}))
     """, tmp_path)
-    assert got == {"code": 0, "loaded": False}
+    assert got == {"code": 0, "loaded": loads_numpy}
 
 
 def test_header_records_the_installed_numpy_version():
