@@ -50,7 +50,6 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import attrgetter
@@ -550,8 +549,51 @@ class FormalSum:
         return f"FormalSum({format_formal_sum(self)!r})"
 
 
-@dataclass(frozen=True)
-class Grading:
+class _Record:
+    """Base of the package's frozen records, in place of
+    ``dataclass(frozen=True)``, whose import brings ``inspect`` with it.
+
+    A subclass's annotated fields are the parameters of its constructor, in
+    order, by position or keyword; a class attribute named like a field is
+    its default, and ``__post_init__``, if defined, runs last.  A record
+    compares, hashes and prints field by field, refuses assignment, and
+    pickles by its instance dictionary."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = fields = tuple(vars(cls).get("__annotations__", {}))
+        params = ", ".join(f"{f}=_defaults[{f!r}]" if f in vars(cls) else f for f in fields)
+        body = f"vars(self).update({', '.join(f'{f}={f}' for f in fields)})"
+        if hasattr(cls, "__post_init__"):
+            body += "; self.__post_init__()"
+        namespace = {"_defaults": vars(cls)}
+        exec(f"def __init__(self, {params}):\n    {body}\n", namespace)
+        cls.__init__ = init = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Grading(_Record):
     """Degree truncation ``max_norm`` together with an exact Hölder index.
 
     γ is stored as a ``Fraction``, so every comparison of a γ-degree
@@ -791,33 +833,31 @@ def enumerate_populated(d: int, max_degree: int) -> list[MultiIndex]:
     each exactly once, in the canonical total order.
 
     A populated monomial of degree n carries total arity n−1, so arities never
-    exceed max_degree−1 and the search space is finite.
+    exceed max_degree−1 and the search space is finite.  The search picks
+    the variables of arity ≥ 1, then completes each pick with every
+    multiset of arity-0 variables that brings the degree to arity + 1.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     found: list[MultiIndex] = []
-    variables = sorted(
-        (i, k) for k in range(max(0, max_degree)) for i in range(d + 1)
-    )
+    letters = range(d + 1)
+    raised = [(i, k) for i in letters for k in range(1, max_degree)]
 
-    def extend(pos: int, picked: list[Entry], deg: int, arity: int) -> None:
-        if pos == len(variables):
-            if deg >= 1 and deg - arity == 1:
-                found.append(MultiIndex(list(picked), d + 1))
-            return
-        i, k = variables[pos]
-        extend(pos + 1, picked, deg, arity)  # frequency 0
-        for m in range(1, max_degree - deg + 1):
-            new_arity = arity + k * m
-            if new_arity > max_degree - 1:
-                break  # a populated monomial of degree n has total arity n−1
-            picked.append(((i, k), m))
-            extend(pos + 1, picked, deg + m, new_arity)
-            picked.pop()
+    def extend(start: int, picked: list[Entry], deg: int, arity: int) -> None:
+        for leaves in itertools.combinations_with_replacement(letters, arity + 1 - deg):
+            entries = picked + [((i, 0), len(list(g))) for i, g in itertools.groupby(leaves)]
+            found.append(MultiIndex._trusted(tuple(sorted(entries)), d + 1, arity + 1))
+        for pos in range(start, len(raised)):
+            i, k = raised[pos]
+            for m in range(1, (max_degree - 1 - arity) // k + 1):
+                picked.append(((i, k), m))
+                extend(pos + 1, picked, deg + m, arity + k * m)
+                picked.pop()
 
-    extend(0, [], 0, 0)
+    if max_degree >= 1:
+        extend(0, [], 0, 0)
     found.sort(key=lambda mi: mi.entries)
     return found
 

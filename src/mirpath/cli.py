@@ -146,19 +146,18 @@ def _numpy_version() -> str | None:
 
 
 def _provenance(args: argparse.Namespace, out: _Output) -> dict:
-    import datetime
-    import platform
-
     from .lifts import RNG_ALGORITHM
 
     header = {
         "tool": f"mirpath {__version__}",
-        "python": platform.python_version(),
+        "python": sys.version.split()[0],  # as platform.python_version() reads it
         "numpy": _numpy_version(),
         "rng": {"algorithm": RNG_ALGORITHM, "seed": out.seed},
         "config": out.config,
     }
     if not args.no_timestamp:
+        import datetime
+
         header["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return header
 

@@ -17,11 +17,10 @@ components.  The translated field f^ℓ is built in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .algebra import Forest, FormalSum, MultiIndex
+from .algebra import Forest, FormalSum, MultiIndex, _Record
 from .grammar import _MISSING, _json_int, _json_value
 
 __all__ = [
@@ -96,8 +95,7 @@ def _poly_monomial_upsilon(
     return out
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(_Record):
     """Scalar coefficient functions f_0..f_d with a derivative provider.
 
     ``max_order`` is the largest usable derivative order (None = unlimited);

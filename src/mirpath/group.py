@@ -5,15 +5,16 @@ floats ``coords`` over the populated multi-indices of degree ≤ N (in
 ascending degree), extended to forests by multiplicativity.  ``values`` is
 the read-only map of its nonzero coordinates by key, however the element
 was built.  All numeric products go through one table per (d, N), built on
-first use from the exact Grossman–Larson structure constants of
-:mod:`mirpath.algebra`, compiled into two straight-line functions and
-cached.  Over the indexed forest basis an element
-is the vector φ(u) = Π X(components of u), 1 on ∅, and the truncated product
-is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the rows (u, v, w), where
-C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into the exact constant c.
+first use from the exact simultaneous grafts of :mod:`mirpath.algebra`,
+compiled into two straight-line functions and cached.  Over the indexed
+forest basis an element is the vector φ(u) = Π X(components of u), 1 on
+∅, and the truncated product is (φ⋆ψ)(w) = Σ C·φ(u)·ψ(v) over the rows
+(u, v, w), where C = c·S(w)/(S(u)·S(v)) folds the symmetry factors into
+the exact constant c.
 A character is fixed by its values on single multi-indices, so the table
 keeps only the rows with w a single multi-index; in each, v is ∅ or a
-single multi-index too.  Chen composition is that product.
+single multi-index too, and the rows are those of u ⋆ ∅ = u and of the
+simultaneous graft of u into a single v.  Chen composition is that product.
 
 :class:`LieElement` holds the logarithm: a primitive element, nonzero only on
 single multi-indices.  ``exp_element``/``log_element`` are truncated power
@@ -38,8 +39,8 @@ from .algebra import (
     Grading,
     MultiIndex,
     _populated_tuple,
-    _star_basis,
     forest_basis,
+    graft_simultaneous,
 )
 
 __all__ = [
@@ -188,13 +189,16 @@ class _Table:
         self.single = tuple(s for s, u in enumerate(basis) if u.cardinality() == 1)
         position = _key_index(d, n)
         unit = len(position)  # the j of ∅
+        # u ⋆ ∅ = u, and where v is single the part of u ⋆ v on a single
+        # multi-index is u with every component grafted into v
+        right = [(b, basis[b]) for b in (0, *self.single)]
         self.rows = tuple(
             (a, position[v.components[0]] if v.components else unit,
              position[w.components[0]], float(c * w.symmetry_factor() / (sym[a] * sym[b])))
             for a, u in enumerate(basis)
-            for b, v in enumerate(basis)
-            if v.cardinality() <= 1 and degree[a] + degree[b] <= n
-            for w, c in _star_basis(u, v).items()
+            for b, v in right
+            if degree[a] + degree[b] <= n
+            for w, c in graft_simultaneous(u, v).items()
             if w.cardinality() == 1
         )
         products = ["*".join(f"a{position[c]}" for c in u.components) or "1.0" for u in basis]

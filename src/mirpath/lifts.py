@@ -32,7 +32,6 @@ representations; a grid file lists every key up to the grid's depth.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from fractions import Fraction
@@ -300,7 +299,8 @@ def grid_payload(path: RoughPathGrid) -> dict:
 
 def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     """Read a grid from its JSON text or from the already-parsed document.
-    Each distinct key string is parsed and checked once, and a document that
+    Each distinct key string is looked up once: a canonical spelling in the
+    map of the grid's keys, any other by the parser.  A document that
     spells one key two ways is refused; the grid stores the degrees up to
     the highest key degree in the document."""
     payload = _json_value(doc, "document", "a grid")
@@ -313,6 +313,7 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
     times = _json_value(payload.get("times", _MISSING), "list", "times")
     times = tuple(_json_value(t, "number", lambda: f"time {m}") for m, t in enumerate(times))
     index = tuple(_key_index(d, grading.max_norm))
+    canonical = {format_multi_index(key): p for p, key in enumerate(index)}
     increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
     slots: dict[str, int] = {}  # each key spelling read so far -> its slot
     taken: set[int] = set()
@@ -322,7 +323,8 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
         row = [0.0] * len(index)
         for key, v in entry.items():
             if (p := slots.get(key)) is None:
-                p = _slot(parse_multi_index(key, d=d), d, grading)
+                if (p := canonical.get(key)) is None:
+                    p = _slot(parse_multi_index(key, d=d), d, grading)
                 if p in taken:
                     raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
                 slots[key] = p
@@ -334,6 +336,8 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
 
 
 def write_path_csv(samples: Iterable[tuple[float, ...]], stream) -> None:
+    import csv
+
     rows = list(samples)
     if not rows:
         raise ValueError("no samples to write")
@@ -346,6 +350,8 @@ def write_path_csv(samples: Iterable[tuple[float, ...]], stream) -> None:
 
 def read_path_csv(stream) -> list[tuple[float, ...]]:
     """Rows of ``t,x1,…,xd`` with a mandatory header, '.' decimal point."""
+    import csv
+
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     reader = csv.reader(stream)

@@ -22,13 +22,11 @@ computed solution against the theoretical target.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import Grading, MultiIndex, _populated_tuple, single
+from .algebra import Grading, MultiIndex, _Record, _populated_tuple, single
 from .fields import VectorField
 from .group import (
     LieElement,
@@ -221,8 +219,7 @@ def logode_step(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowSolution:
+class FlowSolution(_Record):
     """A flow computed over a mesh with the expansion at ``level``, from
     exactly the initial condition.  A diverged run is truncated at the last
     finite state and says why in ``message``, never raised (local-solution
@@ -324,8 +321,7 @@ def solve_flow(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DavieReport:
+class DavieReport(_Record):
     """Per-pair residuals |Y_t − expansion(s, t, Y_s)| with a least-squares
     fit of log-residual against log-interval, next to the theoretical
     consistency target (level + 1)·γ."""
@@ -363,6 +359,8 @@ def davie_residual_report(
     pairs: Sequence[tuple[float, float]],
 ) -> DavieReport:
     """Residuals of ``sol`` against the expansion at ``sol.level`` over ``pairs``."""
+    import statistics
+
     rows = []
     for s, t in pairs:
         ys = sol.value_at(s)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,6 +30,7 @@ from .algebra import (
     FormalSum,
     Grading,
     MultiIndex,
+    _Record,
     _clear_interned,
     derivation_d,
     deshuffle,
@@ -67,8 +67,7 @@ __all__ = [
 _MAX_REPORTED_FAILURES = 5
 
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(_Record):
     """Outcome of one verification suite."""
 
     name: str

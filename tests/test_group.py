@@ -382,7 +382,7 @@ def _row_factors(d, n):
     return forest_basis(d, n), [*keys, EMPTY_FOREST], keys
 
 
-@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3), (4, 3)])
 def test_table_holds_the_product_rows_that_land_on_one_multi_index(d, n):
     t = _table(d, n)
     left, right, out = _row_factors(d, n)
@@ -437,7 +437,7 @@ def _bincount_series(star, left, first, divisors):
     return acc
 
 
-@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3)])
+@pytest.mark.parametrize("d, n", [(1, 4), (2, 3), (2, 4), (3, 3), (4, 3)])
 def test_compiled_product_is_bit_identical_to_the_bincount_product(d, n):
     # the straight-line kernel adds 0.0 + Σ φ(u)·ψ(v)·coeff per output in
     # row order, which is how np.bincount accumulates: the same bits

@@ -611,6 +611,19 @@ def test_grid_text_repeating_a_key_is_refused():
         grid_from_json(doc)
 
 
+def test_grid_reader_reads_other_spellings_and_refuses_one_key_spelled_two_ways():
+    # canonical spellings are looked up, any other goes to the parser
+    def doc(*keys):
+        return {"d": 1, "gamma": "1/2", "max_norm": 2, "times": [0.0, 0.5, 1.0],
+                "increments": [{keys[0]: 1.0}, {keys[-1]: 2.0}]}
+
+    want = grid_from_json(doc("z(0,1)z(1,0)"))
+    assert grid_from_json(doc("z(1,0) z(0,1)^1")).coords == want.coords
+    for keys in [("z(1,0)z(0,1)", "z(0,1)z(1,0)"), ("z(0,1)z(1,0)", "z(1,0)z(0,1)")]:
+        with pytest.raises(ValueError, match="repeats the key z\\(0,1\\)z\\(1,0\\)"):
+            grid_from_json(doc(*keys))
+
+
 def test_grid_reader_keys_are_the_key_index_objects():
     # start from empty intern tables and caches and rebuild the cached basis
     # from them, so that no clear made by an earlier test has left that

@@ -1725,7 +1725,8 @@ def _run_python(script: str, cwd) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-UNUSED_BY_THE_FLOW = ["numpy", "mirpath.translation", "mirpath.verify"]
+UNUSED_BY_THE_FLOW = ["numpy", "mirpath.translation", "mirpath.verify",
+                      "dataclasses", "inspect", "platform", "datetime", "csv"]
 
 
 def test_version_loads_no_layer_and_every_export_resolves(tmp_path):
@@ -1797,6 +1798,42 @@ def test_flow_pipeline_loads_no_numpy_translation_or_verify(tmp_path):
         print(json.dumps({{"codes": codes, "loaded": loaded}}))
     """, tmp_path)
     assert got == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_verify_and_translate_load_no_dataclasses_inspect_or_platform(tmp_path):
+    _lift_in_its_own_process(tmp_path, "--brownian", "ito", "--d", "1", "--steps", "4")
+    got = _run_python("""
+        import json, sys
+        from mirpath.cli import main
+        codes = [
+            main(["verify", "--d", "1", "--max-norm", "2", "--no-timestamp", "--out", "v.json"]),
+            main(["translate", "--grid", "grid.json", "--ito-strat", "--no-timestamp",
+                  "--out", "t.json"]),
+        ]
+        loaded = [m for m in ["dataclasses", "inspect", "platform"] if m in sys.modules]
+        print(json.dumps({"codes": codes, "loaded": loaded}))
+    """, tmp_path)
+    assert got == {"codes": [0, 0], "loaded": []}
+
+
+def test_a_run_without_no_timestamp_writes_an_iso_utc_timestamp():
+    import datetime
+
+    before = datetime.datetime.now(datetime.timezone.utc)
+    code, out, _ = run_cli("verify", "--suite", "exp-log", "--d", "1", "--max-norm", "1")
+    after = datetime.datetime.now(datetime.timezone.utc)
+    assert code == 0
+    stamp = datetime.datetime.fromisoformat(json.loads(out)["provenance"]["timestamp"])
+    assert stamp.utcoffset() == datetime.timedelta(0)
+    assert before <= stamp <= after
+
+
+def test_header_records_the_python_version_platform_reports():
+    import platform
+
+    code, out, _ = run_cli("enumerate", "--d", "1", "--max-norm", "1", "--no-timestamp")
+    assert code == 0
+    assert f"# python: {platform.python_version()}" in out.splitlines()
 
 
 @pytest.mark.parametrize("argv, loads_numpy", [
