@@ -21,7 +21,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# module -> the names re-exported from it; ``__all__`` is derived from this
+# layer -> its public names, the one list of them: each layer's ``__all__``
+# is its row, and the package's ``__all__`` is their union
 _EXPORTS = {
     "algebra": (
         "EMPTY_FOREST", "Forest", "FormalSum", "Grading", "MultiIndex",

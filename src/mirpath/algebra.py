@@ -34,14 +34,10 @@ A clear of the monomial table empties the forest table too, so no forest
 outlives the monomials it was built from.  Equality and hashing stay
 structural, so an object built before a clear still equals, hashes like and
 finds the entries of a new one, and pickling or copying rebuilds through the
-constructor.  Every cache in this module has a stated bound: Dⁿ of a
-monomial and ``prelie_graft`` keep 8 192 results, ``deshuffle`` 2 048, the
-Grossman–Larson product of two basis forests 16 384, its slot expansions
-(Π bucket)·Dⁿ comp 1 024, and ``_distribute``'s spread table 256 shapes
-(r equal parts, number of slots), and the populated monomials and the
-forest basis of one (d, n) 32 each; the README lists every cache of the
-package with its bound.  :func:`clear_caches` empties them all, and
-``verify`` empties them and both intern tables after each suite.
+constructor.  Every cache in this module is bounded; the README's cache
+table, which a test checks against the code, gives each bound.
+:func:`clear_caches` empties them all, and ``verify`` empties them and both
+intern tables after each suite.
 """
 
 from __future__ import annotations
@@ -55,21 +51,9 @@ from functools import lru_cache, reduce
 from operator import attrgetter
 from typing import Callable, Iterable
 
-__all__ = [
-    "MultiIndex",
-    "Forest",
-    "FormalSum",
-    "Grading",
-    "pairing",
-    "derivation_d",
-    "prelie_graft",
-    "graft_simultaneous",
-    "deshuffle",
-    "gl_product",
-    "enumerate_populated",
-    "forest_basis",
-    "EMPTY_FOREST",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["algebra"])
 
 
 class AlphabetMismatchError(ValueError):

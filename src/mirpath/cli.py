@@ -423,7 +423,7 @@ def _cmd_translate_field(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_davie_report(args: argparse.Namespace) -> _Output:
-    from .solver import davie_residual_report, dyadic_pairs, solve_flow
+    from .solver import DivergedError, davie_residual_report, dyadic_pairs, solve_flow
 
     if args.max_block is not None and args.min_block > args.max_block:
         raise UsageError(
@@ -434,7 +434,10 @@ def _cmd_davie_report(args: argparse.Namespace) -> _Output:
     if sol.diverged:
         return _Output(config, None, None, EXIT_DIVERGED, f"numeric divergence: {sol.message}")
     pairs = dyadic_pairs(sol.times, min_block=args.min_block, max_block=args.max_block)
-    report = davie_residual_report(grid, field, sol, pairs)
+    try:
+        report = davie_residual_report(grid, field, sol, pairs)
+    except DivergedError as exc:
+        return _Output(config, None, None, EXIT_DIVERGED, f"numeric divergence: {exc}")
     config.update(min_block=args.min_block, max_block=args.max_block)
     body = {
         "report": {
@@ -617,14 +620,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diverged_error() -> type:
-    """The solver's divergence error, imported only when an exception that
-    is not a usage error has to be matched against it."""
-    from .solver import DivergedError
-
-    return DivergedError
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: the handler computes, then its document, stderr
     note and exit code are written and returned here."""
@@ -637,9 +632,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _diverged_error() as exc:
-        print(f"numeric divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     if out.note is not None:
         print(out.note, file=sys.stderr)
     return out.code

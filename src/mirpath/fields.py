@@ -20,18 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
+from . import _EXPORTS
 from .algebra import Forest, FormalSum, MultiIndex, _Record
 from .grammar import _MISSING, _json_int, _json_value
 
-__all__ = [
-    "DerivativeOrderError",
-    "VectorField",
-    "upsilon",
-    "upsilon_sum",
-    "upsilon_vf",
-    "vector_field_payload",
-    "vector_field_from_json",
-]
+__all__ = list(_EXPORTS["fields"])
 
 
 class DerivativeOrderError(ValueError):
@@ -49,15 +42,29 @@ def _horner_rows(
     table: tuple[tuple[Fraction, ...], ...]
 ) -> Callable[[int, int, float], float]:
     """(i, k, y) ↦ the k-th derivative of the exact row ``table[i]`` at y by
-    Horner's rule, over a float copy of its coefficients made once per (i, k)."""
-    rows: dict[tuple[int, int], tuple[float, ...]] = {}
+    Horner's rule.  The float coefficients of every derivative of every row
+    are made here, each derivative from the one before, highest power first;
+    a coefficient beyond the float range raises ValueError."""
+    rows: list[tuple[tuple[float, ...], ...]] = []
+    for i, row in enumerate(table):
+        derivatives = []
+        try:
+            while row:
+                derivatives.append(tuple(float(c) for c in reversed(row)))
+                row = _poly_derivative(row, 1)
+        except OverflowError:
+            raise ValueError(
+                f"field letter {i}: a coefficient of f_{i} or of one of its "
+                "derivatives is not finite as a float"
+            ) from None
+        rows.append(tuple(derivatives))
 
     def at(i: int, k: int, y: float) -> float:
-        row = rows.get((i, k))
-        if row is None:
-            row = rows[i, k] = tuple(float(c) for c in _poly_derivative(table[i], k))
+        derivatives = rows[i]
+        if k >= len(derivatives):
+            return 0.0
         acc = 0.0
-        for c in reversed(row):
+        for c in derivatives[k]:
             acc = acc * y + c
         return acc
 
@@ -126,7 +133,8 @@ class VectorField(_Record):
     def polynomial(cls, coeffs) -> "VectorField":
         """Exact polynomial fields: ``coeffs[i][j]`` is the yʲ coefficient of
         f_i (anything Fraction() accepts).  Derivatives of order beyond the
-        degree are exactly 0.0."""
+        degree are exactly 0.0; a row with a derivative not finite as a float
+        raises ValueError."""
         table = tuple(tuple(Fraction(c) for c in row) for row in coeffs)
         if len(table) < 1:
             raise ValueError("need at least the drift row f_0")
@@ -251,15 +259,4 @@ def vector_field_from_json(doc: str | Mapping) -> VectorField:
         coeffs = _json_value(entry.get("coeffs", _MISSING), "list", "coeffs")
         rows[i] = [_json_value(c, "rational", f"coefficient {k} of field letter {i}")
                    for k, c in enumerate(coeffs)]
-        derivative = rows[i]
-        try:
-            while derivative:
-                for c in derivative:
-                    float(c)  # OverflowError beyond the float range
-                derivative = _poly_derivative(derivative, 1)
-        except OverflowError:
-            raise ValueError(
-                f"field letter {i}: a coefficient of f_{i} or of one of its "
-                "derivatives is not finite as a float"
-            ) from None
     return VectorField.polynomial(rows)

@@ -24,17 +24,10 @@ import reprlib
 from fractions import Fraction
 from typing import Callable, Mapping
 
+from . import _EXPORTS
 from .algebra import EMPTY_FOREST, Forest, FormalSum, MultiIndex, _rational
 
-__all__ = [
-    "ParseError",
-    "parse_multi_index",
-    "parse_forest",
-    "parse_formal_sum",
-    "format_multi_index",
-    "format_forest",
-    "format_formal_sum",
-]
+__all__ = list(_EXPORTS["grammar"])
 
 
 class ParseError(ValueError):

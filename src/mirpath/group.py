@@ -35,6 +35,7 @@ from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
+from . import _EXPORTS
 from .algebra import (
     Grading,
     MultiIndex,
@@ -43,19 +44,7 @@ from .algebra import (
     graft_simultaneous,
 )
 
-__all__ = [
-    "GroupElement",
-    "LieElement",
-    "OffGridTimeError",
-    "RoughPathGrid",
-    "GradingMismatchError",
-    "InvalidKeyError",
-    "chen_compose",
-    "exp_element",
-    "log_element",
-    "identity_character",
-    "random_character",
-]
+__all__ = list(_EXPORTS["group"])
 
 
 class GradingMismatchError(ValueError):

@@ -38,20 +38,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .algebra import FormalSum, Grading, _populated_tuple, prelie_graft, single
 from .grammar import _MISSING, _json_int, _json_value, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _key_index, _slot, _straight_line
 
-__all__ = [
-    "UnsupportedLevelError",
-    "lift_piecewise_linear",
-    "lift_brownian",
-    "brownian_pair_statistics",
-    "grid_payload",
-    "grid_from_json",
-    "read_path_csv",
-    "write_path_csv",
-]
+__all__ = list(_EXPORTS["lifts"])
 
 #: Generator family of the lifts' stochastic draws, quoted in CLI provenance
 #: headers: ``lift_brownian`` reads it through ``_pcg`` and

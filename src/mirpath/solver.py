@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from . import _EXPORTS
 from .algebra import Grading, MultiIndex, _Record, _populated_tuple, single
 from .fields import VectorField
 from .group import (
@@ -37,17 +38,7 @@ from .group import (
     log_element,
 )
 
-__all__ = [
-    "DavieReport",
-    "DivergedError",
-    "FlowSolution",
-    "davie_expansion",
-    "davie_residual_report",
-    "dyadic_pairs",
-    "expansion_basis",
-    "logode_step",
-    "solve_flow",
-]
+__all__ = list(_EXPORTS["solver"])
 
 
 #: The largest |state| a log-ODE step accepts before it reports divergence.

@@ -39,6 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
+from . import _EXPORTS
 from .algebra import (
     EMPTY_FOREST,
     Forest,
@@ -64,22 +65,7 @@ from .fields import (
 from .grammar import _at_most, _json_int, _json_value, format_multi_index, parse_multi_index
 from .group import RoughPathGrid, _key_index, _straight_line
 
-__all__ = [
-    "Character",
-    "TruncationShortfallError",
-    "character_from_json",
-    "character_to_json",
-    "coproduct_minus",
-    "identity_characters",
-    "insert_prelie",
-    "insert_simultaneous",
-    "ito_strat_character",
-    "m_ell",
-    "translate",
-    "translate_roughpath",
-    "translated_field",
-    "translation_order",
-]
+__all__ = list(_EXPORTS["translation"])
 
 
 class TruncationShortfallError(ValueError):

@@ -23,6 +23,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import _EXPORTS
 from .algebra import (
     EMPTY_FOREST,
     _MULTI_INDICES,
@@ -53,11 +54,7 @@ from .translation import (
     translate,
 )
 
-__all__ = [
-    "SuiteResult",
-    "available_suites",
-    "run_all_suites",
-]
+__all__ = list(_EXPORTS["verify"])
 
 
 # ---------------------------------------------------------------------------

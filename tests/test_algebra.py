@@ -646,6 +646,13 @@ def test_enumerate_degree_zero_is_empty():
     assert enumerate_populated(1, 0) == []
 
 
+def test_enumerate_refuses_an_empty_alphabet_and_a_negative_degree():
+    with pytest.raises(ValueError, match="^d must be >= 1, got 0$"):
+        enumerate_populated(0, 2)
+    with pytest.raises(ValueError, match="^max_degree must be >= 0, got -1$"):
+        enumerate_populated(1, -1)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_enumerate_matches_naive_generator(d, n):

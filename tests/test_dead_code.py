@@ -56,11 +56,16 @@ def _names(node: ast.AST) -> set[str]:
 
 
 def _all_strings(tree: ast.Module) -> set[str]:
+    """The names the ``__all__`` of ``tree`` lists: the strings of a literal
+    list, or the row of ``mirpath._EXPORTS`` that a layer's ``__all__`` reads."""
     for stmt in tree.body:
         if isinstance(stmt, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets
         ):
-            return {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+            strings = {c.value for c in ast.walk(stmt.value) if isinstance(c, ast.Constant)}
+            if "_EXPORTS" in _names(stmt.value):
+                return set().union(*(mirpath._EXPORTS[s] for s in strings))
+            return strings
     return set()
 
 

@@ -1,12 +1,22 @@
-"""Round trips and error positions for the text grammar."""
+"""Round trips and error positions for the text grammar, and the reprs that
+write it."""
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mirpath.algebra import EMPTY_FOREST, FormalSum, enumerate_populated, forest_basis
+from mirpath.algebra import (
+    EMPTY_FOREST,
+    FormalSum,
+    Grading,
+    enumerate_populated,
+    forest_basis,
+    prelie_graft,
+)
 from mirpath.grammar import (
     ParseError,
     format_forest,
@@ -16,6 +26,8 @@ from mirpath.grammar import (
     parse_formal_sum,
     parse_multi_index,
 )
+from mirpath.group import GroupElement
+from mirpath.translation import Character, coproduct_minus
 
 
 def test_parse_factor_with_exponent():
@@ -123,3 +135,46 @@ def test_malformed_formal_sum_names_its_position(text, message, position):
         parse_formal_sum(text)
     assert str(exc.value) == f"{message} (at position {position})"
     assert exc.value.position == position
+
+
+def test_trailing_input_after_a_multi_index_names_its_position():
+    with pytest.raises(ParseError) as exc:
+        parse_multi_index("z(1,0) 1")
+    assert str(exc.value) == "trailing input (at position 7)"
+    assert exc.value.position == 7
+
+
+def _z(text):
+    return parse_multi_index(text, d=1)
+
+
+# the repr of each printed type writes its keys in the grammar
+REPRS = {
+    "graft": (  # the README quick-start line
+        lambda: prelie_graft(_z("z(1,0)"), _z("z(1,0)")),
+        "FormalSum('+(1) z(1,0)z(1,1)')",
+    ),
+    "coproduct": (  # keys are tensor pairs
+        lambda: coproduct_minus(_z("z(0,0)z(1,1)")),
+        "FormalSum('+(1) 1 ⊗ z(0,0)z(1,1) +(1) z(0,0) ⊗ z(0,0)z(1,1) "
+        "+(1) z(0,0)*z(1,0) ⊗ z(0,0)z(0,1) +(1) z(0,0)z(1,1) ⊗ z(0,0)')",
+    ),
+    "forest": (
+        lambda: parse_forest("z(1,0)*z(0,0)", d=1),
+        "Forest('z(0,0)*z(1,0)')",
+    ),
+    "group-element": (
+        lambda: GroupElement(1, Grading(2, Fraction(1, 2)), {_z("z(1,0)"): 0.5}),
+        "GroupElement(d=1, Grading(max_norm=2, gamma=Fraction(1, 2)), "
+        "values={MultiIndex('z(1,0)', d=1): 0.5})",
+    ),
+    "character": (
+        lambda: Character(0, {_z("z(1,0)z(1,1)"): Fraction(1, 2), _z("z(0,0)"): 1}, d=1),
+        "Character(direction=0, {z(0,0): 1, z(1,0)z(1,1): 1/2}, d=1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("build, text", REPRS.values(), ids=REPRS)
+def test_repr_writes_the_grammar_form(build, text):
+    assert repr(build()) == text

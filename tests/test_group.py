@@ -53,6 +53,11 @@ def test_table_character_multiplicative_over_components():
     assert phi[t.basis.index(EMPTY_FOREST)] == 1.0
 
 
+def test_element_equals_no_other_type():
+    x = identity_character(2, G3)
+    assert (x == 1) is False and x != 1
+
+
 def test_table_character_of_identity_kills_nonempty_forests():
     t = _table(2, 3)
     phi = t.character(identity_character(2, G3).coords)
@@ -487,6 +492,12 @@ def test_grid_validation():
     message = "^increment grading differs from grid grading$"
     with pytest.raises(GradingMismatchError, match=message):
         RoughPathGrid(d=2, grading=G3, times=(0.0, 1.0), increments=(other,))
+
+
+def test_grid_attributes_cannot_be_assigned():
+    grid = _constant_grid([{}])
+    with pytest.raises(AttributeError, match="^RoughPathGrid is immutable$"):
+        grid.times = (0.0, 2.0)
 
 
 def test_grid_refuses_a_non_finite_value_or_time():

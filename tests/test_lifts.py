@@ -735,3 +735,14 @@ def test_path_csv_rejects_missing_header():
 def test_path_csv_rejects_ragged_rows():
     with pytest.raises(ValueError):
         read_path_csv("t,x1\n0.0,1.0\n1.0\n")
+
+
+def test_path_csv_skips_a_blank_line():
+    assert read_path_csv("t,x1\n0,1\n\n1,2\n") == [(0.0, 1.0), (1.0, 2.0)]
+
+
+def test_path_csv_needs_two_samples_each_way():
+    with pytest.raises(ValueError, match="^path CSV needs at least two sample rows$"):
+        read_path_csv("t,x1\n0,1\n")
+    with pytest.raises(ValueError, match="^no samples to write$"):
+        write_path_csv([], io.StringIO())

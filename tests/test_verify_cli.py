@@ -10,8 +10,10 @@ round trip from ``lift`` output through ``solve``.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import copy
+import importlib
 import inspect
 import io
 import json
@@ -920,6 +922,20 @@ class TestCliTranslate:
         assert code == 0
         assert json.loads(sol_file.read_text())["solution"]["diverged"] is False
 
+    def test_translated_field_beyond_the_float_range_is_refused(self, tmp_path):
+        # f_1 = 1e300 (1 + y) reads, but its drift correction -f_1 f_1'/2 does
+        # not fit a float, so solve would refuse the translated field
+        field_file = tmp_path / "huge.json"
+        field_file.write_text(json.dumps({"d": 1, "fields": [
+            {"i": 0, "coeffs": ["0"]}, {"i": 1, "coeffs": ["1e300", "1e300"]},
+        ]}))
+        out_file = tmp_path / "tfield.json"
+        code, out, err = run_cli("translate-field", "--field", str(field_file),
+                                 "--ito-strat", "--no-timestamp", "--out", str(out_file))
+        assert code == 2 and out == "" and not out_file.exists()
+        assert err == ("error: field letter 0: a coefficient of f_0 or of one of its "
+                       "derivatives is not finite as a float\n")
+
 
 # ---------------------------------------------------------------------------
 # reports
@@ -1758,6 +1774,24 @@ def test_version_loads_no_layer_and_every_export_resolves(tmp_path):
     assert got["missing"] == [] and got["wrong"] == []
     assert got["disagree"] == []
     assert {"__version__", "solve_flow", "translate", "run_all_suites"} <= set(got["names"])
+
+
+def test_each_layer_lists_its_row_of_the_export_table():
+    layers = ["algebra", "grammar", "group", "lifts", "fields", "translation", "solver", "verify"]
+    assert sorted(mirpath._EXPORTS) == sorted(layers)
+    for layer in layers:
+        assert importlib.import_module(f"mirpath.{layer}").__all__ == list(mirpath._EXPORTS[layer])
+    # a list of names written out; the package's ``__all__`` is derived
+    literal = sorted(
+        path.name
+        for path in Path(mirpath.__file__).parent.glob("*.py")
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(stmt, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+        and isinstance(stmt.value, ast.List)
+        and all(isinstance(e, ast.Constant) for e in stmt.value.elts)
+    )
+    assert literal == ["cli.py"]
 
 
 def test_each_operation_has_one_spelling():
