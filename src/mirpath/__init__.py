@@ -36,12 +36,12 @@ _EXPORTS = {
     "group": (
         "GradingMismatchError", "GroupElement", "InvalidKeyError", "LieElement",
         "OffGridTimeError", "RoughPathGrid", "chen_compose", "exp_element",
-        "identity_character", "log_element", "random_character",
+        "grid_from_json", "grid_payload", "identity_character", "log_element",
+        "random_character",
     ),
     "lifts": (
-        "UnsupportedLevelError", "brownian_pair_statistics", "grid_from_json",
-        "grid_payload", "lift_brownian", "lift_piecewise_linear",
-        "read_path_csv", "write_path_csv",
+        "UnsupportedLevelError", "brownian_pair_statistics", "lift_brownian",
+        "lift_piecewise_linear", "read_path_csv", "write_path_csv",
     ),
     "fields": (
         "DerivativeOrderError", "VectorField", "upsilon", "upsilon_sum",

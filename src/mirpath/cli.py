@@ -54,6 +54,12 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
+#: Generator family of the lifts' stochastic draws, quoted in every
+#: provenance header: ``lifts.lift_brownian`` reads it through ``_pcg`` and
+#: ``lifts.brownian_pair_statistics`` through numpy, bit for bit the same
+#: stream.
+RNG_ALGORITHM = "numpy.random.PCG64"
+
 
 class UsageError(ValueError):
     """Invalid flags or malformed input files; maps to exit code 2."""
@@ -146,8 +152,6 @@ def _numpy_version() -> str | None:
 
 
 def _provenance(args: argparse.Namespace, out: _Output) -> dict:
-    from .lifts import RNG_ALGORITHM
-
     header = {
         "tool": f"mirpath {__version__}",
         "python": sys.version.split()[0],  # as platform.python_version() reads it
@@ -220,7 +224,7 @@ def _parse_input(path: str, reader, content, what: str):
 
 def _load_grid(path: str) -> RoughPathGrid:
     """Accept either a bare grid document or one wrapped by ``lift``."""
-    from .lifts import grid_from_json
+    from .group import grid_from_json
 
     return _read_input(path, grid_from_json, "a rough-path grid", "grid")
 
@@ -310,7 +314,8 @@ def _cmd_verify(args: argparse.Namespace) -> _Output:
 def _cmd_lift(args: argparse.Namespace) -> _Output:
     from .algebra import Grading
     from .grammar import _at_most
-    from .lifts import grid_payload, lift_brownian, lift_piecewise_linear, read_path_csv
+    from .group import grid_payload
+    from .lifts import lift_brownian, lift_piecewise_linear, read_path_csv
 
     if bool(args.path) == bool(args.brownian):
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")
@@ -395,7 +400,7 @@ def _cmd_solve(args: argparse.Namespace) -> _Output:
 
 
 def _cmd_translate(args: argparse.Namespace) -> _Output:
-    from .lifts import grid_payload
+    from .group import grid_payload
     from .translation import translate_roughpath
 
     grid = _load_grid(args.grid)

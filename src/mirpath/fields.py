@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence
 
 from . import _EXPORTS
 from .algebra import Forest, FormalSum, MultiIndex, _Record
-from .grammar import _MISSING, _json_int, _json_value
+from .grammar import _AT_MOST, _MISSING, _json_int, _json_value
 
 __all__ = list(_EXPORTS["fields"])
 
@@ -38,37 +38,40 @@ def _poly_derivative(coeffs: tuple[Fraction, ...], k: int) -> tuple[Fraction, ..
     return out
 
 
-def _horner_rows(
-    table: tuple[tuple[Fraction, ...], ...]
-) -> Callable[[int, int, float], float]:
+class _Horner:
     """(i, k, y) ↦ the k-th derivative of the exact row ``table[i]`` at y by
-    Horner's rule.  The float coefficients of every derivative of every row
-    are made here, each derivative from the one before, highest power first;
-    a coefficient beyond the float range raises ValueError."""
-    rows: list[tuple[tuple[float, ...], ...]] = []
-    for i, row in enumerate(table):
-        derivatives = []
-        try:
-            while row:
-                derivatives.append(tuple(float(c) for c in reversed(row)))
-                row = _poly_derivative(row, 1)
-        except OverflowError:
-            raise ValueError(
-                f"field letter {i}: a coefficient of f_{i} or of one of its "
-                "derivatives is not finite as a float"
-            ) from None
-        rows.append(tuple(derivatives))
+    Horner's rule.  ``rows[i][k]`` holds the float coefficients of that
+    derivative, highest power first, each derivative made from the one
+    before when the field is built; a coefficient beyond the float range
+    raises ValueError.  The solver inlines the same rows into its compiled
+    right-hand side."""
 
-    def at(i: int, k: int, y: float) -> float:
-        derivatives = rows[i]
+    __slots__ = ("rows",)
+
+    def __init__(self, table: tuple[tuple[Fraction, ...], ...]):
+        rows: list[tuple[tuple[float, ...], ...]] = []
+        for i, row in enumerate(table):
+            derivatives = []
+            try:
+                while row:
+                    derivatives.append(tuple(float(c) for c in reversed(row)))
+                    row = _poly_derivative(row, 1)
+            except OverflowError:
+                raise ValueError(
+                    f"field letter {i}: a coefficient of f_{i} or of one of its "
+                    "derivatives is not finite as a float"
+                ) from None
+            rows.append(tuple(derivatives))
+        self.rows = tuple(rows)
+
+    def __call__(self, i: int, k: int, y: float) -> float:
+        derivatives = self.rows[i]
         if k >= len(derivatives):
             return 0.0
         acc = 0.0
         for c in derivatives[k]:
             acc = acc * y + c
         return acc
-
-    return at
 
 
 def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -138,7 +141,7 @@ class VectorField(_Record):
         table = tuple(tuple(Fraction(c) for c in row) for row in coeffs)
         if len(table) < 1:
             raise ValueError("need at least the drift row f_0")
-        return cls(d=len(table) - 1, provider=_horner_rows(table), poly_coeffs=table)
+        return cls(d=len(table) - 1, provider=_Horner(table), poly_coeffs=table)
 
     @classmethod
     def linear(cls, slopes) -> "VectorField":
@@ -257,6 +260,10 @@ def vector_field_from_json(doc: str | Mapping) -> VectorField:
             raise ValueError(f"field letter {i} is listed twice")
         listed.add(i)
         coeffs = _json_value(entry.get("coeffs", _MISSING), "list", "coeffs")
+        if len(coeffs) > (bound := _AT_MOST["coeffs"]):
+            raise ValueError(
+                f"field letter {i}: coeffs must hold at most {bound} values, got {len(coeffs)}"
+            )
         rows[i] = [_json_value(c, "rational", f"coefficient {k} of field letter {i}")
                    for k, c in enumerate(coeffs)]
     return VectorField.polynomial(rows)

@@ -216,8 +216,10 @@ _BRIEF.maxlevel = 1
 #: refused before a reader allocates by it: the grid's key table at
 #: (d, max_norm) = (6, 5) holds 17 892 keys and takes 0.3 s to build, and
 #: it grows like d^max_norm.  There a two-step `lift --path` takes 1.7 s of
-#: CPU and its 2.1 MB grid reads in 0.5 s (2 vCPU, Python 3.11).
-_AT_MOST = {"d": 6, "max_norm": 5}
+#: CPU and its 2.1 MB grid reads in 0.5 s (2 vCPU, Python 3.11).  ``coeffs``
+#: bounds the length of a field row, whose exact derivatives cost O(n²):
+#: 512 coefficients of "1e-3999" read in about 1 s.
+_AT_MOST = {"d": 6, "max_norm": 5, "coeffs": 512}
 
 
 def _json_value(value, kind: str, what: str | Callable[[], str]):

@@ -23,7 +23,9 @@ part of x^⋆ⁿ is x ⋆ (that part of x^⋆⁽ⁿ⁻¹⁾).  :class:`RoughPath
 the increments along a grid of finite times as one tuple of row tuples of
 finite values over the same slots, with ``depth``, the highest
 degree its rows store values for; wider increments follow by composition
-on demand.
+on demand.  ``grid_payload`` and ``grid_from_json`` write and read a grid's
+JSON document, the package's one on-disk form of a rough path, which lists
+every key up to the grid's depth.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .algebra import (
     forest_basis,
     graft_simultaneous,
 )
+from .grammar import _MISSING, _json_int, _json_value, format_multi_index, parse_multi_index
 
 __all__ = list(_EXPORTS["group"])
 
@@ -204,20 +207,24 @@ class _Table:
 
 
 def _straight_line(label: str, params: Sequence[tuple[str, int | None]],
-                   outputs: Sequence[str]) -> Callable[..., tuple[float, ...]]:
-    """Compile the function of ``params`` that returns the tuple of the
-    Python expressions ``outputs``.  A parameter (p, n) is unpacked into
-    the locals p0 … p(n−1) the expressions read; (p, None) is a scalar.
-    The code is straight-line, so each expression evaluates, and each sum
-    adds its terms, exactly in the written order."""
-    unpack = "".join(
-        f"    {''.join(f'{p}{m}, ' for m in range(n))}= {p}\n" for p, n in params if n is not None
+                   outputs: Sequence[str], lines: Sequence[str] = (),
+                   names: Mapping[str, object] = MappingProxyType({})) -> Callable[..., tuple]:
+    """Compile the function of ``params`` that runs the assignment
+    statements ``lines``, then returns the tuple of the Python expressions
+    ``outputs``.  A parameter (p, n) is unpacked into the locals p0 …
+    p(n−1) the code reads; (p, None) is a scalar.  ``names`` are the
+    globals the code may read.  The code is straight-line, so each
+    statement runs, each expression evaluates, and each sum adds its terms,
+    exactly in the written order."""
+    unpack = "".join(  # an empty unpacking (n = 0) would not compile
+        f"    {''.join(f'{p}{m}, ' for m in range(n))}= {p}\n" for p, n in params if n
     )
+    body = "".join(f"    {line}\n" for line in lines)
     source = (
-        f"def f({', '.join(p for p, _ in params)}):\n{unpack}"
+        f"def f({', '.join(p for p, _ in params)}):\n{unpack}{body}"
         f"    return ({''.join(f'{x}, ' for x in outputs)})\n"
     )
-    namespace: dict = {}
+    namespace = dict(names)
     exec(compile(source, f"<{label}>", "exec"), namespace)
     return namespace["f"]
 
@@ -379,3 +386,62 @@ class RoughPathGrid:
         if i == j:
             return identity_character(self.d, self.grading)
         return reduce(chen_compose, self.increments[i:j])
+
+
+# ---------------------------------------------------------------------------
+# Grid serialization
+# ---------------------------------------------------------------------------
+
+
+def grid_payload(path: RoughPathGrid) -> dict:
+    """The JSON document of a grid, as a dict: each increment lists every
+    key of degree ≤ ``path.depth``, sorted by entries, zeros included."""
+    index = _key_index(path.d, path.grading.max_norm)
+    keys = tuple(index)[: len(_populated_tuple(path.d, path.depth))]
+    order = sorted(range(len(keys)), key=lambda p: keys[p].entries)
+    names = [format_multi_index(keys[p]) for p in order]
+    return {
+        "d": path.d,
+        "gamma": f"{path.grading.gamma.numerator}/{path.grading.gamma.denominator}",
+        "max_norm": path.grading.max_norm,
+        "times": list(path.times),
+        "increments": [dict(zip(names, [row[p] for p in order])) for row in path.coords],
+    }
+
+
+def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
+    """Read a grid from its JSON text or from the already-parsed document.
+    Each distinct key string is looked up once: a canonical spelling in the
+    map of the grid's keys, any other by the parser.  A document that
+    spells one key two ways is refused; the grid stores the degrees up to
+    the highest key degree in the document."""
+    payload = _json_value(doc, "document", "a grid")
+    d = _json_int(payload, "d")
+    grading = Grading(
+        max_norm=_json_int(payload, "max_norm"),
+        gamma=_json_value(payload.get("gamma", _MISSING), "rational", "gamma"),
+    )
+    # a grid holds thousands of values, so each is named only if refused
+    times = _json_value(payload.get("times", _MISSING), "list", "times")
+    times = tuple(_json_value(t, "number", lambda: f"time {m}") for m, t in enumerate(times))
+    index = tuple(_key_index(d, grading.max_norm))
+    canonical = {format_multi_index(key): p for p, key in enumerate(index)}
+    increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
+    slots: dict[str, int] = {}  # each key spelling read so far -> its slot
+    taken: set[int] = set()
+    coords = []
+    for m, entry in enumerate(increments):
+        _json_value(entry, "object", f"increment {m}")
+        row = [0.0] * len(index)
+        for key, v in entry.items():
+            if (p := slots.get(key)) is None:
+                if (p := canonical.get(key)) is None:
+                    p = _slot(parse_multi_index(key, d=d), d, grading)
+                if p in taken:
+                    raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
+                slots[key] = p
+                taken.add(p)
+            row[p] = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
+        coords.append(tuple(row))
+    depth = max((index[p].degree() for p in taken), default=0)
+    return RoughPathGrid._of(d, grading, times, tuple(coords), depth)

@@ -1,4 +1,4 @@
-"""Concrete rough-path lifts and grid serialization.
+"""Concrete rough-path lifts and the path CSV format.
 
 Every lift stores one increment per step, in closed form in the step's
 coordinate increments ΔXⁱ (letter 0 is time): w(β)·Π_i (ΔXⁱ)^{n_i(β)} on β,
@@ -26,8 +26,9 @@ from ``_pcg``, a plain-Python reader of numpy's PCG64 normal stream, and
 only ``brownian_pair_statistics`` imports numpy, whose vectorised reader
 of the same stream serves its Monte-Carlo.
 
-The JSON/CSV formats at the bottom are the package's only on-disk path
-representations; a grid file lists every key up to the grid's depth.
+The CSV format at the bottom holds sampled paths; the grid's JSON format
+lives beside :class:`~mirpath.group.RoughPathGrid`, so reading a grid
+loads no lift.
 """
 
 from __future__ import annotations
@@ -36,20 +37,13 @@ import io
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import _EXPORTS
 from .algebra import FormalSum, Grading, _populated_tuple, prelie_graft, single
-from .grammar import _MISSING, _json_int, _json_value, format_multi_index, parse_multi_index
-from .group import RoughPathGrid, _key_index, _slot, _straight_line
+from .group import RoughPathGrid, _key_index, _straight_line
 
 __all__ = list(_EXPORTS["lifts"])
-
-#: Generator family of the lifts' stochastic draws, quoted in CLI provenance
-#: headers: ``lift_brownian`` reads it through ``_pcg`` and
-#: ``brownian_pair_statistics`` through numpy, bit for bit the same stream.
-RNG_ALGORITHM = "numpy.random.PCG64"
-
 
 class UnsupportedLevelError(ValueError):
     """Requested truncation exceeds what the construction can honestly fill."""
@@ -269,62 +263,8 @@ def brownian_pair_statistics(
 
 
 # ---------------------------------------------------------------------------
-# Serialization
+# Sampled paths as CSV
 # ---------------------------------------------------------------------------
-
-
-def grid_payload(path: RoughPathGrid) -> dict:
-    """The JSON document of a grid, as a dict: each increment lists every
-    key of degree ≤ ``path.depth``, sorted by entries, zeros included."""
-    index = _key_index(path.d, path.grading.max_norm)
-    keys = tuple(index)[: len(_populated_tuple(path.d, path.depth))]
-    order = sorted(range(len(keys)), key=lambda p: keys[p].entries)
-    names = [format_multi_index(keys[p]) for p in order]
-    return {
-        "d": path.d,
-        "gamma": f"{path.grading.gamma.numerator}/{path.grading.gamma.denominator}",
-        "max_norm": path.grading.max_norm,
-        "times": list(path.times),
-        "increments": [dict(zip(names, [row[p] for p in order])) for row in path.coords],
-    }
-
-
-def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
-    """Read a grid from its JSON text or from the already-parsed document.
-    Each distinct key string is looked up once: a canonical spelling in the
-    map of the grid's keys, any other by the parser.  A document that
-    spells one key two ways is refused; the grid stores the degrees up to
-    the highest key degree in the document."""
-    payload = _json_value(doc, "document", "a grid")
-    d = _json_int(payload, "d")
-    grading = Grading(
-        max_norm=_json_int(payload, "max_norm"),
-        gamma=_json_value(payload.get("gamma", _MISSING), "rational", "gamma"),
-    )
-    # a grid holds thousands of values, so each is named only if refused
-    times = _json_value(payload.get("times", _MISSING), "list", "times")
-    times = tuple(_json_value(t, "number", lambda: f"time {m}") for m, t in enumerate(times))
-    index = tuple(_key_index(d, grading.max_norm))
-    canonical = {format_multi_index(key): p for p, key in enumerate(index)}
-    increments = _json_value(payload.get("increments", _MISSING), "list", "increments")
-    slots: dict[str, int] = {}  # each key spelling read so far -> its slot
-    taken: set[int] = set()
-    coords = []
-    for m, entry in enumerate(increments):
-        _json_value(entry, "object", f"increment {m}")
-        row = [0.0] * len(index)
-        for key, v in entry.items():
-            if (p := slots.get(key)) is None:
-                if (p := canonical.get(key)) is None:
-                    p = _slot(parse_multi_index(key, d=d), d, grading)
-                if p in taken:
-                    raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
-                slots[key] = p
-                taken.add(p)
-            row[p] = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
-        coords.append(tuple(row))
-    depth = max((index[p].degree() for p in taken), default=0)
-    return RoughPathGrid._of(d, grading, times, tuple(coords), depth)
 
 
 def write_path_csv(samples: Iterable[tuple[float, ...]], stream) -> None:

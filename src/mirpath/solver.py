@@ -11,7 +11,15 @@ with the elementary differentials of the coefficient field:
 the sum running over populated monomials whose γ-size lies between 1 and the
 truncation level, with the bare time variable always kept so that a drift
 survives every truncation.  Mixed drift–diffusion monomials enter exactly
-when the γ-filter admits them.
+when the γ-filter admits them.  This is the log-ODE method of Castell and
+Gaines, in the flow form of Bailleul.
+
+The right-hand side is compiled, once per field and support (the
+expansion rows on which an element is nonzero), into one straight-line
+function by ``group._straight_line``: Horner's rule over a polynomial
+field's float rows, or a derivative call for any other field, then the
+powers, products and sum in the order of :func:`mirpath.fields.upsilon`.
+The Davie expansion is compiled the same way.
 
 Everything here is deterministic: fixed classical RK4 with a configured
 substep count, basis enumeration in a fixed sorted order, no randomness.
@@ -24,16 +32,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import _EXPORTS
 from .algebra import Grading, MultiIndex, _Record, _populated_tuple, single
-from .fields import VectorField
+from .fields import VectorField, _Horner
 from .group import (
     LieElement,
     OffGridTimeError,
     RoughPathGrid,
     _key_index,
+    _straight_line,
     _time_index,
     log_element,
 )
@@ -85,14 +94,24 @@ def expansion_basis(d: int, gamma: Fraction, level: Fraction) -> tuple[MultiInde
     return tuple(sorted(keep))
 
 
+class _Expansion:
+    """The expansion at one level, prepared once by :func:`_expansion`.
+    It hashes by identity, so a compiled right-hand side is found without
+    hashing its rows."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple) -> None:
+        self.rows = rows
+
+
 @lru_cache(maxsize=32)
-def _expansion(d: int, grading: Grading, level: Fraction | int | None) -> tuple:
+def _expansion(d: int, grading: Grading, level: Fraction | int | None) -> _Expansion:
     """The expansion at ``level`` (default: the stored degree, which it may
     not exceed), prepared once: per β of its basis, the slot of β in an
     element's ``coords``, S(β) and the variables (i, k, m, p) of β, p
-    indexing the distinct f_i^{(k)} the basis reads; and their number.  A
-    run needs one key; the bound only stops a process that tries many
-    levels from growing."""
+    indexing the distinct f_i^{(k)} the basis reads.  A run needs one key;
+    the bound only stops a process that tries many levels from growing."""
     level = Fraction(grading.max_norm if level is None else level)
     if level > grading.max_norm:
         raise ValueError(
@@ -100,38 +119,74 @@ def _expansion(d: int, grading: Grading, level: Fraction | int | None) -> tuple:
         )
     index = _key_index(d, grading.max_norm)
     pairs: dict[tuple[int, int], int] = {}
-    rows = tuple(
+    return _Expansion(tuple(
         (index[beta], beta.symmetry_factor(),
          tuple((i, k, m, pairs.setdefault((i, k), len(pairs))) for (i, k), m in beta.entries))
         for beta in expansion_basis(d, grading.gamma, level)
-    )
-    return rows, len(pairs)
+    ))
 
 
-def _nonzero_terms(element, level: Fraction | int | None) -> tuple[list[tuple], int]:
-    """(X(β), S(β), variables of β) for the β of the expansion at ``level``
-    on which ``element`` is nonzero, and the number of distinct derivatives
-    the expansion reads."""
-    rows, width = _expansion(element.d, element.grading, level)
+def _nonzero(element, level: Fraction | int | None) -> tuple[_Expansion, tuple[int, ...], tuple]:
+    """The expansion at ``level``, the indices of its rows on which
+    ``element`` is nonzero (its support), and the element's values there."""
+    expansion = _expansion(element.d, element.grading, level)
     coords = element.coords
-    return [(x, sym, v) for slot, sym, v in rows if (x := coords[slot]) != 0.0], width
+    rows = expansion.rows
+    support = tuple([n for n, (slot, _, _) in enumerate(rows) if coords[slot] != 0.0])
+    return expansion, support, tuple([coords[rows[n][0]] for n in support])
 
 
-def _upsilons(terms: list[tuple], width: int, f: VectorField, y: float) -> list[float]:
-    """[Υ_f[z^β](y) for the β of ``terms``]: each of the ``width`` distinct
-    f_i^{(k)}(y) is taken at most once, when first needed, and every power
-    and product in the order of :func:`mirpath.fields.upsilon`, so values
-    and errors are its own."""
-    ders: list = [None] * width
-    out = []
-    for _, _, variables in terms:
-        u = 1.0
-        for i, k, m, p in variables:
-            if (v := ders[p]) is None:
-                v = ders[p] = f.derivative(i, k, y)
-            u *= v ** m
-        out.append(u)
-    return out
+@lru_cache(maxsize=32)
+def _compiled(expansion: _Expansion, support: tuple[int, ...], provider: Callable,
+              d: int, max_order: int | None, davie: bool) -> Callable:
+    """The straight-line function ``(z, c) ↦ (0.0 + Σ_n c_n·Υ_n(z),)`` over
+    the rows ``support`` of ``expansion``, Υ_n = Υ_f[z^β] for the β of the
+    n-th of them, or with ``davie`` ``(z + Σ_n Υ_n(z)/S(β)·c_n,)``, for the
+    field of this ``provider``, ``d`` and ``max_order``, whose derivatives
+    it reads as :meth:`VectorField.derivative` does.
+
+    Each distinct f_i^{(k)}(z) is read once, right before its first power,
+    and every power and product is taken in the order of
+    :func:`mirpath.fields.upsilon`, so values and errors are its own: a
+    power is ``**``, which raises OverflowError where ``*`` would give inf,
+    except a first power, the factor itself.  A polynomial field's read is
+    Horner's rule over its float rows, one assignment per coefficient; any
+    other is a call of ``derivative``.  The cache key holds the field by
+    its provider, so a lookup hashes no row of exact coefficients."""
+    derivative = VectorField(d, provider, max_order).derivative
+    horner = provider.rows if isinstance(provider, _Horner) else ()
+
+    def read(i: int, k: int, p: int) -> list[str]:
+        if not (i <= d and i < len(horner) and (max_order is None or k <= max_order)):
+            return [f"d{p} = derivative({i}, {k}, z)"]
+        if k >= len(horner[i]):
+            return [f"d{p} = 0.0"]
+        first, *rest = horner[i][k]
+        return [f"d{p} = 0.0*z + {first!r}", *(f"d{p} = d{p}*z + {c!r}" for c in rest)]
+
+    lines: list[str] = []
+    done: set[int] = set()
+    for n, r in enumerate(support):
+        product = "1.0"
+        for i, k, m, p in expansion.rows[r][2]:
+            if p not in done:  # a power taken so far may overflow first
+                done.add(p)
+                if product != "1.0":
+                    lines.append(f"u{n} = {product}")
+                    product = f"u{n}"
+                lines += read(i, k, p)
+            product += f"*d{p}" if m == 1 else f"*d{p}**{m}"
+        lines.append(f"u{n} = {product}")
+    if davie:
+        total = "z" + "".join(
+            f" + u{n}/{expansion.rows[r][1]}*c{n}" for n, r in enumerate(support)
+        )
+    else:
+        total = "0.0" + "".join(f" + c{n}*u{n}" for n in range(len(support)))
+    return _straight_line(
+        "log-ODE right-hand side", [("z", None), ("c", len(support))], [total], lines,
+        {"derivative": derivative},
+    )
 
 
 def davie_expansion(
@@ -152,11 +207,9 @@ def davie_expansion(
     i, j = path.index_of(s), path.index_of(t)
     if i > j:
         raise ValueError(f"expansion needs s <= t, got s={s}, t={t}")
-    terms, width = _nonzero_terms(path.increment_by_index(i, j), level)
-    total = float(y)
-    for (x, sym, _), u in zip(terms, _upsilons(terms, width, f, y)):
-        total += u / sym * x
-    return total
+    expansion, support, xs = _nonzero(path.increment_by_index(i, j), level)
+    expand = _compiled(expansion, support, f.provider, f.d, f.max_order, True)
+    return expand(float(y), xs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -179,22 +232,16 @@ def logode_step(
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    terms, width = _nonzero_terms(lam, level)
-    coeffs = [x / sym for x, sym, _ in terms]
-
-    def rhs(z: float) -> float:
-        total = 0.0
-        for c, u in zip(coeffs, _upsilons(terms, width, f, z)):
-            total += c * u
-        return total
-
+    expansion, support, xs = _nonzero(lam, level)
+    c = tuple([x / expansion.rows[n][1] for n, x in zip(support, xs)])
+    rhs = _compiled(expansion, support, f.provider, f.d, f.max_order, False)
     h = 1.0 / substeps
     z = float(y)
     for n in range(1, substeps + 1):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
+        k1 = rhs(z, c)[0]
+        k2 = rhs(z + 0.5 * h * k1, c)[0]
+        k3 = rhs(z + 0.5 * h * k2, c)[0]
+        k4 = rhs(z + h * k3, c)[0]
         z = z + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if not math.isfinite(z) or abs(z) > _DIVERGENCE_BOUND:
             raise DivergedError(

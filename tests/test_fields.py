@@ -553,6 +553,16 @@ class TestVectorFieldJson:
         with pytest.raises(ValueError, match="^d must be at most 6, got 200000$"):
             vector_field_from_json({"d": 200000, "fields": []})
 
+    def test_a_row_of_more_than_512_coefficients_is_refused_before_it_is_read(self):
+        # its exact derivatives cost O(n²): 1 400 coefficients of "1e-3999"
+        # took 7.7 s and 56 MB; at the bound 512 take about 1 s
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^field letter 1: coeffs must hold at most 512 values, got 1400$"):
+            vector_field_from_json({"d": 1, "fields": [{"i": 1, "coeffs": ["1e-3999"] * 1400}]})
+        assert time.perf_counter() - start < LONG_EXPONENT_BUDGET_S
+        f = vector_field_from_json({"d": 1, "fields": [{"i": 1, "coeffs": ["0"] * 512}]})
+        assert len(f.poly_coeffs[1]) == 512
+
     def test_long_coefficient_row_reads_within_budget(self):
         # each derivative of a row is checked against the float range; taking
         # every order from scratch made this row take about 30 s, against

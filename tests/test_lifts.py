@@ -39,13 +39,13 @@ from mirpath.group import (
     _key_index,
     chen_compose,
     exp_element,
+    grid_from_json,
+    grid_payload,
 )
 from mirpath.lifts import (
     UnsupportedLevelError,
     _affine_weights,
     brownian_pair_statistics,
-    grid_from_json,
-    grid_payload,
     lift_brownian,
     lift_brownian_from_increments,
     lift_piecewise_linear,

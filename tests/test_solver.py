@@ -372,6 +372,100 @@ def test_power_overflow_before_a_missing_order_raises_what_the_reference_raises(
 
 
 # ---------------------------------------------------------------------------
+# the compiled right-hand side over long grids and long rows
+# ---------------------------------------------------------------------------
+
+
+def bm_flow_field() -> VectorField:
+    """The field of the bm-flow benchmark: a mean-reverting drift, one
+    quadratic and one affine diffusion letter."""
+    return VectorField.polynomial([("0.1", "-0.5"), ("1", "0", "-0.25"), ("0.5", "0.3")])
+
+
+def closure_field(d: int) -> VectorField:
+    """f_0 = 0.1 − 0.5·sin y and f_i = cos(y + i) for i ≥ 1, with three
+    derivative orders each."""
+    def shifted_cos(i: int) -> list[Callable[[float], float]]:
+        return [lambda y, k=k: math.cos(y + i + k * math.pi / 2) for k in range(4)]
+
+    drift = [lambda y: 0.1 - 0.5 * math.sin(y), lambda y: -0.5 * math.cos(y),
+             lambda y: 0.5 * math.sin(y), lambda y: 0.5 * math.cos(y)]
+    return VectorField.from_closures([drift, *(shifted_cos(i) for i in range(1, d + 1))])
+
+
+def long_row_field() -> VectorField:
+    """f_1 = 1 + 1e-300·y²⁵¹: 252 coefficients, beyond what one nested
+    Horner expression may hold."""
+    return VectorField.polynomial([(0,), (1, *[0] * 250, F(1, 10**300))])
+
+
+def _reference_flow(path, f, y0, substeps, level):
+    """The states of ``solve_flow`` over every stored step, each step taken
+    by ``_reference_logode_step``."""
+    values = [float(y0)]
+    for m in range(len(path.times) - 1):
+        lam = log_element(path.increment_by_index(m, m + 1))
+        values.append(_reference_logode_step(lam, f, values[-1], substeps, level))
+    return tuple(values)
+
+
+@pytest.mark.parametrize("make_field", [bm_flow_field, lambda: closure_field(2)],
+                         ids=["polynomial", "closures"])
+def test_compiled_rhs_matches_the_reference_over_256_brownian_steps(make_field):
+    f = make_field()
+    path = lift_brownian(d=2, t_final=1.0, n_steps=256, seed=5, mode="strat", grading=GRADING3)
+    sol = solve_flow(path, f, 0.2, substeps=4)
+    assert not sol.diverged
+    assert sol.values == _reference_flow(path, f, 0.2, 4, F(3))
+    for s, t in dyadic_pairs(path.times, 1, 64):
+        i, j, y = path.index_of(s), path.index_of(t), sol.value_at(s)
+        assert davie_expansion(path, f, s, t, y) == _reference_davie(path, f, i, j, y, F(3))
+
+
+def test_a_252_coefficient_row_matches_the_reference():
+    # Horner's rule is one assignment per coefficient: as one nested
+    # expression this row exceeds the parser's limit on nested parentheses
+    f = long_row_field()
+    path = lift_brownian(d=1, t_final=1.0, n_steps=64, seed=2, mode="strat", grading=GRADING3)
+    sol = solve_flow(path, f, 0.3, substeps=2)
+    assert not sol.diverged
+    assert sol.values == _reference_flow(path, f, 0.3, 2, F(3))
+
+
+@pytest.mark.parametrize("make_field", [cos_field, lambda: closure_field(1), long_row_field],
+                         ids=["polynomial", "closures", "long-row"])
+def test_an_element_with_empty_support_leaves_the_state_unchanged(make_field):
+    f = make_field()
+    y = 2.515151515151515
+    assert logode_step(LieElement(d=1, grading=GRADING3, values={}), f, y, substeps=2) == y
+    zero = RoughPathGrid(d=1, grading=GRADING3, times=(0.0, 1.0),
+                         increments=(identity_character(1, GRADING3),))
+    assert davie_expansion(zero, f, 0.0, 1.0, y) == y
+
+
+def test_the_compiled_rhs_is_found_without_hashing_the_field_rows(monkeypatch):
+    # a cache keyed on the field record would hash each of its exact
+    # coefficients at every step
+    path = lift_brownian(d=1, t_final=1.0, n_steps=16, seed=4, mode="strat", grading=GRADING3)
+    real = F.__hash__
+    counts = []
+    for f in (VectorField.polynomial([(0,), (1, 0, F(-1, 4))]), long_row_field()):
+        solve_flow(path, f, 0.3, substeps=2)  # compiles
+        calls = 0
+
+        def counting(x):
+            nonlocal calls
+            calls += 1
+            return real(x)
+
+        monkeypatch.setattr(F, "__hash__", counting)
+        solve_flow(path, f, 0.3, substeps=2)
+        monkeypatch.undo()
+        counts.append(calls)
+    assert counts[0] == counts[1]
+
+
+# ---------------------------------------------------------------------------
 # flow composition
 # ---------------------------------------------------------------------------
 

@@ -37,9 +37,8 @@ from mirpath.cli import _write
 from mirpath.cli import main as cli_main
 from mirpath.fields import VectorField, vector_field_from_json, vector_field_payload
 from mirpath.grammar import format_multi_index
-from mirpath.group import GroupElement, _key_index
+from mirpath.group import GroupElement, _key_index, grid_payload
 from mirpath.lifts import (
-    grid_payload,
     lift_brownian,
     lift_piecewise_linear,
     read_path_csv,
@@ -1832,6 +1831,31 @@ def test_flow_pipeline_loads_no_numpy_translation_or_verify(tmp_path):
         print(json.dumps({{"codes": codes, "loaded": loaded}}))
     """, tmp_path)
     assert got == {"codes": [0, 0, 0], "loaded": []}
+
+
+def test_solve_and_davie_report_load_no_lifts(tmp_path):
+    # the grid reader lives in group; one process per stage, as lift loads lifts
+    write_field_json(tmp_path / "field.json", [(0,), (1,)])
+    _lift_in_its_own_process(tmp_path, "--brownian", "strat", "--d", "1", "--steps", "4")
+    for command in ("solve", "davie-report"):
+        got = _run_python(f"""
+            import json, sys
+            from mirpath.cli import main
+            code = main([{command!r}, "--grid", "grid.json", "--field", "field.json",
+                         "--no-timestamp", "--out", "out.json"])
+            print(json.dumps({{"code": code, "lifts": "mirpath.lifts" in sys.modules}}))
+        """, tmp_path)
+        assert got == {"code": 0, "lifts": False}, command
+
+
+def test_a_field_row_beyond_512_coefficients_exits_2_naming_its_letter(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    grid = grid_payload(lift_brownian(1, 1.0, 4, 0, "strat", Grading(3, Fraction(1, 2))))
+    Path("grid.json").write_text(json.dumps({"grid": grid}))
+    Path("field.json").write_text(json.dumps({"d": 1, "fields": [{"i": 1, "coeffs": ["1"] * 513}]}))
+    code, out, err = run_cli("solve", "--grid", "grid.json", "--field", "field.json")
+    assert (code, out) == (2, "")
+    assert "field letter 1: coeffs must hold at most 512 values, got 513" in err
 
 
 def test_verify_and_translate_load_no_dataclasses_inspect_or_platform(tmp_path):
