@@ -18,9 +18,9 @@ Two private kernels carry the expansions of the exact layer.
 ``_distribute`` sums over every assignment of the components of one forest
 to the components of another, or to a kept slot; the simultaneous graft, the
 Grossman–Larson product (in one pass) and the forest insertion in
-:mod:`mirpath.translation` use it.  It reads the weighted spreads of equal
-components over the slots from a table built once per shape, and builds its
-output forests without re-checking their components.  ``_multiply_out``
+:mod:`mirpath.translation` use it.  It reads the weighted assignments of
+equal components to the slots from a plan built once per shape, and builds
+its output forests without re-checking their components.  ``_multiply_out``
 multiplies an ordered list of sums out onto a starting key; the insertion into
 a monomial and the translation of monomials and forests use it, and only the
 dual table of the translation passes it a truncation.  It, ``gl_product`` and
@@ -667,6 +667,24 @@ def _spreads(r: int, slots: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     )
 
 
+@lru_cache(maxsize=1 << 8)
+def _plan(rs: tuple[int, ...], targets: int, keep: bool) -> tuple:
+    """The assignments :func:`_distribute` sums for distinct parts of the
+    multiplicities ``rs``: one pick from :func:`_spreads` per part, in the
+    order of their product, as (count, fixed, filled) indexing the parts and
+    then the targets: the number of assignments that make it, the kept parts
+    and the targets receiving none, and (target, its parts) for the others."""
+    plan = []
+    for choice in itertools.product(*[_spreads(r, targets + keep) for r in rs]):
+        buckets = [[g for g, (pick, _) in enumerate(choice) for slot in pick if slot == s]
+                   for s in range(targets + keep)]
+        kept = buckets.pop() if keep else []
+        plan.append((math.prod(ways for _pick, ways in choice),
+                     (*kept, *(len(rs) + t for t, b in enumerate(buckets) if not b)),
+                     tuple((len(rs) + t, tuple(b)) for t, b in enumerate(buckets) if b)))
+    return tuple(plan)
+
+
 def _distribute(left: Forest, right: Forest, slot_sum: Callable, keep=False) -> FormalSum:
     """The sum of forests over every assignment of each component of ``left``
     to one component of ``right`` or, with ``keep``, to a kept slot: a
@@ -675,26 +693,24 @@ def _distribute(left: Forest, right: Forest, slot_sum: Callable, keep=False) -> 
     none and the kept parts stay, and each assignment adds the forests of
     their Cartesian product.
 
-    Equal parts are interchangeable, so the assignments are enumerated as
-    one pick from :func:`_spreads` per distinct part, weighted by the number
-    of assignments that make it.  ``slot_sum`` must yield nonempty
-    monomials: the output forests are built without re-checking them."""
+    Equal parts are interchangeable, so the assignments are read from the
+    :func:`_plan` of the shape of ``left``, each weighted by the number of
+    assignments that make it; one filling a single slot skips the Cartesian
+    product.  ``slot_sum`` must yield nonempty monomials: the output forests
+    are built without re-checking them."""
     groups = left.multiplicities()
-    targets = right.components
-    slots = len(targets) + keep
+    pool = [*(part for part, _r in groups), *right.components]
     trusted = Forest._trusted
     total: dict[Forest, int] = {}
     get = total.get
-    for choice in itertools.product(*[_spreads(r, slots) for _, r in groups]):
-        buckets: list[list[MultiIndex]] = [[] for _ in range(slots)]
-        count = 1
-        for (part, _r), (pick, ways) in zip(groups, choice):
-            for slot in pick:
-                buckets[slot].append(part)
-            count *= ways
-        fixed = [*buckets[-1]] if keep else []
-        fixed += [c for b, c in zip(buckets, targets) if not b]
-        slot_sums = [slot_sum(tuple(b), c) for b, c in zip(buckets, targets) if b]
+    for count, fixed, filled in _plan(tuple(r for _, r in groups), len(right.components), keep):
+        fixed = [pool[i] for i in fixed]
+        slot_sums = [slot_sum(tuple([pool[g] for g in b]), pool[t]) for t, b in filled]
+        if len(slot_sums) == 1:
+            for mi, c in slot_sums[0]:
+                forest = trusted([*fixed, mi])
+                total[forest] = get(forest, 0) + count * c
+            continue
         for combo in itertools.product(*slot_sums):
             coeff = count
             comps = fixed.copy()

@@ -106,30 +106,37 @@ class _Expansion:
 
 
 @lru_cache(maxsize=32)
-def _expansion(d: int, grading: Grading, level: Fraction | int | None) -> _Expansion:
-    """The expansion at ``level`` (default: the stored degree, which it may
-    not exceed), prepared once: per β of its basis, the slot of β in an
-    element's ``coords``, S(β) and the variables (i, k, m, p) of β, p
-    indexing the distinct f_i^{(k)} the basis reads.  A run needs one key;
-    the bound only stops a process that tries many levels from growing."""
-    level = Fraction(grading.max_norm if level is None else level)
-    if level > grading.max_norm:
-        raise ValueError(
-            f"truncation level {level} exceeds the stored degree {grading.max_norm}"
-        )
-    index = _key_index(d, grading.max_norm)
+def _expansion(d: int, max_norm: int, gamma: tuple, level: tuple) -> _Expansion:
+    """The expansion at ``level`` for the grading (``max_norm``, ``gamma``),
+    both exponents as (numerator, denominator), so a lookup hashes no
+    ``Fraction``, prepared once: per β of its basis, its slot in ``coords``,
+    S(β) and its variables (i, k, m, p), p indexing the distinct f_i^{(k)}
+    the basis reads.  The bound only stops a process trying many levels."""
+    level = Fraction(*level)
+    if level > max_norm:
+        raise ValueError(f"truncation level {level} exceeds the stored degree {max_norm}")
+    index = _key_index(d, max_norm)
     pairs: dict[tuple[int, int], int] = {}
     return _Expansion(tuple(
         (index[beta], beta.symmetry_factor(),
          tuple((i, k, m, pairs.setdefault((i, k), len(pairs))) for (i, k), m in beta.entries))
-        for beta in expansion_basis(d, grading.gamma, level)
+        for beta in expansion_basis(d, Fraction(*gamma), level)
     ))
+
+
+def _expansion_of(d: int, grading: Grading, level: Fraction | int | None) -> _Expansion:
+    """:func:`_expansion` at ``level`` (default: the stored degree) for ``grading``."""
+    level = grading.max_norm if level is None else level
+    if type(level) is not int and type(level) is not Fraction:  # a float, a numpy int, ...
+        level = Fraction(level)
+    return _expansion(d, grading.max_norm, grading.gamma.as_integer_ratio(),
+                      level.as_integer_ratio())
 
 
 def _nonzero(element, level: Fraction | int | None) -> tuple[_Expansion, tuple[int, ...], tuple]:
     """The expansion at ``level``, the indices of its rows on which
     ``element`` is nonzero (its support), and the element's values there."""
-    expansion = _expansion(element.d, element.grading, level)
+    expansion = _expansion_of(element.d, element.grading, level)
     coords = element.coords
     rows = expansion.rows
     support = tuple([n for n, (slot, _, _) in enumerate(rows) if coords[slot] != 0.0])
@@ -329,7 +336,7 @@ def solve_flow(
         raise ValueError(f"initial state {y0} lies beyond the state bound {_DIVERGENCE_BOUND:g}")
     indices = _mesh_indices(path, mesh_level)
     level = Fraction(path.grading.max_norm if level is None else level)
-    _expansion(path.d, path.grading, level)  # refuses a level above the stored degree
+    _expansion_of(path.d, path.grading, level)  # refuses a level above the stored degree
     times = [path.times[0]]
     values = [float(y0)]
     message = ""

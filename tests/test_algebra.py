@@ -15,6 +15,7 @@ this file.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,9 @@ from mirpath.algebra import (
     FormalSum,
     Grading,
     MultiIndex,
+    _distribute,
+    _graft_slot,
+    _plan,
     _spreads,
     derivation_d,
     deshuffle,
@@ -463,6 +467,42 @@ def test_spread_table_counts_every_assignment_once():
         assert all(len(pick) == r and list(pick) == sorted(pick) for pick in picks)
         assert all(0 <= slot < slots for pick in picks for slot in pick)
         assert len(set(picks)) == len(picks), (r, slots)
+    # a plan lists every assignment of parts with these multiplicities once
+    for rs in [(), (1,), (3,), (1, 1), (2, 1), (1, 2, 1), (2, 2), (1, 1, 1, 1)]:
+        for targets, keep in itertools.product(range(4), (False, True)):
+            slots = targets + keep
+            counts = [count for count, _fixed, _filled in _plan(rs, targets, keep)]
+            assert sum(counts) == slots ** sum(rs), (rs, targets, keep)
+
+
+def _distribute_by_brute_force(left, right, slot_sum, keep):
+    """The sum over all slots**parts assignments of the components of
+    ``left``, equal ones told apart, to the components of ``right`` and,
+    with ``keep``, a kept slot."""
+    parts, targets = left.components, right.components
+    slots = len(targets) + keep
+    total: dict = {}
+    for assignment in itertools.product(range(slots), repeat=len(parts)):
+        buckets = [[p for p, s in zip(parts, assignment) if s == t] for t in range(slots)]
+        fixed = (buckets[-1] if keep else []) + [c for b, c in zip(buckets, targets) if not b]
+        sums = [slot_sum(tuple(b), c) for b, c in zip(buckets, targets) if b]
+        for combo in itertools.product(*sums):
+            forest = Forest([*fixed, *(mi for mi, _c in combo)])
+            total[forest] = total.get(forest, 0) + math.prod(c for _mi, c in combo)
+    return FormalSum(total)
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_distribute_matches_a_sum_over_every_assignment_in_order(keep):
+    # 1-4 parts with repeats onto 1-3 targets: same terms, same order
+    pool = [parse_multi_index(t, d=1) for t in ("z(1,0)", "z(0,0)", "z(1,0)z(1,1)")]
+    for n_parts, n_targets in itertools.product(range(1, 5), range(1, 4)):
+        for parts in itertools.combinations_with_replacement(pool, n_parts):
+            for targets in itertools.combinations_with_replacement(pool[:2], n_targets):
+                left, right = Forest(parts), Forest(targets)
+                got = _distribute(left, right, _graft_slot, keep)
+                want = _distribute_by_brute_force(left, right, _graft_slot, keep)
+                assert list(got.items()) == list(want.items()), (left, right)
 
 
 # coefficients over the mixed denominators 2, 3, 5 and 6

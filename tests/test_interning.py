@@ -319,6 +319,7 @@ def test_every_module_level_cache_is_bounded():
         "algebra.deshuffle",
         "algebra._graft_slot",
         "algebra._spreads",
+        "algebra._plan",
         "lifts._affine_weights",
         "translation._translate_mi",
         "translation._dual_table",

@@ -744,6 +744,29 @@ class TestDavieReport:
         davie_residual_report(path, f, sol, dyadic_pairs(sol.times, 1, 16))
         assert (_expansion.cache_info().misses, _expansion.cache_info().currsize) == (1, 1)
 
+    def test_solve_and_report_hash_no_fraction_per_step(self, monkeypatch):
+        # the expansion is looked up by integers, so no step hashes γ or the level
+        f = VectorField.polynomial([("0.1", "-0.5"), ("1", "0", "-0.25"), ("0.5", "0.3")])
+        fraction_hash = Fraction.__hash__
+        calls = []
+
+        def counting(self):
+            calls.append(None)
+            return fraction_hash(self)
+
+        counts = []
+        for n_steps in (64, 1024):
+            path = lift_brownian(d=2, t_final=1.0, n_steps=n_steps, seed=3, mode="strat",
+                                 grading=GRADING3)
+            monkeypatch.setattr(Fraction, "__hash__", counting)
+            calls.clear()
+            sol = solve_flow(path, f, 0.2, substeps=4)
+            solve_calls = len(calls)
+            davie_residual_report(path, f, sol, dyadic_pairs(sol.times, 1, 16))
+            counts.append((solve_calls, len(calls) - solve_calls))
+            monkeypatch.undo()
+        assert counts[0] == counts[1]
+
     def test_residuals_do_not_move_with_the_time_origin(self):
         # epoch-style times used to shift every pair onto its lower neighbour
         xs = [0.0, 0.3, -0.1, 0.4, 0.2, 0.5, 0.1, -0.2, 0.0]

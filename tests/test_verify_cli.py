@@ -16,9 +16,11 @@ import copy
 import importlib
 import inspect
 import io
+import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -32,7 +34,7 @@ from hypothesis import strategies as st
 
 import mirpath
 from mirpath import algebra
-from mirpath.algebra import Grading, MultiIndex, enumerate_populated
+from mirpath.algebra import FormalSum, Grading, MultiIndex, enumerate_populated, prelie_graft
 from mirpath.cli import _write
 from mirpath.cli import main as cli_main
 from mirpath.fields import VectorField, vector_field_from_json, vector_field_payload
@@ -45,8 +47,15 @@ from mirpath.lifts import (
     write_path_csv,
 )
 from mirpath.solver import solve_flow
-from mirpath.translation import Character, character_to_json, identity_characters
-from mirpath.verify import SuiteResult, _worst_defect, available_suites, run_all_suites
+from mirpath.translation import Character, character_to_json, identity_characters, insert_prelie
+from mirpath.verify import (
+    SuiteResult,
+    _associator,
+    _nap_side,
+    _worst_defect,
+    available_suites,
+    run_all_suites,
+)
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -85,7 +94,45 @@ def write_field_json(path, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _extended(op, p, q) -> FormalSum:
+    """The basis product ``op`` extended bilinearly to the sums ``p`` and
+    ``q`` (a bare basis element stands for itself) by ``FormalSum``
+    arithmetic, term by term."""
+    p, q = (s if isinstance(s, FormalSum) else FormalSum.of(s) for s in (p, q))
+    total = FormalSum.zero()
+    for x, cx in p.items():
+        for y, cy in q.items():
+            total = total + op(x, y).scale(cx * cy)
+    return total
+
+
+def _sampled_triples(d: int) -> list[tuple[MultiIndex, ...]]:
+    """Every triple of degree ≤ 2 over letters 0..d, then 60 seeded triples
+    of degree ≤ 3."""
+    rng = random.Random(d)
+    deep = enumerate_populated(d, 3)
+    drawn = [tuple(rng.choice(deep) for _ in range(3)) for _ in range(60)]
+    return [*itertools.product(enumerate_populated(d, 2), repeat=3), *drawn]
+
+
 class TestSuiteEngine:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_each_defect_equals_its_formal_sum_reference(self, d):
+        # (a▷b)▷c − a▷(b▷c) for both pre-Lie products, and the NAP side
+        # (b▷c)▷a − b▷(a▷c), each recomputed with FormalSum arithmetic
+        graft, insert = _associator(prelie_graft), _associator(insert_prelie)
+        nonzero = 0
+        for a, b, c in _sampled_triples(d):
+            for op, got in ((prelie_graft, graft(a, b, c)), (insert_prelie, insert(a, b, c))):
+                want = _extended(op, op(a, b), c) - _extended(op, a, op(b, c))
+                assert got == want, (op.__name__, a, b, c)
+            want = _extended(prelie_graft, prelie_graft(b, c), a) - _extended(
+                prelie_graft, b, prelie_graft(a, c)
+            )
+            assert _nap_side(a, b, c) == want, (a, b, c)
+            nonzero += bool(_extended(insert_prelie, a, insert_prelie(b, c)))
+        assert nonzero > 0  # the second half of the insertion defect is exercised
+
     def test_worst_defect_reports_the_first_nan(self):
         # np.argmax returned the first NaN; a defect loop must not skip it,
         # so that a NaN fails every tolerance
