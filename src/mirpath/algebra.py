@@ -30,6 +30,7 @@ divide once per term.
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
 cleared when full, so equal keys usually meet by identity in dict lookups.
+A monomial is keyed by its exponent word, so a product is one addition.
 A clear of the monomial table empties the forest table too, so no forest
 outlives the monomials it was built from.  Equality and hashing stay
 structural, so an object built before a clear still equals, hashes like and
@@ -62,14 +63,17 @@ class AlphabetMismatchError(ValueError):
 
 Entry = tuple[tuple[int, int], int]
 
-# Hash-consing tables: the canonical MultiIndex per (letters, entries) and the
-# canonical Forest per components tuple.  Each is cleared when it reaches its
-# bound.  One suite of ``verify --d 2 --max-norm 3`` fills them to at most
-# about 4 400 and 6 800 (``star-associative``), and the exact acceptance
-# suite (criterion 01) to about 20 000 and 2 000.
+# Hash-consing tables, each cleared at its bound: the canonical MultiIndex per
+# (letters, word), or (letters, entries) without a word, and the canonical
+# Forest per components tuple.  One suite of ``verify --d 2 --max-norm 3``
+# fills them to at most about 4 400 and 6 800 (``star-associative``), and the
+# exact acceptance suite (criterion 01) to about 20 000 and 2 000.
 _MULTI_INDEX_BOUND = 1 << 15
 _FOREST_BOUND = 1 << 15
-_MULTI_INDICES: dict[tuple[int, tuple[Entry, ...]], "MultiIndex"] = {}
+_MULTI_INDICES: dict[tuple[int, int | tuple[Entry, ...]], "MultiIndex"] = {}
+# A word holds β(i,k) in its 16-bit field k·letters + i.  A monomial has one
+# only if its degree is below 2¹⁶, so no field carries, and each field is < 64.
+_FIELD_BITS, _WORD_FIELDS = 16, 64
 _FORESTS: dict[tuple["MultiIndex", ...], "Forest"] = {}
 
 
@@ -108,14 +112,15 @@ class MultiIndex:
     creates a new key.
 
     Instances are immutable and hash-consed: every construction returns the
-    one canonical object for ``(letters, entries)`` held in a bounded intern
-    table, so equal keys meet by identity in dict and set lookups.  The table
-    is cleared when full; an object built before that stays valid, because
-    equality and hashing remain structural.  Pickling and copying rebuild
-    through the constructor and so land on the canonical object.
+    one canonical object for its value, held in a bounded intern table under
+    ``(letters, word)``, the word being Σ β(i,k)·2^(16·(k·letters + i)), or
+    under ``(letters, entries)`` if it has none.  The table is cleared when
+    full; an object built before that stays valid, because equality and
+    hashing remain structural.  Pickling and copying rebuild through the
+    constructor and so land on the canonical object.
     """
 
-    __slots__ = ("entries", "letters", "_hash", "_degree")
+    __slots__ = ("entries", "letters", "_hash", "_degree", "_word")
 
     def __new__(cls, entries: Iterable[Entry] | dict[tuple[int, int], int], letters: int):
         items = entries.items() if isinstance(entries, dict) else entries
@@ -137,12 +142,19 @@ class MultiIndex:
 
     @classmethod
     def _trusted(
-        cls, entries: tuple[Entry, ...], letters: int, degree: int
+        cls, entries: tuple[Entry, ...], letters: int, degree: int, word: int | None = None
     ) -> "MultiIndex":
-        """The canonical object for already-checked entries: sorted by
-        variable, every frequency positive, every letter inside the alphabet,
-        and ``degree`` the sum of the frequencies."""
-        key = (letters, entries)
+        """The canonical object for already-checked entries (sorted by variable,
+        every frequency positive, every letter inside the alphabet), given
+        their degree and, if known, their exponent word."""
+        if word is None and not degree >> _FIELD_BITS:
+            word = 0
+            for (i, k), m in entries:
+                if k * letters + i >= _WORD_FIELDS:
+                    word = None
+                    break
+                word += m << _FIELD_BITS * (k * letters + i)
+        key = (letters, entries if word is None else word)
         self = _MULTI_INDICES.get(key)
         if self is None:
             if len(_MULTI_INDICES) >= _MULTI_INDEX_BOUND:
@@ -150,8 +162,9 @@ class MultiIndex:
             self = object.__new__(cls)
             self.entries = entries
             self.letters = letters
-            self._hash = hash(key)
+            self._hash = hash((letters, entries))
             self._degree = degree
+            self._word = word
             _MULTI_INDICES[key] = self
         return self
 
@@ -228,8 +241,16 @@ class MultiIndex:
             return self
         if not a:
             return other
-        # merge the two sorted entry tuples, adding the frequencies of a
-        # variable present in both
+        degree = self._degree + other._degree
+        word = None
+        # below degree 2¹⁶ no field of the sum carries into its neighbour
+        if self._word is not None and other._word is not None and not degree >> _FIELD_BITS:
+            word = self._word + other._word
+            found = _MULTI_INDICES.get((self.letters, word))
+            if found is not None:
+                return found
+        # a new monomial: merge the two sorted entry tuples, adding the
+        # frequencies of a variable present in both
         merged = []
         p = q = 0
         while p < len(a) and q < len(b):
@@ -245,26 +266,38 @@ class MultiIndex:
                 p += 1
                 q += 1
         entries = (*merged, *a[p:], *b[q:])
-        return MultiIndex._trusted(entries, self.letters, self._degree + other._degree)
+        return MultiIndex._trusted(entries, self.letters, degree, word)
 
     def with_bumped(self, i: int, k: int) -> "MultiIndex":
         """Replace one copy of z(i,k) by z(i,k+1)."""
-        merged = dict(self.entries)
-        merged[(i, k)] -= 1
-        if merged[(i, k)] == 0:
-            del merged[(i, k)]
-        merged[(i, k + 1)] = merged.get((i, k + 1), 0) + 1
-        return MultiIndex._trusted(tuple(sorted(merged.items())), self.letters, self._degree)
+        return self._moved(i, k, 1)
 
     def without(self, i: int, k: int) -> "MultiIndex":
         """Remove one copy of z(i,k); raises if not present."""
+        return self._moved(i, k, 0)
+
+    def _moved(self, i: int, k: int, up: int) -> "MultiIndex":
+        """This monomial with one z(i,k) raised to z(i,k+1) (up = 1) or removed."""
+        word, letters = self._word, self.letters
+        field = k * letters + i
+        if word is None or not 0 <= i < letters or k < 0 or field + up * letters >= _WORD_FIELDS:
+            word = None  # the result has no word, or z(i,k) is absent
+        elif word >> _FIELD_BITS * field & (1 << _FIELD_BITS) - 1:  # never borrow when absent
+            word += (up << _FIELD_BITS * (field + letters)) - (1 << _FIELD_BITS * field)
+            found = _MULTI_INDICES.get((letters, word))
+            if found is not None:
+                return found
         merged = dict(self.entries)
-        have = merged.pop((i, k), 0)
+        have = merged.pop((i, k)) if up else merged.pop((i, k), 0)  # KeyError if up
         if not have:
             raise ValueError(f"cannot remove z({i},{k})^1: only 0 present")
         if have > 1:
             merged[(i, k)] = have - 1
-        return MultiIndex._trusted(tuple(sorted(merged.items())), self.letters, self._degree - 1)
+        if up:
+            merged[(i, k + 1)] = merged.get((i, k + 1), 0) + 1
+        return MultiIndex._trusted(
+            tuple(sorted(merged.items())), letters, self._degree - 1 + up, word
+        )
 
 
 def empty_multi_index(d: int) -> MultiIndex:
@@ -426,6 +459,13 @@ def _numerators(s: "FormalSum") -> tuple[Iterable, int]:
     return [(b, c.numerator * (den // c.denominator)) for b, c in s.terms.items()], den
 
 
+@lru_cache(maxsize=1 << 12)
+def _quotient(n: int, den: int) -> Fraction:
+    """``Fraction(n, den)``, built once per ``(n, den)`` while cached: a few
+    coefficients recur in many sums, which share them, being immutable."""
+    return Fraction(n, den)
+
+
 class FormalSum:
     """Finite linear combination of hashable basis elements over ℚ.
 
@@ -461,7 +501,7 @@ class FormalSum:
         if den == 1:
             self.terms = {b: c for b, c in terms.items() if c}
         else:
-            self.terms = {b: Fraction(n, den) for b, n in terms.items() if n}
+            self.terms = {b: _quotient(n, den) for b, n in terms.items() if n}
         return self
 
     @classmethod
@@ -751,7 +791,7 @@ def _multiply_out(
 def _graft_slot(bucket: tuple[MultiIndex, ...], comp: MultiIndex) -> tuple:
     """(Π bucket)·Dⁿ comp, n = len(bucket), as (monomial, coefficient) pairs;
     memoized, since one (bucket, component) pair recurs across products."""
-    prefix = reduce(MultiIndex.mul, bucket, MultiIndex((), comp.letters))
+    prefix = reduce(MultiIndex.mul, bucket)  # a bucket is never empty
     return tuple(
         (prefix.mul(mi), c) for mi, c in _derivative_terms(comp, len(bucket)).items()
     )

@@ -4,7 +4,8 @@ Every construction of a ``MultiIndex`` or a ``Forest`` returns the canonical
 object for its value, held in a bounded intern table that is cleared when
 full.  The tests below pin the contract that makes this safe:
 
-* equal results of every construction path are the identical object;
+* equal results of every construction path are the identical object, also
+  where a monomial is keyed by its entries instead of its exponent word;
 * pickling and copying rebuild through the constructor;
 * objects from before a clear still compare, hash and look up as equal;
 * equality stays structural (the alphabet size is part of the value) and the
@@ -24,11 +25,12 @@ import itertools
 import pickle
 import pkgutil
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import mirpath
@@ -57,6 +59,7 @@ from mirpath.translation import (
     m_ell,
     translate,
 )
+from mirpath.verify import run_all_suites
 
 TABLES = (
     (algebra._MULTI_INDICES, algebra._MULTI_INDEX_BOUND),
@@ -140,6 +143,102 @@ def test_every_construction_path_returns_the_canonical_object(fresh_tables, pair
     assert Forest([b]).merge(Forest([a, a])).components is f.components
     assert Forest([]).merge(f) is f is f.merge(Forest())
     assert hash(f) == hash(f.components)
+
+
+def _merged(*maps):
+    """The frequencies of the product of monomials given as entry maps."""
+    out = {}
+    for entries in maps:
+        for key, m in entries.items():
+            out[key] = out.get(key, 0) + m
+    return out
+
+
+@st.composite
+def _wide_pairs(draw):
+    """Two monomials whose variables sit near the last field of the exponent
+    word, and past it, with frequencies near 2¹⁶, so that the word key, the
+    entries key and the switch between them all occur."""
+    d = draw(st.integers(1, 3))
+    edge = algebra._WORD_FIELDS // (d + 1)
+    arity = st.sampled_from([0, 1, 2, edge - 1, edge, edge + 1, 32767])
+    frequency = st.integers(1, 3) | st.sampled_from([1 << 15, (1 << 16) - 1, 1 << 16, 40000])
+    entries = st.dictionaries(
+        st.tuples(st.integers(0, d), arity), frequency, min_size=1, max_size=3
+    )
+    return d, draw(entries), draw(entries)
+
+
+# 150 examples add a few thousand monomials, far below the bound, so no clear
+# splits an example
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(pair=_wide_pairs())
+@example(pair=(2, {(1, 0): 40000}, {(1, 0): 30000}))  # a sum that would carry
+@example(pair=(1, {(1, 0): 1 << 15}, {(1, 0): 1 << 15, (0, 1): 1}))
+@example(pair=(2, {(0, 2): 1, (2, 1): 2}, {(1, 0): 1}))  # z(3,1) would alias z(0,2)
+def test_word_keyed_products_match_the_entries_merge(fresh_tables, pair):
+    d, ea, eb = pair
+    letters = d + 1
+    a, b = MultiIndex(ea, letters), MultiIndex(eb, letters)
+    assert a.mul(b) is b.mul(a) is MultiIndex(_merged(ea, eb), letters)
+    for (i, k), m in ea.items():
+        raised = _merged(ea, {(i, k): -1, (i, k + 1): 1})
+        assert a.with_bumped(i, k) is MultiIndex(raised, letters)
+        assert a.without(i, k) is MultiIndex(_merged(ea, {(i, k): -1}), letters)
+        # an absent neighbour, in the alphabet or just outside it, is refused
+        # as by the entries path, never read from an adjacent field
+        for key in itertools.product(range(-1, letters + 1), range(k - 1, k + 2)):
+            if key in ea:
+                continue
+            with pytest.raises(KeyError) as raised_error:
+                a.with_bumped(*key)
+            assert raised_error.value.args == (key,)
+            message = f"cannot remove z({key[0]},{key[1]})^1: only 0 present"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                a.without(*key)
+    assert hash(a) == hash((letters, a.entries))
+
+
+def test_an_absent_variable_never_borrows_from_the_next_field(fresh_tables):
+    # one unit less at the empty field 0 of z(1,0)'s word 2¹⁶ is the word
+    # 2¹⁶ − 1 of z(0,0)^65535; once that monomial exists, a removal that
+    # skipped the presence check would return it
+    MultiIndex({(0, 0): (1 << 16) - 1}, 2)
+    with pytest.raises(ValueError, match=r"^cannot remove z\(0,0\)\^1: only 0 present$"):
+        single(1, 0, 1).without(0, 0)
+    with pytest.raises(KeyError):
+        single(1, 0, 1).with_bumped(0, 0)
+
+
+def test_formal_sums_build_one_rational_per_numerator_and_denominator(monkeypatch):
+    # count the Fraction constructions made inside FormalSum._of
+    built: Counter = Counter()
+    inside = []
+    of, new = algebra.FormalSum._of.__func__, Fraction.__new__
+
+    def counting_of(cls, terms, den=1):
+        inside.append(den)
+        try:
+            return of(cls, terms, den)
+        finally:
+            inside.pop()
+
+    def counting_new(cls, numerator=0, denominator=None, **kwargs):
+        if inside:
+            built[numerator, denominator] += 1
+        return new(cls, numerator, denominator, **kwargs)
+
+    monkeypatch.setattr(algebra.FormalSum, "_of", classmethod(counting_of))
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    algebra.clear_caches()
+    [result] = run_all_suites(2, 3, 0, suites=["translate-morphism"])
+    monkeypatch.undo()
+    assert result.passed and result.checked > 0
+    assert built and max(built.values()) == 1, built.most_common(3)
 
 
 def test_equal_values_from_independent_routes_share_one_object(fresh_tables):
