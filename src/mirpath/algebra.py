@@ -25,7 +25,10 @@ multiplies an ordered list of sums out onto a starting key; the insertion into
 a monomial and the translation of monomials and forests use it, and only the
 dual table of the translation passes it a truncation.  It, ``gl_product`` and
 ``FormalSum.linear`` add ``int`` numerators over one common denominator and
-divide once per term.
+divide once per term.  A result is handed out, not copied: ``FormalSum._of``
+keeps the dict its caller built when no coefficient needs dividing or
+dropping, and ``gl_product`` of two basis forests returns the cached
+``_star_basis`` sum itself.
 
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
@@ -496,10 +499,15 @@ class FormalSum:
     def _of(cls, terms: dict, den: int = 1) -> "FormalSum":
         """Trusted constructor for ``int`` or ``Fraction`` coefficients, or
         ``int`` numerators over the common denominator ``den``: drops the
-        zeros, divides the others by ``den`` once, and checks nothing else."""
+        zeros, divides the others by ``den`` once, and checks nothing else.
+
+        With ``den == 1`` and no zero coefficient the sum keeps ``terms``
+        itself, so a caller passes a dict it built and returns the result at
+        once, never touching the dict again (a test checks that every call
+        sits in a ``return``)."""
         self = object.__new__(cls)
         if den == 1:
-            self.terms = {b: c for b, c in terms.items() if c}
+            self.terms = terms if all(terms.values()) else {b: c for b, c in terms.items() if c}
         else:
             self.terms = {b: _quotient(n, den) for b, n in terms.items() if n}
         return self
@@ -848,7 +856,12 @@ def _star_basis(u: Forest, v: Forest) -> FormalSum:
 
 
 def gl_product(u: FormalSum | Forest, v: FormalSum | Forest) -> FormalSum:
-    """Associative product on formal sums of forests, unit ∅, untruncated."""
+    """Associative product on formal sums of forests, unit ∅, untruncated.
+
+    Two basis forests give the cached :func:`_star_basis` sum itself, shared
+    between callers like every memoized result."""
+    if isinstance(u, Forest) and isinstance(v, Forest):
+        return _star_basis(u, v)
     if isinstance(u, Forest):
         u = FormalSum.of(u)
     if isinstance(v, Forest):

@@ -241,9 +241,10 @@ def _json_value(value, kind: str, what: str | Callable[[], str]):
         with contextlib.suppress(ValueError, ZeroDivisionError):
             return _rational(value)
     elif kind == "number" and type(value) in (int, float):
-        with contextlib.suppress(OverflowError):
+        try:
             return float(value)
-        kind = "number in the float range"
+        except OverflowError:
+            kind = "number in the float range"
     elif type(value) is int if kind == "integer" else isinstance(value, _JSON_KINDS[kind]):
         return value
     name = what() if callable(what) else what

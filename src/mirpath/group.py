@@ -441,7 +441,9 @@ def grid_from_json(doc: str | Mapping) -> RoughPathGrid:
                     raise ValueError(f"{key!r} repeats the key {format_multi_index(index[p])}")
                 slots[key] = p
                 taken.add(p)
-            row[p] = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
+            if type(v) is not float:  # a float is stored as it is
+                v = _json_value(v, "number", lambda: f"increment {m} at {key!r}")
+            row[p] = v
         coords.append(tuple(row))
     depth = max((index[p].degree() for p in taken), default=0)
     return RoughPathGrid._of(d, grading, times, tuple(coords), depth)

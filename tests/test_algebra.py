@@ -23,6 +23,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirpath import algebra
 from mirpath.algebra import (
     EMPTY_FOREST,
     Forest,
@@ -438,6 +439,30 @@ def test_product_matches_its_deshuffle_definition_on_every_basis_pair():
     basis = forest_basis(2, 3)
     for u, v in itertools.product(basis, repeat=2):
         assert gl_product(u, v) == _star_by_deshuffle(u, v), (u, v)
+
+
+def test_product_of_two_basis_forests_matches_the_sum_path():
+    # two forests take the cached product itself, one-term sums re-add it
+    basis = forest_basis(2, 3)
+    for u, v in itertools.product(basis, repeat=2):
+        if u.degree() + v.degree() <= 4:
+            assert gl_product(u, v) == gl_product(FormalSum.of(u), FormalSum.of(v)), (u, v)
+
+
+def test_product_of_two_basis_forests_is_built_once_and_shared(monkeypatch):
+    built = []
+    distribute = algebra._distribute
+
+    def counting(*args, **kwargs):
+        built.append(args[:2])
+        return distribute(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "_distribute", counting)
+    algebra.clear_caches()
+    u, v = parse_forest("z(1,0)*z(2,0)", d=2), parse_forest("z(1,1)z(2,0)", d=2)
+    first = gl_product(u, v)
+    assert gl_product(u, v) is first
+    assert built == [(u, v)]
 
 
 # 80 drawn pairs per grid, each product of degree at most 10 (d=1) or 8 (d=2)

@@ -16,6 +16,11 @@ name the package exports, every public module-level ``def`` and ``class``,
 and every public method of a package class, must be read in the package
 outside its own definition or be named in backticks in ``README.md``: what
 only a test calls is a test's.
+
+A second guard holds ``FormalSum._of`` to its contract: the sum keeps the
+dict it is given, so every ``FormalSum._of(…)`` call in the package, and
+every ``cls._of(…)`` call in ``FormalSum``, must sit in a ``return``
+statement, where no later line can touch that dict.
 """
 
 from __future__ import annotations
@@ -250,3 +255,39 @@ def test_every_public_name_is_read_in_the_package_or_documented():
         if not name.startswith("_") and reads[name] <= counts[name] and name not in documented
     )
     assert unread == []
+
+
+def _formal_sum_of_calls(tree: ast.Module) -> list[ast.Call]:
+    """The ``FormalSum._of(…)`` calls in ``tree`` and the ``cls._of(…)``
+    calls in its ``FormalSum`` class."""
+    owners = [(tree, "FormalSum")] + [
+        (node, "cls")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "FormalSum"
+    ]
+    return [
+        node
+        for owner, receiver in owners
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "_of"
+        and getattr(node.func.value, "id", None) == receiver
+    ]
+
+
+def test_every_formal_sum_of_call_returns_its_result_at_once():
+    calls, loose = 0, []
+    for name, tree in _modules().items():
+        returned = {
+            id(node)
+            for ret in ast.walk(tree)
+            if isinstance(ret, ast.Return)
+            for node in ast.walk(ret)
+        }
+        for call in _formal_sum_of_calls(tree):
+            calls += 1
+            if id(call) not in returned:
+                loose.append(f"{name}: line {call.lineno}")
+    assert calls > 0  # the guard matches the call sites it is meant for
+    assert loose == []

@@ -536,6 +536,23 @@ def test_grid_times_must_be_finite_json_numbers(bad):
     assert all(type(t) is float for t in grid.times)
 
 
+@pytest.mark.parametrize("bad", ["0.5", True, None, [0.5], math.nan, math.inf])
+def test_grid_increments_must_be_finite_json_numbers(bad):
+    # nan and inf are JSON numbers, which the grid itself refuses
+    doc = _one_letter_grid([0.0, 0.5, 1.0])
+    doc["increments"] = [{"z(1,0)": 1.0}, {"z(1,0)": bad}]
+    message = (
+        "grid value on segment 1 (t = 0.5 .. 1.0) is not finite"
+        if type(bad) is float
+        else f"increment 1 at 'z(1,0)' must be a JSON number, got {bad!r}"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        grid_from_json(doc)
+    doc["increments"][1] = {"z(1,0)": 3}
+    [value] = grid_from_json(doc).increments[1].values.values()
+    assert value == 3.0 and type(value) is float
+
+
 def test_grid_integers_beyond_the_float_range_are_refused_by_index():
     huge = "must be a JSON number in the float range, got "
     with pytest.raises(ValueError, match=re.escape(f"time 1 {huge}1{'0' * 17}...{'0' * 19}")):
