@@ -21,14 +21,14 @@ Grossman–Larson product (in one pass) and the forest insertion in
 :mod:`mirpath.translation` use it.  It reads the weighted assignments of
 equal components to the slots from a plan built once per shape, and builds
 its output forests without re-checking their components.  ``_multiply_out``
-multiplies an ordered list of sums out onto a starting key; the insertion into
-a monomial and the translation of monomials and forests use it, and only the
-dual table of the translation passes it a truncation.  It, ``gl_product`` and
-``FormalSum.linear`` add ``int`` numerators over one common denominator and
-divide once per term.  A result is handed out, not copied: ``FormalSum._of``
-keeps the dict its caller built when no coefficient needs dividing or
-dropping, and ``gl_product`` of two basis forests returns the cached
-``_star_basis`` sum itself.
+multiplies an ordered list of sums out onto a starting key; the deshuffle
+coproduct, the insertion into a monomial and the translation of monomials and
+forests use it, and only the dual table of the translation passes it a
+truncation.  It, ``gl_product`` and ``FormalSum.linear`` add ``int``
+numerators over one common denominator and divide once per term.  A result
+is handed out, not copied: ``FormalSum._of`` keeps the dict its caller built
+when no coefficient needs dividing or dropping, and ``gl_product`` of two
+basis forests returns the cached ``_star_basis`` sum itself.
 
 Multi-indices and forests are hash-consed: every construction returns the
 one canonical object for its value, kept in a bounded intern table that is
@@ -825,22 +825,16 @@ def deshuffle(u: Forest) -> FormalSum:
 
     On a single multi-index this is primitive; on products it is
     multiplicative, so a forest with r copies of a component contributes
-    binomial weights C(r, j).
+    the factor Σ_j C(r, j)·(mi^j, mi^{r−j}), the pairs multiplied out by
+    :meth:`Forest.merge` on each side.
     """
-    out: dict[tuple[Forest, Forest], int] = {}
-    mults = u.multiplicities()
-    choices = [range(r + 1) for _, r in mults]
-    for pick in itertools.product(*choices):
-        coeff = 1
-        left: list[MultiIndex] = []
-        right: list[MultiIndex] = []
-        for (mi, r), j in zip(mults, pick):
-            coeff *= math.comb(r, j)
-            left.extend([mi] * j)
-            right.extend([mi] * (r - j))
-        key = (Forest(left), Forest(right))
-        out[key] = out.get(key, 0) + coeff
-    return FormalSum._of(out)
+    factors = [
+        FormalSum({(Forest([mi] * j), Forest([mi] * (r - j))): math.comb(r, j)
+                   for j in range(r + 1)})
+        for mi, r in u.multiplicities()
+    ]
+    return _multiply_out((Forest(), Forest()), factors,
+                         lambda a, b: (a[0].merge(b[0]), a[1].merge(b[1])))
 
 
 @lru_cache(maxsize=1 << 14)

@@ -23,7 +23,9 @@ into output, so these conventions hold for every subcommand:
   ``.`` decimal point regardless of locale;
 * exit codes: 0 success, 1 verification failure, 2 usage or input error,
   3 numeric divergence (``solve`` still writes its partial solution,
-  ``davie-report`` writes nothing).
+  ``davie-report`` writes nothing), 141 (128 + SIGPIPE) when the reader
+  closes the output before the document is written, with nothing on
+  stderr; no signal handler is installed.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -53,6 +56,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+#: 128 + SIGPIPE, as a shell reports a process that the signal stopped.
+EXIT_BROKEN_PIPE = 141
 
 #: Generator family of the lifts' stochastic draws, quoted in every
 #: provenance header: ``lifts.lift_brownian`` reads it through ``_pcg`` and
@@ -319,6 +324,9 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
 
     if bool(args.path) == bool(args.brownian):
         raise UsageError("pass exactly one of --path CSV or --brownian MODE")
+    brownian = {"--seed": args.seed, "--steps": args.steps, "--t-final": args.t_final}
+    if args.path and (given := [flag for flag, v in brownian.items() if v is not None]):
+        raise UsageError(f"{given[0]} applies only to --brownian, not to --path")
     # the grid reader's bounds, so that no lift writes a grid it refuses
     grading = Grading(max_norm=_at_most("max_norm", args.max_norm), gamma=args.gamma)
     if args.path:
@@ -333,19 +341,21 @@ def _cmd_lift(args: argparse.Namespace) -> _Output:
         source = {"kind": "piecewise-linear", "file": args.path}
     else:
         d = _at_most("d", args.d if args.d is not None else 1)
+        seed = 0 if args.seed is None else args.seed
+        steps = 1024 if args.steps is None else args.steps
+        t_final = 1.0 if args.t_final is None else args.t_final
         grid = lift_brownian(
             d=d,
-            t_final=args.t_final,
-            n_steps=args.steps,
-            seed=args.seed,
+            t_final=t_final,
+            n_steps=steps,
+            seed=seed,
             mode=args.brownian,
             grading=grading,
         )
-        seed = args.seed
         source = {
             "kind": f"brownian-{args.brownian}",
-            "steps": args.steps,
-            "t_final": args.t_final,
+            "steps": steps,
+            "t_final": t_final,
         }
     config = {
         "d": d,
@@ -515,9 +525,17 @@ def _add_max_norm(sub: argparse.ArgumentParser) -> None:
                      help="degree truncation of the graded basis")
 
 
-def _add_seed(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_non_negative, default=0,
+def _add_seed(sub: argparse.ArgumentParser, default: int | None) -> None:
+    sub.add_argument("--seed", type=_non_negative, default=default,
                      help="seed for every random draw in this run")
+
+
+def _add_characters(sub: argparse.ArgumentParser) -> None:
+    """--chars and --ito-strat, the characters of a translation."""
+    sub.add_argument("--chars", default=None, metavar="FILE",
+                     help="character JSON (object or list of objects)")
+    sub.add_argument("--ito-strat", action="store_true",
+                     help="use the built-in Itô→Stratonovich drift character")
 
 
 def _add_solve_inputs(sub: argparse.ArgumentParser) -> None:
@@ -555,7 +573,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run the identity-verification suites")
     _add_d(p, 2)
     _add_max_norm(p)
-    _add_seed(p)
+    _add_seed(p, 0)
     _add_output(p)
     p.add_argument("--suite", action="append", metavar="NAME",
                    help="run only this suite (repeatable); default: all")
@@ -565,17 +583,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("lift", help="lift a path to a stored rough-path grid")
     _add_d(p, None)
     _add_max_norm(p)
-    _add_seed(p)
+    _add_seed(p, None)
     _add_gamma(p)
     _add_output(p)
     p.add_argument("--path", default=None, metavar="CSV",
                    help="piecewise-linear samples: t,x1,…,xd with header")
     p.add_argument("--brownian", choices=("ito", "strat"), default=None, metavar="MODE",
                    help="lattice Brownian lift, MODE is 'ito' or 'strat'")
-    p.add_argument("--steps", type=int, default=1024,
-                   help="number of Brownian lattice steps (power of two)")
-    p.add_argument("--t-final", type=float, default=1.0,
-                   help="right endpoint of the Brownian time interval")
+    p.add_argument("--steps", type=int, default=None,
+                   help="number of Brownian lattice steps, a power of two (default 1024)")
+    p.add_argument("--t-final", type=float, default=None,
+                   help="right endpoint of the Brownian time interval (default 1.0)")
     p.set_defaults(handler=_cmd_lift)
 
     p = subs.add_parser("solve", help="integrate the truncated log-flow")
@@ -586,18 +604,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("translate", help="translate a stored rough path")
     _add_output(p)
     p.add_argument("--grid", required=True, metavar="FILE")
-    p.add_argument("--chars", default=None, metavar="FILE",
-                   help="character JSON (object or list of objects)")
-    p.add_argument("--ito-strat", action="store_true",
-                   help="use the built-in Itô→Stratonovich drift character")
+    _add_characters(p)
     p.set_defaults(handler=_cmd_translate)
 
     p = subs.add_parser("translate-field",
                         help="translate a polynomial vector field")
     _add_output(p)
     p.add_argument("--field", required=True, metavar="FILE")
-    p.add_argument("--chars", default=None, metavar="FILE")
-    p.add_argument("--ito-strat", action="store_true")
+    _add_characters(p)
     p.set_defaults(handler=_cmd_translate_field)
 
     p = subs.add_parser("davie-report",
@@ -613,7 +627,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("ito-strat-demo",
                         help="Monte-Carlo second-level gap statistics")
     _add_d(p, 1)
-    _add_seed(p)
+    _add_seed(p, 0)
     _add_output(p)
     p.add_argument("--paths", type=_count, default=10000,
                    help="number of Monte-Carlo paths")
@@ -634,6 +648,13 @@ def main(argv: list[str] | None = None) -> int:
         out = args.handler(args)
         if out.body is not None:
             _write(args.out, _provenance(args, out), out.body)
+    except BrokenPipeError:  # the reader closed the output: stop writing
+        if args.out is None:  # so that the flush at exit finds nowhere to fail
+            with contextlib.suppress(OSError, ValueError):
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:  # UsageError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -14,12 +14,14 @@ survives every truncation.  Mixed drift–diffusion monomials enter exactly
 when the γ-filter admits them.  This is the log-ODE method of Castell and
 Gaines, in the flow form of Bailleul.
 
-The right-hand side is compiled, once per field and support (the
-expansion rows on which an element is nonzero), into one straight-line
+The right-hand side is compiled, once per expansion, field and support
+(the expansion rows on which an element is nonzero), into one straight-line
 function by ``group._straight_line``: Horner's rule over a polynomial
 field's float rows, or a derivative call for any other field, then the
 powers, products and sum in the order of :func:`mirpath.fields.upsilon`.
-The Davie expansion is compiled the same way.
+The Davie expansion is compiled the same way.  A step, an expansion and
+the level check of a flow all find theirs through ``_prepared``, which keys
+the expansion by integers, so no lookup hashes a ``Fraction``.
 
 Everything here is deterministic: fixed classical RK4 with a configured
 substep count, basis enumeration in a fixed sorted order, no randomness.
@@ -35,7 +37,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import _EXPORTS
-from .algebra import Grading, MultiIndex, _Record, _populated_tuple, single
+from .algebra import MultiIndex, _Record, _populated_tuple, single
 from .fields import VectorField, _Horner
 from .group import (
     LieElement,
@@ -94,19 +96,8 @@ def expansion_basis(d: int, gamma: Fraction, level: Fraction) -> tuple[MultiInde
     return tuple(sorted(keep))
 
 
-class _Expansion:
-    """The expansion at one level, prepared once by :func:`_expansion`.
-    It hashes by identity, so a compiled right-hand side is found without
-    hashing its rows."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: tuple) -> None:
-        self.rows = rows
-
-
 @lru_cache(maxsize=32)
-def _expansion(d: int, max_norm: int, gamma: tuple, level: tuple) -> _Expansion:
+def _expansion(d: int, max_norm: int, gamma: tuple, level: tuple) -> tuple:
     """The expansion at ``level`` for the grading (``max_norm``, ``gamma``),
     both exponents as (numerator, denominator), so a lookup hashes no
     ``Fraction``, prepared once: per β of its basis, its slot in ``coords``,
@@ -117,38 +108,42 @@ def _expansion(d: int, max_norm: int, gamma: tuple, level: tuple) -> _Expansion:
         raise ValueError(f"truncation level {level} exceeds the stored degree {max_norm}")
     index = _key_index(d, max_norm)
     pairs: dict[tuple[int, int], int] = {}
-    return _Expansion(tuple(
+    return tuple(
         (index[beta], beta.symmetry_factor(),
          tuple((i, k, m, pairs.setdefault((i, k), len(pairs))) for (i, k), m in beta.entries))
         for beta in expansion_basis(d, Fraction(*gamma), level)
-    ))
+    )
 
 
-def _expansion_of(d: int, grading: Grading, level: Fraction | int | None) -> _Expansion:
-    """:func:`_expansion` at ``level`` (default: the stored degree) for ``grading``."""
+def _prepared(owner, level: Fraction | int | None, f: VectorField | None = None,
+              davie: bool = False) -> tuple[Callable, tuple] | None:
+    """The :func:`_compiled` right-hand side of ``f`` at ``level`` (default:
+    the stored degree) over the support of the element ``owner``, with its
+    values there, divided by S(β) unless for the Davie expansion.  Without
+    ``f`` it only prepares the expansion for the grading of ``owner``, an
+    element or a grid, which refuses a level above the stored degree."""
+    grading = owner.grading
     level = grading.max_norm if level is None else level
     if type(level) is not int and type(level) is not Fraction:  # a float, a numpy int, ...
         level = Fraction(level)
-    return _expansion(d, grading.max_norm, grading.gamma.as_integer_ratio(),
-                      level.as_integer_ratio())
-
-
-def _nonzero(element, level: Fraction | int | None) -> tuple[_Expansion, tuple[int, ...], tuple]:
-    """The expansion at ``level``, the indices of its rows on which
-    ``element`` is nonzero (its support), and the element's values there."""
-    expansion = _expansion_of(element.d, element.grading, level)
-    coords = element.coords
-    rows = expansion.rows
+    key = (owner.d, grading.max_norm, grading.gamma.as_integer_ratio(), level.as_integer_ratio())
+    rows = _expansion(*key)
+    if f is None:
+        return None
+    coords = owner.coords
     support = tuple([n for n, (slot, _, _) in enumerate(rows) if coords[slot] != 0.0])
-    return expansion, support, tuple([coords[rows[n][0]] for n in support])
+    values = [coords[rows[n][0]] for n in support]
+    if not davie:
+        values = [x / rows[n][1] for n, x in zip(support, values)]
+    return _compiled(key, support, f.provider, f.d, f.max_order, davie), tuple(values)
 
 
 @lru_cache(maxsize=32)
-def _compiled(expansion: _Expansion, support: tuple[int, ...], provider: Callable,
+def _compiled(key: tuple, support: tuple[int, ...], provider: Callable,
               d: int, max_order: int | None, davie: bool) -> Callable:
     """The straight-line function ``(z, c) ↦ (0.0 + Σ_n c_n·Υ_n(z),)`` over
-    the rows ``support`` of ``expansion``, Υ_n = Υ_f[z^β] for the β of the
-    n-th of them, or with ``davie`` ``(z + Σ_n Υ_n(z)/S(β)·c_n,)``, for the
+    the rows ``support`` of ``_expansion(*key)``, Υ_n = Υ_f[z^β] for the β of
+    the n-th of them, or with ``davie`` ``(z + Σ_n Υ_n(z)/S(β)·c_n,)``, for the
     field of this ``provider``, ``d`` and ``max_order``, whose derivatives
     it reads as :meth:`VectorField.derivative` does.
 
@@ -158,10 +153,12 @@ def _compiled(expansion: _Expansion, support: tuple[int, ...], provider: Callabl
     power is ``**``, which raises OverflowError where ``*`` would give inf,
     except a first power, the factor itself.  A polynomial field's read is
     Horner's rule over its float rows, one assignment per coefficient; any
-    other is a call of ``derivative``.  The cache key holds the field by
-    its provider, so a lookup hashes no row of exact coefficients."""
+    other is a call of ``derivative``.  The cache key holds the expansion
+    by its integer key and the field by its provider, so a lookup hashes no
+    ``Fraction`` and no row of exact coefficients."""
     derivative = VectorField(d, provider, max_order).derivative
     horner = provider.rows if isinstance(provider, _Horner) else ()
+    rows = _expansion(*key)
 
     def read(i: int, k: int, p: int) -> list[str]:
         if not (i <= d and i < len(horner) and (max_order is None or k <= max_order)):
@@ -175,7 +172,7 @@ def _compiled(expansion: _Expansion, support: tuple[int, ...], provider: Callabl
     done: set[int] = set()
     for n, r in enumerate(support):
         product = "1.0"
-        for i, k, m, p in expansion.rows[r][2]:
+        for i, k, m, p in rows[r][2]:
             if p not in done:  # a power taken so far may overflow first
                 done.add(p)
                 if product != "1.0":
@@ -186,7 +183,7 @@ def _compiled(expansion: _Expansion, support: tuple[int, ...], provider: Callabl
         lines.append(f"u{n} = {product}")
     if davie:
         total = "z" + "".join(
-            f" + u{n}/{expansion.rows[r][1]}*c{n}" for n, r in enumerate(support)
+            f" + u{n}/{rows[r][1]}*c{n}" for n, r in enumerate(support)
         )
     else:
         total = "0.0" + "".join(f" + c{n}*u{n}" for n in range(len(support)))
@@ -214,8 +211,7 @@ def davie_expansion(
     i, j = path.index_of(s), path.index_of(t)
     if i > j:
         raise ValueError(f"expansion needs s <= t, got s={s}, t={t}")
-    expansion, support, xs = _nonzero(path.increment_by_index(i, j), level)
-    expand = _compiled(expansion, support, f.provider, f.d, f.max_order, True)
+    expand, xs = _prepared(path.increment_by_index(i, j), level, f, davie=True)
     return expand(float(y), xs)[0]
 
 
@@ -239,9 +235,7 @@ def logode_step(
     """
     if substeps < 1:
         raise ValueError(f"substeps must be >= 1, got {substeps}")
-    expansion, support, xs = _nonzero(lam, level)
-    c = tuple([x / expansion.rows[n][1] for n, x in zip(support, xs)])
-    rhs = _compiled(expansion, support, f.provider, f.d, f.max_order, False)
+    rhs, c = _prepared(lam, level, f)
     h = 1.0 / substeps
     z = float(y)
     for n in range(1, substeps + 1):
@@ -336,7 +330,7 @@ def solve_flow(
         raise ValueError(f"initial state {y0} lies beyond the state bound {_DIVERGENCE_BOUND:g}")
     indices = _mesh_indices(path, mesh_level)
     level = Fraction(path.grading.max_norm if level is None else level)
-    _expansion_of(path.d, path.grading, level)  # refuses a level above the stored degree
+    _prepared(path, level)  # refuses a level above the stored degree
     times = [path.times[0]]
     values = [float(y0)]
     message = ""

@@ -37,6 +37,7 @@ from mirpath.group import (
 )
 from mirpath.lifts import lift_brownian, lift_piecewise_linear
 from mirpath.solver import (
+    _compiled,
     _expansion,
     DivergedError,
     FlowSolution,
@@ -740,9 +741,13 @@ class TestDavieReport:
                              grading=GRADING3)
         f = VectorField.polynomial([("0.1", "-0.5"), ("1", "0", "-0.25"), ("0.5", "0.3")])
         _expansion.cache_clear()
+        _compiled.cache_clear()
         sol = solve_flow(path, f, 0.2, substeps=4)
+        assert _compiled.cache_info().misses == 1
         davie_residual_report(path, f, sol, dyadic_pairs(sol.times, 1, 16))
         assert (_expansion.cache_info().misses, _expansion.cache_info().currsize) == (1, 1)
+        # one function per form, never one per step or per pair
+        assert _compiled.cache_info().misses == 2
 
     def test_solve_and_report_hash_no_fraction_per_step(self, monkeypatch):
         # the expansion is looked up by integers, so no step hashes γ or the level

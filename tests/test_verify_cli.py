@@ -435,6 +435,25 @@ class TestCliLiftSolve:
         assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not (tmp_path / "grid.json").exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", "9"), ("--steps", "7"), ("--t-final", "-3"),
+    ], ids=lambda x: x)
+    def test_path_lift_refuses_the_brownian_flags_before_reading_the_csv(self, flag, value):
+        # they used to be ignored, and the provenance recorded seed null
+        code, out, err = run_cli("lift", "--path", "nope.csv", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} applies only to --brownian, not to --path\n"
+
+    def test_brownian_lift_flags_keep_their_defaults(self):
+        code, out, _ = run_cli("lift", "--brownian", "strat", "--d", "1", "--max-norm", "2",
+                               "--no-timestamp")
+        header = json.loads(out)["provenance"]
+        assert code == 0
+        assert header["rng"]["seed"] == 0
+        assert header["config"]["source"] == {
+            "kind": "brownian-strat", "steps": 1024, "t_final": 1.0,
+        }
+
     def test_brownian_lift_mode_validated(self):
         code, _, err = run_cli("lift", "--brownian", "midpoint", "--steps", "8")
         assert code == 2
@@ -1411,6 +1430,31 @@ class TestCliTopLevel:
         code, out, _ = run_cli("--version")
         assert code == 0
         assert out.startswith("mirpath ")
+
+    def test_a_closed_stdout_stops_the_run_with_the_sigpipe_code(self):
+        # 456 KB of output, more than a pipe holds, read for one line only
+        src = str(Path(mirpath.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "mirpath.cli", "enumerate", "--d", "3", "--max-norm", "6"],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.readline().startswith(b"# tool: mirpath ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=SHORTFALL_BUDGET_S), err) == (141, b"")
+
+    def test_translation_flags_read_alike_in_both_subcommands(self):
+        helps = []
+        for command in ("translate", "translate-field"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+                cli_main([command, "--help"])
+            helps.append([ln.split() for ln in out.getvalue().splitlines()
+                          if ln.lstrip().startswith(("--chars", "--ito-strat"))])
+        # translate's lines carry help text, so translate-field's do too
+        assert len(helps[0]) == 2 and helps[0] == helps[1]
 
     def test_missing_subcommand_is_a_usage_error(self):
         code, _, _ = run_cli()
